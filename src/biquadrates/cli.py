@@ -1,8 +1,8 @@
 """Command-line front end: verify, search, families, curve pipeline, Pell ladder.
 
 Exit codes are a stable contract: 0 success, 1 domain failure (degenerate
-parameter, failed verification), 2 usage error.  Data goes to stdout,
-diagnostics to stderr.
+parameter, failed verification, refused resource limit), 2 usage error.
+Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -115,12 +115,15 @@ def cmd_verify(ns) -> int:
 
 def cmd_search(ns) -> int:
     try:
-        cfg = SearchConfig(bx=ns.bx, by=ns.by, strategy=ns.strategy,
-                           threads=ns.threads)
+        cfg = SearchConfig(bx=ns.bx, by=ns.by, strategy=ns.strategy)
     except ValueError as exc:
         print("search: %s" % exc, file=sys.stderr)
         return 2
-    results = search(cfg)
+    try:
+        results = search(cfg)
+    except ValueError as exc:
+        print("search: %s" % exc, file=sys.stderr)
+        return 1
     if ns.csv:
         print("x1,x2,y1,y2,z1,z2")
         for sol in results:
@@ -201,11 +204,7 @@ def cmd_pell(ns) -> int:
         sol = pell_to_solution(pell3_nth(ns.k))
         _print_record(_make_record(sol, "pell", ns.k), ns.json)
         return 0
-    t = ns.t
-    if t * t == 3:
-        print("pell: pole at t^2 = 3", file=sys.stderr)
-        return 1
-    return _emit_family_value(FAMILIES["eq26"](), t, "family_eq26", ns.json)
+    return _emit_family_value(FAMILIES["eq26"](), ns.t, "family_eq26", ns.json)
 
 
 def _selftest_curve_closure() -> bool:
@@ -261,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--by", type=int, required=True, help="largest y2")
     p.add_argument("--strategy", choices=("root_loop", "sum_table"),
                    default="root_loop")
-    p.add_argument("--threads", type=int, default=1)
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true")
     fmt.add_argument("--json", action="store_true")

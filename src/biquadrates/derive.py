@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Union
 
 from biquadrates.curve import (
     CurvePoint,
+    Element,
+    _lift,
     curve_from_parameter,
     mul_scalar,
     on_curve,
@@ -34,9 +35,7 @@ from biquadrates.exact import (
     check_solution,
 )
 from biquadrates.families import ParamSolution
-from biquadrates.poly import IPoly, PoleError, RatFn, _full_gcd
-
-Element = Union[Fraction, RatFn]
+from biquadrates.poly import IPoly, PoleError, RatFn, _full_gcd, _positive
 
 DEFAULT_SAMPLES = (1, 2, 3, Fraction(1, 2), 5)
 
@@ -49,10 +48,6 @@ def quartic_rhs(u, m):
     """Right side of the quartic model, V^2 = quartic_rhs(U, m)."""
     m4 = m**4
     return ((((u - 2) * u - (4 * m4 - 1)) * u - 8 * m4) * u) - 4 * m4
-
-
-def _lift(v):
-    return Fraction(v) if isinstance(v, int) else v
 
 
 @dataclass(frozen=True)
@@ -102,10 +97,6 @@ def quartic_to_weierstrass(qp: QuarticPoint) -> CurvePoint:
     return pt
 
 
-def _positive_lc(p: IPoly) -> IPoly:
-    return -p if (not p.is_zero and p.lc < 0) else p
-
-
 def _poly_lcm(a: IPoly, b: IPoly) -> IPoly:
     return (a * b).exact_div(_full_gcd(a, b))
 
@@ -114,10 +105,11 @@ def quartic_point_to_param_solution(qp: QuarticPoint) -> ParamSolution:
     """Turn a quartic-model point over Q(m) into a polynomial family.
 
     The six raw entries are cleared to integer polynomials with each pair
-    freed of common factors where the scaling action allows, then checked
-    two independent ways: z1, z2 must reproduce the square identities
-    z1^2 = (x1 y1)^2 + (x2 y2)^2 and z2^2 = (x1 y2)^2 - (x2 y1)^2, and the
-    full residual must vanish.
+    freed of common factors where the scaling action allows, then z1, z2
+    must reproduce the square identities z1^2 = (x1 y1)^2 + (x2 y2)^2 and
+    z2^2 = (x1 y2)^2 - (x2 y1)^2 exactly.  Those two checks suffice: since
+    (a^2c^2 + b^2d^2)^2 + (a^2d^2 - b^2c^2)^2 = (a^4 + b^4)(c^4 + d^4), they
+    force the residual of the equation to vanish.
     """
     m = qp.m
     if not isinstance(m, RatFn) or m != RatFn.gen(m.var):
@@ -153,16 +145,13 @@ def quartic_point_to_param_solution(qp: QuarticPoint) -> ParamSolution:
     if z1.den != one or z2.den != one:
         raise PipelineError("z entries did not clear to polynomials")
 
-    entries = [_positive_lc(e) for e in (x1, x2, y1, y2, z1.num, z2.num)]
+    entries = [_positive(e) for e in (x1, x2, y1, y2, z1.num, z2.num)]
     x1, x2, y1, y2, z1, z2 = entries
     if z1 * z1 != (x1 * y1) ** 2 + (x2 * y2) ** 2:
         raise PipelineError("z1 fails its square cross-check")
     if z2 * z2 != (x1 * y2) ** 2 - (x2 * y1) ** 2:
         raise PipelineError("z2 fails its square cross-check")
-    ps = ParamSolution(*entries)
-    if not ps.residual().is_zero:
-        raise PipelineError("derived family does not satisfy the equation")
-    return ps
+    return ParamSolution(*entries)
 
 
 def _clear_to_solution(xpair, ypair, zpair) -> SolutionSix:

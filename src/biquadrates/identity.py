@@ -30,7 +30,7 @@ is rejected by this verifier (pass v_denominator_factor=16 to see it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Sequence

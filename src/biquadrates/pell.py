@@ -13,11 +13,9 @@ comes from u = (t^2+3)/(t^2-3), v = 2t/(t^2-3).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from typing import NamedTuple
 
 from biquadrates.exact import SolutionSix
-from biquadrates.families import ParamSolution, family_eq26
 
 
 class PellSolution(NamedTuple):
@@ -25,29 +23,6 @@ class PellSolution(NamedTuple):
 
     u: int
     v: int
-
-
-def pell_fundamental(D: int) -> tuple:
-    """Smallest (u, v) with v >= 1 and u^2 - D v^2 = 1, for nonsquare D >= 2.
-
-    Walks the continued-fraction expansion of sqrt(D) and returns the first
-    convergent that solves the equation.
-    """
-    if not isinstance(D, int) or D < 2:
-        raise ValueError("D must be an integer >= 2")
-    a0 = isqrt(D)
-    if a0 * a0 == D:
-        raise ValueError("D must not be a perfect square")
-    m, d, a = 0, 1, a0
-    prev_num, num = 1, a0
-    prev_den, den = 0, 1
-    while num * num - D * den * den != 1:
-        m = d * a - m
-        d = (D - m * m) // d
-        a = (a0 + m) // d
-        prev_num, num = num, a * num + prev_num
-        prev_den, den = den, a * den + prev_den
-    return (num, den)
 
 
 def pell3_nth(k: int) -> PellSolution:
@@ -86,8 +61,3 @@ def rational_pell(t) -> tuple:
     u = (t * t + 3) / den
     v = 2 * t / den
     return (u, v)
-
-
-def pell_param_family() -> ParamSolution:
-    """Polynomial family in t obtained by clearing the rational Pell slice."""
-    return family_eq26()

@@ -19,8 +19,8 @@ coefficient), so equality is structural.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Iterable, Optional, Union
+from math import gcd
+from typing import Iterable, Optional
 
 
 class ExactDivisionError(ArithmeticError):
@@ -451,41 +451,6 @@ def poly_gcd(a: IPoly, b: IPoly) -> IPoly:
 
 def _positive(p: IPoly) -> IPoly:
     return -p if p.lc < 0 else p
-
-
-def poly_sqrt(p: IPoly) -> Optional[IPoly]:
-    """The q with q*q == p and positive leading coefficient, or None."""
-    if p.is_zero:
-        return IPoly((), p.var)
-    cs = p.coeffs
-    if (len(cs) - 1) % 2:
-        return None
-    if cs[-1] < 0:
-        return None
-    v = 0
-    while cs[v] == 0:
-        v += 1
-    if v % 2:
-        return None
-    cs = cs[v:]
-    c0 = cs[0]
-    if c0 < 0:
-        return None
-    q0 = isqrt(c0)
-    if q0 * q0 != c0:
-        return None
-    n = (len(cs) - 1) // 2
-    q = [q0] + [0] * n
-    for i in range(1, n + 1):
-        num = cs[i] - sum(q[j] * q[i - j] for j in range(1, i))
-        d, rem = divmod(num, 2 * q0)
-        if rem:
-            return None
-        q[i] = d
-    if _mul_coeffs(tuple(q), tuple(q)) != cs:
-        return None
-    root = IPoly([0] * (v // 2) + q, p.var)
-    return _positive(root)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ rearranged solutions appears once.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
@@ -33,8 +32,6 @@ class SearchConfig:
     bx: int
     by: int
     strategy: str = "root_loop"
-    require_primitive: bool = True
-    threads: int = 1
 
     def __post_init__(self):
         if not (isinstance(self.bx, int) and isinstance(self.by, int)):
@@ -43,8 +40,6 @@ class SearchConfig:
             raise ValueError("bounds must be at least 2")
         if self.strategy not in ("root_loop", "sum_table"):
             raise ValueError("strategy must be 'root_loop' or 'sum_table'")
-        if not isinstance(self.threads, int) or self.threads < 1:
-            raise ValueError("threads must be a positive integer")
 
 
 def decompose_fourth(N: int) -> list:
@@ -104,18 +99,32 @@ def build_sum_table(max_n: int, entry_budget: int = DEFAULT_ENTRY_BUDGET) -> Sum
     return SumTable(max_n, sums)
 
 
-def _coprime_pairs(bound: int, require_primitive: bool) -> list:
-    """Pairs (a, b, a^4 + b^4) with 1 <= a < b <= bound, in lex order."""
+def _coprime_pairs(bound: int) -> list:
+    """Coprime (a, b, a^4 + b^4) with 1 <= a < b <= bound, in lex order."""
     pairs = []
     for a in range(1, bound):
         for b in range(a + 1, bound + 1):
-            if require_primitive and gcd(a, b) != 1:
+            if gcd(a, b) != 1:
                 continue
             pairs.append((a, b, a**4 + b**4))
     return pairs
 
 
-def _search_slice(xpairs, ypairs, lookup) -> list:
+def search(cfg: SearchConfig) -> list:
+    """All solutions within the bounds, one representative per canonical key.
+
+    Results are sorted by (x2, x1, y2, y1, z2) and deduplicated keeping the
+    first entry in that order, so the output is independent of strategy.
+    """
+    xpairs = _coprime_pairs(cfg.bx)
+    ypairs = _coprime_pairs(cfg.by)
+    if cfg.strategy == "sum_table":
+        max_n = xpairs[-1][2] * ypairs[-1][2] if xpairs and ypairs else 2
+        table = build_sum_table(max_n)
+        lookup = table.lookup
+    else:
+        lookup = decompose_fourth
+
     found = []
     for x1, x2, sx in xpairs:
         for y1, y2, sy in ypairs:
@@ -126,34 +135,6 @@ def _search_slice(xpairs, ypairs, lookup) -> list:
                 continue
             for z1, z2 in lookup(sx * sy):
                 found.append(SolutionSix(x1, x2, y1, y2, z1, z2))
-    return found
-
-
-def search(cfg: SearchConfig) -> list:
-    """All solutions within the bounds, one representative per canonical key.
-
-    Results are sorted by (x2, x1, y2, y1, z2) and deduplicated keeping the
-    first entry in that order, so the output is independent of strategy and
-    thread count.
-    """
-    xpairs = _coprime_pairs(cfg.bx, cfg.require_primitive)
-    ypairs = _coprime_pairs(cfg.by, cfg.require_primitive)
-    if cfg.strategy == "sum_table":
-        max_n = xpairs[-1][2] * ypairs[-1][2] if xpairs and ypairs else 2
-        table = build_sum_table(max_n)
-        lookup = table.lookup
-    else:
-        lookup = decompose_fourth
-
-    if cfg.threads == 1 or len(xpairs) < 2:
-        found = _search_slice(xpairs, ypairs, lookup)
-    else:
-        found = []
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            slices = [xpairs[i::cfg.threads] for i in range(cfg.threads)]
-            for chunk in pool.map(lambda xs: _search_slice(xs, ypairs, lookup), slices):
-                found.extend(chunk)
-
     found.sort(key=lambda s: (s.x2, s.x1, s.y2, s.y1, s.z2))
     seen = set()
     out = []

@@ -56,6 +56,14 @@ def test_search_bad_bound(capsys):
     assert "bounds" in err
 
 
+def test_search_refused_table_fails_clean(capsys):
+    code, out, err = run(capsys, "search", "--bx", "90", "--by", "120",
+                         "--strategy", "sum_table")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("search: ") and len(err.splitlines()) == 1
+
+
 def test_search_json_matches_csv(capsys):
     code, out_json, _ = run(capsys, "search", "--bx", "8", "--by", "12", "--json")
     assert code == 0
@@ -200,3 +208,26 @@ def test_no_command():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+BAD_ARGV = [
+    ["search", "--bx", "1", "--by", "5"],
+    ["search", "--bx", "4", "--by", "4", "--threads", "2"],
+    ["curve", "--n", "0", "--m", "1"],
+    ["curve", "--n", "1", "--m", "0"],
+    ["family", "eq99", "--param", "1"],
+    ["pell", "--k", "0"],
+    ["verify", "1", "2", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
+def test_bad_argv_fails_clean(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code in (1, 2)
+    assert captured.err != ""
+    assert "Traceback" not in captured.out + captured.err

@@ -11,27 +11,9 @@ from biquadrates.identity import verify_param_solution
 from biquadrates.pell import (
     PellSolution,
     pell3_nth,
-    pell_fundamental,
-    pell_param_family,
     pell_to_solution,
     rational_pell,
 )
-
-
-def test_fundamental_solutions():
-    assert pell_fundamental(3) == (2, 1)
-    assert pell_fundamental(2) == (3, 2)
-    assert pell_fundamental(5) == (9, 4)
-    # a classically long expansion, checked against its own equation
-    u, v = pell_fundamental(61)
-    assert u * u - 61 * v * v == 1 and v >= 1
-
-
-def test_fundamental_rejects_bad_input():
-    with pytest.raises(ValueError):
-        pell_fundamental(9)
-    with pytest.raises(ValueError):
-        pell_fundamental(1)
 
 
 def test_ladder_start():
@@ -82,13 +64,13 @@ def test_rational_pell_on_curve():
 
 
 def test_param_family_is_valid():
-    fam = pell_param_family()
+    fam = family_eq26()
     assert verify_param_solution(fam)
     assert fam.var == "t"
 
 
 def test_param_family_matches_rational_slice():
-    fam = pell_param_family()
+    fam = family_eq26()
     for t in (2, 3, 5):
         u, v = rational_pell(t)
         shaped = _clear_to_solution(
@@ -100,7 +82,7 @@ def test_param_family_matches_rational_slice():
 
 
 def test_param_family_sample_values():
-    fam = pell_param_family()
+    fam = family_eq26()
     key = canonicalize(evaluate_param(fam, 3))
     assert key.xpair == (1, 2) and key.ypair == (5, 6)
     assert key.zpair == (Fraction(8), Fraction(13))

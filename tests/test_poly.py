@@ -15,7 +15,6 @@ from biquadrates.poly import (
     divides,
     format_poly,
     poly_gcd,
-    poly_sqrt,
     primitive_part,
     _kronecker_mul,
     _mul_coeffs,
@@ -136,21 +135,6 @@ def test_poly_gcd_large_inputs_hits_heuristic_path():
     assert poly_gcd(c, d) == P(1)
 
 
-# -- sqrt -------------------------------------------------------------------
-
-def test_poly_sqrt_examples():
-    assert poly_sqrt(M**2 + 2 * M + 1) == M + 1
-    assert poly_sqrt(4 * M**4 + 4 * M**2 + 1) == 2 * M**2 + 1
-    assert poly_sqrt(M**2 + 1) is None
-    assert poly_sqrt(P()) == P()
-    assert poly_sqrt(P(9)) == P(3)
-    assert poly_sqrt(P(8)) is None
-    assert poly_sqrt((1 - M) ** 2) == M - 1  # positive leading coefficient
-    assert poly_sqrt(M**3) is None
-    assert poly_sqrt(-(M**2)) is None
-    assert poly_sqrt(M**2) == M
-
-
 # -- formatting -------------------------------------------------------------
 
 def test_format_poly():
@@ -195,16 +179,6 @@ def test_gcd_divides_both(a, b):
     g = poly_gcd(a, b)
     assert divides(g, primitive_part(a))
     assert divides(g, primitive_part(b))
-
-
-@given(st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=31))
-def test_poly_sqrt_roundtrip(cs):
-    q = IPoly(cs, "m")
-    if q.is_zero:
-        return
-    r = poly_sqrt(q * q)
-    assert r == q or r == -q
-    assert r.lc > 0
 
 
 @given(polys, polys, st.integers(min_value=-20, max_value=20))

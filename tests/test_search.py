@@ -1,7 +1,5 @@
 """Tests for the bounded solution search."""
 
-from math import gcd
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,8 +77,6 @@ def test_config_validation():
         SearchConfig(bx=10, by=0)
     with pytest.raises(ValueError):
         SearchConfig(bx=4, by=4, strategy="guess")
-    with pytest.raises(ValueError):
-        SearchConfig(bx=4, by=4, threads=0)
 
 
 def test_search_empty_window():
@@ -88,7 +84,11 @@ def test_search_empty_window():
 
 
 def _oracle_canonical_set(bound):
-    """Brute force over all pair combinations with plain loops."""
+    """Brute force over all pair combinations with plain loops.
+
+    Non-primitive pairs are walked too, so agreement with the search (which
+    uses coprime pairs only) also shows that they add no canonical key.
+    """
     keys = set()
     zmax = 1
     top = (bound**4 + (bound - 1) ** 4) ** 2
@@ -96,11 +96,9 @@ def _oracle_canonical_set(bound):
         zmax += 1
     for x1 in range(1, bound + 1):
         for x2 in range(x1 + 1, bound + 1):
-            if gcd(x1, x2) != 1:
-                continue
             for y1 in range(1, bound + 1):
                 for y2 in range(y1 + 1, bound + 1):
-                    if gcd(y1, y2) != 1 or (y1, y2) < (x1, x2):
+                    if (y1, y2) < (x1, x2):
                         continue
                     n = (x1**4 + x2**4) * (y1**4 + y2**4)
                     for z1 in range(zmax + 1):
@@ -138,15 +136,3 @@ def test_strategies_agree():
     a = search(SearchConfig(bx=8, by=12, strategy="root_loop"))
     b = search(SearchConfig(bx=8, by=12, strategy="sum_table"))
     assert a == b
-
-
-def test_thread_count_does_not_change_results():
-    base = search(SearchConfig(bx=8, by=12))
-    for threads in (2, 3, 5):
-        assert search(SearchConfig(bx=8, by=12, threads=threads)) == base
-
-
-def test_nonprimitive_pairs_add_nothing_canonical():
-    strict = search(SearchConfig(bx=6, by=10))
-    loose = search(SearchConfig(bx=6, by=10, require_primitive=False))
-    assert {canonicalize(s) for s in strict} == {canonicalize(s) for s in loose}
