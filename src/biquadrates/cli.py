@@ -1,7 +1,8 @@
 """Command-line front end: verify, search, families, curve pipeline, Pell ladder.
 
 Exit codes are a stable contract: 0 success, 1 domain failure (degenerate
-parameter, failed verification, refused resource limit), 2 usage error.
+parameter, failed verification, a result past Python's int-to-text digit
+limit), 2 usage error.
 Data goes to stdout, diagnostics to stderr.
 """
 
@@ -115,15 +116,11 @@ def cmd_verify(ns) -> int:
 
 def cmd_search(ns) -> int:
     try:
-        cfg = SearchConfig(bx=ns.bx, by=ns.by, strategy=ns.strategy)
+        cfg = SearchConfig(bx=ns.bx, by=ns.by)
     except ValueError as exc:
         print("search: %s" % exc, file=sys.stderr)
         return 2
-    try:
-        results = search(cfg)
-    except ValueError as exc:
-        print("search: %s" % exc, file=sys.stderr)
-        return 1
+    results = search(cfg)
     if ns.csv:
         print("x1,x2,y1,y2,z1,z2")
         for sol in results:
@@ -258,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="enumerate solutions within bounds")
     p.add_argument("--bx", type=int, required=True, help="largest x2")
     p.add_argument("--by", type=int, required=True, help="largest y2")
-    p.add_argument("--strategy", choices=("root_loop", "sum_table"),
-                   default="root_loop")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true")
     fmt.add_argument("--json", action="store_true")

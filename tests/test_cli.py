@@ -56,14 +56,6 @@ def test_search_bad_bound(capsys):
     assert "bounds" in err
 
 
-def test_search_refused_table_fails_clean(capsys):
-    code, out, err = run(capsys, "search", "--bx", "90", "--by", "120",
-                         "--strategy", "sum_table")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("search: ") and len(err.splitlines()) == 1
-
-
 def test_search_json_matches_csv(capsys):
     code, out_json, _ = run(capsys, "search", "--bx", "8", "--by", "12", "--json")
     assert code == 0
@@ -213,6 +205,7 @@ def test_no_command():
 BAD_ARGV = [
     ["search", "--bx", "1", "--by", "5"],
     ["search", "--bx", "4", "--by", "4", "--threads", "2"],
+    ["search", "--bx", "4", "--by", "4", "--strategy", "sum_table"],
     ["curve", "--n", "0", "--m", "1"],
     ["curve", "--n", "1", "--m", "0"],
     ["family", "eq99", "--param", "1"],

@@ -1,5 +1,7 @@
 """Tests for the bounded solution search."""
 
+from math import gcd, isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 from biquadrates.exact import SolutionSix, canonicalize, check_solution
 from biquadrates.search import (
     SearchConfig,
-    build_sum_table,
     decompose_fourth,
+    fourth_power_sums,
     search,
 )
 from known_solutions import SMALL_SOLUTIONS
@@ -44,30 +46,24 @@ def test_decompose_matches_naive_loop(n):
     assert decompose_fourth(n) == naive
 
 
-def test_sum_table_small():
-    table = build_sum_table(100)
-    for n, pairs in ((2, [(1, 1)]), (17, [(1, 2)]), (32, [(2, 2)]),
-                     (82, [(1, 3)]), (97, [(2, 3)])):
-        assert table.lookup(n) == pairs
-    assert table.lookup(31) == []
-    assert 16 in table
-    with pytest.raises(ValueError):
-        table.lookup(101)
-
-
-def test_sum_table_guards():
-    with pytest.raises(ValueError):
-        build_sum_table(1)
-    with pytest.raises(ValueError):
-        build_sum_table(10**8, entry_budget=10)
-
-
-def test_sum_table_agrees_with_root_loop():
-    table = build_sum_table(50000)
+def test_fourth_power_sums_agrees_with_decompose():
+    hits = fourth_power_sums(range(1, 50001))
     for n in range(1, 50001):
-        direct = decompose_fourth(n)
-        assert (n in table) == (direct != [])
-        assert table.lookup(n) == direct
+        assert (n in hits) == (decompose_fourth(n) != [])
+
+
+def test_fourth_power_sums_edge_cases():
+    assert fourth_power_sums(set()) == set()
+    assert fourth_power_sums({1, 2, 3, 17}) == {1, 2, 17}
+    # largest target 2 * z^4: the sweep's last z1 is z1 == z2
+    assert fourth_power_sums({2}) == {2}
+    assert fourth_power_sums({31, 32}) == {32}
+
+
+def test_fourth_power_sums_repeated_sum():
+    # a^4 + b^4 is not injective on coprime pairs
+    assert fourth_power_sums({635318657}) == {635318657}
+    assert decompose_fourth(635318657) == [(59, 158), (133, 134)]
 
 
 def test_config_validation():
@@ -75,8 +71,6 @@ def test_config_validation():
         SearchConfig(bx=1, by=10)
     with pytest.raises(ValueError):
         SearchConfig(bx=10, by=0)
-    with pytest.raises(ValueError):
-        SearchConfig(bx=4, by=4, strategy="guess")
 
 
 def test_search_empty_window():
@@ -132,7 +126,48 @@ def test_search_output_is_deduplicated_and_sorted():
     assert order == sorted(order)
 
 
-def test_strategies_agree():
-    a = search(SearchConfig(bx=8, by=12, strategy="root_loop"))
-    b = search(SearchConfig(bx=8, by=12, strategy="sum_table"))
-    assert a == b
+def _pairs(bound):
+    return [(a, b, a**4 + b**4) for a in range(1, bound)
+            for b in range(a + 1, bound + 1) if gcd(a, b) == 1]
+
+
+def _root_loop_search(bx, by):
+    """The search's output from a two-pointer root loop on every product."""
+    found = []
+    for x1, x2, sx in _pairs(bx):
+        for y1, y2, sy in _pairs(by):
+            if (y1, y2) < (x1, x2) or x1 & y1 & x2 & y2 & 1:
+                continue
+            n = sx * sy
+            z1, z2 = 0, isqrt(isqrt(n))
+            while z1 <= z2:
+                s = z1**4 + z2**4
+                if s == n:
+                    found.append(SolutionSix(x1, x2, y1, y2, z1, z2))
+                if s <= n:
+                    z1 += 1
+                else:
+                    z2 -= 1
+    found.sort(key=lambda s: (s.x2, s.x1, s.y2, s.y1, s.z2))
+    seen = set()
+    out = []
+    for sol in found:
+        key = canonicalize(sol)
+        if key not in seen:
+            seen.add(key)
+            out.append(sol)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=2, max_value=12))
+def test_search_matches_root_loop(bx, by):
+    assert search(SearchConfig(bx, by)) == _root_loop_search(bx, by)
+
+
+def test_search_with_a_repeated_pair_product():
+    # (59,158) and (133,134) share a fourth-power sum, so the window holds
+    # pair combinations with equal products; equality with the oracle means
+    # rows for both y-pairs exactly where the oracle has them
+    assert 59**4 + 158**4 == 133**4 + 134**4
+    assert search(SearchConfig(bx=2, by=158)) == _root_loop_search(2, 158)
