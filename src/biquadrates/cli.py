@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 domain failure (degenerate
 parameter, failed verification, a result past Python's int-to-text digit
-limit), 2 usage error.
-Data goes to stdout, diagnostics to stderr.
+limit), 2 usage error.  Every exit-1 failure writes one ``<command>: <message>``
+line to stderr.  Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Optional
 
 from biquadrates.curve import (
-    CurvePoint,
     curve_from_parameter,
     extra_point,
     mul_scalar,
@@ -25,8 +24,9 @@ from biquadrates.curve import (
 )
 from biquadrates.derive import (
     PipelineError,
-    _auto_sign,
     evaluate_param,
+    quartic_point_to_param_solution,
+    signed_multiple,
     solution_from_nP,
     solution_from_quartic_point,
     weierstrass_to_quartic,
@@ -41,11 +41,8 @@ from biquadrates.exact import (
 from biquadrates.families import FAMILIES
 from biquadrates.identity import ALL_VERIFIERS
 from biquadrates.pell import pell3_nth, pell_to_solution
-from biquadrates.poly import PoleError, RatFn, format_poly
+from biquadrates.poly import RatFn, format_poly
 from biquadrates.search import SearchConfig, search
-
-_DOMAIN_ERRORS = (DegenerateSolutionError, PipelineError, PoleError,
-                  ZeroDivisionError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -101,6 +98,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
+
+
 def cmd_verify(ns) -> int:
     sol = SolutionSix(*ns.values)
     lhs = (sol.x1**4 + sol.x2**4) * (sol.y1**4 + sol.y2**4)
@@ -111,7 +115,7 @@ def cmd_verify(ns) -> int:
         print("PASS")
         return 0
     print("FAIL (difference %d)" % (lhs - rhs))
-    return 1
+    raise ValueError("the six integers are not a solution")
 
 
 def cmd_search(ns) -> int:
@@ -139,23 +143,17 @@ def _print_family(ps, descending: bool) -> int:
     for name, poly in zip(names, ps.polys()):
         print("%s = %s" % (name, format_poly(poly, descending=descending)))
     print("degrees: %s" % " ".join(str(d) for d in ps.degrees()))
-    if ps.residual().is_zero:
-        print("residual: 0")
-        return 0
-    print("residual: nonzero", file=sys.stderr)
-    return 1
+    if not ps.residual().is_zero:
+        raise PipelineError("the residual is nonzero")
+    print("residual: 0")
+    return 0
 
 
 def _emit_family_value(ps, value: Fraction, source: str, as_json: bool) -> int:
-    try:
-        sol = evaluate_param(ps, value)
-    except _DOMAIN_ERRORS as exc:
-        print("%s: %s" % (source, exc), file=sys.stderr)
-        return 1
+    sol = evaluate_param(ps, value)
     if 0 in sol:
-        print("%s: degenerate at parameter %s (zero coordinate)"
-              % (source, value), file=sys.stderr)
-        return 1
+        raise DegenerateSolutionError(
+            "degenerate at parameter %s (zero coordinate)" % value)
     _print_record(_make_record(sol, source, value), as_json)
     return 0
 
@@ -168,31 +166,22 @@ def cmd_family(ns) -> int:
 
 
 def cmd_curve(ns) -> int:
-    sign = ns.sign
-    try:
-        if sign == "auto":
-            sign = _auto_sign(ns.n)
-        if ns.symbolic:
-            fam = solution_from_nP(ns.n, sign=sign)
-            print("sign: %s" % sign)
-            return _print_family(fam, ns.descending)
-        m0 = ns.m
-        c = curve_from_parameter(m0)
-        w = mul_scalar(c, ns.n, point_P(m0))
-        print("nP: (%s, %s)" % (w.x, w.y))
+    if ns.symbolic:
+        mm = RatFn.gen("m")
+        sign, _, w = signed_multiple(ns.n, mm, ns.sign)
         print("sign: %s" % sign)
-        if sign == "minus":
-            w = CurvePoint(w.x, -w.y)
-        print("curve point: (%s, %s)" % (w.x, w.y))
-        qp = weierstrass_to_quartic(m0, w)
-        print("quartic point: (%s, %s)" % (qp.u, qp.v))
-        u = Fraction(qp.u)
-        print("U = p/q: p = %d, q = %d" % (u.numerator, u.denominator))
-        sol = solution_from_quartic_point(qp)
-    except _DOMAIN_ERRORS as exc:
-        print("curve: %s" % exc, file=sys.stderr)
-        return 1
-    _print_record(_make_record(sol, "curve_nP", m0), ns.json)
+        fam = quartic_point_to_param_solution(weierstrass_to_quartic(mm, w))
+        return _print_family(fam, ns.descending)
+    sign, w, pt = signed_multiple(ns.n, ns.m, ns.sign)
+    print("nP: (%s, %s)" % (w.x, w.y))
+    print("sign: %s" % sign)
+    print("curve point: (%s, %s)" % (pt.x, pt.y))
+    qp = weierstrass_to_quartic(ns.m, pt)
+    print("quartic point: (%s, %s)" % (qp.u, qp.v))
+    u = Fraction(qp.u)
+    print("U = p/q: p = %d, q = %d" % (u.numerator, u.denominator))
+    sol = solution_from_quartic_point(qp)
+    _print_record(_make_record(sol, "curve_nP", ns.m), ns.json)
     return 0
 
 
@@ -236,8 +225,7 @@ def cmd_selftest(ns) -> int:
         if not ok:
             failed.append(name)
     if failed:
-        print("selftest failed: %s" % ", ".join(failed), file=sys.stderr)
-        return 1
+        raise PipelineError("failed %s" % ", ".join(failed))
     return 0
 
 
@@ -263,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="evaluate or print a published family")
     p.add_argument("name", choices=tuple(sorted(FAMILIES)))
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--param", type=Fraction, metavar="a/b")
+    mode.add_argument("--param", type=_fraction, metavar="a/b")
     mode.add_argument("--symbolic", action="store_true")
     p.add_argument("--descending", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -273,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True,
                    help="which multiple of the base point")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--m", type=Fraction, metavar="a/b")
+    mode.add_argument("--m", type=_fraction, metavar="a/b")
     mode.add_argument("--symbolic", action="store_true")
     p.add_argument("--sign", choices=("auto", "plus", "minus"), default="auto")
     p.add_argument("--descending", action="store_true")
@@ -283,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pell", help="solutions from the Pell ladder or slice")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--k", type=_positive_int, help="ladder index")
-    mode.add_argument("--t", type=Fraction, metavar="a/b",
+    mode.add_argument("--t", type=_fraction, metavar="a/b",
                       help="rational slice parameter")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_pell)
@@ -298,7 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
-    return ns.func(ns)
+    try:
+        return ns.func(ns)
+    except (PipelineError, ZeroDivisionError, ValueError) as exc:
+        print("%s: %s" % (ns.command, exc), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

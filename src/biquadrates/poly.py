@@ -7,9 +7,12 @@ operands are large, which keeps degree-several-hundred products cheap.
 
 ``poly_gcd`` certifies coprimality with a single gcd computation modulo a
 large prime, then tries an evaluation/reconstruction gcd at xi = 2**w
-(verified by exact trial division, so a wrong guess can only cost a retry),
-and falls back to a primitive pseudo-remainder sequence.  Every returned
-gcd is exact; the heuristics only affect speed.
+(Char-Geddes-Gonnet GCDHEU; the gcd of the two packed values is unpacked
+by the same balanced-digit codec as Kronecker products, and verified by
+exact trial division, so a wrong guess can only cost a retry).  Inputs of
+every size take this route; a primitive pseudo-remainder sequence runs
+only when the heuristic gives up.  Every returned gcd is exact; the
+heuristics only affect speed.
 
 ``RatFn`` is the field Q(m): quotients kept fully reduced (polynomial part
 and integer content both coprime, denominator with positive leading
@@ -242,20 +245,22 @@ def _pack(cs, width: int) -> int:
 
 
 def _unpack(v: int, width: int, n: int) -> list:
-    """Recover n balanced base-2**width digits of v."""
-    base = 1 << width
-    half = base >> 1
-    mask = base - 1
-    out = []
-    for _ in range(n):
-        d = v & mask
-        if d >= half:
-            d -= base
-        v = (v - d) >> width
-        out.append(d)
-    if v:
+    """Recover n balanced base-2**width digits of v; the inverse of _pack."""
+    half = 1 << (width - 1)
+    u = v + _pack((half,) * n, width)  # every digit shifted into [0, 2**width)
+    if u < 0 or u >> (n * width):
         raise AssertionError("unpack width too small")
-    return out
+    return [d - half for d in _split(u, width, n)]
+
+
+def _split(u: int, width: int, n: int) -> list:
+    """The n base-2**width digits of u >= 0, halving as _pack joins."""
+    if n == 1:
+        return [u]
+    h = n // 2
+    lo = u & ((1 << (h * width)) - 1)
+    return _split(lo, width, h) + _split(u >> (h * width), width, n - h)
+
 
 def _kronecker_mul(a: tuple, b: tuple) -> tuple:
     amax = max(map(abs, a))
@@ -362,20 +367,10 @@ def _heu_gcd_attempt(a: IPoly, b: IPoly, max_tries: int = 4) -> Optional[IPoly]:
     w = norm.bit_length() + 3
     for _ in range(max_tries):
         g = gcd(_pack(a.coeffs, w), _pack(b.coeffs, w))
-        base = 1 << w
-        half = base >> 1
-        digits = []
-        while g:
-            d = g & (base - 1)
-            if d >= half:
-                d -= base
-            g = (g - d) >> w
-            digits.append(d)
-        cand = IPoly(digits, var)
+        # one spare digit: the balanced top digit may carry into a new one
+        cand = IPoly(_unpack(g, w, g.bit_length() // w + 2), var)
         if not cand.is_zero:
-            cand = primitive_part(cand)
-            if cand.lc < 0:
-                cand = -cand
+            cand = _positive(primitive_part(cand))
             if cand.degree >= 1 and divides(cand, a) and divides(cand, b):
                 return cand
             if cand.degree == 0:
@@ -400,11 +395,7 @@ def _prem_coeffs(a: tuple, b: tuple) -> list:
             r.pop()
         steps += 1
         if steps % 8 == 0 and r:
-            g = 0
-            for c in r:
-                g = gcd(g, c)
-                if g == 1:
-                    break
+            g = content(IPoly(r))
             if g > 1:
                 r = [c // g for c in r]
     return r
@@ -436,8 +427,6 @@ def poly_gcd(a: IPoly, b: IPoly) -> IPoly:
         return one
     if A.degree < B.degree:
         A, B = B, A
-    if len(A.coeffs) * len(B.coeffs) <= 400:
-        return _positive(_prs_gcd(A, B))
     if _mod_gcd_degree(A.coeffs, B.coeffs, _SCREEN_PRIME) == 0:
         return one
     cand = _heu_gcd_attempt(A, B)
@@ -631,14 +620,10 @@ def _reduce_pair(n: IPoly, d: IPoly) -> tuple:
     var = n._join_var(d)
     if n.is_zero:
         return IPoly((), var), IPoly((1,), var)
-    g = poly_gcd(n, d)
-    if g.degree > 0:
+    g = _full_gcd(n, d)
+    if g.degree > 0 or g.lc > 1:
         n = n.exact_div(g)
         d = d.exact_div(g)
-    c = gcd(content(n), content(d))
-    if c > 1:
-        n = IPoly(tuple(x // c for x in n.coeffs), var)
-        d = IPoly(tuple(x // c for x in d.coeffs), var)
     if d.lc < 0:
         n, d = -n, -d
     return n, d

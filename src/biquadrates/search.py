@@ -46,9 +46,9 @@ def decompose_fourth(N: int) -> list:
     out = []
     z1 = 0
     while 2 * z1**4 <= N:
-        rest = N - z1**4
-        if is_fourth_power(rest):
-            out.append((z1, integer_fourth_root_floor(rest)))
+        z2 = is_fourth_power(N - z1**4)
+        if z2 is not None:
+            out.append((z1, z2))
         z1 += 1
     return out
 

@@ -1,10 +1,15 @@
 """Tests for the command-line surface: formats, exit codes, worked examples."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biquadrates.cli import main
+from biquadrates.families import FAMILIES
 
 
 def run(capsys, *argv):
@@ -208,9 +213,13 @@ BAD_ARGV = [
     ["search", "--bx", "4", "--by", "4", "--strategy", "sum_table"],
     ["curve", "--n", "0", "--m", "1"],
     ["curve", "--n", "1", "--m", "0"],
+    ["curve", "--n", "1", "--m", "1/0"],
     ["family", "eq99", "--param", "1"],
+    ["family", "eq20", "--param", "0"],
     ["pell", "--k", "0"],
+    ["pell", "--k", "3000"],
     ["verify", "1", "2", "3"],
+    ["verify", "1", "2", "3", "4", "5", "6"],
 ]
 
 
@@ -224,3 +233,53 @@ def test_bad_argv_fails_clean(capsys, argv):
     assert code in (1, 2)
     assert captured.err != ""
     assert "Traceback" not in captured.out + captured.err
+    if code == 1:
+        assert captured.err.startswith(argv[0] + ": ")
+
+
+# Cheap values only: n <= 3, bounds <= 10, k <= 50, fractions a/b with
+# |a| <= 6 and 0 <= b <= 6 (so zero values and zero denominators occur),
+# passed as --flag=a/b so that negative values parse.
+FRACTIONS = st.builds("{}/{}".format, st.integers(-6, 6), st.integers(0, 6))
+FLAGS = st.sampled_from(([], ["--json"], ["--descending"]))
+
+
+def _value_or_symbolic(flag):
+    return st.one_of(FRACTIONS.map(lambda f: [flag + "=" + f]),
+                     st.just(["--symbolic"]))
+
+
+ARGV = st.one_of(
+    st.lists(st.integers(-30, 30).map(str), min_size=5, max_size=7)
+    .map(lambda vs: ["verify"] + vs),
+    st.builds(lambda bx, by, fmt: ["search", "--bx", bx, "--by", by] + fmt,
+              st.integers(0, 10).map(str), st.integers(0, 10).map(str),
+              st.sampled_from(([], ["--csv"], ["--json"]))),
+    st.builds(lambda name, mode, flags: ["family", name] + mode + flags,
+              st.sampled_from(sorted(FAMILIES) + ["eq99"]),
+              _value_or_symbolic("--param"), FLAGS),
+    st.builds(lambda n, mode, sign, flags:
+              ["curve", "--n", n] + mode + ["--sign", sign] + flags,
+              st.integers(0, 3).map(str), _value_or_symbolic("--m"),
+              st.sampled_from(("auto", "plus", "minus")), FLAGS),
+    st.builds(lambda mode, flags: ["pell"] + mode + flags,
+              st.one_of(st.integers(0, 50).map(lambda k: ["--k", str(k)]),
+                        FRACTIONS.map(lambda t: ["--t=" + t])),
+              st.sampled_from(([], ["--json"]))),
+    st.sampled_from((["selftest", "--quick"], ["selftest", "--full"])),
+)
+
+
+@given(ARGV)
+@settings(max_examples=80, deadline=None)
+def test_any_argv_exits_clean(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code != 0:
+        assert err.getvalue() != ""

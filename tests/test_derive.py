@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from biquadrates.curve import CurvePoint, INFINITY, curve_from_parameter, double, point_P
+import biquadrates.derive as derive
+from biquadrates.curve import (
+    INFINITY,
+    CurvePoint,
+    curve_from_parameter,
+    double,
+    mul_scalar,
+    point_P,
+)
 from biquadrates.derive import (
     PipelineError,
     QuarticPoint,
@@ -14,6 +22,7 @@ from biquadrates.derive import (
     quartic_point_to_param_solution,
     quartic_rhs,
     quartic_to_weierstrass,
+    signed_multiple,
     solution_from_nP,
     solution_from_quartic_point,
     weierstrass_to_quartic,
@@ -79,6 +88,27 @@ def test_numeric_solution_branches_at_m1():
     assert canonicalize(plus) == canonicalize(SolutionSix(65, 48, 17, 41, 2257, 2537))
     # auto resolves to the branch with the smaller canonical key
     assert numeric_solution_from_nP(1, 1) == minus
+
+
+def test_signed_multiple_branches():
+    sign, w, pt = signed_multiple(1, 1, "minus")
+    assert sign == "minus"
+    assert w == point_P(1)
+    assert pt == CurvePoint(Fraction(4, 9), Fraction(-100, 27))
+    assert signed_multiple(1, 1, "plus") == ("plus", w, w)
+    assert signed_multiple(1, 1) == (sign, w, pt)
+
+
+def test_auto_sign_computes_each_multiple_once(monkeypatch):
+    calls = []
+
+    def counting(c, n, p):
+        calls.append(n)
+        return mul_scalar(c, n, p)
+
+    monkeypatch.setattr(derive, "mul_scalar", counting)
+    assert derive._auto_sign(5) in ("minus", "plus")
+    assert calls == [5]
 
 
 def test_numeric_solution_n2():

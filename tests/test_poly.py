@@ -18,7 +18,9 @@ from biquadrates.poly import (
     primitive_part,
     _kronecker_mul,
     _mul_coeffs,
+    _pack,
     _prs_gcd,
+    _unpack,
 )
 
 M = IPoly.gen("m")
@@ -202,6 +204,31 @@ def test_kronecker_matches_schoolbook(a, b):
         for j, bj in enumerate(tb):
             school[i + j] += ai * bj
     assert list(_kronecker_mul(ta, tb)) == school
+
+
+@st.composite
+def balanced_digits(draw):
+    width = draw(st.integers(min_value=1, max_value=70))
+    half = 1 << (width - 1)
+    cs = draw(st.lists(st.integers(min_value=-half, max_value=half - 1),
+                       min_size=1, max_size=40))
+    return cs, width
+
+
+@given(balanced_digits())
+def test_unpack_inverts_pack(case):
+    cs, width = case
+    assert _unpack(_pack(cs, width), width, len(cs)) == cs
+
+
+def test_unpack_rejects_too_few_digits():
+    # 120 = -8 - 8*16 + 1*16^2: the balanced top digit carries into a third
+    # digit, although 120 < 2^7 has only two unsigned base-16 digits
+    assert _unpack(120, 4, 3) == [-8, -8, 1]
+    with pytest.raises(AssertionError):
+        _unpack(120, 4, 2)
+    with pytest.raises(AssertionError):
+        _unpack(-137, 4, 2)
 
 
 @given(nonzero_polys, nonzero_polys)
