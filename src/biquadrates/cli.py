@@ -3,7 +3,9 @@
 Exit codes are a stable contract: 0 success, 1 domain failure (degenerate
 parameter, failed verification, a result past Python's int-to-text digit
 limit), 2 usage error.  Every exit-1 failure writes one ``<command>: <message>``
-line to stderr.  Data goes to stdout, diagnostics to stderr.
+line to stderr.  Degenerate input and the digit limit surface as ValueError,
+so every ValueError a command raises, an internal one too, exits 1 this way.
+Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from biquadrates.curve import (
 )
 from biquadrates.derive import (
     PipelineError,
+    auto_sign,
     evaluate_param,
-    quartic_point_to_param_solution,
     signed_multiple,
     solution_from_nP,
     solution_from_quartic_point,
@@ -41,7 +43,7 @@ from biquadrates.exact import (
 from biquadrates.families import FAMILIES
 from biquadrates.identity import ALL_VERIFIERS
 from biquadrates.pell import pell3_nth, pell_to_solution
-from biquadrates.poly import RatFn, format_poly
+from biquadrates.poly import PoleError, RatFn, format_poly
 from biquadrates.search import SearchConfig, search
 
 
@@ -166,13 +168,12 @@ def cmd_family(ns) -> int:
 
 
 def cmd_curve(ns) -> int:
+    sign = auto_sign(ns.n) if ns.sign == "auto" else ns.sign
     if ns.symbolic:
-        mm = RatFn.gen("m")
-        sign, _, w = signed_multiple(ns.n, mm, ns.sign)
+        fam = solution_from_nP(ns.n, sign)
         print("sign: %s" % sign)
-        fam = quartic_point_to_param_solution(weierstrass_to_quartic(mm, w))
         return _print_family(fam, ns.descending)
-    sign, w, pt = signed_multiple(ns.n, ns.m, ns.sign)
+    w, pt = signed_multiple(ns.n, ns.m, sign)
     print("nP: (%s, %s)" % (w.x, w.y))
     print("sign: %s" % sign)
     print("curve point: (%s, %s)" % (pt.x, pt.y))
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except (PipelineError, ZeroDivisionError, ValueError) as exc:
+    except (PipelineError, PoleError, ValueError) as exc:
         print("%s: %s" % (ns.command, exc), file=sys.stderr)
         return 1
 

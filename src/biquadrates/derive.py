@@ -184,32 +184,32 @@ def solution_from_quartic_point(qp: QuarticPoint) -> SolutionSix:
 def signed_multiple(n: int, m, sign: str = "auto") -> tuple:
     """The n-th multiple of the base point and the branch taken from it.
 
-    m is a rational value or the generator of Q(m).  Returns (sign, nP,
-    point) with point = nP on the "plus" branch and -nP on "minus"; "auto"
-    resolves to the branch whose solution has the smaller canonical key.
+    m is a rational value or the generator of Q(m).  Returns (nP, point) with
+    point = nP on the "plus" branch and -nP on "minus"; "auto" is resolved by
+    ``auto_sign``.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     if sign not in ("auto", "plus", "minus"):
         raise ValueError("sign must be 'auto', 'plus' or 'minus'")
     if sign == "auto":
-        sign = _auto_sign(n)
+        sign = auto_sign(n)
     m = _lift(m)
     w = mul_scalar(curve_from_parameter(m), n, point_P(m))
     if w.infinity:
         raise PoleError("nP is the point at infinity")
-    return sign, w, w if sign == "plus" else CurvePoint(w.x, -w.y)
+    return w, w if sign == "plus" else CurvePoint(w.x, -w.y)
 
 
-def _auto_sign(n: int) -> str:
-    """Pick the branch whose solution has the smaller canonical key.
+def auto_sign(n: int) -> str:
+    """The branch of nP whose solution has the smaller canonical key.
 
     Decided numerically at small parameter values, one nP per value, so the
     symbolic run pays nothing extra.
     """
     for m0 in (1, 2, 3):
         # P has infinite order at each sample m0, so nP is never infinity
-        _, w, w_minus = signed_multiple(n, m0, "minus")
+        w, w_minus = signed_multiple(n, m0, "minus")
         keys = {}
         for sign, pt in (("minus", w_minus), ("plus", w)):
             try:
@@ -227,14 +227,14 @@ def _auto_sign(n: int) -> str:
 def solution_from_nP(n: int, sign: str = "auto") -> ParamSolution:
     """Polynomial family from the n-th multiple of the base point over Q(m)."""
     mm = RatFn.gen("m")
-    _, _, w = signed_multiple(n, mm, sign)
+    _, w = signed_multiple(n, mm, sign)
     return quartic_point_to_param_solution(weierstrass_to_quartic(mm, w))
 
 
 def numeric_solution_from_nP(n: int, m0, sign: str = "auto") -> SolutionSix:
     """Integer solution from nP at a fixed rational parameter value."""
     m0 = Fraction(m0)
-    _, _, w = signed_multiple(n, m0, sign)
+    _, w = signed_multiple(n, m0, sign)
     return solution_from_quartic_point(weierstrass_to_quartic(m0, w))
 
 

@@ -16,6 +16,7 @@ from biquadrates.curve import (
 from biquadrates.derive import (
     PipelineError,
     QuarticPoint,
+    auto_sign,
     evaluate_param,
     numeric_solution_from_nP,
     param_equivalent,
@@ -91,12 +92,12 @@ def test_numeric_solution_branches_at_m1():
 
 
 def test_signed_multiple_branches():
-    sign, w, pt = signed_multiple(1, 1, "minus")
-    assert sign == "minus"
+    w, pt = signed_multiple(1, 1, "minus")
     assert w == point_P(1)
     assert pt == CurvePoint(Fraction(4, 9), Fraction(-100, 27))
-    assert signed_multiple(1, 1, "plus") == ("plus", w, w)
-    assert signed_multiple(1, 1) == (sign, w, pt)
+    assert signed_multiple(1, 1, "plus") == (w, w)
+    assert auto_sign(1) == "minus"
+    assert signed_multiple(1, 1) == (w, pt)
 
 
 def test_auto_sign_computes_each_multiple_once(monkeypatch):
@@ -107,7 +108,7 @@ def test_auto_sign_computes_each_multiple_once(monkeypatch):
         return mul_scalar(c, n, p)
 
     monkeypatch.setattr(derive, "mul_scalar", counting)
-    assert derive._auto_sign(5) in ("minus", "plus")
+    assert derive.auto_sign(5) in ("minus", "plus")
     assert calls == [5]
 
 
