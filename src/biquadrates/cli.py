@@ -3,9 +3,9 @@
 Exit codes are a stable contract: 0 success, 1 domain failure (degenerate
 parameter, failed verification, a result past Python's int-to-text digit
 limit), 2 usage error.  Every exit-1 failure writes one ``<command>: <message>``
-line to stderr.  Degenerate input and the digit limit surface as ValueError,
-so every ValueError a command raises, an internal one too, exits 1 this way.
-Data goes to stdout, diagnostics to stderr.
+line to stderr.  Only the domain error classes that ``main`` catches exit 1;
+any other exception is a bug and ends in a traceback.  Data goes to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from biquadrates.curve import (
+    DegenerateCurveError,
     curve_from_parameter,
     extra_point,
     mul_scalar,
@@ -45,6 +47,27 @@ from biquadrates.identity import ALL_VERIFIERS
 from biquadrates.pell import pell3_nth, pell_to_solution
 from biquadrates.poly import PoleError, RatFn, format_poly
 from biquadrates.search import SearchConfig, search
+
+
+class NotASolutionError(ValueError):
+    """The six integers given to ``verify`` fail the equation."""
+
+
+class DigitLimitError(ValueError):
+    """An exact result has more digits than Python turns into text."""
+
+
+@contextmanager
+def _int_text():
+    """Report Python's int-to-text digit limit as a DigitLimitError.
+
+    Wraps only statements that turn exact values into text, whose one
+    ValueError is that limit; the message keeps Python's wording.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise DigitLimitError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -83,14 +106,15 @@ def _record_json(rec: OutputRecord) -> str:
 
 
 def _print_record(rec: OutputRecord, as_json: bool):
-    if as_json:
-        print(_record_json(rec))
-        return
-    print("solution: %s" % " ".join(str(v) for v in rec.solution))
-    print("canonical: %s" % _key_text(rec.canonical))
-    print("source: %s" % rec.source)
-    if rec.parameter is not None:
-        print("parameter: %s" % rec.parameter)
+    with _int_text():
+        if as_json:
+            print(_record_json(rec))
+            return
+        print("solution: %s" % " ".join(str(v) for v in rec.solution))
+        print("canonical: %s" % _key_text(rec.canonical))
+        print("source: %s" % rec.source)
+        if rec.parameter is not None:
+            print("parameter: %s" % rec.parameter)
 
 
 def _positive_int(text: str) -> int:
@@ -111,13 +135,14 @@ def cmd_verify(ns) -> int:
     sol = SolutionSix(*ns.values)
     lhs = (sol.x1**4 + sol.x2**4) * (sol.y1**4 + sol.y2**4)
     rhs = sol.z1**4 + sol.z2**4
-    print("lhs = %d" % lhs)
-    print("rhs = %d" % rhs)
-    if lhs == rhs:
-        print("PASS")
-        return 0
-    print("FAIL (difference %d)" % (lhs - rhs))
-    raise ValueError("the six integers are not a solution")
+    with _int_text():
+        print("lhs = %d" % lhs)
+        print("rhs = %d" % rhs)
+        if lhs == rhs:
+            print("PASS")
+            return 0
+        print("FAIL (difference %d)" % (lhs - rhs))
+    raise NotASolutionError("the six integers are not a solution")
 
 
 def cmd_search(ns) -> int:
@@ -174,13 +199,15 @@ def cmd_curve(ns) -> int:
         print("sign: %s" % sign)
         return _print_family(fam, ns.descending)
     w, pt = signed_multiple(ns.n, ns.m, sign)
-    print("nP: (%s, %s)" % (w.x, w.y))
-    print("sign: %s" % sign)
-    print("curve point: (%s, %s)" % (pt.x, pt.y))
+    with _int_text():
+        print("nP: (%s, %s)" % (w.x, w.y))
+        print("sign: %s" % sign)
+        print("curve point: (%s, %s)" % (pt.x, pt.y))
     qp = weierstrass_to_quartic(ns.m, pt)
-    print("quartic point: (%s, %s)" % (qp.u, qp.v))
     u = Fraction(qp.u)
-    print("U = p/q: p = %d, q = %d" % (u.numerator, u.denominator))
+    with _int_text():
+        print("quartic point: (%s, %s)" % (qp.u, qp.v))
+        print("U = p/q: p = %d, q = %d" % (u.numerator, u.denominator))
     sol = solution_from_quartic_point(qp)
     _print_record(_make_record(sol, "curve_nP", ns.m), ns.json)
     return 0
@@ -289,7 +316,8 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except (PipelineError, PoleError, ValueError) as exc:
+    except (PipelineError, PoleError, DegenerateSolutionError,
+            DegenerateCurveError, NotASolutionError, DigitLimitError) as exc:
         print("%s: %s" % (ns.command, exc), file=sys.stderr)
         return 1
 

@@ -55,6 +55,10 @@ class CurvePoint:
 INFINITY = CurvePoint.at_infinity()
 
 
+class DegenerateCurveError(ValueError):
+    """The cubic has a repeated root (for the family here, m = 0)."""
+
+
 @dataclass(frozen=True)
 class WeierstrassCurve:
     """Y^2 = X^3 + a2*X^2 + a4*X with a4 != 0 and a2^2 - 4*a4 != 0."""
@@ -66,7 +70,7 @@ class WeierstrassCurve:
         object.__setattr__(self, "a2", _lift(self.a2))
         object.__setattr__(self, "a4", _lift(self.a4))
         if self.a4 == 0 or self.a2 * self.a2 - 4 * self.a4 == 0:
-            raise ValueError("degenerate curve: repeated root in x^3+a2x^2+a4x")
+            raise DegenerateCurveError("degenerate curve: repeated root in x^3+a2x^2+a4x")
 
     def rhs(self, x: Element) -> Element:
         return x * (x * (x + self.a2) + self.a4)

@@ -5,6 +5,16 @@ is exact.  Multiplication switches to Kronecker substitution (pack the
 coefficients into one big integer, multiply, unpack balanced digits) once
 operands are large, which keeps degree-several-hundred products cheap.
 
+A polynomial whose nonzero exponents are r, r + g, r + 2g, ... is
+m^r * P(m^g) for a g-times-shorter P (the curve family's coordinates are
+functions of m^4, so g = 4 there).  Kronecker products, exact divisions
+past the schoolbook size, and every gcd run on P and spread the result back: m^ra P(m^g) * m^rb Q(m^g) = m^(ra+rb) (PQ)(m^g), the quotient
+is m^(ra-rb) (P/Q)(m^g) when ra >= rb, and with P(0) * Q(0) != 0,
+gcd(m^ra P(m^g), m^rb Q(m^g)) = m^min(ra,rb) * gcd(P, Q)(m^g), because
+gcd(P(x^g), Q(x^g)) = gcd(P, Q)(x^g) (von zur Gathen and Gerhard, *Modern
+Computer Algebra*).  Gcds are unique after normalization, so the results
+are the dense ones exactly.
+
 ``poly_gcd`` certifies coprimality with a single gcd computation modulo a
 large prime, then tries an evaluation/reconstruction gcd at xi = 2**w
 (Char-Geddes-Gonnet GCDHEU; the gcd of the two packed values is unpacked
@@ -22,6 +32,7 @@ coefficient), so equality is structural.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from typing import Iterable, Optional
 
@@ -232,7 +243,35 @@ def _mul_coeffs(a: tuple, b: tuple) -> tuple:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return tuple(out)
+    ra, ga = _stride(a)
+    rb, gb = _stride(b)
+    g = gcd(ga, gb)
+    if g > 1:
+        return _spread(_mul_coeffs(a[ra::g], b[rb::g]), ra + rb, g)
     return _kronecker_mul(a, b)
+
+
+def _stride(cs: tuple) -> tuple:
+    """(r, g) with cs = m^r * P(m^g), P(0) != 0; g = 0 for a monomial.
+
+    r is the lowest exponent with a nonzero coefficient and g the gcd of the
+    gaps between such exponents; cs must be nonzero.
+    """
+    exps = compress(range(len(cs)), cs)
+    r = next(exps)
+    g = 0
+    for e in exps:
+        g = gcd(g, e - r)
+        if g == 1:
+            break
+    return r, g
+
+
+def _spread(cs: tuple, r: int, g: int) -> tuple:
+    """Coefficients of m^r * P(m^g) from those of P; the inverse of _stride."""
+    out = [0] * (r + g * (len(cs) - 1) + 1)
+    out[r::g] = cs
+    return tuple(out)
 
 
 def _pack(cs, width: int) -> int:
@@ -278,6 +317,12 @@ def _exact_div_coeffs(a: tuple, b: tuple) -> tuple:
         return ()
     if len(a) < len(b):
         raise ExactDivisionError("degree of divisor exceeds degree of dividend")
+    if len(b) * (len(a) - len(b) + 1) > _SCHOOLBOOK_LIMIT:
+        ra, ga = _stride(a)
+        rb, gb = _stride(b)
+        g = gcd(ga, gb)
+        if g > 1 and ra >= rb:
+            return _spread(_exact_div_coeffs(a[ra::g], b[rb::g]), ra - rb, g)
     r = list(a)
     lb = b[-1]
     nb = len(b)
@@ -416,13 +461,24 @@ def poly_gcd(a: IPoly, b: IPoly) -> IPoly:
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     var = a._join_var(b)
-    one = IPoly((1,), var)
     if a.is_zero:
         return _positive(primitive_part(b))
     if b.is_zero:
         return _positive(primitive_part(a))
     A = primitive_part(a)
     B = primitive_part(b)
+    # A = m^ra * P(m^g), B = m^rb * Q(m^g) with P(0) * Q(0) != 0, so
+    # gcd(A, B) = m^min(ra, rb) * gcd(P, Q)(m^g)
+    ra, ga = _stride(A.coeffs)
+    rb, gb = _stride(B.coeffs)
+    g = gcd(ga, gb) or 1
+    G = _primitive_gcd(IPoly(A.coeffs[ra::g], var), IPoly(B.coeffs[rb::g], var))
+    return IPoly(_spread(G.coeffs, min(ra, rb), g), var)
+
+
+def _primitive_gcd(A: IPoly, B: IPoly) -> IPoly:
+    """poly_gcd of primitive A, B: mod-p screen, then heuristic, then PRS."""
+    one = IPoly((1,), A.var)
     if A.degree == 0 or B.degree == 0:
         return one
     if A.degree < B.degree:

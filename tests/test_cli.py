@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biquadrates.cli as cli
 from biquadrates.cli import main
 from biquadrates.families import FAMILIES
 
@@ -235,6 +236,30 @@ def test_bad_argv_fails_clean(capsys, argv):
     assert "Traceback" not in captured.out + captured.err
     if code == 1:
         assert captured.err.startswith(argv[0] + ": ")
+
+
+BIG = str(10**1200)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pell", "--k", "3000"],
+    ["verify", BIG, BIG, BIG, BIG, BIG, BIG],
+], ids=("pell", "verify"))
+def test_digit_limit_is_a_domain_failure(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith(argv[0] + ": ")
+    assert "for integer string conversion" in err
+
+
+def test_internal_value_error_is_not_a_domain_failure(capsys, monkeypatch):
+    def broken():
+        raise ValueError("internal bug")
+
+    monkeypatch.setitem(cli.ALL_VERIFIERS, "brahmagupta", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["selftest", "--quick"])
+    assert "selftest:" not in capsys.readouterr().err
 
 
 # Cheap values only: n <= 3, bounds <= 10, k <= 50, fractions a/b with

@@ -156,14 +156,24 @@ def test_symbolic_n3_family():
     assert check_solution(evaluate_param(fam, 2))
 
 
-@pytest.mark.parametrize("sign", ("minus", "plus"))
-@pytest.mark.parametrize("n", (1, 2, 3, 4))
-def test_symbolic_family_square_identities(n, sign):
-    fam = solution_from_nP(n, sign=sign)
+def _check_square_identities(fam):
     x1, x2, y1, y2, z1, z2 = fam.polys()
     assert z1 * z1 == (x1 * y1) ** 2 + (x2 * y2) ** 2
     assert z2 * z2 == (x1 * y2) ** 2 - (x2 * y1) ** 2
     assert fam.residual().is_zero
+
+
+@pytest.mark.parametrize("sign", ("minus", "plus"))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_symbolic_family_square_identities(n, sign):
+    _check_square_identities(solution_from_nP(n, sign=sign))
+
+
+@pytest.mark.slow
+def test_symbolic_family_square_identities_n8():
+    fam = solution_from_nP(8)
+    assert fam.degrees()[4:] == (961, 960)
+    _check_square_identities(fam)
 
 
 def test_pipeline_commutes_with_evaluation():

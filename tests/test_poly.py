@@ -16,6 +16,7 @@ from biquadrates.poly import (
     format_poly,
     poly_gcd,
     primitive_part,
+    _SCHOOLBOOK_LIMIT,
     _kronecker_mul,
     _mul_coeffs,
     _pack,
@@ -193,17 +194,21 @@ big_coeffs = st.lists(st.integers(min_value=-10**12, max_value=10**12),
                       min_size=1, max_size=90)
 
 
+def _schoolbook(a: tuple, b: tuple) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
 @given(big_coeffs, big_coeffs)
 @settings(max_examples=40)
 def test_kronecker_matches_schoolbook(a, b):
     ta, tb = tuple(a), tuple(b)
     if not any(ta) or not any(tb):
         return
-    school = [0] * (len(ta) + len(tb) - 1)
-    for i, ai in enumerate(ta):
-        for j, bj in enumerate(tb):
-            school[i + j] += ai * bj
-    assert list(_kronecker_mul(ta, tb)) == school
+    assert list(_kronecker_mul(ta, tb)) == _schoolbook(ta, tb)
 
 
 @st.composite
@@ -243,6 +248,73 @@ def test_prs_agrees_with_poly_gcd(a, b):
     if g.lc < 0:
         g = -g
     assert g == poly_gcd(a, b)
+
+
+# -- stride compression: m^r * P(m^g) ---------------------------------------
+
+def _strided(cs, r, g) -> IPoly:
+    """m^r * P(m^g) for P with ascending coefficients cs, built term by term."""
+    return IPoly.from_terms({r + g * i: c for i, c in enumerate(cs)})
+
+
+def _reference_gcd(a: IPoly, b: IPoly) -> IPoly:
+    pa, pb = primitive_part(a), primitive_part(b)
+    if pa.degree < pb.degree:
+        pa, pb = pb, pa
+    g = _prs_gcd(pa, pb)
+    return -g if g.lc < 0 else g
+
+
+def _check_stride_kernel(a: IPoly, b: IPoly):
+    assert len(a.coeffs) * len(b.coeffs) > _SCHOOLBOOK_LIMIT
+    prod = _mul_coeffs(a.coeffs, b.coeffs)
+    assert list(prod) == _schoolbook(a.coeffs, b.coeffs)
+    ab = IPoly(prod)
+    assert ab.exact_div(b) == a
+    assert ab.exact_div(a) == b
+    # m^(ra+1) * b has the larger r, so it cannot divide ab
+    ra = next(i for i, c in enumerate(a.coeffs) if c)
+    with pytest.raises(ExactDivisionError):
+        ab.exact_div(M ** (ra + 1) * b)
+    assert poly_gcd(a, b) == _reference_gcd(a, b)
+
+
+# P(0) != 0 and a nonzero leading coefficient, so r and g are exact
+stride_coeffs = st.lists(st.integers(-9, 9), min_size=22, max_size=32).filter(
+    lambda cs: cs[0] != 0 and cs[-1] != 0)
+factor_coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(
+    lambda cs: cs[0] != 0 and cs[-1] != 0)
+
+
+@given(stride_coeffs, stride_coeffs, factor_coeffs, st.integers(0, 5),
+       st.integers(0, 5), st.sampled_from((2, 3, 4)))
+@settings(max_examples=30, deadline=None)
+def test_stride_kernel_matches_dense_reference(p, q, c, ra, rb, g):
+    # a common factor C makes the gcd nontrivial
+    pc = (IPoly(p) * IPoly(c)).coeffs
+    qc = (IPoly(q) * IPoly(c)).coeffs
+    a, b = _strided(pc, ra, g), _strided(qc, rb, g)
+    _check_stride_kernel(a, b)
+    # gcd(m^ra P(m^g), m^rb Q(m^g)) = m^min(ra, rb) * gcd(P, Q)(m^g)
+    inner = poly_gcd(IPoly(pc), IPoly(qc))
+    assert poly_gcd(a, b) == _strided(inner.coeffs, min(ra, rb), g)
+
+
+def test_stride_kernel_monomial_operand():
+    b = _strided(range(1, 50), 2, 3)
+    for a in (7 * M**45, -M**41):
+        _check_stride_kernel(a, b)
+        _check_stride_kernel(b, a)
+    assert poly_gcd(6 * M**45, b) == M**2
+    assert poly_gcd(M**40, 3 * M**44) == M**40
+
+
+def test_stride_kernel_mixed_strides():
+    # g_a = 2 and g_b = 4 share g = 2; the gcd m^3 - m has stride 2
+    a = M * (M**2 - 1) * _strided(range(1, 24), 0, 2)
+    b = M**3 * (M**4 - 1) * _strided((5, 0, -2, 7) * 4, 0, 4)
+    _check_stride_kernel(a, b)
+    assert poly_gcd(a, b) == M**3 - M
 
 
 # -- rational functions -----------------------------------------------------
