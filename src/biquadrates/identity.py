@@ -3,29 +3,31 @@
 Univariate claims are checked by polynomial arithmetic.  Multivariate
 claims are checked on integer grids: a polynomial whose per-variable
 degrees are at most d_i and which vanishes on a product grid with d_i + 2
-nodes per axis is identically zero.  The verifier does not trust the
-stated bounds: it first asserts each bound by checking that the top-order
-divided difference along every axis line vanishes, and only then draws
-the zero conclusion.
+nodes per axis is identically zero.  The verifier trusts the stated
+bounds (d_i + 1 nodes would suffice; the spare node is margin against a
+bound that is off by one); tests/test_identity_oracle.py checks each
+bound against a symbolic expansion.
 
 Variables that appear in denominators before clearing use nodes starting
 at 1 instead of 0.
 
 The two birational maps between the quartic model
 
-    V^2 = U^4 - 2U^3 - (2m^2+1)(2m^2-1)U^2 - 8m^4U - 4m^4
+    V^2 = U^4 - 2U^3 - (4M-1)U^2 - 8MU - 4M
 
 and the Weierstrass model
 
-    Y^2 = X^3 - (2m^2+1)(2m^2-1)X^2 + 32m^4X
+    Y^2 = X^3 - (4M-1)X^2 + 32MX
 
-are verified as a roundtrip: composing the maps and reducing even powers
-of Y (resp. V) by the curve relation must give back the starting point.
-After clearing denominators each residual splits into two coefficient
-polynomials (the part free of Y and the part linear in Y), and both are
-grid-verified.  The denominator of the V-map is taken as 4(X-4m^4)^2;
-the alternative reading 16(X-4m^4)^2 fails the worked rational point and
-is rejected by this verifier (pass v_denominator_factor=16 to see it).
+with M = m^4 (so 4M-1 = (2m^2+1)(2m^2-1)) are verified as a roundtrip:
+composing the maps and reducing even powers of Y (resp. V) by the curve
+relation must give back the starting point.  Both maps use m only through
+M, so the roundtrip is gridded over M directly.  After clearing
+denominators each residual splits into two coefficient polynomials (the
+part free of Y and the part linear in Y), and both must vanish on the
+grid.  The denominator of the V-map is taken as 4(X-4M)^2; the
+alternative reading 16(X-4M)^2 fails the worked rational point and is
+rejected by this verifier (pass v_denominator_factor=16 to see it).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable
 
 from biquadrates.families import ParamSolution
 
@@ -53,37 +55,11 @@ class GridIdentity:
                 for d, o in zip(self.degree_bounds, offs)]
 
 
-def _top_divided_difference(xs: Sequence[int], ys: Sequence[Fraction]) -> Fraction:
-    cur = [Fraction(y) for y in ys]
-    for level in range(1, len(xs)):
-        cur = [(cur[i + 1] - cur[i]) / (xs[i + level] - xs[i])
-               for i in range(len(cur) - 1)]
-    return cur[0]
-
-
-def _tensor_grid_passes(axes_nodes: list, values: dict) -> bool:
-    """Degree bounds asserted per axis line, then every value must be zero."""
-    k = len(axes_nodes)
-    for ax in range(k):
-        others = [range(len(axes_nodes[j])) for j in range(k) if j != ax]
-        for rest in product(*others):
-            line = []
-            for i in range(len(axes_nodes[ax])):
-                idx = rest[:ax] + (i,) + rest[ax:]
-                line.append(values[idx])
-            if _top_divided_difference(axes_nodes[ax], line) != 0:
-                return False
-    return all(v == 0 for v in values.values())
-
-
 def grid_verify(g: GridIdentity) -> bool:
-    """True iff the residual is the zero polynomial within the stated bounds."""
-    axes = g.nodes()
-    values = {}
-    for idx in product(*(range(len(ns)) for ns in axes)):
-        args = [Fraction(axes[k][i]) for k, i in enumerate(idx)]
-        values[idx] = Fraction(g.residual(*args))
-    return _tensor_grid_passes(axes, values)
+    """True iff the residual vanishes at every grid node, which within the
+    stated degree bounds means it is identically zero."""
+    axes = [[Fraction(n) for n in ns] for ns in g.nodes()]
+    return all(g.residual(*args) == 0 for args in product(*axes))
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +111,9 @@ def verify_substitution_13() -> bool:
     return grid_verify(substitution_grid())
 
 
-def _quartic_rhs(u, m):
-    return (u**4 - 2 * u**3 - (2 * m**2 + 1) * (2 * m**2 - 1) * u**2
-            - 8 * m**4 * u - 4 * m**4)
+def _quartic_rhs(u, M):
+    # rhs of the quartic model in M = m^4: (2m^2+1)(2m^2-1) = 4M - 1
+    return u**4 - 2 * u**3 - (4 * M - 1) * u**2 - 8 * M * u - 4 * M
 
 
 def quartic_model_grid() -> GridIdentity:
@@ -151,7 +127,7 @@ def quartic_model_grid() -> GridIdentity:
             transformed.append(t)
         if transformed[0] != transformed[1]:
             raise AssertionError("transformed constraint must not depend on f, q")
-        return transformed[0] - (V**2 - _quartic_rhs(U, mm))
+        return transformed[0] - (V**2 - _quartic_rhs(U, mm**4))
     return GridIdentity(("U", "m", "V"), (4, 4, 2), residual, offsets=(0, 1, 0))
 
 
@@ -205,13 +181,16 @@ def verify_param_solution(ps: ParamSolution) -> bool:
 # birational roundtrip
 
 class _Quad:
-    """a + b*w in Q[w]/(w^2 - s); only ring operations, no inversion."""
+    """a + b*w in R[w]/(w^2 - s); only ring operations, no inversion.
+
+    R is whatever a, b and s live in: Fraction on the grid, or symbolic
+    expressions when a test expands the same maps."""
 
     __slots__ = ("a", "b", "s")
 
     def __init__(self, a, b, s):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a
+        self.b = b
         self.s = s
 
     def _lift(self, other):
@@ -242,77 +221,84 @@ class _Quad:
     __rmul__ = __mul__
 
 
-def _v_numerator(X, Y, m4):
+def _v_numerator(X, Y, M):
     # X and Y may be _Quad values; the expression is linear in Y
-    return (X * X * X - 12 * m4 * (X * X) + 8 * m4 * (4 * m4 - 5) * X
-            - 24 * m4 * Y - 128 * m4 * m4)
+    return (X * X * X - 12 * M * (X * X) + 8 * M * (4 * M - 5) * X
+            - 24 * M * Y - 128 * M * M)
+
+
+# Per-axis degree bounds of the cleared roundtrip residuals, in (X, M) and
+# (U, M); each grid axis gets bound + 2 nodes.
+_WEIERSTRASS_ROUNDTRIP_BOUNDS = (10, 8)
+_QUARTIC_ROUNDTRIP_BOUNDS = (12, 6)
+
+
+def _weierstrass_start_sides(X, M, v_factor: int) -> tuple:
+    """(X,Y) -> (U,V) -> (X,Y) with Y^2 reduced by the curve relation.
+
+    Returns (image, start) pairs for the X and Y coordinates, both sides
+    multiplied by the same clearing factor, as polynomials in X, M and Y.
+    """
+    s = X**3 + (1 - 4 * M) * X**2 + 32 * M * X
+    w = _Quad(0, 1, s)
+    D = 2 * X - 8 * M
+    U = (X + 8 * M + w) * (1 / D)
+    clear_v = v_factor * (X - 4 * M) ** 2
+    V = _v_numerator(_Quad(X, 0, s), w, M) * (1 / clear_v)
+    X2 = 2 * U * U - 2 * U + 2 * V
+    Y2 = (4 * U * U * U - 6 * U * U + 4 * U * V
+          - 2 * (4 * M - 1) * U - 2 * V - 8 * M)
+    lam = clear_v * D * D
+    return ((X2 * lam, _Quad(X * lam, 0, s)),
+            (Y2 * (lam * D), w * (lam * D)))
+
+
+def _quartic_start_sides(U, M, v_factor: int) -> tuple:
+    """(U,V) -> (X,Y) -> (U,V) with V^2 reduced by the quartic relation.
+
+    Returns (image, start) pairs for the U and V coordinates, as in
+    _weierstrass_start_sides.
+    """
+    s = _quartic_rhs(U, M)
+    w = _Quad(0, 1, s)
+    X = 2 * U * U - 2 * U + 2 * w
+    Y = (4 * U**3 - 6 * U**2 - 2 * (4 * M - 1) * U - 8 * M
+         + (4 * U - 2) * w)
+    alpha = 4 * U * U - 4 * U - 8 * M
+    n1 = alpha * alpha - 16 * s
+    if n1 == 0:
+        raise AssertionError("degenerate node in quartic-start grid")
+    conj = _Quad(alpha, -4, s)
+    U2 = (X + Y + 8 * M) * conj * (1 / n1)
+    # V2 = 4*nv*conj^2 / (v_factor*n1^2); clear by n1^2
+    V2 = _v_numerator(X, Y, M) * conj * conj * Fraction(4, v_factor)
+    return ((U2 * n1, _Quad(U * n1, 0, s)), (V2, w * (n1 * n1)))
+
+
+def _roundtrip_vanishes(sides: Callable, a_nodes, M_nodes,
+                        v_factor: int) -> bool:
+    for a, M in product(a_nodes, M_nodes):
+        for image, start in sides(Fraction(a), Fraction(M), v_factor):
+            d = image - start
+            if d.a or d.b:
+                return False
+    return True
 
 
 def _roundtrip_weierstrass_start(v_factor: int) -> bool:
-    """(X,Y) -> (U,V) -> (X,Y) with Y^2 reduced by the curve relation."""
-    dx, dm = 10, 32
-    m_nodes = list(range(1, dm + 3))
-    forbidden = {4 * m**4 for m in m_nodes}
-    x_nodes = []
-    x = 1
-    while len(x_nodes) < dx + 2:
-        if x not in forbidden:
-            x_nodes.append(x)
-        x += 1
-    grids = [dict() for _ in range(4)]
-    for i, X in enumerate(x_nodes):
-        for j, m in enumerate(m_nodes):
-            m4 = m**4
-            s = X**3 + (1 - 4 * m4) * X**2 + 32 * m4 * X
-            w = _Quad(0, 1, s)
-            D = Fraction(2 * X - 8 * m4)
-            U = (X + 8 * m4 + w) * (1 / D)
-            clear_v = Fraction(v_factor * (X - 4 * m4) ** 2)
-            V = _v_numerator(_Quad(X, 0, s), w, m4) * (1 / clear_v)
-            X2 = 2 * U * U - 2 * U + 2 * V
-            Y2 = (4 * U * U * U - 6 * U * U + 4 * U * V
-                  - 2 * (4 * m4 - 1) * U - 2 * V - 8 * m4)
-            lam = clear_v * D * D
-            RX = (X2 - X) * lam
-            RY = (Y2 - w) * (lam * D)
-            grids[0][(i, j)] = RX.a
-            grids[1][(i, j)] = RX.b
-            grids[2][(i, j)] = RY.a
-            grids[3][(i, j)] = RY.b
-    axes = [x_nodes, m_nodes]
-    return all(_tensor_grid_passes(axes, g) for g in grids)
+    dx, dM = _WEIERSTRASS_ROUNDTRIP_BOUNDS
+    M_nodes = range(1, dM + 3)
+    forbidden = {4 * M for M in M_nodes}  # both maps have a pole at X = 4M
+    x_nodes = [x for x in range(1, dx + 3 + len(forbidden))
+               if x not in forbidden][:dx + 2]
+    return _roundtrip_vanishes(_weierstrass_start_sides, x_nodes, M_nodes,
+                               v_factor)
 
 
 def _roundtrip_quartic_start(v_factor: int) -> bool:
-    """(U,V) -> (X,Y) -> (U,V) with V^2 reduced by the quartic relation."""
-    du, dm = 12, 24
-    u_nodes = list(range(1, du + 3))
-    m_nodes = list(range(1, dm + 3))
-    grids = [dict() for _ in range(4)]
-    for i, U in enumerate(u_nodes):
-        for j, m in enumerate(m_nodes):
-            m4 = m**4
-            s = _quartic_rhs(Fraction(U), Fraction(m))
-            w = _Quad(0, 1, s)
-            X = 2 * U * U - 2 * U + 2 * w
-            Y = (4 * U**3 - 6 * U**2 - 2 * (4 * m4 - 1) * U - 8 * m4
-                 + (4 * U - 2) * w)
-            alpha = Fraction(4 * U * U - 4 * U - 8 * m4)
-            n1 = alpha * alpha - 16 * s
-            if n1 == 0:
-                raise AssertionError("degenerate node in quartic-start grid")
-            conj = _Quad(alpha, -4, s)
-            U2 = (X + Y + 8 * m4) * conj * (1 / n1)
-            RU = (U2 - U) * n1
-            nv = _v_numerator(X, Y, m4)
-            # V2 = 4*nv*conj^2 / (v_factor*n1^2); clear by n1^2
-            RV = nv * conj * conj * Fraction(4, v_factor) - w * (n1 * n1)
-            grids[0][(i, j)] = RU.a
-            grids[1][(i, j)] = RU.b
-            grids[2][(i, j)] = RV.a
-            grids[3][(i, j)] = RV.b
-    axes = [u_nodes, m_nodes]
-    return all(_tensor_grid_passes(axes, g) for g in grids)
+    du, dM = _QUARTIC_ROUNDTRIP_BOUNDS
+    return _roundtrip_vanishes(_quartic_start_sides, range(1, du + 3),
+                               range(1, dM + 3), v_factor)
 
 
 def verify_birational_roundtrip(v_denominator_factor: int = 4) -> bool:

@@ -406,6 +406,8 @@ def _heu_gcd_attempt(a: IPoly, b: IPoly, max_tries: int = 4) -> Optional[IPoly]:
     """Evaluation gcd at 2**w with trial-division verification.
 
     Returns a verified common divisor (frequently the full gcd) or None.
+    A constant candidate comes back as 1: it divides both inputs and
+    2**w > 2*norm + 2, so by the GCDHEU lemma the gcd is 1.
     """
     var = a.var if a.degree > 0 else b.var
     norm = max(max(map(abs, a.coeffs)), max(map(abs, b.coeffs)))
@@ -416,10 +418,8 @@ def _heu_gcd_attempt(a: IPoly, b: IPoly, max_tries: int = 4) -> Optional[IPoly]:
         cand = IPoly(_unpack(g, w, g.bit_length() // w + 2), var)
         if not cand.is_zero:
             cand = _positive(primitive_part(cand))
-            if cand.degree >= 1 and divides(cand, a) and divides(cand, b):
+            if cand.degree == 0 or (divides(cand, a) and divides(cand, b)):
                 return cand
-            if cand.degree == 0:
-                return None  # images coprime at this point: gcd is constant
         w = 2 * w + 1
     return None
 
@@ -487,6 +487,8 @@ def _primitive_gcd(A: IPoly, B: IPoly) -> IPoly:
         return one
     cand = _heu_gcd_attempt(A, B)
     if cand is not None:
+        if cand.degree == 0:
+            return cand
         # cand is a certified common divisor; recurse on cofactors so the
         # result is the full gcd even if the heuristic undershot.
         rest = poly_gcd(A.exact_div(cand), B.exact_div(cand))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from biquadrates import identity
 from biquadrates.families import FAMILIES, ParamSolution, family_eq20
 from biquadrates.identity import (
     ALL_VERIFIERS,
@@ -33,7 +34,11 @@ def test_grid_verify_basics():
     xy = GridIdentity(("x", "y"), (1, 1), lambda x, y: x * y)
     assert not grid_verify(xy)  # fails at (1,1)
     cubic = GridIdentity(("x",), (2,), lambda x: x**3)
-    assert not grid_verify(cubic)  # degree bound violated
+    assert not grid_verify(cubic)  # nonzero at x = 1
+    # the bounds are trusted, not checked: a quartic vanishing on the four
+    # nodes of a degree-2 axis passes (test_identity_oracle checks bounds)
+    quartic = GridIdentity(("x",), (2,), lambda x: x * (x - 1) * (x - 2) * (x - 3))
+    assert grid_verify(quartic)
 
 
 def test_brahmagupta_point_values():
@@ -111,6 +116,19 @@ def test_mutated_quartic_model_fails():
 
 def test_mutated_roundtrip_fails():
     assert not verify_birational_roundtrip(16)
+
+
+@pytest.mark.parametrize("half", [identity._roundtrip_weierstrass_start,
+                                  identity._roundtrip_quartic_start])
+def test_each_roundtrip_half_rejects_mutations(half, monkeypatch):
+    assert half(4)
+    assert not half(16)
+    original = identity._v_numerator
+    # -24 M Y term of the V-map numerator read as -23 M Y
+    monkeypatch.setattr(identity, "_v_numerator",
+                        lambda X, Y, M: original(X, Y, M) + M * Y)
+    assert not half(4)
+    assert not verify_birational_roundtrip()
 
 
 def test_mutated_pell_reduction_fails():

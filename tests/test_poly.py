@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biquadrates import poly
 from biquadrates.poly import (
     ExactDivisionError,
     IPoly,
@@ -17,6 +18,7 @@ from biquadrates.poly import (
     poly_gcd,
     primitive_part,
     _SCHOOLBOOK_LIMIT,
+    _SCREEN_PRIME,
     _kronecker_mul,
     _mul_coeffs,
     _pack,
@@ -136,6 +138,20 @@ def test_poly_gcd_large_inputs_hits_heuristic_path():
     c = M**60 + 4 * M**13 + 1
     d = M**59 + 11
     assert poly_gcd(c, d) == P(1)
+
+
+def test_constant_heuristic_candidate_proves_coprime(monkeypatch):
+    # the pair agrees mod the screen prime, so the screen reports degree 2;
+    # the GCDHEU candidate is constant, which proves the gcd is 1
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return _prs_gcd(a, b)
+
+    monkeypatch.setattr(poly, "_prs_gcd", counting)
+    assert poly_gcd(M**2 - 1, M**2 - (1 + _SCREEN_PRIME) ** 2) == P(1)
+    assert calls == []
 
 
 # -- formatting -------------------------------------------------------------
