@@ -12,7 +12,6 @@ from biquadrates.exact import (
     canonicalize,
     check_solution,
     equivalent,
-    four_biquadrate_expansion,
     integer_fourth_root_floor,
     is_fourth_power,
     scale_solution,
@@ -25,7 +24,6 @@ __all__ = [
     "canonicalize",
     "check_solution",
     "equivalent",
-    "four_biquadrate_expansion",
     "integer_fourth_root_floor",
     "is_fourth_power",
     "scale_solution",

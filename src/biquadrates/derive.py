@@ -37,22 +37,21 @@ from biquadrates.exact import (
 from biquadrates.families import ParamSolution
 from biquadrates.poly import IPoly, PoleError, RatFn, _full_gcd, _positive
 
-DEFAULT_SAMPLES = (1, 2, 3, Fraction(1, 2), 5)
+SAMPLES = (1, 2, 3, Fraction(1, 2), 5)
 
 
 class PipelineError(RuntimeError):
     """An internal consistency check failed while deriving a solution."""
 
 
-def quartic_rhs(u, m):
-    """Right side of the quartic model, V^2 = quartic_rhs(U, m)."""
-    m4 = m**4
-    return ((((u - 2) * u - (4 * m4 - 1)) * u - 8 * m4) * u) - 4 * m4
+def quartic_rhs(u, M):
+    """Right side of the quartic model in M = m^4, V^2 = quartic_rhs(U, M)."""
+    return ((((u - 2) * u - (4 * M - 1)) * u - 8 * M) * u) - 4 * M
 
 
 @dataclass(frozen=True)
 class QuarticPoint:
-    """Point (u, v) with v^2 = quartic_rhs(u, m); checked on construction."""
+    """Point (u, v) with v^2 = quartic_rhs(u, m^4); checked on construction."""
 
     u: Element
     v: Element
@@ -62,8 +61,24 @@ class QuarticPoint:
         object.__setattr__(self, "u", _lift(self.u))
         object.__setattr__(self, "v", _lift(self.v))
         object.__setattr__(self, "m", _lift(self.m))
-        if self.v * self.v != quartic_rhs(self.u, self.m):
+        if self.v * self.v != quartic_rhs(self.u, self.m**4):
             raise ValueError("point does not satisfy the quartic model")
+
+
+def to_quartic(x, y, M):
+    """The map (X, Y) -> (U, V) to the quartic model, in M = m^4."""
+    u = (x + y + 8 * M) / (2 * x - 8 * M)
+    v_num = (x * x * x - 12 * M * (x * x) + 8 * M * (4 * M - 5) * x
+             - 24 * M * y - 128 * M * M)
+    return u, v_num / (4 * (x - 4 * M) ** 2)
+
+
+def to_weierstrass(u, v, M):
+    """The inverse map (U, V) -> (X, Y), in M = m^4."""
+    x = 2 * u * u - 2 * u + 2 * v
+    y = (4 * u**3 - 6 * u * u + 4 * u * v - 2 * (4 * M - 1) * u
+         - 2 * v - 8 * M)
+    return x, y
 
 
 def weierstrass_to_quartic(m, pt: CurvePoint) -> QuarticPoint:
@@ -74,27 +89,9 @@ def weierstrass_to_quartic(m, pt: CurvePoint) -> QuarticPoint:
     if not on_curve(curve_from_parameter(m), pt):
         raise ValueError("point is not on the curve for this parameter")
     m4 = m**4
-    x, y = pt.x, pt.y
-    if 2 * x - 8 * m4 == 0:
+    if 2 * pt.x - 8 * m4 == 0:
         raise PoleError("the map is undefined where X = 4m^4")
-    u = (x + y + 8 * m4) / (2 * x - 8 * m4)
-    v_num = (x * x * x - 12 * m4 * (x * x) + 8 * m4 * (4 * m4 - 5) * x
-             - 24 * m4 * y - 128 * m4 * m4)
-    v = v_num / (4 * (x - 4 * m4) ** 2)
-    return QuarticPoint(u, v, m)
-
-
-def quartic_to_weierstrass(qp: QuarticPoint) -> CurvePoint:
-    """Inverse map back to the Weierstrass model."""
-    u, v, m = qp.u, qp.v, qp.m
-    m4 = m**4
-    x = 2 * u * u - 2 * u + 2 * v
-    y = (4 * u**3 - 6 * u * u + 4 * u * v - 2 * (4 * m4 - 1) * u
-         - 2 * v - 8 * m4)
-    pt = CurvePoint(x, y)
-    if not on_curve(curve_from_parameter(m), pt):
-        raise PipelineError("inverse map left the curve")
-    return pt
+    return QuarticPoint(*to_quartic(pt.x, pt.y, m4), m)
 
 
 def _poly_lcm(a: IPoly, b: IPoly) -> IPoly:
@@ -245,17 +242,14 @@ def evaluate_param(ps: ParamSolution, m0) -> SolutionSix:
     return _clear_to_solution(vals[0:2], vals[2:4], vals[4:6])
 
 
-def param_equivalent(a: ParamSolution, b: ParamSolution,
-                     samples=None) -> bool:
+def param_equivalent(a: ParamSolution, b: ParamSolution) -> bool:
     """Whether two families give the same solution up to scaling and signs.
 
     Compares canonical keys at each sample parameter, skipping values where
     either family degenerates; at least one comparison must succeed.
     """
-    if samples is None:
-        samples = DEFAULT_SAMPLES
     compared = 0
-    for m0 in samples:
+    for m0 in SAMPLES:
         try:
             ka = canonicalize(evaluate_param(a, m0))
             kb = canonicalize(evaluate_param(b, m0))

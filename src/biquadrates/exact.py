@@ -118,13 +118,3 @@ def is_fourth_power(n: int) -> Optional[int]:
     r = isqrt(isqrt(n))
     return r if r**4 == n else None
 
-
-def four_biquadrate_expansion(s: SolutionSix) -> tuple[int, int, int, int, int, int]:
-    """Rewrite the product side as a sum of four fourth powers.
-
-    Returns (x1*y1, x1*y2, x2*y1, x2*y2, z1, z2); the fourth powers of the
-    first four entries sum to z1^4 + z2^4.
-    """
-    if not check_solution(s):
-        raise ValueError("input is not a solution")
-    return (s.x1 * s.y1, s.x1 * s.y2, s.x2 * s.y1, s.x2 * s.y2, s.z1, s.z2)

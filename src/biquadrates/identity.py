@@ -20,14 +20,16 @@ and the Weierstrass model
     Y^2 = X^3 - (4M-1)X^2 + 32MX
 
 with M = m^4 (so 4M-1 = (2m^2+1)(2m^2-1)) are verified as a roundtrip:
-composing the maps and reducing even powers of Y (resp. V) by the curve
-relation must give back the starting point.  Both maps use m only through
-M, so the roundtrip is gridded over M directly.  After clearing
-denominators each residual splits into two coefficient polynomials (the
-part free of Y and the part linear in Y), and both must vanish on the
-grid.  The denominator of the V-map is taken as 4(X-4M)^2; the
-alternative reading 16(X-4M)^2 fails the worked rational point and is
-rejected by this verifier (pass v_denominator_factor=16 to see it).
+composing them and reducing even powers of Y (resp. V) by the curve
+relation must give back the starting point.  The roundtrip runs derive's
+own ``to_quartic`` and ``to_weierstrass``, looked up through the module,
+so it checks the maps the pipeline runs; the Pell shapes likewise come
+from ``pell.pell_shapes`` and the quartic rhs from ``derive.quartic_rhs``.
+Both maps use m only through M, so the roundtrip is gridded over M
+directly.  Each coordinate of image minus start is a + bY (resp. a + bV)
+with a, b rational functions, and both must vanish on the grid.  The
+V-map denominator is 4(X-4M)^2; tests/test_identity.py checks that the
+alternative reading 16(X-4M)^2 is rejected.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-from biquadrates.families import ParamSolution
+from biquadrates import derive, pell, search
 
 
 @dataclass(frozen=True)
@@ -111,11 +113,6 @@ def verify_substitution_13() -> bool:
     return grid_verify(substitution_grid())
 
 
-def _quartic_rhs(u, M):
-    # rhs of the quartic model in M = m^4: (2m^2+1)(2m^2-1) = 4M - 1
-    return u**4 - 2 * u**3 - (4 * M - 1) * u**2 - 8 * M * u - 4 * M
-
-
 def quartic_model_grid() -> GridIdentity:
     def residual(U, mm, V):
         transformed = []
@@ -127,7 +124,7 @@ def quartic_model_grid() -> GridIdentity:
             transformed.append(t)
         if transformed[0] != transformed[1]:
             raise AssertionError("transformed constraint must not depend on f, q")
-        return transformed[0] - (V**2 - _quartic_rhs(U, mm**4))
+        return transformed[0] - (V**2 - derive.quartic_rhs(U, mm**4))
     return GridIdentity(("U", "m", "V"), (4, 4, 2), residual, offsets=(0, 1, 0))
 
 
@@ -139,52 +136,50 @@ def verify_quartic_model() -> bool:
 
 def pell_reduction_grid() -> GridIdentity:
     def residual(u, v):
-        y1 = 4 * v**2 + 1
-        y2 = 2 * v * (2 * v**2 + 1)
-        z1 = 4 * u * v**2
-        z2 = 8 * v**4 + 4 * v**2 + 1
-        lhs = (1 + 16 * v**4) * (y1**4 + y2**4) - z1**4 - z2**4
+        x1, x2, y1, y2, z1, z2 = pell.pell_shapes(u, v)
+        lhs = (x1**4 + x2**4) * (y1**4 + y2**4) - z1**4 - z2**4
         return lhs + 256 * v**8 * (u**2 + 3 * v**2 + 1) * (u**2 - 3 * v**2 - 1)
     return GridIdentity(("u", "v"), (4, 16), residual)
 
 
 def verify_pell_reduction() -> bool:
-    """With x=(1,2v), y=(4v^2+1, 2v(2v^2+1)), z=(4uv^2, 8v^4+4v^2+1) the
-    equation residual is -256 v^8 (u^2+3v^2+1)(u^2-3v^2-1), so it vanishes
-    exactly on the u^2 - 3v^2 = 1 locus (v != 0)."""
+    """With the Pell shapes x=(1,2v), y=(4v^2+1, 2v(2v^2+1)),
+    z=(4uv^2, 8v^4+4v^2+1) the equation residual is
+    -256 v^8 (u^2+3v^2+1)(u^2-3v^2-1), so it vanishes exactly on the
+    u^2 - 3v^2 = 1 locus (v != 0)."""
     return grid_verify(pell_reduction_grid())
 
 
-def verify_mod16_obstruction(product_residue: int = 4) -> bool:
-    """Fourth powers are 0 or 1 mod 16, sums of two are 0, 1 or 2, and the
-    all-odd product is always product_residue (4), which is unreachable."""
-    fourth = {(n**4) % 16 for n in range(16)}
-    if fourth != {0, 1}:
-        return False
-    sums = {(a + b) % 16 for a in fourth for b in fourth}
-    if sums != {0, 1, 2}:
-        return False
-    odds = range(1, 16, 2)
-    products = {((a**4 + b**4) * (c**4 + d**4)) % 16
-                for a in odds for b in odds for c in odds for d in odds}
-    if products != {product_residue}:
-        return False
-    return product_residue not in sums
+def verify_mod16_obstruction() -> bool:
+    """The pair combinations search skips have products that are no sum of
+    two fourth powers mod 16.
 
-
-def verify_param_solution(ps: ParamSolution) -> bool:
-    """Exact check that a one-parameter family solves the equation identically."""
-    return ps.residual().is_zero
+    n^4 mod 16 is 1 for odd n and 0 for even n, so sums of two fourth
+    powers are 0, 1 or 2 mod 16, while a product with x1, x2, y1, y2 all odd
+    is 4.  A product mod 16 depends only on the parities, so search's own
+    filter is run on one pair combination per parity pattern (the y-pair
+    above the x-pair, so its order filter never fires).
+    """
+    if any(n**4 % 16 != n % 2 for n in range(16)):
+        return False
+    sums = {(a**4 + b**4) % 16 for a in range(16) for b in range(16)}
+    xpairs = [(a, b, a**4 + b**4) for a in (1, 2) for b in (1, 2)]
+    ypairs = [(a + 2, b + 2, (a + 2)**4 + (b + 2)**4) for a, b, _ in xpairs]
+    kept = {row[:4] for row in search._pair_products(xpairs, ypairs)}
+    return all(sx * sy % 16 not in sums
+               for x1, x2, sx in xpairs for y1, y2, sy in ypairs
+               if (x1, x2, y1, y2) not in kept)
 
 
 # ---------------------------------------------------------------------------
 # birational roundtrip
 
 class _Quad:
-    """a + b*w in R[w]/(w^2 - s); only ring operations, no inversion.
+    """a + b*w in R[w]/(w^2 - s).
 
     R is whatever a, b and s live in: Fraction on the grid, or symbolic
-    expressions when a test expands the same maps."""
+    expressions when a test expands the same maps.  Division by a _Quad
+    goes through its conjugate and norm a^2 - b^2 s."""
 
     __slots__ = ("a", "b", "s")
 
@@ -220,95 +215,72 @@ class _Quad:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        if not isinstance(other, _Quad):
+            return _Quad(self.a / other, self.b / other, self.s)
+        norm = other.a * other.a - other.b * other.b * self.s
+        return self * _Quad(other.a, -other.b, self.s) / norm
 
-def _v_numerator(X, Y, M):
-    # X and Y may be _Quad values; the expression is linear in Y
-    return (X * X * X - 12 * M * (X * X) + 8 * M * (4 * M - 5) * X
-            - 24 * M * Y - 128 * M * M)
+    def __pow__(self, n: int):
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
 
 
-# Per-axis degree bounds of the cleared roundtrip residuals, in (X, M) and
-# (U, M); each grid axis gets bound + 2 nodes.
+# Per-axis degree bounds of the reduced numerators of the roundtrip
+# residuals, in (X, M) and (U, M); each grid axis gets bound + 2 nodes.
 _WEIERSTRASS_ROUNDTRIP_BOUNDS = (10, 8)
 _QUARTIC_ROUNDTRIP_BOUNDS = (12, 6)
 
 
-def _weierstrass_start_sides(X, M, v_factor: int) -> tuple:
+def _weierstrass_start_sides(X, M) -> tuple:
     """(X,Y) -> (U,V) -> (X,Y) with Y^2 reduced by the curve relation.
 
-    Returns (image, start) pairs for the X and Y coordinates, both sides
-    multiplied by the same clearing factor, as polynomials in X, M and Y.
+    Returns (image, start) pairs for the X and Y coordinates.
     """
-    s = X**3 + (1 - 4 * M) * X**2 + 32 * M * X
-    w = _Quad(0, 1, s)
-    D = 2 * X - 8 * M
-    U = (X + 8 * M + w) * (1 / D)
-    clear_v = v_factor * (X - 4 * M) ** 2
-    V = _v_numerator(_Quad(X, 0, s), w, M) * (1 / clear_v)
-    X2 = 2 * U * U - 2 * U + 2 * V
-    Y2 = (4 * U * U * U - 6 * U * U + 4 * U * V
-          - 2 * (4 * M - 1) * U - 2 * V - 8 * M)
-    lam = clear_v * D * D
-    return ((X2 * lam, _Quad(X * lam, 0, s)),
-            (Y2 * (lam * D), w * (lam * D)))
+    Y = _Quad(0, 1, X**3 + (1 - 4 * M) * X**2 + 32 * M * X)
+    X2, Y2 = derive.to_weierstrass(*derive.to_quartic(X, Y, M), M)
+    return (X2, X), (Y2, Y)
 
 
-def _quartic_start_sides(U, M, v_factor: int) -> tuple:
+def _quartic_start_sides(U, M) -> tuple:
     """(U,V) -> (X,Y) -> (U,V) with V^2 reduced by the quartic relation.
 
-    Returns (image, start) pairs for the U and V coordinates, as in
-    _weierstrass_start_sides.
+    Returns (image, start) pairs for the U and V coordinates.
     """
-    s = _quartic_rhs(U, M)
-    w = _Quad(0, 1, s)
-    X = 2 * U * U - 2 * U + 2 * w
-    Y = (4 * U**3 - 6 * U**2 - 2 * (4 * M - 1) * U - 8 * M
-         + (4 * U - 2) * w)
-    alpha = 4 * U * U - 4 * U - 8 * M
-    n1 = alpha * alpha - 16 * s
-    if n1 == 0:
-        raise AssertionError("degenerate node in quartic-start grid")
-    conj = _Quad(alpha, -4, s)
-    U2 = (X + Y + 8 * M) * conj * (1 / n1)
-    # V2 = 4*nv*conj^2 / (v_factor*n1^2); clear by n1^2
-    V2 = _v_numerator(X, Y, M) * conj * conj * Fraction(4, v_factor)
-    return ((U2 * n1, _Quad(U * n1, 0, s)), (V2, w * (n1 * n1)))
+    V = _Quad(0, 1, derive.quartic_rhs(U, M))
+    U2, V2 = derive.to_quartic(*derive.to_weierstrass(U, V, M), M)
+    return (U2, U), (V2, V)
 
 
-def _roundtrip_vanishes(sides: Callable, a_nodes, M_nodes,
-                        v_factor: int) -> bool:
+def _roundtrip_vanishes(sides: Callable, a_nodes, M_nodes) -> bool:
     for a, M in product(a_nodes, M_nodes):
-        for image, start in sides(Fraction(a), Fraction(M), v_factor):
+        for image, start in sides(Fraction(a), Fraction(M)):
             d = image - start
             if d.a or d.b:
                 return False
     return True
 
 
-def _roundtrip_weierstrass_start(v_factor: int) -> bool:
+def _roundtrip_weierstrass_start() -> bool:
     dx, dM = _WEIERSTRASS_ROUNDTRIP_BOUNDS
     M_nodes = range(1, dM + 3)
     forbidden = {4 * M for M in M_nodes}  # both maps have a pole at X = 4M
     x_nodes = [x for x in range(1, dx + 3 + len(forbidden))
                if x not in forbidden][:dx + 2]
-    return _roundtrip_vanishes(_weierstrass_start_sides, x_nodes, M_nodes,
-                               v_factor)
+    return _roundtrip_vanishes(_weierstrass_start_sides, x_nodes, M_nodes)
 
 
-def _roundtrip_quartic_start(v_factor: int) -> bool:
+def _roundtrip_quartic_start() -> bool:
     du, dM = _QUARTIC_ROUNDTRIP_BOUNDS
     return _roundtrip_vanishes(_quartic_start_sides, range(1, du + 3),
-                               range(1, dM + 3), v_factor)
+                               range(1, dM + 3))
 
 
-def verify_birational_roundtrip(v_denominator_factor: int = 4) -> bool:
-    """Both compositions of the birational maps are the identity.
-
-    v_denominator_factor selects the reading of the V-map denominator
-    (4 is the consistent one; 16 makes the verification fail).
-    """
-    return (_roundtrip_weierstrass_start(v_denominator_factor)
-            and _roundtrip_quartic_start(v_denominator_factor))
+def verify_birational_roundtrip() -> bool:
+    """Both compositions of derive's birational maps are the identity."""
+    return _roundtrip_weierstrass_start() and _roundtrip_quartic_start()
 
 
 ALL_VERIFIERS = {

@@ -6,13 +6,12 @@ Every solution of the Pell equation with v >= 1 plugs into fixed shapes
 
 and satisfies the product equation, because the difference of the two sides
 factors through (u^2-3v^2-1).  The ladder of integer solutions is generated
-from (2, 1) by (u, v) -> (2u+3v, u+2v), and a rational one-parameter slice
-comes from u = (t^2+3)/(t^2-3), v = 2t/(t^2-3).
+from (2, 1) by (u, v) -> (2u+3v, u+2v).  The rational one-parameter slice
+u = (t^2+3)/(t^2-3), v = 2t/(t^2-3) gives the family eq26 in ``families``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from biquadrates.exact import SolutionSix
@@ -35,12 +34,9 @@ def pell3_nth(k: int) -> PellSolution:
     return PellSolution(u, v)
 
 
-def pell_to_solution(ps) -> SolutionSix:
-    """Map a Pell pair with v >= 1 into a solution of the product equation."""
-    u, v = ps
-    if u * u - 3 * v * v != 1 or v < 1:
-        raise ValueError("need u^2 - 3v^2 = 1 with v >= 1")
-    return SolutionSix(
+def pell_shapes(u, v) -> tuple:
+    """The six shapes (x1, x2, y1, y2, z1, z2) of the Pell route at (u, v)."""
+    return (
         1,
         2 * v,
         4 * v * v + 1,
@@ -50,14 +46,9 @@ def pell_to_solution(ps) -> SolutionSix:
     )
 
 
-def rational_pell(t) -> tuple:
-    """Rational point (u, v) on u^2 - 3v^2 = 1 with parameter t.
-
-    The denominator t^2 - 3 never vanishes for rational t, so the map is
-    total; t = 0 lands on the trivial solution (-1, 0).
-    """
-    t = Fraction(t)
-    den = t * t - 3
-    u = (t * t + 3) / den
-    v = 2 * t / den
-    return (u, v)
+def pell_to_solution(ps) -> SolutionSix:
+    """Map a Pell pair with v >= 1 into a solution of the product equation."""
+    u, v = ps
+    if u * u - 3 * v * v != 1 or v < 1:
+        raise ValueError("need u^2 - 3v^2 = 1 with v >= 1")
+    return SolutionSix(*pell_shapes(u, v))

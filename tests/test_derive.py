@@ -22,10 +22,10 @@ from biquadrates.derive import (
     param_equivalent,
     quartic_point_to_param_solution,
     quartic_rhs,
-    quartic_to_weierstrass,
     signed_multiple,
     solution_from_nP,
     solution_from_quartic_point,
+    to_weierstrass,
     weierstrass_to_quartic,
 )
 from biquadrates.exact import DegenerateSolutionError, SolutionSix, canonicalize, check_solution
@@ -37,8 +37,10 @@ VVAL = Fraction(-8, 9)
 
 
 def test_quartic_rhs_worked_value():
-    # V^2 at the image of -P for m=1: (-8/9)^2 = 64/81
+    # V^2 at the image of -P for m=1, so M = m^4 = 1: (-8/9)^2 = 64/81
     assert quartic_rhs(THIRD, Fraction(1)) == Fraction(64, 81)
+    # m=2 gives M = 16: U=1 has V^2 = 1 - 2 - 63 - 128 - 64 = -256
+    assert quartic_rhs(1, 16) == -256
 
 
 def test_quartic_point_validation():
@@ -71,8 +73,8 @@ def test_roundtrip_through_quartic_model():
                   (2, point_P(2)),
                   (1, double(curve_from_parameter(1), point_P(1))),
                   (Fraction(1, 2), point_P(Fraction(1, 2)))):
-        back = quartic_to_weierstrass(weierstrass_to_quartic(m, pt))
-        assert back == pt
+        qp = weierstrass_to_quartic(m, pt)
+        assert to_weierstrass(qp.u, qp.v, qp.m**4) == (pt.x, pt.y)
 
 
 def test_solution_from_quartic_point_worked_chain():
@@ -224,6 +226,6 @@ def test_symbolic_quartic_point_roundtrip():
     mm = RatFn.gen("m")
     w = CurvePoint(point_P(mm).x, -point_P(mm).y)
     qp = weierstrass_to_quartic(mm, w)
-    assert quartic_to_weierstrass(qp) == w
+    assert to_weierstrass(qp.u, qp.v, qp.m**4) == (w.x, w.y)
     fam = quartic_point_to_param_solution(qp)
     assert fam.residual().is_zero

@@ -13,7 +13,6 @@ from biquadrates.exact import (
     canonicalize,
     check_solution,
     equivalent,
-    four_biquadrate_expansion,
     integer_fourth_root_floor,
     is_fourth_power,
     scale_solution,
@@ -184,18 +183,3 @@ def test_is_fourth_power_no_false_positives(n):
         assert q**4 != n
     else:
         assert r**4 == n
-
-
-def test_four_biquadrate_expansion():
-    s = SolutionSix(1, 2, 5, 6, 8, 13)
-    assert four_biquadrate_expansion(s) == (5, 6, 10, 12, 8, 13)
-    t = SolutionSix(3, 5, 17, 28, 13, 149)
-    u1, u2, u3, u4, z1, z2 = four_biquadrate_expansion(t)
-    assert (u1, u2, u3, u4) == (51, 84, 85, 140)
-    assert u1**4 + u2**4 + u3**4 + u4**4 == z1**4 + z2**4
-
-
-@given(st.sampled_from(SMALL_SOLUTIONS), small_nonzero, small_nonzero)
-def test_four_biquadrate_expansion_property(s, k1, k2):
-    u1, u2, u3, u4, z1, z2 = four_biquadrate_expansion(scale_solution(s, k1, k2))
-    assert u1**4 + u2**4 + u3**4 + u4**4 == z1**4 + z2**4

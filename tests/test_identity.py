@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from biquadrates import identity
+from biquadrates import cli, derive, identity, pell, search
+from biquadrates.curve import point_P
 from biquadrates.families import FAMILIES, ParamSolution, family_eq20
 from biquadrates.identity import (
     ALL_VERIFIERS,
@@ -18,9 +19,10 @@ from biquadrates.identity import (
     substitution_grid,
     verify_birational_roundtrip,
     verify_mod16_obstruction,
-    verify_param_solution,
+    verify_pell_reduction,
 )
 from biquadrates.poly import IPoly
+from mutations import pell_z2_plus_one, skip_odd_x1, v_denominator_16, v_term_23
 
 
 def test_all_verifiers_true():
@@ -62,8 +64,7 @@ def test_quartic_model_worked_point():
     # m=1, U=-2/3 gives rhs 64/81, so V=-8/9 lies on the quartic model
     r = quartic_model_grid().residual
     assert r(Fraction(-2, 3), Fraction(1), Fraction(-8, 9)) == 0
-    from biquadrates.identity import _quartic_rhs
-    assert _quartic_rhs(Fraction(-2, 3), Fraction(1)) == Fraction(64, 81)
+    assert derive.quartic_rhs(Fraction(-2, 3), Fraction(1)) == Fraction(64, 81)
 
 
 def test_pell_reduction_point_values():
@@ -114,41 +115,56 @@ def test_mutated_quartic_model_fails():
     assert not grid_verify(bad)
 
 
-def test_mutated_roundtrip_fails():
-    assert not verify_birational_roundtrip(16)
+def _selftest_fails(capsys, name) -> bool:
+    code = cli.main(["selftest", "--quick"])
+    return code == 1 and "%s: FAIL" % name in capsys.readouterr().out
+
+
+def test_mutated_roundtrip_fails(monkeypatch, capsys):
+    # one patch of derive's map reaches the pipeline and the selftest alike
+    original = derive.to_quartic
+    for mutation in (v_denominator_16, v_term_23):
+        monkeypatch.setattr(derive, "to_quartic", mutation(original))
+        with pytest.raises(ValueError):
+            derive.weierstrass_to_quartic(1, point_P(1))
+        assert not verify_birational_roundtrip()
+        assert _selftest_fails(capsys, "birational_roundtrip")
 
 
 @pytest.mark.parametrize("half", [identity._roundtrip_weierstrass_start,
                                   identity._roundtrip_quartic_start])
 def test_each_roundtrip_half_rejects_mutations(half, monkeypatch):
-    assert half(4)
-    assert not half(16)
-    original = identity._v_numerator
-    # -24 M Y term of the V-map numerator read as -23 M Y
-    monkeypatch.setattr(identity, "_v_numerator",
-                        lambda X, Y, M: original(X, Y, M) + M * Y)
-    assert not half(4)
-    assert not verify_birational_roundtrip()
+    assert half()
+    original = derive.to_quartic
+    for mutation in (v_denominator_16, v_term_23):
+        monkeypatch.setattr(derive, "to_quartic", mutation(original))
+        assert not half()
 
 
-def test_mutated_pell_reduction_fails():
+def test_mutated_pell_reduction_fails(monkeypatch, capsys):
     g = pell_reduction_grid()
     # factored side with 256 -> 255
     bad = replace(g, residual=lambda u, v: g.residual(u, v)
                   - v**8 * (u**2 + 3 * v**2 + 1) * (u**2 - 3 * v**2 - 1))
     assert not grid_verify(bad)
+    monkeypatch.setattr(pell, "pell_shapes", pell_z2_plus_one(pell.pell_shapes))
+    assert pell.pell_to_solution(pell.pell3_nth(1)) != (1, 2, 5, 6, 8, 13)
+    assert not verify_pell_reduction()
+    assert _selftest_fails(capsys, "pell_reduction")
 
 
-def test_mutated_mod16_fails():
-    assert not verify_mod16_obstruction(product_residue=5)
-    assert not verify_mod16_obstruction(product_residue=8)
+def test_mutated_mod16_fails(monkeypatch, capsys):
+    monkeypatch.setattr(search, "_pair_products",
+                        skip_odd_x1(search._pair_products))
+    assert not verify_mod16_obstruction()
+    assert _selftest_fails(capsys, "mod16_obstruction")
 
 
 # -- families ---------------------------------------------------------------
 
 def test_all_families_verify():
     for name, builder in FAMILIES.items():
-        assert verify_param_solution(builder()), name
+        assert builder().residual().is_zero, name
 
 
 def test_corrupted_family_fails():
@@ -157,7 +173,7 @@ def test_corrupted_family_fails():
     bad = ParamSolution(ps.x1, ps.x2, ps.y1, ps.y2,
                         z1=m * (m**8 + 2 * m**4 + 11),  # constant 10 -> 11
                         z2=ps.z2)
-    assert not verify_param_solution(bad)
+    assert not bad.residual().is_zero
 
 
 def test_family_degrees():

@@ -13,11 +13,11 @@ sympy = pytest.importorskip("sympy")
 from sympy import QQ  # noqa: E402
 from sympy.polys.fields import field  # noqa: E402
 
-from biquadrates import identity  # noqa: E402
+from biquadrates import derive  # noqa: E402
+from biquadrates.derive import quartic_rhs  # noqa: E402
 from biquadrates.identity import (  # noqa: E402
     _QUARTIC_ROUNDTRIP_BOUNDS,
     _WEIERSTRASS_ROUNDTRIP_BOUNDS,
-    _quartic_rhs,
     _quartic_start_sides,
     _weierstrass_start_sides,
     brahmagupta_grid,
@@ -26,6 +26,7 @@ from biquadrates.identity import (  # noqa: E402
     quartic_model_grid,
     substitution_grid,
 )
+from mutations import v_denominator_16, v_term_23  # noqa: E402
 
 GRIDS = {
     "brahmagupta": brahmagupta_grid,
@@ -62,7 +63,7 @@ def test_grid_terms_fit_bounds(name):
         # the residual compares two substitutions, which an expression tree
         # cannot do; its terms are the transformed constraint and the model
         U, m, V = gens
-        model = V**2 - _quartic_rhs(U, m**4)
+        model = V**2 - quartic_rhs(U, m**4)
         terms = [g.residual(*gens) + model, model]
     else:
         expr = g.residual(*sympy.symbols(g.variables))
@@ -71,40 +72,44 @@ def test_grid_terms_fit_bounds(name):
         assert _fits(_degrees(K, t), g.degree_bounds), name
 
 
-_original_v_numerator = identity._v_numerator
-
-
-def _mutated_v_numerator(X, Y, M):
-    # -24 M Y term of the V-map numerator read as -23 M Y
-    return _original_v_numerator(X, Y, M) + M * Y
-
 ROUNDTRIPS = {
     "weierstrass": (_weierstrass_start_sides, "X,M", _WEIERSTRASS_ROUNDTRIP_BOUNDS),
     "quartic": (_quartic_start_sides, "U,M", _QUARTIC_ROUNDTRIP_BOUNDS),
 }
 
 
+def _components(sides, a, M) -> list:
+    """The two _Quad components of image - start for each coordinate."""
+    out = []
+    for image, start in sides(a, M):
+        d = image - start
+        out += [d.a, d.b]
+    return out
+
+
 @pytest.mark.parametrize("name", ROUNDTRIPS)
 def test_roundtrip_components_are_zero(name):
     sides, names, _ = ROUNDTRIPS[name]
     K, a, M = field(names, QQ)
-    pairs = sides(a, M, 4)
-    assert len(pairs) == 2
-    for image, start in pairs:
-        d = image - start
-        assert K(d.a) == 0 and K(d.b) == 0
+    components = _components(sides, a, M)
+    assert len(components) == 4
+    assert all(K(c) == 0 for c in components)
 
 
 @pytest.mark.parametrize("mutated", [False, True])
 @pytest.mark.parametrize("v_factor", [4, 16])
 @pytest.mark.parametrize("name", ROUNDTRIPS)
 def test_roundtrip_sides_fit_bounds(name, v_factor, mutated, monkeypatch):
-    # the bounds must hold for the broken maps too: that is what lets the
-    # grid reject them
+    # the grid sees each component as its reduced numerator over a
+    # denominator that is nonzero on the nodes; the bounds must hold for the
+    # broken maps too, since that is what lets the grid reject them
+    if v_factor == 16:
+        monkeypatch.setattr(derive, "to_quartic", v_denominator_16(derive.to_quartic))
     if mutated:
-        monkeypatch.setattr(identity, "_v_numerator", _mutated_v_numerator)
+        monkeypatch.setattr(derive, "to_quartic", v_term_23(derive.to_quartic))
     sides, names, bounds = ROUNDTRIPS[name]
     K, a, M = field(names, QQ)
-    for image, start in sides(a, M, v_factor):
-        for q in (image.a, image.b, start.a, start.b):
-            assert _fits(_degrees(K, q), bounds)
+    components = _components(sides, a, M)
+    for c in components:
+        assert _fits(tuple(max(d, 0) for d in K(c).numer.degrees()), bounds)
+    assert any(K(c) != 0 for c in components) == (v_factor == 16 or mutated)

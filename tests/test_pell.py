@@ -7,13 +7,7 @@ import pytest
 from biquadrates.derive import _clear_to_solution, evaluate_param, param_equivalent
 from biquadrates.exact import SolutionSix, canonicalize, check_solution
 from biquadrates.families import family_eq26
-from biquadrates.identity import verify_param_solution
-from biquadrates.pell import (
-    PellSolution,
-    pell3_nth,
-    pell_to_solution,
-    rational_pell,
-)
+from biquadrates.pell import PellSolution, pell3_nth, pell_shapes, pell_to_solution
 
 
 def test_ladder_start():
@@ -51,33 +45,20 @@ def test_ladder_solutions_check_out():
         assert check_solution(sol)
 
 
-def test_rational_pell_values():
-    assert rational_pell(3) == (Fraction(2), Fraction(1))
-    assert rational_pell(1) == (Fraction(-2), Fraction(-1))
-    assert rational_pell(0) == (Fraction(-1), Fraction(0))
-
-
-def test_rational_pell_on_curve():
-    for t in (2, 3, 5, Fraction(1, 2), Fraction(-7, 3), 11):
-        u, v = rational_pell(t)
-        assert u * u - 3 * v * v == 1
-
-
 def test_param_family_is_valid():
     fam = family_eq26()
-    assert verify_param_solution(fam)
+    assert fam.residual().is_zero
     assert fam.var == "t"
 
 
 def test_param_family_matches_rational_slice():
     fam = family_eq26()
     for t in (2, 3, 5):
-        u, v = rational_pell(t)
-        shaped = _clear_to_solution(
-            (Fraction(1), 2 * v),
-            (4 * v * v + 1, 2 * v * (2 * v * v + 1)),
-            (4 * u * v * v, 8 * v**4 + 4 * v * v + 1),
-        )
+        t = Fraction(t)
+        u, v = (t * t + 3) / (t * t - 3), 2 * t / (t * t - 3)
+        assert u * u - 3 * v * v == 1
+        x1, x2, y1, y2, z1, z2 = pell_shapes(u, v)
+        shaped = _clear_to_solution((x1, x2), (y1, y2), (z1, z2))
         assert canonicalize(shaped) == canonicalize(evaluate_param(fam, t))
 
 
