@@ -66,11 +66,13 @@ class QuarticPoint:
 
 
 def to_quartic(x, y, M):
-    """The map (X, Y) -> (U, V) to the quartic model, in M = m^4."""
+    """The map (X, Y) -> (U, V) to the quartic model, in M = m^4.
+
+    V comes from the inverse map's X = 2U^2 - 2U + 2V.  On the curve it equals
+    the paper's cubic form over 4(X-4M)^2, which costs far more to reduce.
+    """
     u = (x + y + 8 * M) / (2 * x - 8 * M)
-    v_num = (x * x * x - 12 * M * (x * x) + 8 * M * (4 * M - 5) * x
-             - 24 * M * y - 128 * M * M)
-    return u, v_num / (4 * (x - 4 * M) ** 2)
+    return u, x / 2 + u * (1 - u)
 
 
 def to_weierstrass(u, v, M):
@@ -92,6 +94,12 @@ def weierstrass_to_quartic(m, pt: CurvePoint) -> QuarticPoint:
     if 2 * pt.x - 8 * m4 == 0:
         raise PoleError("the map is undefined where X = 4m^4")
     return QuarticPoint(*to_quartic(pt.x, pt.y, m4), m)
+
+
+def _solution_pairs(p, q, m, v) -> tuple:
+    """The module docstring's pairs, over Q or over Z[m] with v in Q(m)."""
+    return ((p - q, 2 * m * q), (m * (p + q), p),
+            (m * (p * p + q * q), q * q * v))
 
 
 def _poly_lcm(a: IPoly, b: IPoly) -> IPoly:
@@ -119,10 +127,7 @@ def quartic_point_to_param_solution(qp: QuarticPoint) -> ParamSolution:
     p, q = u.num, u.den
     if p.degree == 0 and q.degree == 0:
         raise PipelineError("constant U gives no one-parameter family")
-    mg = IPoly.gen(var)
-
-    x1, x2 = p - q, 2 * mg * q
-    y1, y2 = mg * (p + q), p
+    (x1, x2), (y1, y2), (z1, z2) = _solution_pairs(p, q, IPoly.gen(var), v)
     if (x1.is_zero and x2.is_zero) or (y1.is_zero and y2.is_zero):
         raise PipelineError("degenerate family: a pair vanished identically")
     d1 = _full_gcd(x1, x2)
@@ -131,8 +136,8 @@ def quartic_point_to_param_solution(qp: QuarticPoint) -> ParamSolution:
     y1, y2 = y1.exact_div(d2), y2.exact_div(d2)
 
     shared = d1 * d2
-    z1 = RatFn(mg * (p * p + q * q), shared)
-    z2 = RatFn(q * q) * v / RatFn(shared)
+    z1 = RatFn(z1, shared)
+    z2 = z2 / shared
     clear = _poly_lcm(z1.den, z2.den)
     if clear.degree > 0 or clear.lc != 1:
         x1, x2 = x1 * clear, x2 * clear
@@ -171,11 +176,7 @@ def solution_from_quartic_point(qp: QuarticPoint) -> SolutionSix:
     """Integer solution from a quartic-model point over Q at fixed m."""
     u, v, m = Fraction(qp.u), Fraction(qp.v), Fraction(qp.m)
     p, q = Fraction(u.numerator), Fraction(u.denominator)
-    return _clear_to_solution(
-        (p - q, 2 * m * q),
-        (m * (p + q), p),
-        (m * (p * p + q * q), q * q * v),
-    )
+    return _clear_to_solution(*_solution_pairs(p, q, m, v))
 
 
 def signed_multiple(n: int, m, sign: str = "auto") -> tuple:

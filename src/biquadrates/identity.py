@@ -27,9 +27,10 @@ so it checks the maps the pipeline runs; the Pell shapes likewise come
 from ``pell.pell_shapes`` and the quartic rhs from ``derive.quartic_rhs``.
 Both maps use m only through M, so the roundtrip is gridded over M
 directly.  Each coordinate of image minus start is a + bY (resp. a + bV)
-with a, b rational functions, and both must vanish on the grid.  The
-V-map denominator is 4(X-4M)^2; tests/test_identity.py checks that the
-alternative reading 16(X-4M)^2 is rejected.
+with a, b rational functions, and both must vanish on the grid.
+``to_quartic`` takes V from the inverse map, so the X half of the (X, Y)
+start holds by construction; its Y half checks the U map, and the (U, V)
+start checks both maps.
 """
 
 from __future__ import annotations

@@ -16,13 +16,14 @@ Computer Algebra*).  Gcds are unique after normalization, so the results
 are the dense ones exactly.
 
 ``poly_gcd`` certifies coprimality with a single gcd computation modulo a
-large prime, then tries an evaluation/reconstruction gcd at xi = 2**w
+prime, then tries an evaluation/reconstruction gcd at xi = 2**w
 (Char-Geddes-Gonnet GCDHEU; the gcd of the two packed values is unpacked
 by the same balanced-digit codec as Kronecker products, and verified by
 exact trial division, so a wrong guess can only cost a retry).  Inputs of
 every size take this route; a primitive pseudo-remainder sequence runs
 only when the heuristic gives up.  Every returned gcd is exact; the
-heuristics only affect speed.
+heuristics only affect speed.  The screen prime is below 2**30, one CPython
+int digit, so its residues take the single-digit fast paths.
 
 ``RatFn`` is the field Q(m): quotients kept fully reduced (polynomial part
 and integer content both coprime, denominator with positive leading
@@ -243,11 +244,14 @@ def _mul_coeffs(a: tuple, b: tuple) -> tuple:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return tuple(out)
+    # a square (a is b) compresses and packs one operand: the product squares
     ra, ga = _stride(a)
-    rb, gb = _stride(b)
+    rb, gb = (ra, ga) if a is b else _stride(b)
     g = gcd(ga, gb)
     if g > 1:
-        return _spread(_mul_coeffs(a[ra::g], b[rb::g]), ra + rb, g)
+        pa = a[ra::g]
+        pb = pa if a is b else b[rb::g]
+        return _spread(_mul_coeffs(pa, pb), ra + rb, g)
     return _kronecker_mul(a, b)
 
 
@@ -303,10 +307,11 @@ def _split(u: int, width: int, n: int) -> list:
 
 def _kronecker_mul(a: tuple, b: tuple) -> tuple:
     amax = max(map(abs, a))
-    bmax = max(map(abs, b))
+    bmax = amax if a is b else max(map(abs, b))
     bound = amax * bmax * min(len(a), len(b))
     width = bound.bit_length() + 2
-    prod = _pack(a, width) * _pack(b, width)
+    pa = _pack(a, width)
+    prod = pa * pa if a is b else pa * _pack(b, width)
     return tuple(_unpack(prod, width, len(a) + len(b) - 1))
 
 
@@ -375,7 +380,7 @@ def divides(d: IPoly, p: IPoly) -> bool:
         return False
 
 
-_SCREEN_PRIME = (1 << 61) - 1
+_SCREEN_PRIME = 1073741789  # the largest prime below 2**30
 
 
 def _mod_gcd_degree(ac: tuple, bc: tuple, p: int) -> Optional[int]:

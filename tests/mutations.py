@@ -6,7 +6,7 @@ its module, so the pipeline and the verifiers both run the corrupted copy.
 
 
 def v_denominator_16(to_quartic):
-    """The V-map read as v_num / (16(X-4M)^2) instead of v_num / (4(X-4M)^2)."""
+    """V scaled by 1/4: the paper's V read over 16(X-4M)^2, not 4(X-4M)^2."""
     def mutated(x, y, M):
         u, v = to_quartic(x, y, M)
         return u, v / 4
@@ -14,7 +14,7 @@ def v_denominator_16(to_quartic):
 
 
 def v_term_23(to_quartic):
-    """The -24MY term of the V-map numerator read as -23MY."""
+    """V shifted by MY/(4(X-4M)^2): the paper's -24MY term read as -23MY."""
     def mutated(x, y, M):
         u, v = to_quartic(x, y, M)
         return u, v + M * y / (4 * (x - 4 * M) ** 2)

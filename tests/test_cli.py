@@ -1,5 +1,6 @@
 """Tests for the command-line surface: formats, exit codes, worked examples."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -133,6 +134,28 @@ def test_curve_plus_branch(capsys):
     code, out, _ = run(capsys, "curve", "--n", "1", "--m", "1", "--sign", "plus")
     assert code == 0
     assert "canonical: (17,41) (48,65) (2257,2537)" in out
+
+
+# SHA-256 of `curve --n k --symbolic [--descending]` stdout (auto sign),
+# recorded before V was taken from the inverse map; any rewrite of the
+# derivation must reproduce these families byte for byte
+CURVE_SYMBOLIC_DIGESTS = {
+    (7, False): "7a229048f4d61750368e83b3212e7e9c92327aa0f022a41a8cda3591f692b5f7",
+    (7, True): "843365609a826b82954a2a957e286aa7559f8a024c95dcea20a79f6f5cde6801",
+    (8, False): "44d52878faea2da789fd91aad2a45782421f81906a2c74ea43514cdf301dd890",
+    (8, True): "c50c3c8662a8aacc158a54e89db3036c1ea57440d4051bc3a34b1d770b803b12",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", (7, 8))
+def test_curve_symbolic_pinned_digests(capsys, n):
+    for descending in (False, True):
+        argv = ["curve", "--n", str(n), "--symbolic"]
+        code, out, err = run(capsys, *argv + ["--descending"] * descending)
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == CURVE_SYMBOLIC_DIGESTS[n, descending]
 
 
 def test_curve_symbolic(capsys):

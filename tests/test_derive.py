@@ -77,6 +77,33 @@ def test_roundtrip_through_quartic_model():
         assert to_weierstrass(qp.u, qp.v, qp.m**4) == (pt.x, pt.y)
 
 
+def _paper_image(m, pt):
+    """(U, V) by the paper's formulas: V is a cubic form over 4(X-4M)^2."""
+    x, y, M = pt.x, pt.y, m**4
+    v_num = (x * x * x - 12 * M * (x * x) + 8 * M * (4 * M - 5) * x
+             - 24 * M * y - 128 * M * M)
+    return (x + y + 8 * M) / (2 * x - 8 * M), v_num / (4 * (x - 4 * M) ** 2)
+
+
+def _check_against_paper(m, n_max):
+    for n in range(1, n_max + 1):
+        w, _ = signed_multiple(n, m, "plus")
+        for pt in (w, CurvePoint(w.x, -w.y)):
+            qp = weierstrass_to_quartic(m, pt)
+            assert (qp.u, qp.v) == _paper_image(qp.m, pt), (n, pt)
+
+
+@pytest.mark.parametrize("m0", derive.SAMPLES)
+def test_v_map_matches_paper_formula(m0):
+    # to_quartic takes V from the inverse map; on the curve it must agree
+    # with the paper's quotient at +-nP
+    _check_against_paper(Fraction(m0), 6)
+
+
+def test_v_map_matches_paper_formula_over_q_m():
+    _check_against_paper(RatFn.gen("m"), 3)
+
+
 def test_solution_from_quartic_point_worked_chain():
     sol = solution_from_quartic_point(QuarticPoint(THIRD, VVAL, 1))
     assert sol == SolutionSix(-5, 6, 1, -2, 13, -8)

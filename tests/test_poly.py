@@ -20,6 +20,7 @@ from biquadrates.poly import (
     _SCHOOLBOOK_LIMIT,
     _SCREEN_PRIME,
     _kronecker_mul,
+    _mod_gcd_degree,
     _mul_coeffs,
     _pack,
     _prs_gcd,
@@ -152,6 +153,26 @@ def test_constant_heuristic_candidate_proves_coprime(monkeypatch):
     monkeypatch.setattr(poly, "_prs_gcd", counting)
     assert poly_gcd(M**2 - 1, M**2 - (1 + _SCREEN_PRIME) ** 2) == P(1)
     assert calls == []
+
+
+def test_screen_inconclusive_when_leading_coefficient_vanishes(monkeypatch):
+    # A's leading coefficient is the screen prime, so the screen returns None
+    # and GCDHEU alone must find the exact gcd
+    screens = []
+
+    def recording(ac, bc, p):
+        screens.append(_mod_gcd_degree(ac, bc, p))
+        return screens[-1]
+
+    monkeypatch.setattr(poly, "_mod_gcd_degree", recording)
+    a = (_SCREEN_PRIME * M + 1) * (M**2 + 3)
+    b = (M + 2) * (M - 5)
+    c = M**2 + M + 7
+    assert poly_gcd(a, b) == P(1)
+    assert screens == [None]
+    # GCDHEU finds c; the gcd of the cofactors a, b is screened once more
+    assert poly_gcd(a * c, b * c) == c
+    assert screens == [None, None, None]
 
 
 # -- formatting -------------------------------------------------------------
@@ -331,6 +352,51 @@ def test_stride_kernel_mixed_strides():
     b = M**3 * (M**4 - 1) * _strided((5, 0, -2, 7) * 4, 0, 4)
     _check_stride_kernel(a, b)
     assert poly_gcd(a, b) == M**3 - M
+
+
+# -- squaring: one operand, packed once ---------------------------------------
+
+# P(0), P'(0) and the leading coefficient nonzero, so m^r * P(m^g) has stride
+# exactly g and P alone is past the schoolbook size
+square_inner = st.lists(st.integers(-10**12, 10**12), min_size=41, max_size=90).filter(
+    lambda cs: cs[0] != 0 and cs[1] != 0 and cs[-1] != 0)
+
+
+@given(square_inner, st.integers(0, 5), st.sampled_from((1, 2, 3, 4)))
+@settings(max_examples=30, deadline=None)
+def test_square_packs_one_operand(cs, r, g):
+    a = _strided(cs, r, g).coeffs
+    copy = tuple(list(a))
+    assert copy is not a
+    ref = _schoolbook(a, a)
+    for b, same in ((a, True), (copy, False)):
+        seen, operands, packs = [], [], []
+
+        def kronecker_spy(x, y):
+            seen.append(x is y)
+            operands.extend((x, y))
+            return _kronecker_mul(x, y)
+
+        def pack_spy(xs, width):
+            packs.append(any(xs is o for o in operands))
+            return _pack(xs, width)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "_kronecker_mul", kronecker_spy)
+            mp.setattr(poly, "_pack", pack_spy)
+            assert list(_mul_coeffs(a, b)) == ref
+        assert seen == [same]
+        assert packs.count(True) == (1 if same else 2)
+
+
+@given(square_inner, st.integers(0, 3), st.sampled_from((1, 4)), st.integers(0, 5))
+@settings(max_examples=20, deadline=None)
+def test_pow_matches_repeated_multiplication(cs, r, g, k):
+    a = _strided(cs, r, g)
+    expect = P(1)
+    for _ in range(k):
+        expect = expect * a
+    assert a ** k == expect
 
 
 # -- rational functions -----------------------------------------------------
