@@ -3,34 +3,47 @@
 Univariate claims are checked by polynomial arithmetic.  Multivariate
 claims are checked on integer grids: a polynomial whose per-variable
 degrees are at most d_i and which vanishes on a product grid with d_i + 2
-nodes per axis is identically zero.  The verifier trusts the stated
-bounds (d_i + 1 nodes would suffice; the spare node is margin against a
-bound that is off by one); tests/test_identity_oracle.py checks each
-bound against a symbolic expansion.
+nodes per axis is identically zero.  A residual that is a rational
+function vanishes at a node off its poles exactly when its reduced
+numerator does, so the bounds are on that numerator, and offsets move the
+nodes off every pole (a node on one raises ZeroDivisionError; it never
+passes).  A residual may be a tuple, and then every component must
+vanish.  The verifier trusts the stated bounds (d_i + 1 nodes would
+suffice; the spare node is margin against a bound that is off by one);
+tests/test_identity_oracle.py checks each bound against a symbolic
+expansion, for the correct formulas and for the corruptions in
+tests/mutations.py.
 
-Variables that appear in denominators before clearing use nodes starting
-at 1 instead of 0.
+Every grid evaluates the library's own formulas, looked up through their
+modules: ``substitution_13`` and ``quartic_model`` take the solution
+shapes from ``derive._solution_pairs`` and the quartic rhs from
+``derive.quartic_rhs``; together with the quartic Brahmagupta split they
+show that a point (p/q, v) of the quartic model gives a solution.  The
+Pell shapes come from ``pell.pell_shapes`` and the mod-16 check runs
+search's own parity filter.
 
-The two birational maps between the quartic model
+The birational maps ``derive.to_quartic`` and ``derive.to_weierstrass``
+between the Weierstrass model and the quartic model
 
-    V^2 = U^4 - 2U^3 - (4M-1)U^2 - 8MU - 4M
+    Y^2 = X^3 - (4M-1)X^2 + 32MX,    V^2 = U^4 - 2U^3 - (4M-1)U^2 - 8MU - 4M
 
-and the Weierstrass model
+(M = m^4; the maps use m only through M) are verified as round trips on
+rational charts.  Each surface is linear in M, so it is the graph of
 
-    Y^2 = X^3 - (4M-1)X^2 + 32MX
+    M = (Y^2 - X^3 - X^2) / (4X(8 - X)),    M = (U^2(U-1)^2 - V^2) / (4(U+1)^2)
 
-with M = m^4 (so 4M-1 = (2m^2+1)(2m^2-1)) are verified as a roundtrip:
-composing them and reducing even powers of Y (resp. V) by the curve
-relation must give back the starting point.  The roundtrip runs derive's
-own ``to_quartic`` and ``to_weierstrass``, looked up through the module,
-so it checks the maps the pipeline runs; the Pell shapes likewise come
-from ``pell.pell_shapes`` and the quartic rhs from ``derive.quartic_rhs``.
-Both maps use m only through M, so the roundtrip is gridded over M
-directly.  Each coordinate of image minus start is a + bY (resp. a + bV)
-with a, b rational functions, and both must vanish on the grid.
-``to_quartic`` takes V from the inverse map, so the X half of the (X, Y)
-start holds by construction; its Y half checks the U map, and the (U, V)
-start checks both maps.
+over two free variables, and a round trip is a pair of coordinate
+differences in plain Fractions, with no square root of Y or V.  A chart is
+enough: each surface is irreducible (its M coefficient and constant term
+are coprime) and on the dense open set where that coefficient is nonzero
+it is the graph of that M, so a rational function that vanishes on the
+chart vanishes on the surface.  The offsets avoid every pole: on the
+(X, Y) chart X >= 9 avoids X in {0, 8}, and 1 <= Y < 27 <= 3X avoids
+2X - 8M = 0, which there is Y = +-3X; on the (U, V) chart U >= 0 avoids
+U = -1, and V >= 1 avoids the pole curves V = U - U^2 and
+V = -U^2 - 5U - 2.  ``to_quartic`` takes V from the inverse map, so the X
+difference on the (X, Y) chart vanishes by construction; its Y difference
+checks the U map, and the (U, V) chart checks both maps.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ from biquadrates import derive, pell, search
 
 @dataclass(frozen=True)
 class GridIdentity:
-    """A claimed polynomial identity checked on an integer product grid."""
+    """A claimed identity, residual == 0, checked on an integer product grid."""
 
     variables: tuple
     degree_bounds: tuple
@@ -59,10 +72,12 @@ class GridIdentity:
 
 
 def grid_verify(g: GridIdentity) -> bool:
-    """True iff the residual vanishes at every grid node, which within the
-    stated degree bounds means it is identically zero."""
+    """True iff the residual, every component of it if it is a tuple,
+    vanishes at every grid node, which within the stated degree bounds
+    means it is identically zero."""
     axes = [[Fraction(n) for n in ns] for ns in g.nodes()]
-    return all(g.residual(*args) == 0 for args in product(*axes))
+    residuals = (g.residual(*args) for args in product(*axes))
+    return not any(any(r) if isinstance(r, tuple) else r for r in residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -92,46 +107,32 @@ def verify_quartic_brahmagupta() -> bool:
     return grid_verify(quartic_brahmagupta_grid())
 
 
-def _substitution_bracket(f, p, g, q):
-    # quartic form produced by substituting the Pythagorean parametrization
-    return (f**4 * p**4 - 2 * f**4 * p**3 * q
-            + (f**2 + 2 * g**2) * (f**2 - 2 * g**2) * p**2 * q**2
-            - 8 * g**4 * p * q**3 - 4 * g**4 * q**4)
-
-
 def substitution_grid() -> GridIdentity:
-    def residual(f, g, p, q):
-        lhs = f**2 * g**2 * ((f * (p - q)) ** 2 * (p / g) ** 2
-                             - (2 * g * q) ** 2 * ((p + q) / f) ** 2)
-        return lhs - _substitution_bracket(f, p, g, q)
-    return GridIdentity(("f", "g", "p", "q"), (4, 4, 4, 4), residual,
-                        offsets=(1, 1, 0, 0))
+    def residual(p, q, m):
+        (x1, x2), (y1, y2), (z1, _) = derive._solution_pairs(p, q, m, 0)
+        return z1**2 - (x1 * y1) ** 2 - (x2 * y2) ** 2
+    return GridIdentity(("p", "q", "m"), (4, 4, 2), residual)
 
 
 def verify_substitution_13() -> bool:
-    """Substituting x1=f(p-q), x2=2gq, y1=(p+q)/f, y2=p/g into
-    x1^2 y2^2 - x2^2 y1^2 and clearing by f^2 g^2 gives the quartic form."""
+    """derive's shapes x = (p-q, 2mq), y = (m(p+q), p), z1 = m(p^2+q^2)
+    satisfy z1^2 = (x1 y1)^2 + (x2 y2)^2."""
     return grid_verify(substitution_grid())
 
 
 def quartic_model_grid() -> GridIdentity:
-    def residual(U, mm, V):
-        transformed = []
-        for f, q in ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(3))):
-            p = q * U
-            g = f * mm
-            z2 = q**2 * V / mm
-            t = (f**2 * g**2 * z2**2 - _substitution_bracket(f, p, g, q)) / (f**4 * q**4)
-            transformed.append(t)
-        if transformed[0] != transformed[1]:
-            raise AssertionError("transformed constraint must not depend on f, q")
-        return transformed[0] - (V**2 - derive.quartic_rhs(U, mm**4))
-    return GridIdentity(("U", "m", "V"), (4, 4, 2), residual, offsets=(0, 1, 0))
+    def residual(p, q, m, v):
+        (x1, x2), (y1, y2), (_, z2) = derive._solution_pairs(p, q, m, v)
+        return (z2**2 - (x1 * y2) ** 2 + (x2 * y1) ** 2
+                - q**4 * (v**2 - derive.quartic_rhs(p / q, m**4)))
+    return GridIdentity(("p", "q", "m", "v"), (4, 4, 4, 2), residual,
+                        offsets=(0, 1, 0, 0))
 
 
 def verify_quartic_model() -> bool:
-    """Under p=qU, g=fm, z2=q^2 V/m the quartic-form constraint becomes,
-    after division by f^4 q^4, exactly V^2 = quartic rhs in (U, m)."""
+    """With derive's shapes, z2 = q^2 v and z2^2 - (x1 y2)^2 + (x2 y1)^2 =
+    q^4 (v^2 - quartic_rhs(p/q, m^4)), so z2 satisfies its square identity
+    exactly when (p/q, v) lies on the quartic model."""
     return grid_verify(quartic_model_grid())
 
 
@@ -175,113 +176,25 @@ def verify_mod16_obstruction() -> bool:
 # ---------------------------------------------------------------------------
 # birational roundtrip
 
-class _Quad:
-    """a + b*w in R[w]/(w^2 - s).
-
-    R is whatever a, b and s live in: Fraction on the grid, or symbolic
-    expressions when a test expands the same maps.  Division by a _Quad
-    goes through its conjugate and norm a^2 - b^2 s."""
-
-    __slots__ = ("a", "b", "s")
-
-    def __init__(self, a, b, s):
-        self.a = a
-        self.b = b
-        self.s = s
-
-    def _lift(self, other):
-        if isinstance(other, _Quad):
-            return other
-        return _Quad(other, 0, self.s)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return _Quad(self.a + o.a, self.b + o.b, self.s)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Quad(-self.a, -self.b, self.s)
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return self._lift(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return _Quad(self.a * o.a + self.b * o.b * self.s,
-                     self.a * o.b + self.b * o.a, self.s)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, _Quad):
-            return _Quad(self.a / other, self.b / other, self.s)
-        norm = other.a * other.a - other.b * other.b * self.s
-        return self * _Quad(other.a, -other.b, self.s) / norm
-
-    def __pow__(self, n: int):
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
+def curve_chart_grid() -> GridIdentity:
+    def residual(X, Y):
+        M = (Y**2 - X**3 - X**2) / (4 * X * (8 - X))
+        X2, Y2 = derive.to_weierstrass(*derive.to_quartic(X, Y, M), M)
+        return X2 - X, Y2 - Y
+    return GridIdentity(("X", "Y"), (8, 5), residual, offsets=(9, 1))
 
 
-# Per-axis degree bounds of the reduced numerators of the roundtrip
-# residuals, in (X, M) and (U, M); each grid axis gets bound + 2 nodes.
-_WEIERSTRASS_ROUNDTRIP_BOUNDS = (10, 8)
-_QUARTIC_ROUNDTRIP_BOUNDS = (12, 6)
-
-
-def _weierstrass_start_sides(X, M) -> tuple:
-    """(X,Y) -> (U,V) -> (X,Y) with Y^2 reduced by the curve relation.
-
-    Returns (image, start) pairs for the X and Y coordinates.
-    """
-    Y = _Quad(0, 1, X**3 + (1 - 4 * M) * X**2 + 32 * M * X)
-    X2, Y2 = derive.to_weierstrass(*derive.to_quartic(X, Y, M), M)
-    return (X2, X), (Y2, Y)
-
-
-def _quartic_start_sides(U, M) -> tuple:
-    """(U,V) -> (X,Y) -> (U,V) with V^2 reduced by the quartic relation.
-
-    Returns (image, start) pairs for the U and V coordinates.
-    """
-    V = _Quad(0, 1, derive.quartic_rhs(U, M))
-    U2, V2 = derive.to_quartic(*derive.to_weierstrass(U, V, M), M)
-    return (U2, U), (V2, V)
-
-
-def _roundtrip_vanishes(sides: Callable, a_nodes, M_nodes) -> bool:
-    for a, M in product(a_nodes, M_nodes):
-        for image, start in sides(Fraction(a), Fraction(M)):
-            d = image - start
-            if d.a or d.b:
-                return False
-    return True
-
-
-def _roundtrip_weierstrass_start() -> bool:
-    dx, dM = _WEIERSTRASS_ROUNDTRIP_BOUNDS
-    M_nodes = range(1, dM + 3)
-    forbidden = {4 * M for M in M_nodes}  # both maps have a pole at X = 4M
-    x_nodes = [x for x in range(1, dx + 3 + len(forbidden))
-               if x not in forbidden][:dx + 2]
-    return _roundtrip_vanishes(_weierstrass_start_sides, x_nodes, M_nodes)
-
-
-def _roundtrip_quartic_start() -> bool:
-    du, dM = _QUARTIC_ROUNDTRIP_BOUNDS
-    return _roundtrip_vanishes(_quartic_start_sides, range(1, du + 3),
-                               range(1, dM + 3))
+def quartic_chart_grid() -> GridIdentity:
+    def residual(U, V):
+        M = (U**2 * (U - 1) ** 2 - V**2) / (4 * (U + 1) ** 2)
+        U2, V2 = derive.to_quartic(*derive.to_weierstrass(U, V, M), M)
+        return U2 - U, V2 - V
+    return GridIdentity(("U", "V"), (8, 3), residual, offsets=(0, 1))
 
 
 def verify_birational_roundtrip() -> bool:
     """Both compositions of derive's birational maps are the identity."""
-    return _roundtrip_weierstrass_start() and _roundtrip_quartic_start()
+    return grid_verify(curve_chart_grid()) and grid_verify(quartic_chart_grid())
 
 
 ALL_VERIFIERS = {

@@ -611,6 +611,8 @@ class RatFn:
         if self.is_zero or o.is_zero:
             var = self.var
             return RatFn._raw(IPoly((), var), IPoly((1,), var))
+        if o is self:  # num^2 and den^2 stay coprime, den^2 stays positive
+            return RatFn._raw(self.num * self.num, self.den * self.den)
         g1 = _full_gcd(self.num, o.den)
         g2 = _full_gcd(o.num, self.den)
         n = self.num.exact_div(g1) * o.num.exact_div(g2)

@@ -21,6 +21,22 @@ def v_term_23(to_quartic):
     return mutated
 
 
+def y_plus_2uv(to_weierstrass):
+    """The inverse map's Y with its 4UV term read as 6UV."""
+    def mutated(u, v, M):
+        x, y = to_weierstrass(u, v, M)
+        return x, y + 2 * u * v
+    return mutated
+
+
+def z2_doubled(solution_pairs):
+    """The solution shape z2 = q^2 V read as 2q^2 V."""
+    def mutated(p, q, m, v):
+        x, y, (z1, z2) = solution_pairs(p, q, m, v)
+        return x, y, (z1, 2 * z2)
+    return mutated
+
+
 def pell_z2_plus_one(pell_shapes):
     """The Pell shape z2 = 8v^4+4v^2+1 read as 8v^4+4v^2+2."""
     def mutated(u, v):

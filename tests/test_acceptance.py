@@ -77,10 +77,10 @@ def test_criterion_03_identity_suite_with_mutations(monkeypatch):
         g, residual=lambda a, b, c, d: g.residual(a, b, c, d) + (a * b * c * d) ** 2))
     g = substitution_grid()
     ok &= not grid_verify(replace(
-        g, residual=lambda f, gg, p, q: g.residual(f, gg, p, q) + gg**4 * p * q**3))
+        g, residual=lambda p, q, m: g.residual(p, q, m) + m**2 * p**2 * q**2))
     g = quartic_model_grid()
     ok &= not grid_verify(replace(
-        g, residual=lambda U, m, V: g.residual(U, m, V) + m**4 * U))
+        g, residual=lambda p, q, m, v: g.residual(p, q, m, v) + m**4 * p * q**3))
     with monkeypatch.context() as mp:
         mp.setattr(derive, "to_quartic", v_denominator_16(derive.to_quartic))
         ok &= not verify_birational_roundtrip()

@@ -5,16 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from biquadrates import cli, derive, identity, pell, search
+from biquadrates import cli, derive, pell, search
 from biquadrates.curve import point_P
 from biquadrates.families import FAMILIES, ParamSolution, family_eq20
 from biquadrates.identity import (
     ALL_VERIFIERS,
     GridIdentity,
     brahmagupta_grid,
+    curve_chart_grid,
     grid_verify,
     pell_reduction_grid,
     quartic_brahmagupta_grid,
+    quartic_chart_grid,
     quartic_model_grid,
     substitution_grid,
     verify_birational_roundtrip,
@@ -22,7 +24,14 @@ from biquadrates.identity import (
     verify_pell_reduction,
 )
 from biquadrates.poly import IPoly
-from mutations import pell_z2_plus_one, skip_odd_x1, v_denominator_16, v_term_23
+from mutations import (
+    pell_z2_plus_one,
+    skip_odd_x1,
+    v_denominator_16,
+    v_term_23,
+    y_plus_2uv,
+    z2_doubled,
+)
 
 
 def test_all_verifiers_true():
@@ -56,15 +65,19 @@ def test_quartic_brahmagupta_point_values():
 
 
 def test_substitution_point_value():
+    # p=2, q=1, m=1: x = (1, 2), y = (3, 2), z1 = 5 and 25 = 9 + 16
     r = substitution_grid().residual
-    assert r(Fraction(1), Fraction(1), Fraction(2), Fraction(1)) == 0
+    assert r(Fraction(2), Fraction(1), Fraction(1)) == 0
 
 
 def test_quartic_model_worked_point():
     # m=1, U=-2/3 gives rhs 64/81, so V=-8/9 lies on the quartic model
     r = quartic_model_grid().residual
-    assert r(Fraction(-2, 3), Fraction(1), Fraction(-8, 9)) == 0
+    assert r(Fraction(-2), Fraction(3), Fraction(1), Fraction(-8, 9)) == 0
     assert derive.quartic_rhs(Fraction(-2, 3), Fraction(1)) == Fraction(64, 81)
+    # there the shapes satisfy the square identity for z2
+    (x1, x2), (y1, y2), (_, z2) = derive._solution_pairs(-2, 3, 1, Fraction(-8, 9))
+    assert z2**2 == (x1 * y2) ** 2 - (x2 * y1) ** 2
 
 
 def test_pell_reduction_point_values():
@@ -102,16 +115,17 @@ def test_mutated_quartic_brahmagupta_fails():
 
 def test_mutated_substitution_fails():
     g = substitution_grid()
-    # -8 g^4 p q^3 term read as -9 g^4 p q^3
-    bad = replace(g, residual=lambda f, gg, p, q: g.residual(f, gg, p, q)
-                  + gg**4 * p * q**3)
+    # (x2 y2)^2 = 4 m^2 p^2 q^2 read as 3 m^2 p^2 q^2
+    bad = replace(g, residual=lambda p, q, m: g.residual(p, q, m)
+                  + m**2 * p**2 * q**2)
     assert not grid_verify(bad)
 
 
 def test_mutated_quartic_model_fails():
     g = quartic_model_grid()
-    # -8 m^4 U term of the quartic rhs read as -7 m^4 U
-    bad = replace(g, residual=lambda U, m, V: g.residual(U, m, V) + m**4 * U)
+    # -8 m^4 U term of the quartic rhs read as -7 m^4 U, times q^4
+    bad = replace(g, residual=lambda p, q, m, v: g.residual(p, q, m, v)
+                  + m**4 * p * q**3)
     assert not grid_verify(bad)
 
 
@@ -131,14 +145,28 @@ def test_mutated_roundtrip_fails(monkeypatch, capsys):
         assert _selftest_fails(capsys, "birational_roundtrip")
 
 
-@pytest.mark.parametrize("half", [identity._roundtrip_weierstrass_start,
-                                  identity._roundtrip_quartic_start])
-def test_each_roundtrip_half_rejects_mutations(half, monkeypatch):
-    assert half()
-    original = derive.to_quartic
-    for mutation in (v_denominator_16, v_term_23):
-        monkeypatch.setattr(derive, "to_quartic", mutation(original))
-        assert not half()
+def test_mutated_inverse_map_fails(monkeypatch, capsys):
+    monkeypatch.setattr(derive, "to_weierstrass", y_plus_2uv(derive.to_weierstrass))
+    assert not verify_birational_roundtrip()
+    assert _selftest_fails(capsys, "birational_roundtrip")
+
+
+def test_mutated_shapes_fail(monkeypatch, capsys):
+    # z2 = 2q^2 V: the quartic model check and the pipeline both reject it
+    monkeypatch.setattr(derive, "_solution_pairs", z2_doubled(derive._solution_pairs))
+    assert _selftest_fails(capsys, "quartic_model")
+    assert cli.main(["curve", "--n", "2", "--symbolic"]) == 1
+
+
+@pytest.mark.parametrize("chart", [curve_chart_grid, quartic_chart_grid])
+def test_each_roundtrip_half_rejects_mutations(chart, monkeypatch):
+    assert grid_verify(chart())
+    for name, mutation in (("to_quartic", v_denominator_16),
+                           ("to_quartic", v_term_23),
+                           ("to_weierstrass", y_plus_2uv)):
+        with monkeypatch.context() as mp:
+            mp.setattr(derive, name, mutation(getattr(derive, name)))
+            assert not grid_verify(chart())
 
 
 def test_mutated_pell_reduction_fails(monkeypatch, capsys):

@@ -3,8 +3,14 @@
 The grid verifiers conclude "identically zero" from zeros on a grid with
 bound + 2 nodes per axis, so they rest on the stated degree bounds.  Here
 sympy expands each identity and checks the residual is zero and that the
-terms it cancels between have per-variable degrees within those bounds.
+terms it cancels between, over their common denominator, have
+per-variable degrees within those bounds.  It also checks that under each
+corruption in tests/mutations.py the residual's reduced numerator is
+nonzero and within the same bounds, which is what lets the grid reject
+the corruption.
 """
+
+from functools import reduce
 
 import pytest
 
@@ -13,20 +19,23 @@ sympy = pytest.importorskip("sympy")
 from sympy import QQ  # noqa: E402
 from sympy.polys.fields import field  # noqa: E402
 
-from biquadrates import derive  # noqa: E402
-from biquadrates.derive import quartic_rhs  # noqa: E402
+from biquadrates import derive, pell  # noqa: E402
 from biquadrates.identity import (  # noqa: E402
-    _QUARTIC_ROUNDTRIP_BOUNDS,
-    _WEIERSTRASS_ROUNDTRIP_BOUNDS,
-    _quartic_start_sides,
-    _weierstrass_start_sides,
     brahmagupta_grid,
+    curve_chart_grid,
     pell_reduction_grid,
     quartic_brahmagupta_grid,
+    quartic_chart_grid,
     quartic_model_grid,
     substitution_grid,
 )
-from mutations import v_denominator_16, v_term_23  # noqa: E402
+from mutations import (  # noqa: E402
+    pell_z2_plus_one,
+    v_denominator_16,
+    v_term_23,
+    y_plus_2uv,
+    z2_doubled,
+)
 
 GRIDS = {
     "brahmagupta": brahmagupta_grid,
@@ -34,14 +43,17 @@ GRIDS = {
     "substitution_13": substitution_grid,
     "quartic_model": quartic_model_grid,
     "pell_reduction": pell_reduction_grid,
+    "curve_chart": curve_chart_grid,
+    "quartic_chart": quartic_chart_grid,
 }
 
 
-def _degrees(K, value) -> tuple:
-    """Per-variable degrees of value, which must be a polynomial."""
-    f = K(value)
-    assert f.denom == 1, "not a polynomial after clearing"
-    return tuple(max(d, 0) for d in f.numer.degrees())
+def _components(residual) -> tuple:
+    return residual if isinstance(residual, tuple) else (residual,)
+
+
+def _degrees(poly) -> tuple:
+    return tuple(max(d, 0) for d in poly.degrees())
 
 
 def _fits(degrees, bounds) -> bool:
@@ -52,64 +64,58 @@ def _fits(degrees, bounds) -> bool:
 def test_grid_residual_is_zero(name):
     g = GRIDS[name]()
     K, *gens = field(",".join(g.variables), QQ)
-    assert g.residual(*gens) == 0
+    assert all(c == 0 for c in _components(g.residual(*gens)))
 
 
 @pytest.mark.parametrize("name", GRIDS)
 def test_grid_terms_fit_bounds(name):
     g = GRIDS[name]()
     K, *gens = field(",".join(g.variables), QQ)
-    if name == "quartic_model":
-        # the residual compares two substitutions, which an expression tree
-        # cannot do; its terms are the transformed constraint and the model
-        U, m, V = gens
-        model = V**2 - quartic_rhs(U, m**4)
-        terms = [g.residual(*gens) + model, model]
-    else:
-        expr = g.residual(*sympy.symbols(g.variables))
+    for expr in _components(g.residual(*sympy.symbols(g.variables))):
         terms = [K.from_expr(t) for t in sympy.Add.make_args(expr)]
-    for t in terms:
-        assert _fits(_degrees(K, t), g.degree_bounds), name
+        den = reduce(lambda a, b: a.lcm(b), (t.denom for t in terms))
+        for t in terms:
+            assert _fits(_degrees(t.numer * den.exquo(t.denom)), g.degree_bounds), name
 
 
-ROUNDTRIPS = {
-    "weierstrass": (_weierstrass_start_sides, "X,M", _WEIERSTRASS_ROUNDTRIP_BOUNDS),
-    "quartic": (_quartic_start_sides, "U,M", _QUARTIC_ROUNDTRIP_BOUNDS),
-}
+def _numerators_fit(g) -> bool:
+    """Assert each component's reduced numerator fits the bounds; return
+    whether any component is nonzero."""
+    # the grid sees each component as its reduced numerator over a
+    # denominator that is nonzero on the nodes; the bounds must hold for the
+    # broken formulas too, since that is what lets the grid reject them
+    K, *gens = field(",".join(g.variables), QQ)
+    components = [K(c) for c in _components(g.residual(*gens))]
+    for c in components:
+        assert _fits(_degrees(c.numer), g.degree_bounds)
+    return any(c != 0 for c in components)
 
 
-def _components(sides, a, M) -> list:
-    """The two _Quad components of image - start for each coordinate."""
-    out = []
-    for image, start in sides(a, M):
-        d = image - start
-        out += [d.a, d.b]
-    return out
-
-
-@pytest.mark.parametrize("name", ROUNDTRIPS)
-def test_roundtrip_components_are_zero(name):
-    sides, names, _ = ROUNDTRIPS[name]
-    K, a, M = field(names, QQ)
-    components = _components(sides, a, M)
-    assert len(components) == 4
-    assert all(K(c) == 0 for c in components)
+ROUNDTRIPS = {"weierstrass": curve_chart_grid, "quartic": quartic_chart_grid}
 
 
 @pytest.mark.parametrize("mutated", [False, True])
 @pytest.mark.parametrize("v_factor", [4, 16])
 @pytest.mark.parametrize("name", ROUNDTRIPS)
 def test_roundtrip_sides_fit_bounds(name, v_factor, mutated, monkeypatch):
-    # the grid sees each component as its reduced numerator over a
-    # denominator that is nonzero on the nodes; the bounds must hold for the
-    # broken maps too, since that is what lets the grid reject them
     if v_factor == 16:
         monkeypatch.setattr(derive, "to_quartic", v_denominator_16(derive.to_quartic))
     if mutated:
         monkeypatch.setattr(derive, "to_quartic", v_term_23(derive.to_quartic))
-    sides, names, bounds = ROUNDTRIPS[name]
-    K, a, M = field(names, QQ)
-    components = _components(sides, a, M)
-    for c in components:
-        assert _fits(tuple(max(d, 0) for d in K(c).numer.degrees()), bounds)
-    assert any(K(c) != 0 for c in components) == (v_factor == 16 or mutated)
+    assert _numerators_fit(ROUNDTRIPS[name]()) == (v_factor == 16 or mutated)
+
+
+MUTATIONS = {
+    "curve_chart-y_plus_2uv": (curve_chart_grid, derive, "to_weierstrass", y_plus_2uv),
+    "quartic_chart-y_plus_2uv": (quartic_chart_grid, derive, "to_weierstrass", y_plus_2uv),
+    "quartic_model-z2_doubled": (quartic_model_grid, derive, "_solution_pairs", z2_doubled),
+    "pell_reduction-pell_z2_plus_one": (pell_reduction_grid, pell, "pell_shapes",
+                                        pell_z2_plus_one),
+}
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_mutation_fits_bounds(name, monkeypatch):
+    grid, module, attr, mutation = MUTATIONS[name]
+    monkeypatch.setattr(module, attr, mutation(getattr(module, attr)))
+    assert _numerators_fit(grid())

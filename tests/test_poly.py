@@ -468,6 +468,19 @@ def test_ratfn_mul_matches_naive(a, b):
 
 
 @given(ratfns)
+@settings(max_examples=60)
+def test_ratfn_square_takes_no_gcd(a):
+    # num^2/den^2 of a reduced fraction is reduced, so a * a needs no gcd
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "poly_gcd", lambda *args: calls.append(args) or poly_gcd(*args))
+        square = a * a
+    naive = RatFn(a.num * a.num, a.den * a.den)
+    assert square.num == naive.num and square.den == naive.den
+    assert calls == []
+
+
+@given(ratfns)
 def test_ratfn_canonical_invariants(a):
     assert a.den.lc > 0
     if not a.is_zero:
