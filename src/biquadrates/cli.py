@@ -4,14 +4,16 @@ Exit codes are a stable contract: 0 success, 1 domain failure (degenerate
 parameter, failed verification, a result past Python's int-to-text digit
 limit), 2 usage error.  Every exit-1 failure writes one ``<command>: <message>``
 line to stderr.  Only the domain error classes that ``main`` catches exit 1;
-any other exception is a bug and ends in a traceback.  Data goes to stdout,
-diagnostics to stderr.
+any other exception is a bug and ends in a traceback.  A reader that closes
+stdout early (``| head``) also ends the run with exit 1 and a
+``<command>: broken pipe`` line.  Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -168,7 +170,7 @@ def cmd_search(ns) -> int:
 def _print_family(ps, descending: bool) -> int:
     names = ("x1", "x2", "y1", "y2", "z1", "z2")
     for name, poly in zip(names, ps.polys()):
-        print("%s = %s" % (name, format_poly(poly, descending=descending)))
+        print("%s = %s" % (name, format_poly(poly, ps.var, descending)))
     print("degrees: %s" % " ".join(str(d) for d in ps.degrees()))
     if not ps.residual().is_zero:
         raise PipelineError("the residual is nonzero")
@@ -222,7 +224,7 @@ def cmd_pell(ns) -> int:
 
 
 def _selftest_curve_closure() -> bool:
-    mm = RatFn.gen("m")
+    mm = RatFn.gen()
     sym = curve_from_parameter(mm)
     if not (on_curve(sym, point_P(mm)) and on_curve(sym, extra_point(mm))):
         return False
@@ -319,6 +321,13 @@ def main(argv=None) -> int:
     except (PipelineError, PoleError, DegenerateSolutionError,
             DegenerateCurveError, NotASolutionError, DigitLimitError) as exc:
         print("%s: %s" % (ns.command, exc), file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader is gone: flush what is left to devnull at shutdown
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("%s: broken pipe" % ns.command, file=sys.stderr)
         return 1
 
 

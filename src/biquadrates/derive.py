@@ -117,17 +117,16 @@ def quartic_point_to_param_solution(qp: QuarticPoint) -> ParamSolution:
     force the residual of the equation to vanish.
     """
     m = qp.m
-    if not isinstance(m, RatFn) or m != RatFn.gen(m.var):
+    if not isinstance(m, RatFn) or m != RatFn.gen():
         raise TypeError("parameter must be the generator of a function field")
-    var = m.var
     u = m._coerce(qp.u)
     v = m._coerce(qp.v)
     if u is None or v is None:
-        raise TypeError("quartic point coordinates must live in Q(%s)" % var)
+        raise TypeError("quartic point coordinates must live in Q(m)")
     p, q = u.num, u.den
     if p.degree == 0 and q.degree == 0:
         raise PipelineError("constant U gives no one-parameter family")
-    (x1, x2), (y1, y2), (z1, z2) = _solution_pairs(p, q, IPoly.gen(var), v)
+    (x1, x2), (y1, y2), (z1, z2) = _solution_pairs(p, q, IPoly.gen(), v)
     if (x1.is_zero and x2.is_zero) or (y1.is_zero and y2.is_zero):
         raise PipelineError("degenerate family: a pair vanished identically")
     d1 = _full_gcd(x1, x2)
@@ -143,7 +142,7 @@ def quartic_point_to_param_solution(qp: QuarticPoint) -> ParamSolution:
         x1, x2 = x1 * clear, x2 * clear
         z1 = z1 * RatFn(clear)
         z2 = z2 * RatFn(clear)
-    one = IPoly.const(1, var)
+    one = IPoly.const(1)
     if z1.den != one or z2.den != one:
         raise PipelineError("z entries did not clear to polynomials")
 
@@ -224,7 +223,7 @@ def auto_sign(n: int) -> str:
 
 def solution_from_nP(n: int, sign: str = "auto") -> ParamSolution:
     """Polynomial family from the n-th multiple of the base point over Q(m)."""
-    mm = RatFn.gen("m")
+    mm = RatFn.gen()
     _, w = signed_multiple(n, mm, sign)
     return quartic_point_to_param_solution(weierstrass_to_quartic(mm, w))
 

@@ -21,7 +21,10 @@ from biquadrates.poly import IPoly
 
 @dataclass(frozen=True)
 class ParamSolution:
-    """Six polynomials in one shared variable solving the equation identically."""
+    """Six polynomials in one shared variable solving the equation identically.
+
+    ``var`` is that variable's printed name (``t`` for the Pell family).
+    """
 
     x1: IPoly
     x2: IPoly
@@ -29,16 +32,10 @@ class ParamSolution:
     y2: IPoly
     z1: IPoly
     z2: IPoly
+    var: str = "m"
 
     def polys(self) -> tuple:
         return (self.x1, self.x2, self.y1, self.y2, self.z1, self.z2)
-
-    @property
-    def var(self) -> str:
-        for p in self.polys():
-            if p.degree > 0:
-                return p.var
-        return self.x1.var
 
     def residual(self) -> IPoly:
         """(x1^4+x2^4)(y1^4+y2^4) - z1^4 - z2^4; zero for a genuine family."""
@@ -51,7 +48,7 @@ class ParamSolution:
 
 def family_eq20() -> ParamSolution:
     """Base family: x-pair (6m, (m^2-2m+2)(m^2+2m+2)), z-pair of degrees 9 and 8."""
-    m = IPoly.gen("m")
+    m = IPoly.gen()
     return ParamSolution(
         x1=6 * m,
         x2=(m**2 - 2 * m + 2) * (m**2 + 2 * m + 2),
@@ -94,14 +91,15 @@ def family_eq22() -> ParamSolution:
 
 def family_eq26() -> ParamSolution:
     """Pell-derived family in t, from u = (t^2+3)/(t^2-3), v = 2t/(t^2-3)."""
-    t = IPoly.gen("t")
+    t = IPoly.gen()
     return ParamSolution(
         x1=t**2 - 3,
         x2=4 * t,
         y1=(t**2 - 3) * (t**2 + 9) * (t**2 + 1),
         y2=4 * t * (t**2 + 2 * t + 3) * (t**2 - 2 * t + 3),
         z1=16 * t**2 * (t**2 - 3) * (t**2 + 3),
-        z2=IPoly.from_terms({8: 1, 6: 4, 4: 86, 2: 36, 0: 81}, "t"),
+        z2=IPoly.from_terms({8: 1, 6: 4, 4: 86, 2: 36, 0: 81}),
+        var="t",
     )
 
 

@@ -1,8 +1,9 @@
 """Dense univariate integer polynomials and their quotient field.
 
-``IPoly`` stores coefficients ascending over plain ``int``; all arithmetic
-is exact.  Multiplication switches to Kronecker substitution (pack the
-coefficients into one big integer, multiply, unpack balanced digits) once
+``IPoly`` is its tuple of coefficients, ascending over plain ``int``; it
+names no variable (``format_poly`` takes the name when printing).  All
+arithmetic is exact.  Multiplication switches to Kronecker substitution (pack
+the coefficients into one big integer, multiply, unpack balanced digits) once
 operands are large, which keeps degree-several-hundred products cheap.
 
 A polynomial whose nonzero exponents are r, r + g, r + 2g, ... is
@@ -15,15 +16,24 @@ gcd(P(x^g), Q(x^g)) = gcd(P, Q)(x^g) (von zur Gathen and Gerhard, *Modern
 Computer Algebra*).  Gcds are unique after normalization, so the results
 are the dense ones exactly.
 
-``poly_gcd`` certifies coprimality with a single gcd computation modulo a
-prime, then tries an evaluation/reconstruction gcd at xi = 2**w
-(Char-Geddes-Gonnet GCDHEU; the gcd of the two packed values is unpacked
-by the same balanced-digit codec as Kronecker products, and verified by
-exact trial division, so a wrong guess can only cost a retry).  Inputs of
-every size take this route; a primitive pseudo-remainder sequence runs
-only when the heuristic gives up.  Every returned gcd is exact; the
-heuristics only affect speed.  The screen prime is below 2**30, one CPython
-int digit, so its residues take the single-digit fast paths.
+``poly_gcd`` has one route after the stride step.  For primitive A, B, a gcd
+of the images modulo a prime below 2**30 (one CPython int digit, so its
+residues take the single-digit fast paths) proves coprimality when it is
+constant.  Otherwise GCDHEU (Char, Geddes and Gonnet, "GCDHEU: Heuristic
+polynomial GCD algorithm based on integer GCD computation", J. Symbolic Comp.
+7, 1989) unpacks the balanced base-xi digits h of gamma = gcd(A(xi), B(xi)),
+xi = 2**w, with the Kronecker codec, and returns cand = pp(h) once exact trial
+division shows that cand divides A and B; if not, w -> 2w + 1.
+* No undershoot.  w starts at bitlen(max(|A|_inf, |B|_inf)) + 3, so
+  xi > 2|A|_inf + 2.  If cand divides A and B, write gcd(A, B) = cand * k.
+  Then k(xi) divides the content c of h, 0 < |c| <= xi/2, and each root of k
+  is a root of A, so of modulus < 1 + |A|_inf <= xi/2 (Cauchy bound).  If
+  deg k >= 1, then |k(xi)| > (xi/2)**deg k >= |c|, too big to divide c.  So
+  k = 1, cand is the gcd, and a constant cand proves the gcd is 1.
+* Termination.  With A = G*A' and B = G*B', gamma = delta*|G(xi)|, where
+  delta = gcd(A'(xi), B'(xi)) divides Res(A', B') != 0 (delta = 1 if A' or B'
+  is +-1).  Once xi > 2|Res|*|G|_inf the balanced digits of gamma are
+  +-delta*G, so cand = G; w grows without bound, so the loop ends.
 
 ``RatFn`` is the field Q(m): quotients kept fully reduced (polynomial part
 and integer content both coprime, denominator with positive leading
@@ -53,9 +63,9 @@ class IPoly:
     coefficient tuple and degree -1.  Instances are immutable.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[int] = (), var: str = "m"):
+    def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
@@ -63,28 +73,27 @@ class IPoly:
             if not isinstance(c, int):
                 raise TypeError("integer coefficients required, got %r" % (c,))
         self.coeffs = tuple(cs)
-        self.var = var
 
     @classmethod
-    def const(cls, c: int, var: str = "m") -> "IPoly":
-        return cls((c,), var)
+    def const(cls, c: int) -> "IPoly":
+        return cls((c,))
 
     @classmethod
-    def gen(cls, var: str = "m") -> "IPoly":
+    def gen(cls) -> "IPoly":
         """The polynomial equal to the variable itself."""
-        return cls((0, 1), var)
+        return cls((0, 1))
 
     @classmethod
-    def from_terms(cls, terms: dict, var: str = "m") -> "IPoly":
+    def from_terms(cls, terms: dict) -> "IPoly":
         """Build from a {degree: coefficient} mapping."""
         if not terms:
-            return cls((), var)
+            return cls(())
         cs = [0] * (max(terms) + 1)
         for k, c in terms.items():
             if k < 0:
                 raise ValueError("negative exponent")
             cs[k] += c
-        return cls(cs, var)
+        return cls(cs)
 
     @property
     def degree(self) -> int:
@@ -102,39 +111,29 @@ class IPoly:
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def _join_var(self, other: "IPoly") -> str:
-        if self.var == other.var:
-            return self.var
-        if len(other.coeffs) <= 1:
-            return self.var
-        if len(self.coeffs) <= 1:
-            return other.var
-        raise ValueError("mixed variables %r and %r" % (self.var, other.var))
-
     def _coerce(self, other) -> Optional["IPoly"]:
         if isinstance(other, IPoly):
             return other
         if isinstance(other, int):
-            return IPoly((other,), self.var)
+            return IPoly((other,))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        var = self._join_var(o)
         a, b = self.coeffs, o.coeffs
         if len(a) < len(b):
             a, b = b, a
         cs = list(a)
         for i, c in enumerate(b):
             cs[i] += c
-        return IPoly(cs, var)
+        return IPoly(cs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IPoly(tuple(-c for c in self.coeffs), self.var)
+        return IPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -152,15 +151,14 @@ class IPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        var = self._join_var(o)
-        return IPoly(_mul_coeffs(self.coeffs, o.coeffs), var)
+        return IPoly(_mul_coeffs(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = IPoly((1,), self.var)
+        result = IPoly((1,))
         base = self
         while k:
             if k & 1:
@@ -174,8 +172,7 @@ class IPoly:
         o = self._coerce(other)
         if o is None:
             raise TypeError("cannot divide by %r" % (other,))
-        var = self._join_var(o)
-        return IPoly(_exact_div_coeffs(self.coeffs, o.coeffs), var)
+        return IPoly(_exact_div_coeffs(self.coeffs, o.coeffs))
 
     def evaluate(self, x):
         """Horner evaluation; exact for int or Fraction arguments."""
@@ -188,22 +185,24 @@ class IPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.coeffs != o.coeffs:
-            return False
-        return len(self.coeffs) <= 1 or self.var == o.var
+        return self.coeffs == o.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __repr__(self):
-        return "IPoly(%r, %r)" % (list(self.coeffs), self.var)
+        return "IPoly(%r)" % (list(self.coeffs),)
 
     def __str__(self):
         return format_poly(self)
 
 
-def format_poly(p: IPoly, descending: bool = False) -> str:
-    """Sparse human-readable form, e.g. ``4 + 6*m^2 - m^3``."""
+def format_poly(p: IPoly, var: str = "m", descending: bool = False) -> str:
+    """Sparse human-readable form in ``var``, e.g. ``4 + 6*m^2 - m^3``.
+
+    ``var`` is the one place a variable is named; ``descending`` reverses
+    the ascending term order.
+    """
     if p.is_zero:
         return "0"
     terms = []
@@ -217,7 +216,7 @@ def format_poly(p: IPoly, descending: bool = False) -> str:
             body = str(mag)
         else:
             head = "" if mag == 1 else "%d*" % mag
-            body = "%s%s" % (head, p.var) if k == 1 else "%s%s^%d" % (head, p.var, k)
+            body = "%s%s" % (head, var) if k == 1 else "%s%s^%d" % (head, var, k)
         terms.append((c < 0, body))
     out = []
     for i, (neg, body) in enumerate(terms):
@@ -368,7 +367,7 @@ def primitive_part(p: IPoly) -> IPoly:
         raise ValueError("zero polynomial has no primitive part")
     if c == 1:
         return p
-    return IPoly(tuple(x // c for x in p.coeffs), p.var)
+    return IPoly(tuple(x // c for x in p.coeffs))
 
 
 def divides(d: IPoly, p: IPoly) -> bool:
@@ -407,65 +406,10 @@ def _mod_gcd_degree(ac: tuple, bc: tuple, p: int) -> Optional[int]:
     return len(a) - 1
 
 
-def _heu_gcd_attempt(a: IPoly, b: IPoly, max_tries: int = 4) -> Optional[IPoly]:
-    """Evaluation gcd at 2**w with trial-division verification.
-
-    Returns a verified common divisor (frequently the full gcd) or None.
-    A constant candidate comes back as 1: it divides both inputs and
-    2**w > 2*norm + 2, so by the GCDHEU lemma the gcd is 1.
-    """
-    var = a.var if a.degree > 0 else b.var
-    norm = max(max(map(abs, a.coeffs)), max(map(abs, b.coeffs)))
-    w = norm.bit_length() + 3
-    for _ in range(max_tries):
-        g = gcd(_pack(a.coeffs, w), _pack(b.coeffs, w))
-        # one spare digit: the balanced top digit may carry into a new one
-        cand = IPoly(_unpack(g, w, g.bit_length() // w + 2), var)
-        if not cand.is_zero:
-            cand = _positive(primitive_part(cand))
-            if cand.degree == 0 or (divides(cand, a) and divides(cand, b)):
-                return cand
-        w = 2 * w + 1
-    return None
-
-
-def _prem_coeffs(a: tuple, b: tuple) -> list:
-    """Pseudo-remainder of a by b, up to a scalar; content stripped periodically."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    steps = 0
-    while len(r) - 1 >= db and r:
-        t = r[-1]
-        shift = len(r) - 1 - db
-        r = [lb * c for c in r[:-1]]
-        for j in range(db):
-            r[shift + j] -= t * b[j]
-        while r and r[-1] == 0:
-            r.pop()
-        steps += 1
-        if steps % 8 == 0 and r:
-            g = content(IPoly(r))
-            if g > 1:
-                r = [c // g for c in r]
-    return r
-
-
-def _prs_gcd(a: IPoly, b: IPoly) -> IPoly:
-    """Primitive pseudo-remainder sequence; a, b primitive, deg a >= deg b >= 1."""
-    var = a.var
-    ac, bc = a.coeffs, b.coeffs
-    while bc:
-        rc = _prem_coeffs(ac, bc)
-        ac, bc = bc, tuple(primitive_part(IPoly(rc, var)).coeffs) if rc else ()
-    return IPoly(ac, var)
-
-
 def poly_gcd(a: IPoly, b: IPoly) -> IPoly:
     """Primitive gcd with positive leading coefficient (contents discarded)."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    var = a._join_var(b)
     if a.is_zero:
         return _positive(primitive_part(b))
     if b.is_zero:
@@ -477,28 +421,24 @@ def poly_gcd(a: IPoly, b: IPoly) -> IPoly:
     ra, ga = _stride(A.coeffs)
     rb, gb = _stride(B.coeffs)
     g = gcd(ga, gb) or 1
-    G = _primitive_gcd(IPoly(A.coeffs[ra::g], var), IPoly(B.coeffs[rb::g], var))
-    return IPoly(_spread(G.coeffs, min(ra, rb), g), var)
+    G = _primitive_gcd(IPoly(A.coeffs[ra::g]), IPoly(B.coeffs[rb::g]))
+    return IPoly(_spread(G.coeffs, min(ra, rb), g))
 
 
 def _primitive_gcd(A: IPoly, B: IPoly) -> IPoly:
-    """poly_gcd of primitive A, B: mod-p screen, then heuristic, then PRS."""
-    one = IPoly((1,), A.var)
-    if A.degree == 0 or B.degree == 0:
-        return one
-    if A.degree < B.degree:
-        A, B = B, A
-    if _mod_gcd_degree(A.coeffs, B.coeffs, _SCREEN_PRIME) == 0:
-        return one
-    cand = _heu_gcd_attempt(A, B)
-    if cand is not None:
-        if cand.degree == 0:
+    """poly_gcd of primitive A, B: the mod-p screen, then the GCDHEU loop."""
+    if (A.degree == 0 or B.degree == 0
+            or _mod_gcd_degree(A.coeffs, B.coeffs, _SCREEN_PRIME) == 0):
+        return IPoly((1,))
+    norm = max(max(map(abs, A.coeffs)), max(map(abs, B.coeffs)))
+    w = norm.bit_length() + 3
+    while True:
+        g = gcd(_pack(A.coeffs, w), _pack(B.coeffs, w))
+        # one spare digit: the balanced top digit may carry into a new one
+        cand = _positive(primitive_part(IPoly(_unpack(g, w, g.bit_length() // w + 2))))
+        if cand.degree == 0 or (divides(cand, A) and divides(cand, B)):
             return cand
-        # cand is a certified common divisor; recurse on cofactors so the
-        # result is the full gcd even if the heuristic undershot.
-        rest = poly_gcd(A.exact_div(cand), B.exact_div(cand))
-        return _positive(cand * rest)
-    return _positive(_prs_gcd(A, B))
+        w = 2 * w + 1
 
 
 def _positive(p: IPoly) -> IPoly:
@@ -509,10 +449,10 @@ def _positive(p: IPoly) -> IPoly:
 # rational functions
 
 def _full_gcd(p: IPoly, q: IPoly) -> IPoly:
-    """gcd in Z[var] including integer content, positive leading coefficient."""
+    """gcd in Z[m] including integer content, positive leading coefficient."""
     c = gcd(content(p), content(q))
     g = poly_gcd(p, q)
-    return g if c == 1 else IPoly.const(c, g.var) * g
+    return g if c == 1 else IPoly.const(c) * g
 
 
 class RatFn:
@@ -527,7 +467,7 @@ class RatFn:
 
     def __init__(self, num=0, den=1):
         n = _as_poly(num)
-        d = _as_poly(den, like=n)
+        d = _as_poly(den)
         n, d = _reduce_pair(n, d)
         self.num = n
         self.den = d
@@ -540,12 +480,8 @@ class RatFn:
         return self
 
     @classmethod
-    def gen(cls, var: str = "m") -> "RatFn":
-        return cls._raw(IPoly.gen(var), IPoly((1,), var))
-
-    @property
-    def var(self) -> str:
-        return self.num.var if self.num.degree > 0 else self.den.var
+    def gen(cls) -> "RatFn":
+        return cls._raw(IPoly.gen(), IPoly((1,)))
 
     @property
     def is_zero(self) -> bool:
@@ -555,12 +491,9 @@ class RatFn:
         if isinstance(other, RatFn):
             return other
         if isinstance(other, IPoly):
-            return RatFn._raw(other, IPoly((1,), other.var))
-        if isinstance(other, int):
-            return RatFn._raw(IPoly((other,), self.var), IPoly((1,), self.var))
-        if isinstance(other, Fraction):
-            num, den = other.numerator, other.denominator
-            return RatFn._raw(IPoly((num,), self.var), IPoly((den,), self.var))
+            return RatFn._raw(other, IPoly((1,)))
+        if isinstance(other, (int, Fraction)):
+            return RatFn._raw(IPoly((other.numerator,)), IPoly((other.denominator,)))
         return None
 
     def __add__(self, other):
@@ -575,13 +508,13 @@ class RatFn:
         if g.degree == 0 and g.lc == 1:
             n = self.num * o.den + o.num * self.den
             if n.is_zero:
-                return RatFn._raw(IPoly((), n.var), IPoly((1,), n.var))
+                return RatFn._raw(IPoly(()), IPoly((1,)))
             return RatFn._raw(n, self.den * o.den)
         b2 = self.den.exact_div(g)
         d2 = o.den.exact_div(g)
         t = self.num * d2 + o.num * b2
         if t.is_zero:
-            return RatFn._raw(IPoly((), t.var), IPoly((1,), t.var))
+            return RatFn._raw(IPoly(()), IPoly((1,)))
         h = _full_gcd(t, g)
         if h.degree == 0 and h.lc == 1:
             return RatFn._raw(t, b2 * o.den)
@@ -609,8 +542,7 @@ class RatFn:
         if o is None:
             return NotImplemented
         if self.is_zero or o.is_zero:
-            var = self.var
-            return RatFn._raw(IPoly((), var), IPoly((1,), var))
+            return RatFn._raw(IPoly(()), IPoly((1,)))
         if o is self:  # num^2 and den^2 stay coprime, den^2 stays positive
             return RatFn._raw(self.num * self.num, self.den * self.den)
         g1 = _full_gcd(self.num, o.den)
@@ -635,12 +567,6 @@ class RatFn:
             return NotImplemented
         return self * o.reciprocal()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.reciprocal()
-
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise ValueError("exponent must be an integer")
@@ -658,9 +584,7 @@ class RatFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self.num.coeffs == o.num.coeffs and self.den.coeffs == o.den.coeffs
-                and (self.var == o.var
-                     or (self.num.degree <= 0 and self.den.degree <= 0)))
+        return self.num.coeffs == o.num.coeffs and self.den.coeffs == o.den.coeffs
 
     def __hash__(self):
         return hash((self.num.coeffs, self.den.coeffs))
@@ -671,20 +595,19 @@ class RatFn:
         return "RatFn((%s)/(%s))" % (self.num, self.den)
 
 
-def _as_poly(v, like: Optional[IPoly] = None) -> IPoly:
+def _as_poly(v) -> IPoly:
     if isinstance(v, IPoly):
         return v
     if isinstance(v, int):
-        return IPoly((v,), like.var if like is not None else "m")
+        return IPoly((v,))
     raise TypeError("cannot interpret %r as a polynomial" % (v,))
 
 
 def _reduce_pair(n: IPoly, d: IPoly) -> tuple:
     if d.is_zero:
         raise ZeroDivisionError("zero denominator")
-    var = n._join_var(d)
     if n.is_zero:
-        return IPoly((), var), IPoly((1,), var)
+        return IPoly(()), IPoly((1,))
     g = _full_gcd(n, d)
     if g.degree > 0 or g.lc > 1:
         n = n.exact_div(g)

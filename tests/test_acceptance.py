@@ -127,7 +127,7 @@ def test_criterion_06_third_multiple_degrees():
 
 
 def test_criterion_07_points_on_curve_symbolically():
-    mm = RatFn.gen("m")
+    mm = RatFn.gen()
     sym = curve_from_parameter(mm)
     p1 = point_P(1)
     ok = (on_curve(sym, point_P(mm)) and on_curve(sym, extra_point(mm))

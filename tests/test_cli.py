@@ -3,6 +3,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -273,6 +276,21 @@ def test_digit_limit_is_a_domain_failure(capsys, argv):
     assert code == 1
     assert err.startswith(argv[0] + ": ")
     assert "for integer string conversion" in err
+
+
+def test_broken_pipe_exits_clean():
+    # 109 KB of output outgrows the pipe buffer and the reader's one read, so
+    # a write inside main fails once the reader has closed the pipe
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "biquadrates.cli", "curve", "--n", "8", "--symbolic",
+         "--sign", "plus"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"sign: plus\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 1
+    assert err == b"curve: broken pipe\n"
 
 
 def test_internal_value_error_is_not_a_domain_failure(capsys, monkeypatch):

@@ -149,14 +149,14 @@ def test_mazur_criterion():
 
 
 def test_symbolic_points_on_curve():
-    mm = RatFn.gen("m")
+    mm = RatFn.gen()
     c = curve_from_parameter(mm)
     assert on_curve(c, point_P(mm))
     assert on_curve(c, extra_point(mm))
 
 
 def test_symbolic_numeric_commutation():
-    mm = RatFn.gen("m")
+    mm = RatFn.gen()
     c_sym = curve_from_parameter(mm)
     p_sym = point_P(mm)
     for n in (1, 2, 3):

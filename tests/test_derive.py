@@ -101,7 +101,7 @@ def test_v_map_matches_paper_formula(m0):
 
 
 def test_v_map_matches_paper_formula_over_q_m():
-    _check_against_paper(RatFn.gen("m"), 3)
+    _check_against_paper(RatFn.gen(), 3)
 
 
 def test_solution_from_quartic_point_worked_chain():
@@ -250,7 +250,7 @@ def test_symbolic_input_validation():
 
 
 def test_symbolic_quartic_point_roundtrip():
-    mm = RatFn.gen("m")
+    mm = RatFn.gen()
     w = CurvePoint(point_P(mm).x, -point_P(mm).y)
     qp = weierstrass_to_quartic(mm, w)
     assert to_weierstrass(qp.u, qp.v, qp.m**4) == (w.x, w.y)

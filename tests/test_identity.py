@@ -197,7 +197,7 @@ def test_all_families_verify():
 
 def test_corrupted_family_fails():
     ps = family_eq20()
-    m = IPoly.gen("m")
+    m = IPoly.gen()
     bad = ParamSolution(ps.x1, ps.x2, ps.y1, ps.y2,
                         z1=m * (m**8 + 2 * m**4 + 11),  # constant 10 -> 11
                         z2=ps.z2)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,16 +24,16 @@ from biquadrates.poly import (
     _mod_gcd_degree,
     _mul_coeffs,
     _pack,
-    _prs_gcd,
+    _positive,
     _unpack,
 )
 
-M = IPoly.gen("m")
+M = IPoly.gen()
 
 
 def P(*cs):
     """Ascending-coefficient shorthand."""
-    return IPoly(cs, "m")
+    return IPoly(cs)
 
 
 # -- basic ring operations --------------------------------------------------
@@ -86,14 +87,6 @@ def test_from_terms():
     assert p[21] == 12 and p[1] == -3 and p[0] == 4 and p[5] == 0
 
 
-def test_mixed_variable_rejected():
-    t = IPoly.gen("t")
-    with pytest.raises(ValueError):
-        _ = M + t
-    # constants mix freely
-    assert IPoly.const(3, "t") + M == P(3, 1)
-
-
 def test_pow():
     assert (M + 1) ** 0 == P(1)
     assert (M + 1) ** 3 == P(1, 3, 3, 1)
@@ -141,18 +134,10 @@ def test_poly_gcd_large_inputs_hits_heuristic_path():
     assert poly_gcd(c, d) == P(1)
 
 
-def test_constant_heuristic_candidate_proves_coprime(monkeypatch):
+def test_constant_heuristic_candidate_proves_coprime():
     # the pair agrees mod the screen prime, so the screen reports degree 2;
     # the GCDHEU candidate is constant, which proves the gcd is 1
-    calls = []
-
-    def counting(a, b):
-        calls.append((a, b))
-        return _prs_gcd(a, b)
-
-    monkeypatch.setattr(poly, "_prs_gcd", counting)
     assert poly_gcd(M**2 - 1, M**2 - (1 + _SCREEN_PRIME) ** 2) == P(1)
-    assert calls == []
 
 
 def test_screen_inconclusive_when_leading_coefficient_vanishes(monkeypatch):
@@ -170,9 +155,23 @@ def test_screen_inconclusive_when_leading_coefficient_vanishes(monkeypatch):
     c = M**2 + M + 7
     assert poly_gcd(a, b) == P(1)
     assert screens == [None]
-    # GCDHEU finds c; the gcd of the cofactors a, b is screened once more
+    # GCDHEU finds c, and a candidate dividing both inputs is the full gcd
     assert poly_gcd(a * c, b * c) == c
-    assert screens == [None, None, None]
+    assert screens == [None, None]
+
+
+def test_gcdheu_retries_at_a_wider_point(monkeypatch):
+    # at w = 9 the balanced digits of gcd(A(2^9), B(2^9)) give a candidate
+    # that fails trial division, so the loop retries at w = 19
+    widths = set()
+
+    def recording(cs, width):
+        widths.add(width)
+        return _pack(cs, width)
+
+    monkeypatch.setattr(poly, "_pack", recording)
+    assert poly_gcd(P(28, 33, 9), P(-14, 43, 35, 6)) == P(7, 3)
+    assert sorted(widths) == [9, 19]
 
 
 # -- formatting -------------------------------------------------------------
@@ -188,7 +187,7 @@ def test_format_poly():
 # -- hypothesis: ring and gcd laws ------------------------------------------
 
 coeffs = st.lists(st.integers(min_value=-50, max_value=50), max_size=9)
-polys = coeffs.map(lambda cs: IPoly(cs, "m"))
+polys = coeffs.map(IPoly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
 
 
@@ -273,20 +272,6 @@ def test_unpack_rejects_too_few_digits():
         _unpack(-137, 4, 2)
 
 
-@given(nonzero_polys, nonzero_polys)
-@settings(max_examples=40)
-def test_prs_agrees_with_poly_gcd(a, b):
-    pa, pb = primitive_part(a), primitive_part(b)
-    if pa.degree < 1 or pb.degree < 1:
-        return
-    if pa.degree < pb.degree:
-        pa, pb = pb, pa
-    g = _prs_gcd(pa, pb)
-    if g.lc < 0:
-        g = -g
-    assert g == poly_gcd(a, b)
-
-
 # -- stride compression: m^r * P(m^g) ---------------------------------------
 
 def _strided(cs, r, g) -> IPoly:
@@ -295,11 +280,16 @@ def _strided(cs, r, g) -> IPoly:
 
 
 def _reference_gcd(a: IPoly, b: IPoly) -> IPoly:
-    pa, pb = primitive_part(a), primitive_part(b)
-    if pa.degree < pb.degree:
-        pa, pb = pb, pa
-    g = _prs_gcd(pa, pb)
-    return -g if g.lc < 0 else g
+    """sympy's gcd, made primitive with a positive leading coefficient."""
+    x = sympy.Symbol("x")
+    g = sympy.Poly(a.coeffs[::-1], x).gcd(sympy.Poly(b.coeffs[::-1], x))
+    return _positive(primitive_part(IPoly(int(c) for c in g.all_coeffs()[::-1])))
+
+
+@given(nonzero_polys, nonzero_polys)
+@settings(max_examples=40)
+def test_poly_gcd_matches_sympy(a, b):
+    assert poly_gcd(a, b) == _reference_gcd(a, b)
 
 
 def _check_stride_kernel(a: IPoly, b: IPoly):
@@ -433,7 +423,7 @@ def test_ratfn_evaluate():
 
 
 def test_ratfn_int_and_fraction_mixing():
-    mg = RatFn.gen("m")
+    mg = RatFn.gen()
     x = 4 * (mg**4 - 2) ** 2 / 9
     assert x.evaluate(1) == Fraction(4, 9)
     y = mg + Fraction(1, 2)
@@ -443,7 +433,7 @@ def test_ratfn_int_and_fraction_mixing():
 
 
 def test_ratfn_pow_negative():
-    mg = RatFn.gen("m")
+    mg = RatFn.gen()
     assert (mg / (mg + 1)) ** -2 == (mg + 1) ** 2 / mg**2
 
 
