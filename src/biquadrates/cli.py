@@ -200,17 +200,17 @@ def cmd_curve(ns) -> int:
         fam = solution_from_nP(ns.n, sign)
         print("sign: %s" % sign)
         return _print_family(fam, ns.descending)
-    w, pt = signed_multiple(ns.n, ns.m, sign)
+    w, pt = signed_multiple(ns.n, ns.m**4, sign)
     with _int_text():
         print("nP: (%s, %s)" % (w.x, w.y))
         print("sign: %s" % sign)
         print("curve point: (%s, %s)" % (pt.x, pt.y))
-    qp = weierstrass_to_quartic(ns.m, pt)
+    qp = weierstrass_to_quartic(ns.m**4, pt)
     u = Fraction(qp.u)
     with _int_text():
         print("quartic point: (%s, %s)" % (qp.u, qp.v))
         print("U = p/q: p = %d, q = %d" % (u.numerator, u.denominator))
-    sol = solution_from_quartic_point(qp)
+    sol = solution_from_quartic_point(qp, ns.m)
     _print_record(_make_record(sol, "curve_nP", ns.m), ns.json)
     return 0
 
@@ -225,12 +225,12 @@ def cmd_pell(ns) -> int:
 
 def _selftest_curve_closure() -> bool:
     mm = RatFn.gen()
-    sym = curve_from_parameter(mm)
-    if not (on_curve(sym, point_P(mm)) and on_curve(sym, extra_point(mm))):
+    sym = curve_from_parameter(mm**4)
+    if not (on_curve(sym, point_P(mm**4)) and on_curve(sym, extra_point(mm))):
         return False
     for m0 in (1, 2):
-        c = curve_from_parameter(m0)
-        p = point_P(m0)
+        c = curve_from_parameter(m0**4)
+        p = point_P(m0**4)
         for pt in (mul_scalar(c, 2, p), mul_scalar(c, 3, p), extra_point(m0)):
             if not on_curve(c, pt):
                 return False

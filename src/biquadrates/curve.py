@@ -1,8 +1,9 @@
 """Elliptic curve arithmetic for Y^2 = X^3 + a2*X^2 + a4*X over an exact field.
 
-The coefficient field is either Q (``fractions.Fraction``) or the rational
-function field Q(m) (``RatFn``); the same code runs over both.  For the
-family studied here a2 = 1 - 4m^4 and a4 = 32m^4.
+The coefficient field is either Q (``fractions.Fraction``) or a rational
+function field (``RatFn``); the same code runs over both.  For the family
+studied here a2 = 1 - 4M and a4 = 32M with M = m^4, so the curve and its
+base point live over Q(M), and the symbolic derivation runs there.
 
 Affine coordinates with the chord-tangent law; no projective machinery.
 Group operations validate their inputs against the curve equation, so an
@@ -76,11 +77,10 @@ class WeierstrassCurve:
         return x * (x * (x + self.a2) + self.a4)
 
 
-def curve_from_parameter(m) -> WeierstrassCurve:
-    """The curve with a2 = 1-4m^4, a4 = 32m^4 over Q (rational m) or Q(m)."""
-    m = _lift(m)
-    m4 = m**4
-    return WeierstrassCurve(a2=1 - 4 * m4, a4=32 * m4)
+def curve_from_parameter(M) -> WeierstrassCurve:
+    """The curve with a2 = 1-4M, a4 = 32M, M = m^4, over Q or Q(M)."""
+    M = _lift(M)
+    return WeierstrassCurve(a2=1 - 4 * M, a4=32 * M)
 
 
 def on_curve(c: WeierstrassCurve, p: CurvePoint) -> bool:
@@ -142,17 +142,19 @@ def mul_scalar(c: WeierstrassCurve, n: int, p: CurvePoint) -> CurvePoint:
     return result
 
 
-def point_P(m) -> CurvePoint:
-    """The rational point (4(m^4-2)^2/9, 4(m^4-2)(2m^8-17m^4-10)/27)."""
-    m = _lift(m)
-    m4 = m**4
-    x = 4 * (m4 - 2) ** 2 / 9
-    y = 4 * (m4 - 2) * (2 * m4**2 - 17 * m4 - 10) / 27
+def point_P(M) -> CurvePoint:
+    """The rational point (4(M-2)^2/9, 4(M-2)(2M^2-17M-10)/27), M = m^4."""
+    M = _lift(M)
+    x = 4 * (M - 2) ** 2 / 9
+    y = 4 * (M - 2) * (2 * M * M - 17 * M - 10) / 27
     return CurvePoint(x, y)
 
 
 def extra_point(m) -> CurvePoint:
-    """The further rational point with denominator (m^4+3m^2-2)(m^4-3m^2-2)."""
+    """The further rational point with denominator (m^4+3m^2-2)(m^4-3m^2-2).
+
+    It takes m, not M; it lies on ``curve_from_parameter(m**4)``.
+    """
     m = _lift(m)
     m2 = m * m
     m4 = m2 * m2

@@ -9,8 +9,10 @@ and writing U = p/q in lowest terms yields the solution
 
     x = (p-q, 2mq),  y = (m(p+q), p),  z = (m(p^2+q^2), q^2 V),
 
-up to the scaling action.  Run over Q(m) the pipeline produces polynomial
-families; run over Q at a fixed parameter it produces integer solutions.
+up to the scaling action.  The curve, its points and the quartic model
+live over Q(M), M = m^4, and take M; m enters only through the solution
+shapes.  Run over Q(M) the pipeline produces polynomial families in m; run
+over Q at a fixed parameter it produces integer solutions.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from biquadrates.exact import (
     check_solution,
 )
 from biquadrates.families import ParamSolution
-from biquadrates.poly import IPoly, PoleError, RatFn, _full_gcd, _positive
+from biquadrates.poly import IPoly, PoleError, RatFn, _full_gcd, _positive, _spread
 
 SAMPLES = (1, 2, 3, Fraction(1, 2), 5)
 
@@ -51,17 +53,17 @@ def quartic_rhs(u, M):
 
 @dataclass(frozen=True)
 class QuarticPoint:
-    """Point (u, v) with v^2 = quartic_rhs(u, m^4); checked on construction."""
+    """Point (u, v) with v^2 = quartic_rhs(u, M); checked on construction."""
 
     u: Element
     v: Element
-    m: Element
+    M: Element
 
     def __post_init__(self):
         object.__setattr__(self, "u", _lift(self.u))
         object.__setattr__(self, "v", _lift(self.v))
-        object.__setattr__(self, "m", _lift(self.m))
-        if self.v * self.v != quartic_rhs(self.u, self.m**4):
+        object.__setattr__(self, "M", _lift(self.M))
+        if self.v * self.v != quartic_rhs(self.u, self.M):
             raise ValueError("point does not satisfy the quartic model")
 
 
@@ -83,52 +85,53 @@ def to_weierstrass(u, v, M):
     return x, y
 
 
-def weierstrass_to_quartic(m, pt: CurvePoint) -> QuarticPoint:
-    """Map a curve point to the quartic model; poles at X = 4m^4 and infinity."""
-    m = _lift(m)
+def weierstrass_to_quartic(M, pt: CurvePoint) -> QuarticPoint:
+    """Map a curve point to the quartic model; poles at X = 4M and infinity."""
+    M = _lift(M)
     if pt.infinity:
         raise PoleError("the point at infinity has no affine image")
-    if not on_curve(curve_from_parameter(m), pt):
+    if not on_curve(curve_from_parameter(M), pt):
         raise ValueError("point is not on the curve for this parameter")
-    m4 = m**4
-    if 2 * pt.x - 8 * m4 == 0:
+    if 2 * pt.x - 8 * M == 0:
         raise PoleError("the map is undefined where X = 4m^4")
-    return QuarticPoint(*to_quartic(pt.x, pt.y, m4), m)
+    return QuarticPoint(*to_quartic(pt.x, pt.y, M), M)
 
 
 def _solution_pairs(p, q, m, v) -> tuple:
-    """The module docstring's pairs, over Q or over Z[m] with v in Q(m)."""
+    """The module docstring's pairs, over Q or over Z[M] with v in Q(M)."""
     return ((p - q, 2 * m * q), (m * (p + q), p),
             (m * (p * p + q * q), q * q * v))
 
 
-def _poly_lcm(a: IPoly, b: IPoly) -> IPoly:
-    return (a * b).exact_div(_full_gcd(a, b))
-
-
 def quartic_point_to_param_solution(qp: QuarticPoint) -> ParamSolution:
-    """Turn a quartic-model point over Q(m) into a polynomial family.
+    """Turn a quartic-model point over Q(M) into a polynomial family in m.
 
-    The six raw entries are cleared to integer polynomials with each pair
-    freed of common factors where the scaling action allows, then z1, z2
-    must reproduce the square identities z1^2 = (x1 y1)^2 + (x2 y2)^2 and
-    z2^2 = (x1 y2)^2 - (x2 y1)^2 exactly.  Those two checks suffice: since
-    (a^2c^2 + b^2d^2)^2 + (a^2d^2 - b^2c^2)^2 = (a^4 + b^4)(c^4 + d^4), they
-    force the residual of the equation to vanish.
+    With U = p/q over Z[M], the entries are the module docstring's pairs at
+    m = 1, times m^e for e = (0, 1, 1, 0, 1, 0).  Each pair is freed of common
+    factors, the z entries are cleared to polynomials, and they must satisfy
+    Z1^2 = (X1 Y1)^2 + (X2 Y2)^2 and Z2^2 = (X1 Y2)^2 - M (X2 Y1)^2 exactly
+    (the identities in m, over m^2).  That forces the residual to vanish, as
+    (a^2c^2 + b^2d^2)^2 + (a^2d^2 - b^2c^2)^2 = (a^4 + b^4)(c^4 + d^4).  Then
+    each entry is spread to m.
+
+    The gcds are those over Z[m], gcd(A(m^4), m B(m^4)) = gcd(A, B)(m^4),
+    since x1 = p - q and y2 = p, and with them the pair gcds, are nonzero at
+    M = 0: U(0) is not 0, 1 or infinity.  At M = 0 the curve is
+    Y^2 = X^2(X+1), P reduces to the smooth point with t = (Y-X)/(Y+X) = 1/4,
+    so +-nP reduce to t = 4^-+n != 1, and U(0) = (1+s)/2 with
+    s = Y/X = (1+t)/(1-t) != +-1.
     """
-    m = qp.m
-    if not isinstance(m, RatFn) or m != RatFn.gen():
+    M = qp.M
+    if not isinstance(M, RatFn) or M != RatFn.gen():
         raise TypeError("parameter must be the generator of a function field")
-    u = m._coerce(qp.u)
-    v = m._coerce(qp.v)
+    u = M._coerce(qp.u)
+    v = M._coerce(qp.v)
     if u is None or v is None:
-        raise TypeError("quartic point coordinates must live in Q(m)")
+        raise TypeError("quartic point coordinates must live in Q(M)")
     p, q = u.num, u.den
     if p.degree == 0 and q.degree == 0:
         raise PipelineError("constant U gives no one-parameter family")
-    (x1, x2), (y1, y2), (z1, z2) = _solution_pairs(p, q, IPoly.gen(), v)
-    if (x1.is_zero and x2.is_zero) or (y1.is_zero and y2.is_zero):
-        raise PipelineError("degenerate family: a pair vanished identically")
+    (x1, x2), (y1, y2), (z1, z2) = _solution_pairs(p, q, 1, v)
     d1 = _full_gcd(x1, x2)
     x1, x2 = x1.exact_div(d1), x2.exact_div(d1)
     d2 = _full_gcd(y1, y2)
@@ -137,22 +140,22 @@ def quartic_point_to_param_solution(qp: QuarticPoint) -> ParamSolution:
     shared = d1 * d2
     z1 = RatFn(z1, shared)
     z2 = z2 / shared
-    clear = _poly_lcm(z1.den, z2.den)
+    clear = (z1.den * z2.den).exact_div(_full_gcd(z1.den, z2.den))
     if clear.degree > 0 or clear.lc != 1:
         x1, x2 = x1 * clear, x2 * clear
         z1 = z1 * RatFn(clear)
         z2 = z2 * RatFn(clear)
-    one = IPoly.const(1)
-    if z1.den != one or z2.den != one:
+    if z1.den != 1 or z2.den != 1:
         raise PipelineError("z entries did not clear to polynomials")
 
     entries = [_positive(e) for e in (x1, x2, y1, y2, z1.num, z2.num)]
     x1, x2, y1, y2, z1, z2 = entries
     if z1 * z1 != (x1 * y1) ** 2 + (x2 * y2) ** 2:
         raise PipelineError("z1 fails its square cross-check")
-    if z2 * z2 != (x1 * y2) ** 2 - (x2 * y1) ** 2:
+    if z2 * z2 != (x1 * y2) ** 2 - IPoly.gen() * (x2 * y1) ** 2:
         raise PipelineError("z2 fails its square cross-check")
-    return ParamSolution(*entries)
+    return ParamSolution(*(IPoly(_spread(e.coeffs, r, 4))
+                           for e, r in zip(entries, (0, 1, 1, 0, 1, 0))))
 
 
 def _clear_to_solution(xpair, ypair, zpair) -> SolutionSix:
@@ -171,19 +174,22 @@ def _clear_to_solution(xpair, ypair, zpair) -> SolutionSix:
     return sol
 
 
-def solution_from_quartic_point(qp: QuarticPoint) -> SolutionSix:
-    """Integer solution from a quartic-model point over Q at fixed m."""
-    u, v, m = Fraction(qp.u), Fraction(qp.v), Fraction(qp.m)
+def solution_from_quartic_point(qp: QuarticPoint, m) -> SolutionSix:
+    """Integer solution from a quartic-model point over Q at a fixed m."""
+    m = Fraction(m)
+    if m**4 != qp.M:
+        raise ValueError("m^4 differs from the quartic point's M")
+    u, v = Fraction(qp.u), Fraction(qp.v)
     p, q = Fraction(u.numerator), Fraction(u.denominator)
     return _clear_to_solution(*_solution_pairs(p, q, m, v))
 
 
-def signed_multiple(n: int, m, sign: str = "auto") -> tuple:
+def signed_multiple(n: int, M, sign: str = "auto") -> tuple:
     """The n-th multiple of the base point and the branch taken from it.
 
-    m is a rational value or the generator of Q(m).  Returns (nP, point) with
-    point = nP on the "plus" branch and -nP on "minus"; "auto" is resolved by
-    ``auto_sign``.
+    M = m^4 is a rational value or the generator of Q(M).  Returns
+    (nP, point) with point = nP on the "plus" branch and -nP on "minus";
+    "auto" is resolved by ``auto_sign``.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
@@ -191,8 +197,8 @@ def signed_multiple(n: int, m, sign: str = "auto") -> tuple:
         raise ValueError("sign must be 'auto', 'plus' or 'minus'")
     if sign == "auto":
         sign = auto_sign(n)
-    m = _lift(m)
-    w = mul_scalar(curve_from_parameter(m), n, point_P(m))
+    M = _lift(M)
+    w = mul_scalar(curve_from_parameter(M), n, point_P(M))
     if w.infinity:
         raise PoleError("nP is the point at infinity")
     return w, w if sign == "plus" else CurvePoint(w.x, -w.y)
@@ -206,12 +212,12 @@ def auto_sign(n: int) -> str:
     """
     for m0 in (1, 2, 3):
         # P has infinite order at each sample m0, so nP is never infinity
-        w, w_minus = signed_multiple(n, m0, "minus")
+        w, w_minus = signed_multiple(n, m0**4, "minus")
         keys = {}
         for sign, pt in (("minus", w_minus), ("plus", w)):
             try:
-                qp = weierstrass_to_quartic(m0, pt)
-                keys[sign] = canonicalize(solution_from_quartic_point(qp))
+                qp = weierstrass_to_quartic(m0**4, pt)
+                keys[sign] = canonicalize(solution_from_quartic_point(qp, m0))
             except (DegenerateSolutionError, PoleError, PipelineError):
                 continue
         if len(keys) == 1:
@@ -222,17 +228,17 @@ def auto_sign(n: int) -> str:
 
 
 def solution_from_nP(n: int, sign: str = "auto") -> ParamSolution:
-    """Polynomial family from the n-th multiple of the base point over Q(m)."""
-    mm = RatFn.gen()
-    _, w = signed_multiple(n, mm, sign)
-    return quartic_point_to_param_solution(weierstrass_to_quartic(mm, w))
+    """Polynomial family from the n-th multiple of the base point over Q(M)."""
+    M = RatFn.gen()
+    _, w = signed_multiple(n, M, sign)
+    return quartic_point_to_param_solution(weierstrass_to_quartic(M, w))
 
 
 def numeric_solution_from_nP(n: int, m0, sign: str = "auto") -> SolutionSix:
     """Integer solution from nP at a fixed rational parameter value."""
     m0 = Fraction(m0)
-    _, w = signed_multiple(n, m0, sign)
-    return solution_from_quartic_point(weierstrass_to_quartic(m0, w))
+    _, w = signed_multiple(n, m0**4, sign)
+    return solution_from_quartic_point(weierstrass_to_quartic(m0**4, w), m0)
 
 
 def evaluate_param(ps: ParamSolution, m0) -> SolutionSix:

@@ -15,8 +15,9 @@ curve, and eq26 from the rational parametrization of u^2 - 3v^2 = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from biquadrates.poly import IPoly
+from biquadrates.poly import IPoly, _spread, _stride
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,20 @@ class ParamSolution:
         return (self.x1, self.x2, self.y1, self.y2, self.z1, self.z2)
 
     def residual(self) -> IPoly:
-        """(x1^4+x2^4)(y1^4+y2^4) - z1^4 - z2^4; zero for a genuine family."""
-        lhs = (self.x1**4 + self.x2**4) * (self.y1**4 + self.y2**4)
-        return lhs - self.z1**4 - self.z2**4
+        """(x1^4+x2^4)(y1^4+y2^4) - z1^4 - z2^4; zero for a genuine family.
+
+        The fourth power of var^r * P(var^h) is a polynomial in var^g for
+        every g dividing h and 4r, so the residual is formed in var^g, g the
+        gcd of all of them, and spread back (g = 4 for the curve families).
+        """
+        shapes = [_stride(p.coeffs) if p.coeffs else (0, 0) for p in self.polys()]
+        g = gcd(*(gcd(h, 4 * r) for r, h in shapes)) or 1
+        x1, x2, y1, y2, z1, z2 = (
+            IPoly(_spread((IPoly(p.coeffs[r::h or 1]) ** 4).coeffs,
+                          4 * r // g, h // g or 1))
+            for p, (r, h) in zip(self.polys(), shapes))
+        res = (x1 + x2) * (y1 + y2) - z1 - z2
+        return IPoly(_spread(res.coeffs, 0, g))
 
     def degrees(self) -> tuple:
         return tuple(p.degree for p in self.polys())

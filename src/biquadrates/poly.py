@@ -6,24 +6,14 @@ arithmetic is exact.  Multiplication switches to Kronecker substitution (pack
 the coefficients into one big integer, multiply, unpack balanced digits) once
 operands are large, which keeps degree-several-hundred products cheap.
 
-A polynomial whose nonzero exponents are r, r + g, r + 2g, ... is
-m^r * P(m^g) for a g-times-shorter P (the curve family's coordinates are
-functions of m^4, so g = 4 there).  Kronecker products, exact divisions
-past the schoolbook size, and every gcd run on P and spread the result back: m^ra P(m^g) * m^rb Q(m^g) = m^(ra+rb) (PQ)(m^g), the quotient
-is m^(ra-rb) (P/Q)(m^g) when ra >= rb, and with P(0) * Q(0) != 0,
-gcd(m^ra P(m^g), m^rb Q(m^g)) = m^min(ra,rb) * gcd(P, Q)(m^g), because
-gcd(P(x^g), Q(x^g)) = gcd(P, Q)(x^g) (von zur Gathen and Gerhard, *Modern
-Computer Algebra*).  Gcds are unique after normalization, so the results
-are the dense ones exactly.
-
-``poly_gcd`` has one route after the stride step.  For primitive A, B, a gcd
-of the images modulo a prime below 2**30 (one CPython int digit, so its
-residues take the single-digit fast paths) proves coprimality when it is
-constant.  Otherwise GCDHEU (Char, Geddes and Gonnet, "GCDHEU: Heuristic
-polynomial GCD algorithm based on integer GCD computation", J. Symbolic Comp.
-7, 1989) unpacks the balanced base-xi digits h of gamma = gcd(A(xi), B(xi)),
-xi = 2**w, with the Kronecker codec, and returns cand = pp(h) once exact trial
-division shows that cand divides A and B; if not, w -> 2w + 1.
+``poly_gcd`` has one route.  For primitive A, B, a gcd of the images
+modulo a prime below 2**30 (one CPython int digit, so its residues take the
+single-digit fast paths) proves coprimality when it is constant.  Otherwise
+GCDHEU (Char, Geddes and Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm
+based on integer GCD computation", J. Symbolic Comp. 7, 1989) unpacks the
+balanced base-xi digits h of gamma = gcd(A(xi), B(xi)), xi = 2**w, with the
+Kronecker codec, and returns cand = pp(h) once exact trial division shows
+that cand divides A and B; if not, w -> 2w + 1.
 * No undershoot.  w starts at bitlen(max(|A|_inf, |B|_inf)) + 3, so
   xi > 2|A|_inf + 2.  If cand divides A and B, write gcd(A, B) = cand * k.
   Then k(xi) divides the content c of h, 0 < |c| <= xi/2, and each root of k
@@ -35,7 +25,8 @@ division shows that cand divides A and B; if not, w -> 2w + 1.
   is +-1).  Once xi > 2|Res|*|G|_inf the balanced digits of gamma are
   +-delta*G, so cand = G; w grows without bound, so the loop ends.
 
-``RatFn`` is the field Q(m): quotients kept fully reduced (polynomial part
+``RatFn`` is the field of rational functions in one variable (Q(M) in the
+curve pipeline): quotients kept fully reduced (polynomial part
 and integer content both coprime, denominator with positive leading
 coefficient), so equality is structural.
 """
@@ -243,14 +234,6 @@ def _mul_coeffs(a: tuple, b: tuple) -> tuple:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return tuple(out)
-    # a square (a is b) compresses and packs one operand: the product squares
-    ra, ga = _stride(a)
-    rb, gb = (ra, ga) if a is b else _stride(b)
-    g = gcd(ga, gb)
-    if g > 1:
-        pa = a[ra::g]
-        pb = pa if a is b else b[rb::g]
-        return _spread(_mul_coeffs(pa, pb), ra + rb, g)
     return _kronecker_mul(a, b)
 
 
@@ -321,12 +304,6 @@ def _exact_div_coeffs(a: tuple, b: tuple) -> tuple:
         return ()
     if len(a) < len(b):
         raise ExactDivisionError("degree of divisor exceeds degree of dividend")
-    if len(b) * (len(a) - len(b) + 1) > _SCHOOLBOOK_LIMIT:
-        ra, ga = _stride(a)
-        rb, gb = _stride(b)
-        g = gcd(ga, gb)
-        if g > 1 and ra >= rb:
-            return _spread(_exact_div_coeffs(a[ra::g], b[rb::g]), ra - rb, g)
     r = list(a)
     lb = b[-1]
     nb = len(b)
@@ -416,17 +393,6 @@ def poly_gcd(a: IPoly, b: IPoly) -> IPoly:
         return _positive(primitive_part(a))
     A = primitive_part(a)
     B = primitive_part(b)
-    # A = m^ra * P(m^g), B = m^rb * Q(m^g) with P(0) * Q(0) != 0, so
-    # gcd(A, B) = m^min(ra, rb) * gcd(P, Q)(m^g)
-    ra, ga = _stride(A.coeffs)
-    rb, gb = _stride(B.coeffs)
-    g = gcd(ga, gb) or 1
-    G = _primitive_gcd(IPoly(A.coeffs[ra::g]), IPoly(B.coeffs[rb::g]))
-    return IPoly(_spread(G.coeffs, min(ra, rb), g))
-
-
-def _primitive_gcd(A: IPoly, B: IPoly) -> IPoly:
-    """poly_gcd of primitive A, B: the mod-p screen, then the GCDHEU loop."""
     if (A.degree == 0 or B.degree == 0
             or _mod_gcd_degree(A.coeffs, B.coeffs, _SCREEN_PRIME) == 0):
         return IPoly((1,))

@@ -149,6 +149,37 @@ CURVE_SYMBOLIC_DIGESTS = {
     (8, True): "c50c3c8662a8aacc158a54e89db3036c1ea57440d4051bc3a34b1d770b803b12",
 }
 
+# SHA-256 of `curve --n k --symbolic --sign plus|minus` stdout, recorded while
+# the derivation still ran over Q(m); the Q(M) pipeline must match on both
+# branches
+CURVE_SYMBOLIC_SIGN_DIGESTS = {
+    (1, "plus"): "49d93a0c73fa7f18f5a1efafd7625fa69a4c3d5e4769aa7cfe79b29bae8eac85",
+    (1, "minus"): "1330ad6e50a3d3f2f5713dff937f7da03bed026e7f5ff4a0ead8140fa947c312",
+    (2, "plus"): "bb1e574a3902dea8f90dbda42166d167e41ea545f225f842592fd55c1ca27260",
+    (2, "minus"): "3d64584f274f86eebd9e55d4f63f24ae8916f894cdc60f3c27109d1fb1b47e53",
+    (3, "plus"): "3f5b10630b7cb741c49934dc87c26d7beff7fa1e71b0fe5f1e457229cf42c272",
+    (3, "minus"): "4bd7109ebfc62689b4e1f485c9014bc63501c5893af839371883bb1b454d73af",
+    (4, "plus"): "aaa0ca66d845db6f326ebc5c28d0a22c589fa7c50a17242316ff1128d257447c",
+    (4, "minus"): "876ef738e25e460651e7841619aab649e24366b76cc10e63c4af1f36fdd921fd",
+    (5, "plus"): "eb68e48b28ff4a9a720e7cfd03206e8f9e10232e027f0be5c8024d4ae3d4ff1e",
+    (5, "minus"): "065c948bf26147e48d8aa7bcbe46062de5cec43531fcc48887cf948a0d3a808f",
+    (6, "plus"): "abf1936e3e581c9707d8bd5faaee291bc1ffeb0e3a695365fe1cdb5e09aa7a58",
+    (6, "minus"): "94ef49ed9d66840ce69c32e9b007598c141f2ae8b70e443892db68f338644d22",
+    (7, "plus"): "802a9a227ade6fee819dc22b57ce02df32d15859eefdb2394e28d02cad6698a8",
+    (7, "minus"): "7a229048f4d61750368e83b3212e7e9c92327aa0f022a41a8cda3591f692b5f7",
+    (8, "plus"): "3f953247a61cfd651a93c62343cd8aa7435645b0f3fd05599487c43dd732e86e",
+    (8, "minus"): "44d52878faea2da789fd91aad2a45782421f81906a2c74ea43514cdf301dd890",
+}
+
+
+@pytest.mark.parametrize("sign", ("plus", "minus"))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6] + [
+    pytest.param(n, marks=pytest.mark.slow) for n in (7, 8)])
+def test_curve_symbolic_pinned_sign_digests(capsys, n, sign):
+    code, out, err = run(capsys, "curve", "--n", str(n), "--symbolic", "--sign", sign)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CURVE_SYMBOLIC_SIGN_DIGESTS[n, sign]
+
 
 @pytest.mark.slow
 @pytest.mark.parametrize("n", (7, 8))

@@ -24,9 +24,9 @@ from biquadrates.poly import RatFn
 def test_curve_coefficients():
     c = curve_from_parameter(1)
     assert c.a2 == -3 and c.a4 == 32
-    c2 = curve_from_parameter(2)
+    c2 = curve_from_parameter(2**4)
     assert c2.a2 == 1 - 64 and c2.a4 == 32 * 16
-    ch = curve_from_parameter(Fraction(1, 2))
+    ch = curve_from_parameter(Fraction(1, 2) ** 4)
     assert ch.a2 == Fraction(3, 4) and ch.a4 == 2
 
 
@@ -51,10 +51,10 @@ def test_on_curve_examples():
 def test_point_P_values():
     p1 = point_P(1)
     assert (p1.x, p1.y) == (Fraction(4, 9), Fraction(100, 27))
-    p2 = point_P(2)
+    p2 = point_P(2**4)
     assert (p2.x, p2.y) == (Fraction(784, 9), Fraction(12880, 27))
     for m in (1, 2, 3, Fraction(1, 2), 5):
-        assert on_curve(curve_from_parameter(m), point_P(m))
+        assert on_curve(curve_from_parameter(m**4), point_P(m**4))
 
 
 def test_extra_point_values():
@@ -64,7 +64,7 @@ def test_extra_point_values():
     # at m=0 the formulas collapse onto the 2-torsion point
     assert extra_point(0) == CurvePoint(0, 0)
     for m in (2, 3, Fraction(3, 2)):
-        assert on_curve(curve_from_parameter(m), extra_point(m))
+        assert on_curve(curve_from_parameter(m**4), extra_point(m))
 
 
 def test_point_validation():
@@ -108,8 +108,8 @@ def test_negative_scalar_rejected():
 
 def test_closure():
     for m in (1, 2, Fraction(3, 2)):
-        c = curve_from_parameter(m)
-        p = point_P(m)
+        c = curve_from_parameter(m**4)
+        p = point_P(m**4)
         q = extra_point(m)
         for r in (add(c, p, q), double(c, p), mul_scalar(c, 5, p), neg(c, q)):
             assert on_curve(c, r)
@@ -117,8 +117,8 @@ def test_closure():
 
 def test_commutativity_and_associativity():
     for m in (1, 2, Fraction(3, 2)):
-        c = curve_from_parameter(m)
-        p = point_P(m)
+        c = curve_from_parameter(m**4)
+        p = point_P(m**4)
         q = extra_point(m)
         r = double(c, p)
         assert add(c, p, q) == add(c, q, p)
@@ -150,20 +150,20 @@ def test_mazur_criterion():
 
 def test_symbolic_points_on_curve():
     mm = RatFn.gen()
-    c = curve_from_parameter(mm)
-    assert on_curve(c, point_P(mm))
+    c = curve_from_parameter(mm**4)
+    assert on_curve(c, point_P(mm**4))
     assert on_curve(c, extra_point(mm))
 
 
 def test_symbolic_numeric_commutation():
-    mm = RatFn.gen()
-    c_sym = curve_from_parameter(mm)
-    p_sym = point_P(mm)
+    M = RatFn.gen()  # read as M = m^4
+    c_sym = curve_from_parameter(M)
+    p_sym = point_P(M)
     for n in (1, 2, 3):
         np_sym = mul_scalar(c_sym, n, p_sym)
         assert on_curve(c_sym, np_sym)
         for m0 in (1, 2, 3):
-            c_num = curve_from_parameter(m0)
-            np_num = mul_scalar(c_num, n, point_P(m0))
-            assert np_sym.x.evaluate(m0) == np_num.x
-            assert np_sym.y.evaluate(m0) == np_num.y
+            c_num = curve_from_parameter(m0**4)
+            np_num = mul_scalar(c_num, n, point_P(m0**4))
+            assert np_sym.x.evaluate(m0**4) == np_num.x
+            assert np_sym.y.evaluate(m0**4) == np_num.y

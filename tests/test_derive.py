@@ -65,50 +65,61 @@ def test_map_poles_and_validation():
     with pytest.raises(ValueError):
         weierstrass_to_quartic(1, CurvePoint(1, 1))
     with pytest.raises(ValueError):
-        weierstrass_to_quartic(2, point_P(1))
+        weierstrass_to_quartic(2**4, point_P(1))
 
 
 def test_roundtrip_through_quartic_model():
+    half = Fraction(1, 2)
     for m, pt in ((1, point_P(1)),
-                  (2, point_P(2)),
+                  (2, point_P(2**4)),
                   (1, double(curve_from_parameter(1), point_P(1))),
-                  (Fraction(1, 2), point_P(Fraction(1, 2)))):
-        qp = weierstrass_to_quartic(m, pt)
-        assert to_weierstrass(qp.u, qp.v, qp.m**4) == (pt.x, pt.y)
+                  (half, point_P(half**4))):
+        qp = weierstrass_to_quartic(m**4, pt)
+        assert to_weierstrass(qp.u, qp.v, qp.M) == (pt.x, pt.y)
 
 
-def _paper_image(m, pt):
+def _paper_image(M, pt):
     """(U, V) by the paper's formulas: V is a cubic form over 4(X-4M)^2."""
-    x, y, M = pt.x, pt.y, m**4
+    x, y = pt.x, pt.y
     v_num = (x * x * x - 12 * M * (x * x) + 8 * M * (4 * M - 5) * x
              - 24 * M * y - 128 * M * M)
     return (x + y + 8 * M) / (2 * x - 8 * M), v_num / (4 * (x - 4 * M) ** 2)
 
 
-def _check_against_paper(m, n_max):
+def _check_against_paper(M, n_max):
     for n in range(1, n_max + 1):
-        w, _ = signed_multiple(n, m, "plus")
+        w, _ = signed_multiple(n, M, "plus")
         for pt in (w, CurvePoint(w.x, -w.y)):
-            qp = weierstrass_to_quartic(m, pt)
-            assert (qp.u, qp.v) == _paper_image(qp.m, pt), (n, pt)
+            qp = weierstrass_to_quartic(M, pt)
+            assert (qp.u, qp.v) == _paper_image(qp.M, pt), (n, pt)
 
 
 @pytest.mark.parametrize("m0", derive.SAMPLES)
 def test_v_map_matches_paper_formula(m0):
     # to_quartic takes V from the inverse map; on the curve it must agree
     # with the paper's quotient at +-nP
-    _check_against_paper(Fraction(m0), 6)
+    _check_against_paper(Fraction(m0) ** 4, 6)
 
 
 def test_v_map_matches_paper_formula_over_q_m():
+    # the symbolic pipeline runs over Q(M), M = m^4, a subfield of Q(m)
     _check_against_paper(RatFn.gen(), 3)
 
 
 def test_solution_from_quartic_point_worked_chain():
-    sol = solution_from_quartic_point(QuarticPoint(THIRD, VVAL, 1))
+    sol = solution_from_quartic_point(QuarticPoint(THIRD, VVAL, 1), 1)
     assert sol == SolutionSix(-5, 6, 1, -2, 13, -8)
     assert canonicalize(sol).xpair == (1, 2)
     assert canonicalize(sol).ypair == (5, 6)
+
+
+def test_solution_from_quartic_point_checks_m():
+    qp = QuarticPoint(THIRD, VVAL, 1)
+    for m in (2, Fraction(1, 2), 0):
+        with pytest.raises(ValueError):
+            solution_from_quartic_point(qp, m)
+    # m = -1 has m^4 = 1 too: the shapes flip the signs of x2, y1 and z1
+    assert solution_from_quartic_point(qp, -1) == SolutionSix(-5, -6, -1, -2, -13, -8)
 
 
 def test_numeric_solution_branches_at_m1():
@@ -250,9 +261,9 @@ def test_symbolic_input_validation():
 
 
 def test_symbolic_quartic_point_roundtrip():
-    mm = RatFn.gen()
-    w = CurvePoint(point_P(mm).x, -point_P(mm).y)
-    qp = weierstrass_to_quartic(mm, w)
-    assert to_weierstrass(qp.u, qp.v, qp.m**4) == (w.x, w.y)
+    M = RatFn.gen()
+    w = CurvePoint(point_P(M).x, -point_P(M).y)
+    qp = weierstrass_to_quartic(M, w)
+    assert to_weierstrass(qp.u, qp.v, qp.M) == (w.x, w.y)
     fam = quartic_point_to_param_solution(qp)
     assert fam.residual().is_zero

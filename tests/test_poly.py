@@ -272,7 +272,7 @@ def test_unpack_rejects_too_few_digits():
         _unpack(-137, 4, 2)
 
 
-# -- stride compression: m^r * P(m^g) ---------------------------------------
+# -- sparse operands: m^r * P(m^g) -------------------------------------------
 
 def _strided(cs, r, g) -> IPoly:
     """m^r * P(m^g) for P with ascending coefficients cs, built term by term."""
@@ -292,7 +292,7 @@ def test_poly_gcd_matches_sympy(a, b):
     assert poly_gcd(a, b) == _reference_gcd(a, b)
 
 
-def _check_stride_kernel(a: IPoly, b: IPoly):
+def _check_against_dense(a: IPoly, b: IPoly):
     assert len(a.coeffs) * len(b.coeffs) > _SCHOOLBOOK_LIMIT
     prod = _mul_coeffs(a.coeffs, b.coeffs)
     assert list(prod) == _schoolbook(a.coeffs, b.coeffs)
@@ -306,48 +306,48 @@ def _check_stride_kernel(a: IPoly, b: IPoly):
     assert poly_gcd(a, b) == _reference_gcd(a, b)
 
 
-# P(0) != 0 and a nonzero leading coefficient, so r and g are exact
-stride_coeffs = st.lists(st.integers(-9, 9), min_size=22, max_size=32).filter(
+# P(0) != 0 and a nonzero leading coefficient: the gaps are exactly g
+sparse_coeffs = st.lists(st.integers(-9, 9), min_size=22, max_size=32).filter(
     lambda cs: cs[0] != 0 and cs[-1] != 0)
 factor_coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(
     lambda cs: cs[0] != 0 and cs[-1] != 0)
 
 
-@given(stride_coeffs, stride_coeffs, factor_coeffs, st.integers(0, 5),
+@given(sparse_coeffs, sparse_coeffs, factor_coeffs, st.integers(0, 5),
        st.integers(0, 5), st.sampled_from((2, 3, 4)))
 @settings(max_examples=30, deadline=None)
-def test_stride_kernel_matches_dense_reference(p, q, c, ra, rb, g):
+def test_sparse_operands_match_dense_reference(p, q, c, ra, rb, g):
     # a common factor C makes the gcd nontrivial
     pc = (IPoly(p) * IPoly(c)).coeffs
     qc = (IPoly(q) * IPoly(c)).coeffs
     a, b = _strided(pc, ra, g), _strided(qc, rb, g)
-    _check_stride_kernel(a, b)
+    _check_against_dense(a, b)
     # gcd(m^ra P(m^g), m^rb Q(m^g)) = m^min(ra, rb) * gcd(P, Q)(m^g)
     inner = poly_gcd(IPoly(pc), IPoly(qc))
     assert poly_gcd(a, b) == _strided(inner.coeffs, min(ra, rb), g)
 
 
-def test_stride_kernel_monomial_operand():
+def test_monomial_operand_matches_dense_reference():
     b = _strided(range(1, 50), 2, 3)
     for a in (7 * M**45, -M**41):
-        _check_stride_kernel(a, b)
-        _check_stride_kernel(b, a)
+        _check_against_dense(a, b)
+        _check_against_dense(b, a)
     assert poly_gcd(6 * M**45, b) == M**2
     assert poly_gcd(M**40, 3 * M**44) == M**40
 
 
-def test_stride_kernel_mixed_strides():
-    # g_a = 2 and g_b = 4 share g = 2; the gcd m^3 - m has stride 2
+def test_mixed_sparse_operands_match_dense_reference():
+    # a is m * (a polynomial in m^2), b is m^3 * (one in m^4); gcd m^3 - m
     a = M * (M**2 - 1) * _strided(range(1, 24), 0, 2)
     b = M**3 * (M**4 - 1) * _strided((5, 0, -2, 7) * 4, 0, 4)
-    _check_stride_kernel(a, b)
+    _check_against_dense(a, b)
     assert poly_gcd(a, b) == M**3 - M
 
 
 # -- squaring: one operand, packed once ---------------------------------------
 
-# P(0), P'(0) and the leading coefficient nonzero, so m^r * P(m^g) has stride
-# exactly g and P alone is past the schoolbook size
+# P(0), P'(0) and the leading coefficient nonzero, so m^r * P(m^g) has gaps
+# of exactly g and P alone is past the schoolbook size
 square_inner = st.lists(st.integers(-10**12, 10**12), min_size=41, max_size=90).filter(
     lambda cs: cs[0] != 0 and cs[1] != 0 and cs[-1] != 0)
 
