@@ -19,8 +19,8 @@ modules: ``substitution_13`` and ``quartic_model`` take the solution
 shapes from ``derive._solution_pairs`` and the quartic rhs from
 ``derive.quartic_rhs``; together with the quartic Brahmagupta split they
 show that a point (p/q, v) of the quartic model gives a solution.  The
-Pell shapes come from ``pell.pell_shapes`` and the mod-16 check runs
-search's own parity filter.
+Pell shapes come from ``pell.pell_shapes`` and the residue check runs
+search's own filters.
 
 The birational maps ``derive.to_quartic`` and ``derive.to_weierstrass``
 between the Weierstrass model and the quartic model
@@ -153,24 +153,42 @@ def verify_pell_reduction() -> bool:
 
 
 def verify_mod16_obstruction() -> bool:
-    """The pair combinations search skips have products that are no sum of
-    two fourth powers mod 16.
+    """Every pair combination and every z-pair search skips is one no
+    solution needs.
 
-    n^4 mod 16 is 1 for odd n and 0 for even n, so sums of two fourth
-    powers are 0, 1 or 2 mod 16, while a product with x1, x2, y1, y2 all odd
-    is 4.  A product mod 16 depends only on the parities, so search's own
-    filter is run on one pair combination per parity pattern (the y-pair
-    above the x-pair, so its order filter never fires).
+    n^4 mod 16 is 1 for odd n and 0 for even n, and n^4 mod 5 is 0 or 1, so
+    a sum of two fourth powers is 0, 1 or 2 mod 16 and mod 5.  A product of
+    two pair sums mod 16 depends only on the parities and mod 5 only on the
+    residues mod 5, so search's own class selection is run on one pair
+    (a, b), a <= b, per pattern of residues mod 10, and every combination it
+    drops must have a product that is no such sum mod 16 or mod 5.
+
+    The sweep skips z-pairs whose gcd shares a prime p with
+    ``search.SWEEP_COPRIME_TO``; such a pair's sum is divisible by p^4.  A
+    product of two coprime-pair sums has p-adic valuation at most 2 when no
+    coprime pair (a, b) mod p^2 has a^4 + b^4 = 0 mod p^2, and then no
+    product is divisible by p^4.
     """
     if any(n**4 % 16 != n % 2 for n in range(16)):
         return False
-    sums = {(a**4 + b**4) % 16 for a in range(16) for b in range(16)}
-    xpairs = [(a, b, a**4 + b**4) for a in (1, 2) for b in (1, 2)]
-    ypairs = [(a + 2, b + 2, (a + 2)**4 + (b + 2)**4) for a, b, _ in xpairs]
-    kept = {row[:4] for row in search._pair_products(xpairs, ypairs)}
-    return all(sx * sy % 16 not in sums
-               for x1, x2, sx in xpairs for y1, y2, sy in ypairs
-               if (x1, x2, y1, y2) not in kept)
+    sums16 = {(a**4 + b**4) % 16 for a in range(16) for b in range(16)}
+    sums5 = {(a**4 + b**4) % 5 for a in range(5) for b in range(5)}
+    reps = [(a, b, a**4 + b**4) for a in range(1, 11) for b in range(a, 11)]
+    ylists = search._ylists(reps)
+    for x in reps:
+        kept = set(ylists[search._pair_class(*x)])
+        if any(x[2] * y[2] % 16 in sums16 and x[2] * y[2] % 5 in sums5
+               for y in reps if y not in kept):
+            return False
+    skip = search.SWEEP_COPRIME_TO
+    for p in range(2, skip + 1):
+        if skip % p or any(p % d == 0 for d in range(2, p)):
+            continue
+        q = p * p
+        if any((a**4 + b**4) % q == 0 for a in range(q) for b in range(q)
+               if a % p or b % p):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,27 @@
 """Exhaustive search for small solutions of (x1^4+x2^4)(y1^4+y2^4) = z1^4+z2^4.
 
 Enumerates coprime pairs x1 < x2 <= bx and y1 < y2 <= by and collects the set
-of products (x1^4+x2^4)(y1^4+y2^4).  One sweep over z1 <= z2 then tests each
-z1^4 + z2^4 up to the largest product for membership in that set, and every
-hit is confirmed and decomposed by ``decompose_fourth``.  Memory is the
-product set plus one list of fourth powers.
+of products (x1^4+x2^4)(y1^4+y2^4) with (y1, y2) >= (x1, x2).  One sweep over
+z1 <= z2 then tests each z1^4 + z2^4 up to the largest product for
+membership in that set, and every hit is confirmed and decomposed by
+``decompose_fourth``.  The rows of a hit n are the x-pairs whose sum divides
+n, each with the y-pairs whose sum is the quotient.
+
+Residue laws prune both sides exactly.  n^4 is 0 or 1 mod 16 and mod 5, so
+z1^4 + z2^4 is 0, 1 or 2 mod 16 and mod 5.  The sum of a coprime pair is 1
+or 2 mod 16 (2 when both entries are odd), never 0 mod 3 and never 0 mod 5.
+Hence:
+
+* a product of two all-odd pairs is 4 mod 16 and a product of two sums
+  that are 2 mod 5 is 4 mod 5; neither is a sum of two fourth powers, so
+  those pair combinations are never formed;
+* no product is divisible by 16, 81 or 625, so the sweep skips every
+  z-pair whose gcd shares a prime with 30 (a common factor p puts p^4 in
+  the sum).
+
+Memory is the product set plus one list of fourth powers; the y-lists per
+pair class hold references to the y-pairs, and the sum-to-pairs lookup the
+rows use holds only the quotients of hits.
 
 Output is deduplicated by canonical key, so each family of scaled or
 rearranged solutions appears once.
@@ -12,7 +29,7 @@ rearranged solutions appears once.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd
 
@@ -23,6 +40,10 @@ from biquadrates.exact import (
     integer_fourth_root_floor,
     is_fourth_power,
 )
+
+# The primes of the z-pair gcds the sweep skips: no product is divisible by
+# the fourth power of any of them.
+SWEEP_COPRIME_TO = 30
 
 
 @dataclass(frozen=True)
@@ -53,45 +74,55 @@ def decompose_fourth(N: int) -> list:
     return out
 
 
-def fourth_power_sums(targets) -> set:
+def fourth_power_sums(targets, coprime_to: int = 1) -> set:
     """The members of targets that are z1^4 + z2^4 for some 0 <= z1 <= z2.
 
-    targets holds positive integers and should answer ``in`` quickly (a set
-    or a range).  The sweep makes one membership test per pair z1 <= z2 with
-    z1^4 + z2^4 <= max(targets).
+    targets holds positive integers; a set is used as is, anything else is
+    copied into one.  The sweep tests each pair z1 <= z2 with
+    z1^4 + z2^4 <= max(targets) for membership, except the pairs whose gcd
+    shares a prime with coprime_to: for each z1 it takes z2 from one stride
+    slice per residue mod g = gcd(z1, coprime_to) prime to g.  The skip is
+    sound only if no target is divisible by p^4 for a prime p dividing
+    coprime_to, since the sum of such a pair is.
     """
+    if not isinstance(targets, (set, frozenset)):
+        targets = set(targets)
     limit = max(targets, default=0)
     powers = [z**4 for z in range(integer_fourth_root_floor(limit) + 1)]
+    units = {}
     hits = set()
     for z1, a in enumerate(powers):
         if 2 * a > limit:
             break
         top = bisect_right(powers, limit - a)
-        hits.update(filter(targets.__contains__, map(a.__add__, powers[z1:top])))
+        g = gcd(z1, coprime_to)
+        if g not in units:
+            units[g] = [r for r in range(g) if gcd(r, g) == 1]
+        # g divides z1, so z1 + r is the first z2 >= z1 that is r mod g
+        for r in units[g]:
+            hits.update(targets.intersection(
+                map(a.__add__, powers[z1 + r:top:g])))
     return hits
 
 
 def _coprime_pairs(bound: int) -> list:
     """Coprime (a, b, a^4 + b^4) with 1 <= a < b <= bound, in lex order."""
-    pairs = []
-    for a in range(1, bound):
-        for b in range(a + 1, bound + 1):
-            if gcd(a, b) != 1:
-                continue
-            pairs.append((a, b, a**4 + b**4))
-    return pairs
+    p4 = [a**4 for a in range(bound + 1)]
+    return [(a, b, p4[a] + p4[b]) for a in range(1, bound)
+            for b in range(a + 1, bound + 1) if gcd(a, b) == 1]
 
 
-def _pair_products(xpairs, ypairs):
-    """(x1, x2, y1, y2, product) for each pair combination the search tries."""
-    for x1, x2, sx in xpairs:
-        for y1, y2, sy in ypairs:
-            if (y1, y2) < (x1, x2):
-                continue
-            if x1 & y1 & x2 & y2 & 1:
-                # all four odd: the product is 4 mod 16, never a sum
-                continue
-            yield x1, x2, y1, y2, sx * sy
+def _pair_class(a: int, b: int, s: int) -> int:
+    """Bit 0 set if a and b are odd, bit 1 set if s = a^4 + b^4 is 2 mod 5."""
+    return (a & b & 1) | (s % 5 == 2) << 1
+
+
+def _ylists(ypairs: list) -> list:
+    """For each pair class c, the y-pairs search combines with an x-pair of
+    class c: those whose class shares no bit with c.  The product of two
+    pairs sharing bit 0 is 4 mod 16, sharing bit 1 it is 4 mod 5."""
+    classes = [_pair_class(*y) for y in ypairs]
+    return [[y for y, cy in zip(ypairs, classes) if not cy & c] for c in range(4)]
 
 
 def search(cfg: SearchConfig) -> list:
@@ -102,14 +133,31 @@ def search(cfg: SearchConfig) -> list:
     """
     xpairs = _coprime_pairs(cfg.bx)
     ypairs = _coprime_pairs(cfg.by)
+    ylists = [(ys, [y[2] for y in ys]) for ys in _ylists(ypairs)]
+    products = set()
+    for x1, x2, sx in xpairs:
+        ys, sums = ylists[_pair_class(x1, x2, sx)]
+        # a triple (y1, y2, sy) sorts at or after (x1, x2) iff (y1, y2) does
+        products.update(map(sx.__mul__, sums[bisect_left(ys, (x1, x2)):]))
     # Sums of two fourth powers are not unique (59^4 + 158^4 = 133^4 + 134^4),
     # and neither are pair products, so every hit lists all its z-pairs.
-    products = {row[4] for row in _pair_products(xpairs, ypairs)}
-    hits = {n: decompose_fourth(n) for n in fourth_power_sums(products)}
+    hits = {n: decompose_fourth(n)
+            for n in fourth_power_sums(products, SWEEP_COPRIME_TO)}
+    # A combination the products skip never has a hit as its product, so
+    # the order test is the only filter the rows need.
+    divisions = [(x1, x2, n, n // sx) for n in hits for x1, x2, sx in xpairs
+                 if n % sx == 0]
+    by_sum = {q: [] for *_, q in divisions}
+    for y1, y2, sy in ypairs:
+        if sy in by_sum:
+            by_sum[sy].append((y1, y2))
     found = []
-    for x1, x2, y1, y2, n in _pair_products(xpairs, ypairs):
-        for z1, z2 in hits.get(n, ()):
-            found.append(SolutionSix(x1, x2, y1, y2, z1, z2))
+    for x1, x2, n, q in divisions:
+        for y1, y2 in by_sum[q]:
+            if (y1, y2) < (x1, x2):
+                continue
+            for z1, z2 in hits[n]:
+                found.append(SolutionSix(x1, x2, y1, y2, z1, z2))
     found.sort(key=lambda s: (s.x2, s.x1, s.y2, s.y1, s.z2))
     seen = set()
     out = []

@@ -45,8 +45,15 @@ def pell_z2_plus_one(pell_shapes):
     return mutated
 
 
-def skip_odd_x1(pair_products):
-    """search's parity filter widened to every combination with x1 odd."""
-    def mutated(xpairs, ypairs):
-        return (row for row in pair_products(xpairs, ypairs) if row[0] % 2 == 0)
+def skip_odd_x1(pair_class):
+    """search's parity class widened to every pair whose first entry is odd."""
+    def mutated(a, b, s):
+        return pair_class(a, b, s) & ~1 | a & 1
+    return mutated
+
+
+def mod5_class_1(pair_class):
+    """search's mod-5 class read as a pair sum of 1 mod 5, not 2."""
+    def mutated(a, b, s):
+        return pair_class(a, b, s) & ~2 | (s % 5 == 1) << 1
     return mutated

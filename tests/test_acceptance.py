@@ -39,7 +39,7 @@ from biquadrates.pell import pell3_nth, pell_to_solution
 from biquadrates.poly import RatFn
 from biquadrates.search import SearchConfig, decompose_fourth, fourth_power_sums, search
 from known_solutions import SMALL_SOLUTIONS
-from mutations import skip_odd_x1, v_denominator_16
+from mutations import mod5_class_1, skip_odd_x1, v_denominator_16
 
 
 def _report(num: int, label: str, ok: bool):
@@ -88,11 +88,16 @@ def test_criterion_03_identity_suite_with_mutations(monkeypatch):
     ok &= not grid_verify(replace(
         g, residual=lambda u, v: g.residual(u, v)
         - v**8 * (u**2 + 3 * v**2 + 1) * (u**2 - 3 * v**2 - 1)))
+    for mutation in (skip_odd_x1, mod5_class_1):
+        with monkeypatch.context() as mp:
+            mp.setattr(search_module, "_pair_class",
+                       mutation(search_module._pair_class))
+            ok &= not verify_mod16_obstruction()
     with monkeypatch.context() as mp:
-        mp.setattr(search_module, "_pair_products",
-                   skip_odd_x1(search_module._pair_products))
+        # 17 = 1 mod 8: some coprime pair sums are divisible by 17^2
+        mp.setattr(search_module, "SWEEP_COPRIME_TO", 30 * 17)
         ok &= not verify_mod16_obstruction()
-    _report(3, "seven verifiers true, each false under one mutation", ok)
+    _report(3, "seven verifiers true, each false under its mutations", ok)
 
 
 def test_criterion_04_published_families():

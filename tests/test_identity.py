@@ -7,6 +7,7 @@ import pytest
 
 from biquadrates import cli, derive, pell, search
 from biquadrates.curve import point_P
+from biquadrates.exact import SolutionSix
 from biquadrates.families import FAMILIES, ParamSolution, family_eq20
 from biquadrates.identity import (
     ALL_VERIFIERS,
@@ -25,6 +26,7 @@ from biquadrates.identity import (
 )
 from biquadrates.poly import IPoly
 from mutations import (
+    mod5_class_1,
     pell_z2_plus_one,
     skip_odd_x1,
     v_denominator_16,
@@ -182,8 +184,27 @@ def test_mutated_pell_reduction_fails(monkeypatch, capsys):
 
 
 def test_mutated_mod16_fails(monkeypatch, capsys):
-    monkeypatch.setattr(search, "_pair_products",
-                        skip_odd_x1(search._pair_products))
+    monkeypatch.setattr(search, "_pair_class", skip_odd_x1(search._pair_class))
+    assert not verify_mod16_obstruction()
+    assert _selftest_fails(capsys, "mod16_obstruction")
+
+
+def test_mutated_mod5_class_fails(monkeypatch, capsys):
+    # one patch of the class selection reaches the search and the selftest alike
+    lost = SolutionSix(4, 15, 20, 21, 288, 325)     # both pair sums 1 mod 5
+    assert lost in search.search(search.SearchConfig(24, 24))
+    monkeypatch.setattr(search, "_pair_class", mod5_class_1(search._pair_class))
+    assert lost not in search.search(search.SearchConfig(24, 24))
+    assert not verify_mod16_obstruction()
+    assert _selftest_fails(capsys, "mod16_obstruction")
+
+
+def test_sweep_skip_primes(monkeypatch, capsys):
+    # 7 = 7 mod 8 divides no coprime pair sum, so skipping it is sound;
+    # 17 = 1 mod 8 divides 1^4 + 2^4 and 17^2 divides a coprime pair sum
+    monkeypatch.setattr(search, "SWEEP_COPRIME_TO", 30 * 7)
+    assert verify_mod16_obstruction()
+    monkeypatch.setattr(search, "SWEEP_COPRIME_TO", 30 * 17)
     assert not verify_mod16_obstruction()
     assert _selftest_fails(capsys, "mod16_obstruction")
 

@@ -1,13 +1,17 @@
 """Tests for the bounded solution search."""
 
+import hashlib
 from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biquadrates import search as search_module
+from biquadrates.cli import main as cli_main
 from biquadrates.exact import SolutionSix, canonicalize, check_solution
 from biquadrates.search import (
+    SWEEP_COPRIME_TO,
     SearchConfig,
     decompose_fourth,
     fourth_power_sums,
@@ -64,6 +68,35 @@ def test_fourth_power_sums_repeated_sum():
     # a^4 + b^4 is not injective on coprime pairs
     assert fourth_power_sums({635318657}) == {635318657}
     assert decompose_fourth(635318657) == [(59, 158), (133, 134)]
+
+
+def test_fourth_power_sums_skip_precondition():
+    # coprime pairs only: 1 = 0^4 + 1^4, 17 = 1^4 + 2^4, 97 = 2^4 + 3^4
+    assert fourth_power_sums({1, 2, 17, 97}, 30) == {1, 2, 17, 97}
+    # 2592 = 6^4 + 6^4 is divisible by 2^4 and 3^4: skipping either gcd loses it
+    assert fourth_power_sums({2592}) == {2592}
+    assert fourth_power_sums({2592}, 2) == fourth_power_sums({2592}, 3) == set()
+
+
+def test_pruned_sweep_equals_plain_sweep(monkeypatch):
+    """The sweep's 2/3/5 skip loses no hit on the product set search builds."""
+    calls = []
+
+    def recording(targets, coprime_to=1):
+        hits = fourth_power_sums(targets, coprime_to)
+        calls.append((targets, coprime_to, hits))
+        return hits
+
+    monkeypatch.setattr(search_module, "fourth_power_sums", recording)
+    for bx in range(2, 25):
+        for by in range(2, 25):
+            search(SearchConfig(bx, by))
+            (targets, coprime_to, hits), = calls
+            calls.clear()
+            assert coprime_to == SWEEP_COPRIME_TO
+            assert hits == fourth_power_sums(targets)
+    # the largest window's sweep runs z1 past 60, so z1 = 0 mod 30 occurs
+    assert isqrt(isqrt(max(targets) // 2)) > 60
 
 
 def test_config_validation():
@@ -171,3 +204,13 @@ def test_search_with_a_repeated_pair_product():
     # rows for both y-pairs exactly where the oracle has them
     assert 59**4 + 158**4 == 133**4 + 134**4
     assert search(SearchConfig(bx=2, by=158)) == _root_loop_search(2, 158)
+
+
+SEARCH_40_60_SHA256 = "19b83b8aedca789b97ecf156ee931ed24acb322682b930160458461769f4b384"
+
+
+@pytest.mark.slow
+def test_search_40_60_pinned_digest(capsys):
+    assert cli_main(["search", "--bx", "40", "--by", "60"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_40_60_SHA256
