@@ -11,7 +11,6 @@ from biquadrates.exact import (
     SolutionSix,
     canonicalize,
     check_solution,
-    equivalent,
     integer_fourth_root_floor,
     is_fourth_power,
     scale_solution,
@@ -23,7 +22,6 @@ __all__ = [
     "SolutionSix",
     "canonicalize",
     "check_solution",
-    "equivalent",
     "integer_fourth_root_floor",
     "is_fourth_power",
     "scale_solution",

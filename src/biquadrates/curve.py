@@ -43,17 +43,13 @@ class CurvePoint:
             object.__setattr__(self, "x", _lift(self.x))
             object.__setattr__(self, "y", _lift(self.y))
 
-    @classmethod
-    def at_infinity(cls) -> "CurvePoint":
-        return cls(infinity=True)
-
     def __repr__(self):
         if self.infinity:
             return "CurvePoint(infinity)"
         return "CurvePoint(%s, %s)" % (self.x, self.y)
 
 
-INFINITY = CurvePoint.at_infinity()
+INFINITY = CurvePoint(infinity=True)
 
 
 class DegenerateCurveError(ValueError):
@@ -94,13 +90,6 @@ def _require_on_curve(c: WeierstrassCurve, p: CurvePoint):
         raise ValueError("point %r is not on the curve" % (p,))
 
 
-def neg(c: WeierstrassCurve, p: CurvePoint) -> CurvePoint:
-    _require_on_curve(c, p)
-    if p.infinity:
-        return INFINITY
-    return CurvePoint(p.x, -p.y)
-
-
 def _add_unchecked(c: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
     if p.infinity:
         return q
@@ -121,10 +110,6 @@ def add(c: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
     _require_on_curve(c, p)
     _require_on_curve(c, q)
     return _add_unchecked(c, p, q)
-
-
-def double(c: WeierstrassCurve, p: CurvePoint) -> CurvePoint:
-    return add(c, p, p)
 
 
 def mul_scalar(c: WeierstrassCurve, n: int, p: CurvePoint) -> CurvePoint:

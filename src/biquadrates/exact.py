@@ -91,11 +91,6 @@ def canonicalize(s: SolutionSix) -> CanonicalKey:
     return CanonicalKey(xp, yp, zp)
 
 
-def equivalent(s1: SolutionSix, s2: SolutionSix) -> bool:
-    """True if s1 and s2 lie in the same scaling/sign/swap orbit."""
-    return canonicalize(s1) == canonicalize(s2)
-
-
 def integer_fourth_root_floor(n: int) -> int:
     """floor(n ** (1/4)) for n >= 0, exactly."""
     if n < 0:

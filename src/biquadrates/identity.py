@@ -44,6 +44,12 @@ U = -1, and V >= 1 avoids the pole curves V = U - U^2 and
 V = -U^2 - 5U - 2.  ``to_quartic`` takes V from the inverse map, so the X
 difference on the (X, Y) chart vanishes by construction; its Y difference
 checks the U map, and the (U, V) chart checks both maps.
+
+The last two verifiers run the curve side itself: the base point and the
+extra point lie on the curve over Q(m), as do small multiples at fixed m,
+and ``derive.solution_from_nP(3)`` gives a family with zero residual and
+z-degrees of at least 120.  ``ALL_VERIFIERS`` lists them in the order
+``selftest`` prints them; ``selftest --quick`` skips ``curve_high_multiple``.
 """
 
 from __future__ import annotations
@@ -53,7 +59,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-from biquadrates import derive, pell, search
+from biquadrates import curve, derive, pell, search
+from biquadrates.poly import RatFn
 
 
 @dataclass(frozen=True)
@@ -215,6 +222,34 @@ def verify_birational_roundtrip() -> bool:
     return grid_verify(curve_chart_grid()) and grid_verify(quartic_chart_grid())
 
 
+# ---------------------------------------------------------------------------
+# the curve and the derivation it feeds
+
+def verify_curve_closure() -> bool:
+    """The base point and the extra point lie on the curve over Q(m), and at
+    m = 1 and 2 so do 2P, 3P and the extra point."""
+    mm = RatFn.gen()
+    sym = curve.curve_from_parameter(mm**4)
+    if not (curve.on_curve(sym, curve.point_P(mm**4))
+            and curve.on_curve(sym, curve.extra_point(mm))):
+        return False
+    for m0 in (1, 2):
+        c = curve.curve_from_parameter(m0**4)
+        p = curve.point_P(m0**4)
+        for pt in (curve.mul_scalar(c, 2, p), curve.mul_scalar(c, 3, p),
+                   curve.extra_point(m0)):
+            if not curve.on_curve(c, pt):
+                return False
+    return True
+
+
+def verify_curve_high_multiple() -> bool:
+    """The 3P family has zero residual and z-degrees of at least 120."""
+    fam = derive.solution_from_nP(3)
+    degs = fam.degrees()
+    return fam.residual().is_zero and degs[4] >= 120 and degs[5] >= 120
+
+
 ALL_VERIFIERS = {
     "brahmagupta": verify_brahmagupta,
     "quartic_brahmagupta": verify_quartic_brahmagupta,
@@ -223,4 +258,6 @@ ALL_VERIFIERS = {
     "birational_roundtrip": verify_birational_roundtrip,
     "pell_reduction": verify_pell_reduction,
     "mod16_obstruction": verify_mod16_obstruction,
+    "curve_closure": verify_curve_closure,
+    "curve_high_multiple": verify_curve_high_multiple,
 }

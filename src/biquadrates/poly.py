@@ -13,8 +13,10 @@ GCDHEU (Char, Geddes and Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm
 based on integer GCD computation", J. Symbolic Comp. 7, 1989) unpacks the
 balanced base-xi digits h of gamma = gcd(A(xi), B(xi)), xi = 2**w, with the
 Kronecker codec, and returns cand = pp(h) once exact trial division shows
-that cand divides A and B; if not, w -> 2w + 1.
-* No undershoot.  w starts at bitlen(max(|A|_inf, |B|_inf)) + 3, so
+that cand divides A and B; if not, w grows to at least 2w + 1.  The codec
+works in whole bytes, so every w is a multiple of 8; the proofs below need
+only the lower bounds and the unbounded growth.
+* No undershoot.  w starts at >= bitlen(max(|A|_inf, |B|_inf)) + 3, so
   xi > 2|A|_inf + 2.  If cand divides A and B, write gcd(A, B) = cand * k.
   Then k(xi) divides the content c of h, 0 < |c| <= xi/2, and each root of k
   is a root of A, so of modulus < 1 + |A|_inf <= xi/2 (Cauchy bound).  If
@@ -260,38 +262,41 @@ def _spread(cs: tuple, r: int, g: int) -> tuple:
     return tuple(out)
 
 
+def _whole_bytes(bits: int) -> int:
+    """The least multiple of 8 that is at least bits: the codec's widths."""
+    return (bits + 7) & -8
+
+
 def _pack(cs, width: int) -> int:
-    """sum(cs[i] << (i*width)) -- also the value of the polynomial at 2**width."""
-    n = len(cs)
-    if n == 1:
-        return cs[0]
-    h = n // 2
-    return _pack(cs[:h], width) + (_pack(cs[h:], width) << (h * width))
+    """sum(cs[i] << (i*width)) -- also the value of the polynomial at 2**width.
+
+    width is a multiple of 8 and every |cs[i]| < 2**width: the positive
+    parts and the negated negative parts are joined as little-endian bytes.
+    """
+    nb = width >> 3
+    zero = bytes(nb)
+    pos = b"".join([c.to_bytes(nb, "little") if c > 0 else zero for c in cs])
+    neg = b"".join([zero if c >= 0 else (-c).to_bytes(nb, "little") for c in cs])
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _unpack(v: int, width: int, n: int) -> list:
     """Recover n balanced base-2**width digits of v; the inverse of _pack."""
+    nb = width >> 3
     half = 1 << (width - 1)
-    u = v + _pack((half,) * n, width)  # every digit shifted into [0, 2**width)
+    # every digit shifted into [0, 2**width)
+    u = v + int.from_bytes(half.to_bytes(nb, "little") * n, "little")
     if u < 0 or u >> (n * width):
         raise AssertionError("unpack width too small")
-    return [d - half for d in _split(u, width, n)]
-
-
-def _split(u: int, width: int, n: int) -> list:
-    """The n base-2**width digits of u >= 0, halving as _pack joins."""
-    if n == 1:
-        return [u]
-    h = n // 2
-    lo = u & ((1 << (h * width)) - 1)
-    return _split(lo, width, h) + _split(u >> (h * width), width, n - h)
+    bs = u.to_bytes(n * nb, "little")
+    return [int.from_bytes(bs[i:i + nb], "little") - half for i in range(0, n * nb, nb)]
 
 
 def _kronecker_mul(a: tuple, b: tuple) -> tuple:
     amax = max(map(abs, a))
     bmax = amax if a is b else max(map(abs, b))
     bound = amax * bmax * min(len(a), len(b))
-    width = bound.bit_length() + 2
+    width = _whole_bytes(bound.bit_length() + 2)
     pa = _pack(a, width)
     prod = pa * pa if a is b else pa * _pack(b, width)
     return tuple(_unpack(prod, width, len(a) + len(b) - 1))
@@ -397,14 +402,14 @@ def poly_gcd(a: IPoly, b: IPoly) -> IPoly:
             or _mod_gcd_degree(A.coeffs, B.coeffs, _SCREEN_PRIME) == 0):
         return IPoly((1,))
     norm = max(max(map(abs, A.coeffs)), max(map(abs, B.coeffs)))
-    w = norm.bit_length() + 3
+    w = _whole_bytes(norm.bit_length() + 3)
     while True:
         g = gcd(_pack(A.coeffs, w), _pack(B.coeffs, w))
         # one spare digit: the balanced top digit may carry into a new one
         cand = _positive(primitive_part(IPoly(_unpack(g, w, g.bit_length() // w + 2))))
         if cand.degree == 0 or (divides(cand, A) and divides(cand, B)):
             return cand
-        w = 2 * w + 1
+        w = _whole_bytes(2 * w + 1)
 
 
 def _positive(p: IPoly) -> IPoly:
@@ -432,11 +437,11 @@ class RatFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num=0, den=1):
-        n = _as_poly(num)
-        d = _as_poly(den)
-        n, d = _reduce_pair(n, d)
-        self.num = n
-        self.den = d
+        n, d = self._coerce(num), self._coerce(den)
+        if n is None or d is None:
+            raise TypeError("cannot interpret %r/%r as a rational function" % (num, den))
+        q = n * d.reciprocal()
+        self.num, self.den = q.num, q.den
 
     @classmethod
     def _raw(cls, num: IPoly, den: IPoly) -> "RatFn":
@@ -560,24 +565,3 @@ class RatFn:
             return "RatFn(%s)" % (self.num,)
         return "RatFn((%s)/(%s))" % (self.num, self.den)
 
-
-def _as_poly(v) -> IPoly:
-    if isinstance(v, IPoly):
-        return v
-    if isinstance(v, int):
-        return IPoly((v,))
-    raise TypeError("cannot interpret %r as a polynomial" % (v,))
-
-
-def _reduce_pair(n: IPoly, d: IPoly) -> tuple:
-    if d.is_zero:
-        raise ZeroDivisionError("zero denominator")
-    if n.is_zero:
-        return IPoly(()), IPoly((1,))
-    g = _full_gcd(n, d)
-    if g.degree > 0 or g.lc > 1:
-        n = n.exact_div(g)
-        d = d.exact_div(g)
-    if d.lc < 0:
-        n, d = -n, -d
-    return n, d

@@ -30,7 +30,6 @@ rearranged solutions appears once.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from math import gcd
 
 from biquadrates.exact import (
@@ -44,20 +43,6 @@ from biquadrates.exact import (
 # The primes of the z-pair gcds the sweep skips: no product is divisible by
 # the fourth power of any of them.
 SWEEP_COPRIME_TO = 30
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Bounds for a search run."""
-
-    bx: int
-    by: int
-
-    def __post_init__(self):
-        if not (isinstance(self.bx, int) and isinstance(self.by, int)):
-            raise ValueError("bounds must be integers")
-        if self.bx < 2 or self.by < 2:
-            raise ValueError("bounds must be at least 2")
 
 
 def decompose_fourth(N: int) -> list:
@@ -125,14 +110,19 @@ def _ylists(ypairs: list) -> list:
     return [[y for y, cy in zip(ypairs, classes) if not cy & c] for c in range(4)]
 
 
-def search(cfg: SearchConfig) -> list:
-    """All solutions within the bounds, one representative per canonical key.
+def search(bx: int, by: int) -> list:
+    """All solutions with x2 <= bx and y2 <= by, one per canonical key.
 
     Results are sorted by (x2, x1, y2, y1, z2) and deduplicated keeping the
-    first entry in that order.
+    first entry in that order.  Raises ValueError unless both bounds are
+    integers of at least 2.
     """
-    xpairs = _coprime_pairs(cfg.bx)
-    ypairs = _coprime_pairs(cfg.by)
+    if not (isinstance(bx, int) and isinstance(by, int)):
+        raise ValueError("bounds must be integers")
+    if bx < 2 or by < 2:
+        raise ValueError("bounds must be at least 2")
+    xpairs = _coprime_pairs(bx)
+    ypairs = _coprime_pairs(by)
     ylists = [(ys, [y[2] for y in ys]) for ys in _ylists(ypairs)]
     products = set()
     for x1, x2, sx in xpairs:

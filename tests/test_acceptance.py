@@ -37,7 +37,7 @@ from biquadrates.identity import (
 )
 from biquadrates.pell import pell3_nth, pell_to_solution
 from biquadrates.poly import RatFn
-from biquadrates.search import SearchConfig, decompose_fourth, fourth_power_sums, search
+from biquadrates.search import decompose_fourth, fourth_power_sums, search
 from known_solutions import SMALL_SOLUTIONS
 from mutations import mod5_class_1, skip_odd_x1, v_denominator_16
 
@@ -49,7 +49,7 @@ def _report(num: int, label: str, ok: bool):
 
 def test_criterion_01_small_window_reproduction():
     t0 = time.perf_counter()
-    results = search(SearchConfig(bx=14, by=30))
+    results = search(14, 30)
     dt = time.perf_counter() - t0
     keys = {canonicalize(s) for s in results}
     wanted = [canonicalize(s) for i, s in enumerate(SMALL_SOLUTIONS) if i != 4]
@@ -59,7 +59,7 @@ def test_criterion_01_small_window_reproduction():
 
 def test_criterion_02_extended_window_row5():
     t0 = time.perf_counter()
-    results = search(SearchConfig(bx=8, by=264))
+    results = search(8, 264)
     dt = time.perf_counter() - t0
     target = canonicalize(SMALL_SOLUTIONS[4])
     ok = target in {canonicalize(s) for s in results} and dt < 600
@@ -97,7 +97,7 @@ def test_criterion_03_identity_suite_with_mutations(monkeypatch):
         # 17 = 1 mod 8: some coprime pair sums are divisible by 17^2
         mp.setattr(search_module, "SWEEP_COPRIME_TO", 30 * 17)
         ok &= not verify_mod16_obstruction()
-    _report(3, "seven verifiers true, each false under its mutations", ok)
+    _report(3, "nine verifiers true, each false under its mutations", ok)
 
 
 def test_criterion_04_published_families():
@@ -180,7 +180,7 @@ def _oracle_keys_bound8():
 
 
 def test_criterion_10_oracle_equivalence():
-    found = {canonicalize(s) for s in search(SearchConfig(bx=8, by=8))}
+    found = {canonicalize(s) for s in search(8, 8)}
     ok = found == _oracle_keys_bound8()
     hits = fourth_power_sums(range(1, 10**6 + 1))
     for n in range(1, 10**6 + 1):

@@ -10,7 +10,7 @@ from biquadrates.derive import evaluate_param, numeric_solution_from_nP
 from biquadrates.exact import canonicalize
 from biquadrates.families import FAMILIES
 from biquadrates.pell import pell3_nth, pell_to_solution
-from biquadrates.search import SearchConfig, search
+from biquadrates.search import search
 
 
 def _family(name, t):
@@ -18,7 +18,7 @@ def _family(name, t):
 
 
 def _search_keys(bx, by):
-    return {canonicalize(s) for s in search(SearchConfig(bx, by))}
+    return {canonicalize(s) for s in search(bx, by)}
 
 
 def test_ladder_and_families_found_in_8_by_264():

@@ -192,9 +192,9 @@ def test_mutated_mod16_fails(monkeypatch, capsys):
 def test_mutated_mod5_class_fails(monkeypatch, capsys):
     # one patch of the class selection reaches the search and the selftest alike
     lost = SolutionSix(4, 15, 20, 21, 288, 325)     # both pair sums 1 mod 5
-    assert lost in search.search(search.SearchConfig(24, 24))
+    assert lost in search.search(24, 24)
     monkeypatch.setattr(search, "_pair_class", mod5_class_1(search._pair_class))
-    assert lost not in search.search(search.SearchConfig(24, 24))
+    assert lost not in search.search(24, 24)
     assert not verify_mod16_obstruction()
     assert _selftest_fails(capsys, "mod16_obstruction")
 

@@ -161,8 +161,9 @@ def test_screen_inconclusive_when_leading_coefficient_vanishes(monkeypatch):
 
 
 def test_gcdheu_retries_at_a_wider_point(monkeypatch):
-    # at w = 9 the balanced digits of gcd(A(2^9), B(2^9)) give a candidate
-    # that fails trial division, so the loop retries at w = 19
+    # at w = 16 the balanced digits of gcd(A(2^16), B(2^16)) give a candidate
+    # that fails trial division, so the loop retries at the least whole-byte
+    # width >= 2w + 1, w = 40
     widths = set()
 
     def recording(cs, width):
@@ -170,8 +171,8 @@ def test_gcdheu_retries_at_a_wider_point(monkeypatch):
         return _pack(cs, width)
 
     monkeypatch.setattr(poly, "_pack", recording)
-    assert poly_gcd(P(28, 33, 9), P(-14, 43, 35, 6)) == P(7, 3)
-    assert sorted(widths) == [9, 19]
+    assert poly_gcd(P(-154, 239, 13, -62), P(-98, 238, -263, -27, 74)) == P(-7, 1, 2)
+    assert sorted(widths) == [16, 40]
 
 
 # -- formatting -------------------------------------------------------------
@@ -249,7 +250,8 @@ def test_kronecker_matches_schoolbook(a, b):
 
 @st.composite
 def balanced_digits(draw):
-    width = draw(st.integers(min_value=1, max_value=70))
+    # the codec packs whole bytes, so widths are multiples of 8
+    width = 8 * draw(st.integers(min_value=1, max_value=9))
     half = 1 << (width - 1)
     cs = draw(st.lists(st.integers(min_value=-half, max_value=half - 1),
                        min_size=1, max_size=40))
@@ -263,13 +265,13 @@ def test_unpack_inverts_pack(case):
 
 
 def test_unpack_rejects_too_few_digits():
-    # 120 = -8 - 8*16 + 1*16^2: the balanced top digit carries into a third
-    # digit, although 120 < 2^7 has only two unsigned base-16 digits
-    assert _unpack(120, 4, 3) == [-8, -8, 1]
+    # 32896 = -128 - 127*256 + 1*256^2: the balanced top digit carries into a
+    # third digit, although 32896 < 2^16 has only two unsigned base-256 digits
+    assert _unpack(32896, 8, 3) == [-128, -127, 1]
     with pytest.raises(AssertionError):
-        _unpack(120, 4, 2)
+        _unpack(32896, 8, 2)
     with pytest.raises(AssertionError):
-        _unpack(-137, 4, 2)
+        _unpack(-32897, 8, 2)
 
 
 # -- sparse operands: m^r * P(m^g) -------------------------------------------
@@ -412,6 +414,13 @@ def test_ratfn_zero_denominator():
         RatFn(M, P())
     with pytest.raises(ZeroDivisionError):
         RatFn(1, M).reciprocal() / M * 0 + RatFn(1, 1) / RatFn(0, 1)
+
+
+def test_ratfn_rejects_non_polynomial():
+    with pytest.raises(TypeError):
+        RatFn("m")
+    with pytest.raises(TypeError):
+        RatFn(M, 1.5)
 
 
 def test_ratfn_evaluate():

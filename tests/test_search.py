@@ -12,7 +12,6 @@ from biquadrates.cli import main as cli_main
 from biquadrates.exact import SolutionSix, canonicalize, check_solution
 from biquadrates.search import (
     SWEEP_COPRIME_TO,
-    SearchConfig,
     decompose_fourth,
     fourth_power_sums,
     search,
@@ -90,7 +89,7 @@ def test_pruned_sweep_equals_plain_sweep(monkeypatch):
     monkeypatch.setattr(search_module, "fourth_power_sums", recording)
     for bx in range(2, 25):
         for by in range(2, 25):
-            search(SearchConfig(bx, by))
+            search(bx, by)
             (targets, coprime_to, hits), = calls
             calls.clear()
             assert coprime_to == SWEEP_COPRIME_TO
@@ -100,14 +99,16 @@ def test_pruned_sweep_equals_plain_sweep(monkeypatch):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(bx=1, by=10)
-    with pytest.raises(ValueError):
-        SearchConfig(bx=10, by=0)
+    with pytest.raises(ValueError, match="at least 2"):
+        search(1, 10)
+    with pytest.raises(ValueError, match="at least 2"):
+        search(10, 0)
+    with pytest.raises(ValueError, match="integers"):
+        search(10, 2.5)
 
 
 def test_search_empty_window():
-    assert search(SearchConfig(bx=2, by=2)) == []
+    assert search(2, 2) == []
 
 
 def _oracle_canonical_set(bound):
@@ -139,20 +140,20 @@ def _oracle_canonical_set(bound):
 
 
 def test_search_matches_bruteforce_oracle():
-    result = search(SearchConfig(bx=8, by=8))
+    result = search(8, 8)
     assert {canonicalize(s) for s in result} == _oracle_canonical_set(8)
     for sol in result:
         assert check_solution(sol)
 
 
 def test_search_finds_smallest_known_solution():
-    result = search(SearchConfig(bx=2, by=6))
+    result = search(2, 6)
     keys = {canonicalize(s) for s in result}
     assert canonicalize(SMALL_SOLUTIONS[0]) in keys
 
 
 def test_search_output_is_deduplicated_and_sorted():
-    result = search(SearchConfig(bx=8, by=12))
+    result = search(8, 12)
     keys = [canonicalize(s) for s in result]
     assert len(keys) == len(set(keys))
     order = [(s.x2, s.x1, s.y2, s.y1, s.z2) for s in result]
@@ -195,7 +196,7 @@ def _root_loop_search(bx, by):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=2, max_value=12))
 def test_search_matches_root_loop(bx, by):
-    assert search(SearchConfig(bx, by)) == _root_loop_search(bx, by)
+    assert search(bx, by) == _root_loop_search(bx, by)
 
 
 def test_search_with_a_repeated_pair_product():
@@ -203,7 +204,7 @@ def test_search_with_a_repeated_pair_product():
     # pair combinations with equal products; equality with the oracle means
     # rows for both y-pairs exactly where the oracle has them
     assert 59**4 + 158**4 == 133**4 + 134**4
-    assert search(SearchConfig(bx=2, by=158)) == _root_loop_search(2, 158)
+    assert search(2, 158) == _root_loop_search(2, 158)
 
 
 SEARCH_40_60_SHA256 = "19b83b8aedca789b97ecf156ee931ed24acb322682b930160458461769f4b384"
