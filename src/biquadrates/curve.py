@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from biquadrates.poly import RatFn
+from biquadrates.poly import RatFn, monic_at
 
 Element = Union[Fraction, RatFn]
 
@@ -80,8 +80,17 @@ def curve_from_parameter(M) -> WeierstrassCurve:
 
 
 def on_curve(c: WeierstrassCurve, p: CurvePoint) -> bool:
+    """Whether p satisfies the curve equation exactly.
+
+    Over Q(M) the right side comes reduced from ``poly.monic_at``, which
+    takes no gcd; a2 and a4 must then be polynomials, as
+    ``curve_from_parameter`` makes them.  Over Q it is the Horner form
+    ``rhs``.  Either way y*y is compared structurally with an exact value.
+    """
     if p.infinity:
         return True
+    if isinstance(p.x, RatFn):
+        return p.y * p.y == monic_at((0, c.a4, c.a2), p.x)
     return p.y * p.y == c.rhs(p.x)
 
 

@@ -37,7 +37,8 @@ from biquadrates.exact import (
     check_solution,
 )
 from biquadrates.families import ParamSolution
-from biquadrates.poly import IPoly, PoleError, RatFn, _full_gcd, _positive, _spread
+from biquadrates.poly import (
+    IPoly, PoleError, RatFn, _full_gcd, _positive, _spread, monic_at)
 
 SAMPLES = (1, 2, 3, Fraction(1, 2), 5)
 
@@ -46,9 +47,15 @@ class PipelineError(RuntimeError):
     """An internal consistency check failed while deriving a solution."""
 
 
+def _quartic_coeffs(M) -> tuple:
+    """The quartic model's coefficients below U^4, ascending, in M = m^4."""
+    return (-4 * M, -8 * M, 1 - 4 * M, -2)
+
+
 def quartic_rhs(u, M):
     """Right side of the quartic model in M = m^4, V^2 = quartic_rhs(U, M)."""
-    return ((((u - 2) * u - (4 * M - 1)) * u - 8 * M) * u) - 4 * M
+    c0, c1, c2, c3 = _quartic_coeffs(M)
+    return (((u + c3) * u + c2) * u + c1) * u + c0
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,11 @@ class QuarticPoint:
         object.__setattr__(self, "u", _lift(self.u))
         object.__setattr__(self, "v", _lift(self.v))
         object.__setattr__(self, "M", _lift(self.M))
-        if self.v * self.v != quartic_rhs(self.u, self.M):
+        u, M = self.u, self.M
+        # over Q(M) the right side comes reduced from monic_at, with no gcd
+        rhs = (monic_at(_quartic_coeffs(M), u) if isinstance(u, RatFn)
+               else quartic_rhs(u, M))
+        if self.v * self.v != rhs:
             raise ValueError("point does not satisfy the quartic model")
 
 

@@ -147,6 +147,9 @@ CURVE_SYMBOLIC_DIGESTS = {
     (7, True): "843365609a826b82954a2a957e286aa7559f8a024c95dcea20a79f6f5cde6801",
     (8, False): "44d52878faea2da789fd91aad2a45782421f81906a2c74ea43514cdf301dd890",
     (8, True): "c50c3c8662a8aacc158a54e89db3036c1ea57440d4051bc3a34b1d770b803b12",
+    # recorded before the residual took the Brahmagupta split and the curve
+    # and quartic checks stopped reducing through RatFn arithmetic
+    (10, False): "b58fbd43a0401f95615c4589b0b6149833890e51206c2fabc0da6a2c2a9a113e",
 }
 
 # SHA-256 of `curve --n k --symbolic --sign plus|minus` stdout, recorded while
@@ -190,6 +193,13 @@ def test_curve_symbolic_pinned_digests(capsys, n):
         assert (code, err) == (0, "")
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == CURVE_SYMBOLIC_DIGESTS[n, descending]
+
+
+@pytest.mark.slow
+def test_curve_symbolic_pinned_digest_n10(capsys):
+    code, out, err = run(capsys, "curve", "--n", "10", "--symbolic")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CURVE_SYMBOLIC_DIGESTS[10, False]
 
 
 def test_curve_symbolic(capsys):

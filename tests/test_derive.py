@@ -11,6 +11,7 @@ from biquadrates.curve import (
     add,
     curve_from_parameter,
     mul_scalar,
+    on_curve,
     point_P,
 )
 from biquadrates.derive import (
@@ -267,3 +268,24 @@ def test_symbolic_quartic_point_roundtrip():
     assert to_weierstrass(qp.u, qp.v, qp.M) == (w.x, w.y)
     fam = quartic_point_to_param_solution(qp)
     assert fam.residual().is_zero
+
+
+@pytest.mark.parametrize("M", [RatFn.gen(), Fraction(2, 3) ** 4], ids=["Q(M)", "m=2/3"])
+def test_membership_checks_accept_multiples_and_reject_shifts(M):
+    # over Q(M) on_curve and QuarticPoint reduce the right side with
+    # poly.monic_at; at m = 2/3 they use Horner over Q
+    c = curve_from_parameter(M)
+    for n in range(1, 5):
+        w, _ = signed_multiple(n, M, "plus")
+        for pt in (w, CurvePoint(w.x, -w.y)):
+            assert on_curve(c, pt)
+            qp = weierstrass_to_quartic(M, pt)
+            assert QuarticPoint(qp.u, qp.v, M) == qp
+            bad = CurvePoint(pt.x, pt.y + 1)
+            assert not on_curve(c, bad)
+            with pytest.raises(ValueError):
+                weierstrass_to_quartic(M, bad)
+            with pytest.raises(ValueError):
+                mul_scalar(c, 2, bad)
+            with pytest.raises(ValueError):
+                QuarticPoint(qp.u, qp.v + 1, M)

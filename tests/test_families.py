@@ -1,10 +1,12 @@
-"""Tests for ParamSolution's residual, which is formed in var^g."""
+"""Tests for ParamSolution's residual, formed through the Brahmagupta split in var^g."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biquadrates.families import FAMILIES, ParamSolution
-from biquadrates.poly import IPoly
+from biquadrates.derive import solution_from_nP
+from biquadrates.families import FAMILIES, ParamSolution, family_eq20, family_eq26
+from biquadrates.poly import IPoly, _stride
 
 
 def _dense_residual(ps: ParamSolution) -> IPoly:
@@ -44,3 +46,59 @@ def test_published_families_and_a_corruption():
         assert ps.residual().is_zero
         bent = ParamSolution(ps.x1, ps.x2, ps.y1, ps.y2 + 1, ps.z1, ps.z2, ps.var)
         assert bent.residual() == _dense_residual(bent) != IPoly(())
+
+
+def _family(*entries, var="m"):
+    return ParamSolution(*(IPoly.from_terms(e) for e in entries), var=var)
+
+
+def _shifted(*rs, h=8):
+    """Entry i is (i+1) var^r_i + (-1)^i var^(r_i+h), for the shifts rs."""
+    return _family(*({r: i + 1, r + h: (-1) ** i} for i, r in enumerate(rs)))
+
+
+EDGE_FAMILIES = {
+    "all_zero": _family({}, {}, {}, {}, {}, {}),
+    "one_zero_entry": ParamSolution(IPoly(()), *family_eq20().polys()[1:]),
+    "monomials": _family({3: 2}, {1: -1}, {5: -1}, {0: 3}, {2: 1}, {7: 4}),
+    # odd r with h = 4 or 8: the 2r gaps cap the shared stride at 2
+    "odd_r_h4": _family({1: 1, 5: -2}, {3: 2, 7: 1}, {1: 3}, {5: -1, 9: 1},
+                        {3: 1, 11: 2}, {1: 1, 5: 1}),
+    "odd_r_h8": _family({1: 1, 9: -2}, {3: 2, 11: 1}, {1: 3, 17: 1}, {5: -1, 13: 1},
+                        {3: 1, 19: 2}, {1: 1, 9: 1}),
+    # with h = 8, each of the shift gaps 2(r1+r3) - 2(r2+r4), 2(r1+r3) - 2r5,
+    # 2(r1+r4) - 2(r2+r3) and 2(r1+r4) - 2r6 in turn is the one that caps the
+    # shared stride at 4
+    "gap_x_in_A": _shifted(1, 0, 1, 0, 2, 1),
+    "gap_z1_in_A": _shifted(0, 0, 0, 0, 2, 0),
+    "gap_x_in_B": _shifted(1, 0, 0, 1, 1, 2),
+    "gap_z2_in_B": _shifted(0, 0, 0, 0, 0, 2),
+    # eq26's shapes (r, h) = (0,2) (1,0) (0,2) (1,2) (2,4) (0,2), with z1 bent
+    # by t^10 so the residual is nonzero in t^2
+    "eq26_shape": ParamSolution(*family_eq26().polys()[:4],
+                                family_eq26().z1 + IPoly.from_terms({10: 1}),
+                                family_eq26().z2, var="t"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FAMILIES))
+def test_residual_edge_cases_match_dense(name):
+    ps = EDGE_FAMILIES[name]
+    assert ps.residual() == _dense_residual(ps)
+    assert ps.residual().is_zero == (name == "all_zero")
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_corrupted_curve_families_keep_a_nonzero_residual(n):
+    # the curve families are m^r * P(m^4) with r = (0, 1, 1, 0, 1, 0); adding
+    # m^(r+4) to one entry keeps that shape, so the residual stays in m^4
+    ps = solution_from_nP(n)
+    assert ps.residual().is_zero
+    for i, r in enumerate((0, 1, 1, 0, 1, 0)):
+        entries = list(ps.polys())
+        entries[i] = entries[i] + IPoly.from_terms({r + 4: 1})
+        assert _stride(entries[i].coeffs) == (r, 4)
+        bent = ParamSolution(*entries)
+        res = bent.residual()
+        assert not res.is_zero, i
+        assert res == _dense_residual(bent), i
