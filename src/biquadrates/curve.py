@@ -5,9 +5,12 @@ function field (``RatFn``); the same code runs over both.  For the family
 studied here a2 = 1 - 4M and a4 = 32M with M = m^4, so the curve and its
 base point live over Q(M), and the symbolic derivation runs there.
 
-Affine coordinates with the chord-tangent law; no projective machinery.
-Group operations validate their inputs against the curve equation, so an
-off-curve point is rejected instead of silently producing nonsense.
+The derivation takes nP from ``multiple_P``: the division values psi_k(P)
+on an integral model, by Ward's recurrences, over Z at a fixed M and over
+Z[M] symbolically, with no gcd.  The affine chord-tangent law (``add``,
+``mul_scalar``) is the slow oracle it is tested against.  Group operations
+validate their inputs against the curve equation, so an off-curve point is
+rejected instead of silently producing nonsense.
 """
 
 from __future__ import annotations
@@ -16,13 +19,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from biquadrates.poly import RatFn, monic_at
+from biquadrates.poly import ExactDivisionError, IPoly, PoleError, RatFn, monic_at
 
 Element = Union[Fraction, RatFn]
 
 
 def _lift(v) -> Element:
-    return Fraction(v) if isinstance(v, int) else v
+    """v in its field: an int in Q, a polynomial over Z in Q(M)."""
+    if isinstance(v, int):
+        return Fraction(v)
+    return RatFn(v) if isinstance(v, IPoly) else v
+
+
+class PipelineError(RuntimeError):
+    """An internal consistency check failed while deriving a solution."""
 
 
 @dataclass(frozen=True)
@@ -178,3 +188,74 @@ def is_nontorsion_by_mazur(c: WeierstrassCurve, p: CurvePoint) -> bool:
             return False
         q = _add_unchecked(c, q, p)
     return True
+
+
+def _exact(a, b):
+    """a/b in Z or Z[M], which must leave no remainder."""
+    try:
+        q, r = divmod(a, b) if isinstance(a, int) else (a.exact_div(b), 0)
+    except ExactDivisionError:
+        r = 1
+    if r:
+        raise PipelineError("an exact division in the nP ladder left a remainder")
+    return q
+
+
+def _initial_psi(x, y, a2, a4) -> dict:
+    """psi_-1 .. psi_4 at (x, y) on y^2 = x^3 + a2 x^2 + a4 x (b2 = 4a2,
+    b4 = 2a4, b6 = 0, b8 = -a4^2 in Silverman, Ex. 3.7)."""
+    one = y ** 0
+    x2, aa = x * x, a4 * a4
+    return {-1: -one, 0: 0 * one, 1: one, 2: 2 * y,
+            3: 3 * x2 * x2 + 4 * a2 * x2 * x + 6 * a4 * x2 - aa,
+            4: 2 * y * (2 * x2 * x2 * x2 + 4 * a2 * x2 * x2 * x + 10 * a4 * x2 * x2
+                        - 10 * aa * x2 - 4 * a2 * aa * x - 2 * aa * a4)}
+
+
+def multiple_P(n: int, A, B=1) -> tuple:
+    """nP = (phi/z^2, omega/z^3) for the base point on the curve with M = A/B.
+
+    Over R = Z (A/B a rational M in lowest terms) or Z[M] (A = ``IPoly.gen()``,
+    B = 1).  X = 9B^2 x, Y = 27B^3 y give the integral model
+    Y^2 = X^3 + a2 X^2 + a4 X, a2 = 9B(B-4A), a4 = 2592AB^3, where P is
+    (4(A-2B)^2, 4(A-2B)(2A^2-17AB-10B^2)).  The division values psi_k(P)
+    follow Ward's recurrences (M. Ward, "Memoir on elliptic divisibility
+    sequences", Amer. J. Math. 70, 1948), memoised on the O(log n) indices
+    they need: psi_2k+1 = psi_k+2 psi_k^3 - psi_k-1 psi_k+1^3 and
+    psi_2k = psi_k (psi_k+2 psi_k-1^2 - psi_k-2 psi_k+1^2) / psi_2.  Then
+    (Silverman, *The Arithmetic of Elliptic Curves*, Ex. 3.7)
+    phi = X psi_n^2 - psi_n-1 psi_n+1, z = 3B psi_n and
+    omega = (psi_n+2 psi_n-1^2 - psi_n-2 psi_n+1^2) / (4Y).  Both divisions
+    are exact in R, and omega^2 = phi^3 + a2 phi^2 psi_n^2 + a4 phi psi_n^4
+    is checked, with no gcd; a remainder or a failed check is a
+    PipelineError.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("n must be a positive integer")
+    a2, a4 = 9 * B * (B - 4 * A), 2592 * A * B**3
+    if a4 == 0 or a2 * a2 - 4 * a4 == 0:
+        raise DegenerateCurveError("degenerate curve: repeated root in x^3+a2x^2+a4x")
+    d = A - 2 * B
+    x = 4 * d * d
+    y = 4 * d * (2 * A * A - 17 * A * B - 10 * B * B)
+    psi = _initial_psi(x, y, a2, a4)
+
+    def at(k):
+        if k not in psi:
+            h = k >> 1
+            if k & 1:
+                psi[k] = at(h + 2) * at(h) ** 3 - at(h - 1) * at(h + 1) ** 3
+            else:
+                psi[k] = _exact(at(h) * (at(h + 2) * at(h - 1) ** 2
+                                         - at(h - 2) * at(h + 1) ** 2), psi[2])
+        return psi[k]
+
+    pn, before, after = at(n), at(n - 1), at(n + 1)
+    if pn == 0:
+        raise PoleError("nP is the point at infinity")
+    sq = pn * pn
+    phi = x * sq - before * after
+    omega = _exact(at(n + 2) * before * before - at(n - 2) * after * after, 4 * y)
+    if omega * omega != phi * (phi * (phi + a2 * sq) + a4 * sq * sq):
+        raise PipelineError("nP fails the curve equation of the integral model")
+    return phi, omega, 3 * B * pn

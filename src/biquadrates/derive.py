@@ -24,11 +24,12 @@ from math import lcm
 from biquadrates.curve import (
     CurvePoint,
     Element,
+    PipelineError,
+    _exact,
     _lift,
     curve_from_parameter,
-    mul_scalar,
+    multiple_P,
     on_curve,
-    point_P,
 )
 from biquadrates.exact import (
     DegenerateSolutionError,
@@ -37,14 +38,9 @@ from biquadrates.exact import (
     check_solution,
 )
 from biquadrates.families import ParamSolution
-from biquadrates.poly import (
-    IPoly, PoleError, RatFn, _full_gcd, _positive, _spread, monic_at)
+from biquadrates.poly import IPoly, PoleError, RatFn, _full_gcd, _positive, _spread, monic_at
 
 SAMPLES = (1, 2, 3, Fraction(1, 2), 5)
-
-
-class PipelineError(RuntimeError):
-    """An internal consistency check failed while deriving a solution."""
 
 
 def _quartic_coeffs(M) -> tuple:
@@ -78,14 +74,27 @@ class QuarticPoint:
             raise ValueError("point does not satisfy the quartic model")
 
 
-def to_quartic(x, y, M):
-    """The map (X, Y) -> (U, V) to the quartic model, in M = m^4.
+def to_quartic(x, y, M, z=1):
+    """The map (X, Y) -> (U, V) to the quartic model at X = x/z^2, Y = y/z^3.
 
-    V comes from the inverse map's X = 2U^2 - 2U + 2V.  On the curve it equals
-    the paper's cubic form over 4(X-4M)^2, which costs far more to reduce.
+    U = (xz + y + 8Mz^3) / (z(2x - 8Mz^2)).  V comes from the inverse map's
+    X = 2U^2 - 2U + 2V: with U = p/q it is V = s/q^2, where
+    s = (xq^2 + 2z^2 p(q-p)) / (2z^2).  On the curve V equals the paper's
+    cubic form over 4(X-4M)^2, which costs far more to reduce.
+
+    Over a field p, q = U, 1.  Given x, y, z and M in Z[M], U is reduced once
+    to p/q, s is an exact division in Z[M], and V is s/q^2 as it stands.
+    That is V's reduced form: with N = q^4 quartic_rhs(p/q), N/q^4 is
+    reduced (``poly.monic_at``), so s^2 = N, which ``QuarticPoint`` checks,
+    shows that s and q are coprime.
     """
-    u = (x + y + 8 * M) / (2 * x - 8 * M)
-    return u, x / 2 + u * (1 - u)
+    zz = z * z
+    u = (x * z + y + 8 * M * z * zz) / (z * (2 * x - 8 * M * zz))
+    integral = isinstance(x, IPoly)
+    p, q = (u.num, u.den) if integral else (u, 1)
+    w = 2 * zz
+    s = x * q * q + w * p * (q - p)
+    return u, RatFn._raw(_exact(s, w), q * q) if integral else s / w
 
 
 def to_weierstrass(u, v, M):
@@ -103,9 +112,14 @@ def weierstrass_to_quartic(M, pt: CurvePoint) -> QuarticPoint:
         raise PoleError("the point at infinity has no affine image")
     if not on_curve(curve_from_parameter(M), pt):
         raise ValueError("point is not on the curve for this parameter")
-    if 2 * pt.x - 8 * M == 0:
+    return _map_to_quartic(M, pt.x, pt.y)
+
+
+def _map_to_quartic(M, x, y, z=1) -> QuarticPoint:
+    """The quartic-model point of the curve point (x/z^2, y/z^3)."""
+    if 2 * x - 8 * M * z * z == 0:
         raise PoleError("the map is undefined where X = 4m^4")
-    return QuarticPoint(*to_quartic(pt.x, pt.y, M), M)
+    return QuarticPoint(*to_quartic(x, y, M, z), M)
 
 
 def _solution_pairs(p, q, m, v) -> tuple:
@@ -119,11 +133,11 @@ def quartic_point_to_param_solution(qp: QuarticPoint) -> ParamSolution:
 
     With U = p/q over Z[M], the entries are the module docstring's pairs at
     m = 1, times m^e for e = (0, 1, 1, 0, 1, 0).  Each pair is freed of common
-    factors, the z entries are cleared to polynomials, and they must satisfy
-    Z1^2 = (X1 Y1)^2 + (X2 Y2)^2 and Z2^2 = (X1 Y2)^2 - M (X2 Y1)^2 exactly
-    (the identities in m, over m^2).  That forces the residual to vanish, as
-    (a^2c^2 + b^2d^2)^2 + (a^2d^2 - b^2c^2)^2 = (a^4 + b^4)(c^4 + d^4).  Then
-    each entry is spread to m.
+    factors, the z entries are cleared to polynomials, and each entry is
+    spread to m.  The family's residual is the proof, taken once on the
+    spread entries: on a genuine family it forms only A - z1^2 and B - z2^2
+    (see ``ParamSolution.residual``), the two square identities in m, finds
+    both zero, and keeps that result for later callers.
 
     The gcds are those over Z[m], gcd(A(m^4), m B(m^4)) = gcd(A, B)(m^4),
     since x1 = p - q and y2 = p, and with them the pair gcds, are nonzero at
@@ -159,14 +173,12 @@ def quartic_point_to_param_solution(qp: QuarticPoint) -> ParamSolution:
     if z1.den != 1 or z2.den != 1:
         raise PipelineError("z entries did not clear to polynomials")
 
-    entries = [_positive(e) for e in (x1, x2, y1, y2, z1.num, z2.num)]
-    x1, x2, y1, y2, z1, z2 = entries
-    if z1 * z1 != (x1 * y1) ** 2 + (x2 * y2) ** 2:
-        raise PipelineError("z1 fails its square cross-check")
-    if z2 * z2 != (x1 * y2) ** 2 - IPoly.gen() * (x2 * y1) ** 2:
-        raise PipelineError("z2 fails its square cross-check")
-    return ParamSolution(*(IPoly(_spread(e.coeffs, r, 4))
-                           for e, r in zip(entries, (0, 1, 1, 0, 1, 0))))
+    entries = (_positive(e) for e in (x1, x2, y1, y2, z1.num, z2.num))
+    ps = ParamSolution(*(IPoly(_spread(e.coeffs, r, 4))
+                         for e, r in zip(entries, (0, 1, 1, 0, 1, 0))))
+    if not ps.residual().is_zero:
+        raise PipelineError("the family's residual is nonzero")
+    return ps
 
 
 def _clear_to_solution(xpair, ypair, zpair) -> SolutionSix:
@@ -195,23 +207,29 @@ def solution_from_quartic_point(qp: QuarticPoint, m) -> SolutionSix:
     return _clear_to_solution(*_solution_pairs(p, q, m, v))
 
 
+def _resolve_sign(n: int, sign: str) -> str:
+    if sign not in ("auto", "plus", "minus"):
+        raise ValueError("sign must be 'auto', 'plus' or 'minus'")
+    return auto_sign(n) if sign == "auto" else sign
+
+
 def signed_multiple(n: int, M, sign: str = "auto") -> tuple:
     """The n-th multiple of the base point and the branch taken from it.
 
-    M = m^4 is a rational value or the generator of Q(M).  Returns
-    (nP, point) with point = nP on the "plus" branch and -nP on "minus";
-    "auto" is resolved by ``auto_sign``.
+    M = m^4 is a rational value or the generator of Q(M).  Returns reduced
+    affine points (nP, point) with point = nP on the "plus" branch and -nP
+    on "minus"; "auto" is resolved by ``auto_sign``.  nP comes from
+    ``multiple_P`` over Z or Z[M].
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
-    if sign not in ("auto", "plus", "minus"):
-        raise ValueError("sign must be 'auto', 'plus' or 'minus'")
-    if sign == "auto":
-        sign = auto_sign(n)
+    sign = _resolve_sign(n, sign)
     M = _lift(M)
-    w = mul_scalar(curve_from_parameter(M), n, point_P(M))
-    if w.infinity:
-        raise PoleError("nP is the point at infinity")
+    if isinstance(M, RatFn):
+        if M != RatFn.gen():
+            raise TypeError("parameter must be rational or the generator of Q(M)")
+        field, (x, y, z) = RatFn, multiple_P(n, IPoly.gen())
+    else:
+        field, (x, y, z) = Fraction, multiple_P(n, M.numerator, M.denominator)
+    w = CurvePoint(field(x, z * z), field(y, z * z * z))
     return w, w if sign == "plus" else CurvePoint(w.x, -w.y)
 
 
@@ -239,10 +257,16 @@ def auto_sign(n: int) -> str:
 
 
 def solution_from_nP(n: int, sign: str = "auto") -> ParamSolution:
-    """Polynomial family from the n-th multiple of the base point over Q(M)."""
-    M = RatFn.gen()
-    _, w = signed_multiple(n, M, sign)
-    return quartic_point_to_param_solution(weierstrass_to_quartic(M, w))
+    """Polynomial family from the n-th multiple of the base point over Q(M).
+
+    The map takes nP as ``multiple_P``'s triple over Z[M]: nP and V take no
+    gcd, and U is reduced once.
+    """
+    sign = _resolve_sign(n, sign)
+    M = IPoly.gen()
+    x, y, z = multiple_P(n, M)
+    qp = _map_to_quartic(M, x, y if sign == "plus" else -y, z)
+    return quartic_point_to_param_solution(qp)
 
 
 def numeric_solution_from_nP(n: int, m0, sign: str = "auto") -> SolutionSix:

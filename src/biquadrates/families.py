@@ -57,7 +57,14 @@ class ParamSolution:
         entry counts with r = 0, which can only shrink g.  The work is done
         in var^g with each s reduced mod g and spread back once: g = 4 for
         the curve families and 2 for eq26.
+
+        The result is kept on the instance, so a family that
+        ``derive.quartic_point_to_param_solution`` has proved is not proved
+        again when it is printed.
         """
+        known = self.__dict__.get("_residual")
+        if known is not None:
+            return known
         polys = self.polys()
         shapes = [_stride(p.coeffs) if p.coeffs else (0, 0) for p in polys]
         r1, r2, r3, r4, r5, r6 = (r for r, _ in shapes)
@@ -88,7 +95,9 @@ class ParamSolution:
             if not lo[1].is_zero:
                 res = add(res, mul(lo, add(ab, zz)))
         s, q = res
-        return IPoly(_spread(q.coeffs, s, g)) if q.coeffs else q
+        known = IPoly(_spread(q.coeffs, s, g)) if q.coeffs else q
+        object.__setattr__(self, "_residual", known)
+        return known
 
     def degrees(self) -> tuple:
         return tuple(p.degree for p in self.polys())

@@ -162,6 +162,10 @@ class IPoly:
             k >>= 1
         return result
 
+    def __truediv__(self, other):
+        """The reduced quotient in Q(M), the field of fractions."""
+        return RatFn(self, other)
+
     def exact_div(self, other: "IPoly") -> "IPoly":
         """Quotient self/other when the division is exact over Z; else raises."""
         o = self._coerce(other)

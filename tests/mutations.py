@@ -7,17 +7,28 @@ its module, so the pipeline and the verifiers both run the corrupted copy.
 
 def v_denominator_16(to_quartic):
     """V scaled by 1/4: the paper's V read over 16(X-4M)^2, not 4(X-4M)^2."""
-    def mutated(x, y, M):
-        u, v = to_quartic(x, y, M)
+    def mutated(x, y, M, z=1):
+        u, v = to_quartic(x, y, M, z)
         return u, v / 4
     return mutated
 
 
 def v_term_23(to_quartic):
-    """V shifted by MY/(4(X-4M)^2): the paper's -24MY term read as -23MY."""
-    def mutated(x, y, M):
-        u, v = to_quartic(x, y, M)
-        return u, v + M * y / (4 * (x - 4 * M) ** 2)
+    """V shifted by MY/(4(X-4M)^2): the paper's -24MY term read as -23MY.
+
+    At X = x/z^2, Y = y/z^3 the shift is Myz/(4(x-4Mz^2)^2)."""
+    def mutated(x, y, M, z=1):
+        u, v = to_quartic(x, y, M, z)
+        return u, v + M * y * z / (4 * (x - 4 * M * z * z) ** 2)
+    return mutated
+
+
+def psi3_plus_one(initial_psi):
+    """The division value psi_3 of the base point read one too large."""
+    def mutated(x, y, a2, a4):
+        psi = initial_psi(x, y, a2, a4)
+        psi[3] = psi[3] + 1
+        return psi
     return mutated
 
 

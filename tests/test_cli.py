@@ -150,6 +150,8 @@ CURVE_SYMBOLIC_DIGESTS = {
     # recorded before the residual took the Brahmagupta split and the curve
     # and quartic checks stopped reducing through RatFn arithmetic
     (10, False): "b58fbd43a0401f95615c4589b0b6149833890e51206c2fabc0da6a2c2a9a113e",
+    # recorded while nP still came from the group law over Q(M)
+    (12, False): "f6e85370b65fdb96236738810f71d74a2a7e94e81d1743771668b7ba438c85d0",
 }
 
 # SHA-256 of `curve --n k --symbolic --sign plus|minus` stdout, recorded while
@@ -200,6 +202,13 @@ def test_curve_symbolic_pinned_digest_n10(capsys):
     code, out, err = run(capsys, "curve", "--n", "10", "--symbolic")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == CURVE_SYMBOLIC_DIGESTS[10, False]
+
+
+@pytest.mark.slow
+def test_curve_symbolic_pinned_digest_n12(capsys):
+    code, out, err = run(capsys, "curve", "--n", "12", "--symbolic")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CURVE_SYMBOLIC_DIGESTS[12, False]
 
 
 def test_curve_symbolic(capsys):

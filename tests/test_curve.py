@@ -3,20 +3,29 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import biquadrates.curve as curve
+import biquadrates.derive as derive
 from biquadrates.curve import (
     INFINITY,
     CurvePoint,
+    DegenerateCurveError,
+    PipelineError,
     WeierstrassCurve,
     add,
     curve_from_parameter,
     extra_point,
     is_nontorsion_by_mazur,
     mul_scalar,
+    multiple_P,
     on_curve,
     point_P,
 )
-from biquadrates.poly import RatFn
+from biquadrates.derive import signed_multiple
+from biquadrates.poly import IPoly, PoleError, RatFn
+from mutations import psi3_plus_one
 
 
 def test_curve_coefficients():
@@ -165,3 +174,73 @@ def test_symbolic_numeric_commutation():
             np_num = mul_scalar(c_num, n, point_P(m0**4))
             assert np_sym.x.evaluate(m0**4) == np_num.x
             assert np_sym.y.evaluate(m0**4) == np_num.y
+
+
+# -- nP from the division-value ladder, against the group law -----------------
+
+@given(st.integers(-30, 30).filter(bool), st.integers(1, 30), st.integers(1, 12),
+       st.sampled_from(("plus", "minus")))
+@settings(max_examples=60, deadline=None)
+def test_ladder_matches_group_law_over_q(a, b, n, sign):
+    M = Fraction(a, b) ** 4
+    w, pt = signed_multiple(n, M, sign)
+    ref = mul_scalar(curve_from_parameter(M), n, point_P(M))
+    assert w == ref
+    assert pt == (ref if sign == "plus" else CurvePoint(ref.x, -ref.y))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ladder_matches_group_law_over_q_m(n):
+    M = RatFn.gen()
+    w, pt = signed_multiple(n, M, "minus")
+    ref = mul_scalar(curve_from_parameter(M), n, point_P(M))
+    assert (w, pt) == (ref, CurvePoint(ref.x, -ref.y))
+
+
+def test_ladder_degenerate_and_torsion():
+    with pytest.raises(DegenerateCurveError):
+        signed_multiple(1, 0, "plus")
+    with pytest.raises(DegenerateCurveError):
+        multiple_P(3, IPoly(()))
+    # at M = 2 (not a fourth power) P is the 2-torsion point (0, 0)
+    assert point_P(2) == CurvePoint(0, 0)
+    assert mul_scalar(curve_from_parameter(2), 2, point_P(2)) == INFINITY
+    for n in (2, 4):
+        with pytest.raises(PoleError, match="point at infinity"):
+            multiple_P(n, 2)
+    with pytest.raises(ValueError):
+        multiple_P(0, 1)
+
+
+@pytest.mark.parametrize("M", [Fraction(16), RatFn.gen()], ids=["m=2", "Q(M)"])
+def test_corrupted_psi3_fails_the_curve_check(M, monkeypatch):
+    # 2P takes psi_3 only in phi, and both of its divisions stay exact, so
+    # only the curve equation of the integral model can catch it
+    monkeypatch.setattr(curve, "_initial_psi", psi3_plus_one(curve._initial_psi))
+    with pytest.raises(PipelineError, match="curve equation"):
+        signed_multiple(2, M, "plus")
+
+
+def test_inexact_ladder_division_fails(monkeypatch):
+    initial = curve._initial_psi
+
+    def psi4_plus_one(*args):
+        psi = initial(*args)
+        psi[4] = psi[4] + 1
+        return psi
+
+    monkeypatch.setattr(curve, "_initial_psi", psi4_plus_one)
+    for A in (16, IPoly.gen()):
+        # omega_2 = psi_4 / (4y)
+        with pytest.raises(PipelineError, match="remainder"):
+            multiple_P(2, A)
+
+
+def test_symbolic_map_pole(monkeypatch):
+    # (4M, 12M) lies on the curve over Z[M], where the map to the quartic
+    # model has its pole
+    M = IPoly.gen()
+    assert on_curve(curve_from_parameter(RatFn.gen()), CurvePoint(4 * M, 12 * M))
+    monkeypatch.setattr(derive, "multiple_P", lambda n, A, B=1: (4 * M, 12 * M, 1))
+    with pytest.raises(PoleError, match="X = 4m"):
+        derive.solution_from_nP(1, "plus")

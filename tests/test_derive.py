@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 import biquadrates.derive as derive
+import biquadrates.families as families
 from biquadrates.curve import (
     INFINITY,
     CurvePoint,
     add,
     curve_from_parameter,
     mul_scalar,
+    multiple_P,
     on_curve,
     point_P,
 )
@@ -144,11 +146,11 @@ def test_signed_multiple_branches():
 def test_auto_sign_computes_each_multiple_once(monkeypatch):
     calls = []
 
-    def counting(c, n, p):
+    def counting(n, A, B=1):
         calls.append(n)
-        return mul_scalar(c, n, p)
+        return multiple_P(n, A, B)
 
-    monkeypatch.setattr(derive, "mul_scalar", counting)
+    monkeypatch.setattr(derive, "multiple_P", counting)
     assert derive.auto_sign(5) in ("minus", "plus")
     assert calls == [5]
 
@@ -215,6 +217,20 @@ def test_symbolic_family_square_identities_n8():
     fam = solution_from_nP(8)
     assert fam.degrees()[4:] == (961, 960)
     _check_square_identities(fam)
+
+
+def test_family_is_proved_once(monkeypatch):
+    # the pipeline's residual is the proof; printing the family reuses it,
+    # while a fresh family with the same entries computes its own
+    fam = solution_from_nP(2, sign="plus")
+
+    def recompute(cs):
+        raise AssertionError("residual recomputed")
+
+    monkeypatch.setattr(families, "_stride", recompute)
+    assert fam.residual().is_zero
+    with pytest.raises(AssertionError, match="recomputed"):
+        ParamSolution(*fam.polys()).residual()
 
 
 def test_pipeline_commutes_with_evaluation():

@@ -143,6 +143,9 @@ def test_mutated_roundtrip_fails(monkeypatch, capsys):
         monkeypatch.setattr(derive, "to_quartic", mutation(original))
         with pytest.raises(ValueError):
             derive.weierstrass_to_quartic(1, point_P(1))
+        # the symbolic pipeline maps the triple over Z[M] through it too
+        with pytest.raises(ValueError):
+            derive.solution_from_nP(1)
         assert not verify_birational_roundtrip()
         assert _selftest_fails(capsys, "birational_roundtrip")
 
@@ -157,6 +160,9 @@ def test_mutated_shapes_fail(monkeypatch, capsys):
     # z2 = 2q^2 V: the quartic model check and the pipeline both reject it
     monkeypatch.setattr(derive, "_solution_pairs", z2_doubled(derive._solution_pairs))
     assert _selftest_fails(capsys, "quartic_model")
+    # the family is proved where it is derived, before anything prints it
+    with pytest.raises(derive.PipelineError, match="residual"):
+        derive.solution_from_nP(2, "minus")
     assert cli.main(["curve", "--n", "2", "--symbolic"]) == 1
 
 
