@@ -172,11 +172,13 @@ def cmd_curve(ns) -> int:
         return _print_family(fam, ns.descending)
     w, pt = signed_multiple(ns.n, ns.m**4, sign)
     with _int_text():
-        print("nP: (%s, %s)" % (w.x, w.y))
-        print("sign: %s" % sign)
-        print("curve point: (%s, %s)" % (pt.x, pt.y))
+        # a point past the digit limit fails here, before the map runs
+        head = "nP: (%s, %s)\nsign: %s\ncurve point: (%s, %s)" % (
+            w.x, w.y, sign, pt.x, pt.y)
+    # the map's checks prove the point before any of it is printed
     qp = weierstrass_to_quartic(ns.m**4, pt)
     u = Fraction(qp.u)
+    print(head)
     with _int_text():
         print("quartic point: (%s, %s)" % (qp.u, qp.v))
         print("U = p/q: p = %d, q = %d" % (u.numerator, u.denominator))

@@ -5,12 +5,19 @@ function field (``RatFn``); the same code runs over both.  For the family
 studied here a2 = 1 - 4M and a4 = 32M with M = m^4, so the curve and its
 base point live over Q(M), and the symbolic derivation runs there.
 
-The derivation takes nP from ``multiple_P``: the division values psi_k(P)
-on an integral model, by Ward's recurrences, over Z at a fixed M and over
-Z[M] symbolically, with no gcd.  The affine chord-tangent law (``add``,
-``mul_scalar``) is the slow oracle it is tested against.  Group operations
-validate their inputs against the curve equation, so an off-curve point is
-rejected instead of silently producing nonsense.
+The derivation takes nP from ``multiple_P``: P = -2R for the half point
+R = (4M, 12M), and nP = -2nR comes from the division values of R on an
+integral model, by Ward's recurrences, over Z at a fixed M and over Z[M]
+symbolically, with no gcd.  ``half_point_psi`` keeps them normalised,
+psi_k divided by (AB^2)^floor(k^2/4) 2^(k^2-1) (M = A/B); every division it
+makes, the normalisation of psi_2..psi_4 and the even step's division by
+the normalised psi_2, is exact or raises PipelineError.  Nothing here
+checks nP against the curve: the map to the quartic model pulls the curve
+equation back to the quartic one, which ``derive.QuarticPoint`` checks.
+The affine chord-tangent law (``add``, ``mul_scalar``) from ``point_P`` is
+the slow oracle the ladder is tested against.  Group operations validate
+their inputs against the curve equation, so an off-curve point is rejected
+instead of silently producing nonsense.
 """
 
 from __future__ import annotations
@@ -147,7 +154,11 @@ def mul_scalar(c: WeierstrassCurve, n: int, p: CurvePoint) -> CurvePoint:
 
 
 def point_P(M) -> CurvePoint:
-    """The rational point (4(M-2)^2/9, 4(M-2)(2M^2-17M-10)/27), M = m^4."""
+    """The base point (4(M-2)^2/9, 4(M-2)(2M^2-17M-10)/27), M = m^4.
+
+    It is -2R for the half point R = (4M, 12M) that ``multiple_P`` starts
+    from; the group-law oracle starts from it.
+    """
     M = _lift(M)
     x = 4 * (M - 2) ** 2 / 9
     y = 4 * (M - 2) * (2 * M * M - 17 * M - 10) / 27
@@ -157,7 +168,8 @@ def point_P(M) -> CurvePoint:
 def extra_point(m) -> CurvePoint:
     """The further rational point with denominator (m^4+3m^2-2)(m^4-3m^2-2).
 
-    It takes m, not M; it lies on ``curve_from_parameter(m**4)``.
+    It takes m, not M; it lies on ``curve_from_parameter(m**4)``, where it
+    is 3R for the half point R = (4m^4, 12m^4).
     """
     m = _lift(m)
     m2 = m * m
@@ -197,7 +209,7 @@ def _exact(a, b):
     except ExactDivisionError:
         r = 1
     if r:
-        raise PipelineError("an exact division in the nP ladder left a remainder")
+        raise PipelineError("an exact division in Z or Z[M] left a remainder")
     return q
 
 
@@ -212,50 +224,72 @@ def _initial_psi(x, y, a2, a4) -> dict:
                         - 10 * aa * x2 - 4 * a2 * aa * x - 2 * aa * a4)}
 
 
-def multiple_P(n: int, A, B=1) -> tuple:
-    """nP = (phi/z^2, omega/z^3) for the base point on the curve with M = A/B.
+def half_point_psi(A, B=1):
+    """The normalised division values of the half point R of the base point.
 
-    Over R = Z (A/B a rational M in lowest terms) or Z[M] (A = ``IPoly.gen()``,
-    B = 1).  X = 9B^2 x, Y = 27B^3 y give the integral model
-    Y^2 = X^3 + a2 X^2 + a4 X, a2 = 9B(B-4A), a4 = 2592AB^3, where P is
-    (4(A-2B)^2, 4(A-2B)(2A^2-17AB-10B^2)).  The division values psi_k(P)
-    follow Ward's recurrences (M. Ward, "Memoir on elliptic divisibility
-    sequences", Amer. J. Math. 70, 1948), memoised on the O(log n) indices
-    they need: psi_2k+1 = psi_k+2 psi_k^3 - psi_k-1 psi_k+1^3 and
-    psi_2k = psi_k (psi_k+2 psi_k-1^2 - psi_k-2 psi_k+1^2) / psi_2.  Then
-    (Silverman, *The Arithmetic of Elliptic Curves*, Ex. 3.7)
-    phi = X psi_n^2 - psi_n-1 psi_n+1, z = 3B psi_n and
-    omega = (psi_n+2 psi_n-1^2 - psi_n-2 psi_n+1^2) / (4Y).  Both divisions
-    are exact in R, and omega^2 = phi^3 + a2 phi^2 psi_n^2 + a4 phi psi_n^4
-    is checked, with no gcd; a remainder or a failed check is a
-    PipelineError.
+    Over Z (A/B a rational M in lowest terms) or Z[M] (A = ``IPoly.gen()``,
+    B = 1).  X = B^2 x, Y = B^3 y give the integral model
+    Y^2 = X^3 + a2 X^2 + a4 X, a2 = B(B-4A), a4 = 32AB^3, with the point
+    R' = (4AB, 12AB^2), the image of R = (4M, 12M); P = -2R.  Returns at(k),
+    memoised, with at(k) = psi_k(R') / (D^floor(k^2/4) 2^(k^2-1)), D = AB^2.
+    psi_k(R') is homogeneous of degree k^2 - 1 in A and B, so the power of
+    B^2 comes with the power of A: over Z[M] D is M, and at a rational M the
+    value is the one over Z[M] made homogeneous.
+
+    The values follow Ward's recurrences (M. Ward, "Memoir on elliptic
+    divisibility sequences", Amer. J. Math. 70, 1948),
+    psi_2k+1 = psi_k+2 psi_k^3 - psi_k-1 psi_k+1^3 and
+    psi_2k = psi_k (psi_k+2 psi_k-1^2 - psi_k-2 psi_k+1^2) / psi_2.  Scaling
+    psi_k by c^(k^2-1) keeps both, and so does the power of D on the even
+    step.  On the odd step the term psi_k+2 psi_k^3 (k even) or
+    psi_k-1 psi_k+1^3 (k odd) holds one factor D more than the normaliser of
+    psi_2k+1, so its normalised product is multiplied by D (over Z[M], a
+    shift).  The divisions, psi_2..psi_4 by their normalisers and the even
+    step by at(2) = 3, are exact (the tests check k <= 30); a remainder
+    raises PipelineError.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
-    a2, a4 = 9 * B * (B - 4 * A), 2592 * A * B**3
+    a2, a4 = B * (B - 4 * A), 32 * A * B**3
     if a4 == 0 or a2 * a2 - 4 * a4 == 0:
         raise DegenerateCurveError("degenerate curve: repeated root in x^3+a2x^2+a4x")
-    d = A - 2 * B
-    x = 4 * d * d
-    y = 4 * d * (2 * A * A - 17 * A * B - 10 * B * B)
-    psi = _initial_psi(x, y, a2, a4)
+    D = A * B * B
+    psi = _initial_psi(4 * A * B, 12 * D, a2, a4)
+    for k in (2, 3, 4):
+        psi[k] = _exact(psi[k], D ** (k * k // 4) * 2 ** (k * k - 1))
 
     def at(k):
         if k not in psi:
             h = k >> 1
             if k & 1:
-                psi[k] = at(h + 2) * at(h) ** 3 - at(h - 1) * at(h + 1) ** 3
+                s, t = at(h + 2) * at(h) ** 3, at(h - 1) * at(h + 1) ** 3
+                psi[k] = D * s - t if h & 1 == 0 else s - D * t
             else:
                 psi[k] = _exact(at(h) * (at(h + 2) * at(h - 1) ** 2
                                          - at(h - 2) * at(h + 1) ** 2), psi[2])
         return psi[k]
 
-    pn, before, after = at(n), at(n - 1), at(n + 1)
-    if pn == 0:
+    return at
+
+
+def multiple_P(n: int, A, B=1) -> tuple:
+    """nP = (phi/z^2, omega/z^3) for the base point on the curve with M = A/B.
+
+    Returns (phi, omega, z, below, above), over Z or Z[M] as in
+    ``half_point_psi``, where below and above are the normalised values at
+    2n - 1 and 2n + 1 around g at 2n, and nP = -2nR.  Silverman (*The
+    Arithmetic of Elliptic Curves*, Ex. 3.7) gives
+    x(kR) - x(R) = -psi_k-1 psi_k+1 / psi_k^2 and
+    y(kR) = (psi_k+2 psi_k-1^2 - psi_k-2 psi_k+1^2) / (4 y(R) psi_k^3); in
+    the normalised values, with W = at(2n+2) below^2 - at(2n-2) above^2,
+    phi = 36(ABg^2 - below*above), omega = -36W and z = 3Bg.  Over Z[M] the
+    map's pole factor is then x - 4Mz^2 = -36 below*above.  Nothing here
+    checks the curve equation: the ``QuarticPoint`` check on the map's image
+    is that equation (``derive.to_quartic``).
+    """
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("n must be a positive integer")
+    at = half_point_psi(A, B)
+    g, below, above = at(2 * n), at(2 * n - 1), at(2 * n + 1)
+    if g == 0:
         raise PoleError("nP is the point at infinity")
-    sq = pn * pn
-    phi = x * sq - before * after
-    omega = _exact(at(n + 2) * before * before - at(n - 2) * after * after, 4 * y)
-    if omega * omega != phi * (phi * (phi + a2 * sq) + a4 * sq * sq):
-        raise PipelineError("nP fails the curve equation of the integral model")
-    return phi, omega, 3 * B * pn
+    w = at(2 * n + 2) * below * below - at(2 * n - 2) * above * above
+    return 36 * (A * B * g * g - below * above), -36 * w, 3 * B * g, below, above

@@ -13,13 +13,22 @@ up to the scaling action.  The curve, its points and the quartic model
 live over Q(M), M = m^4, and take M; m enters only through the solution
 shapes.  Run over Q(M) the pipeline produces polynomial families in m; run
 over Q at a fixed parameter it produces integer solutions.
+
+Over Q(M) the pipeline takes no polynomial gcd.  ``curve.multiple_P`` gives
+nP as a triple over Z[M] with the odd division values around it; the map's
+pole factor 2x - 8Mz^2 is -72 times their product and U's numerator shares
+one of them, so ``to_quartic`` reduces U by dividing it out exactly, then
+the integer content.  The map pulls the curve equation back to the quartic
+one, so the ``QuarticPoint`` check on the image proves nP lay on the curve.
+Clearing takes integer contents only, and the family's residual is its
+proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from biquadrates.curve import (
     CurvePoint,
@@ -38,7 +47,7 @@ from biquadrates.exact import (
     check_solution,
 )
 from biquadrates.families import ParamSolution
-from biquadrates.poly import IPoly, PoleError, RatFn, _full_gcd, _positive, _spread, monic_at
+from biquadrates.poly import IPoly, PoleError, RatFn, _positive, _spread, content, monic_at
 
 SAMPLES = (1, 2, 3, Fraction(1, 2), 5)
 
@@ -74,27 +83,44 @@ class QuarticPoint:
             raise ValueError("point does not satisfy the quartic model")
 
 
-def to_quartic(x, y, M, z=1):
+def to_quartic(x, y, M, z=1, g=1):
     """The map (X, Y) -> (U, V) to the quartic model at X = x/z^2, Y = y/z^3.
 
-    U = (xz + y + 8Mz^3) / (z(2x - 8Mz^2)).  V comes from the inverse map's
-    X = 2U^2 - 2U + 2V: with U = p/q it is V = s/q^2, where
-    s = (xq^2 + 2z^2 p(q-p)) / (2z^2).  On the curve V equals the paper's
-    cubic form over 4(X-4M)^2, which costs far more to reduce.
+    U = (xz + y + 8Mz^3) / (z(2x - 8Mz^2)), with its pole where X = 4M.  V
+    comes from the inverse map's X = 2U^2 - 2U + 2V: with U = p/q it is
+    V = s/q^2, where s = (xq^2 + 2z^2 p(q-p)) / (2z^2).  On the curve V equals
+    the paper's cubic form over 4(X-4M)^2, which costs far more to reduce.
+    With V = X/2 + U - U^2 the quartic model's equation V^2 = quartic(U) is
+    (Y^2 - X^3 - (1-4M)X^2 - 32MX) / (4(4M - X)) = 0, the curve equation
+    pulled back, so the ``QuarticPoint`` check on the image proves that
+    (X, Y) was on the curve.
 
-    Over a field p, q = U, 1.  Given x, y, z and M in Z[M], U is reduced once
-    to p/q, s is an exact division in Z[M], and V is s/q^2 as it stands.
-    That is V's reduced form: with N = q^4 quartic_rhs(p/q), N/q^4 is
-    reduced (``poly.monic_at``), so s^2 = N, which ``QuarticPoint`` checks,
-    shows that s and q are coprime.
+    Over a field p, q = U, 1.  Over Z[M] the caller passes g, the polynomial
+    part of the gcd of U's numerator and denominator, which also divides
+    2x - 8Mz^2 (``multiple_P``'s odd value); it is divided out of both
+    exactly, then their integer content c, and no polynomial gcd is taken.
+    Then q = zr/c with r = (2x - 8Mz^2)/g, so s = xr^2/(2c^2) + p(q-p)
+    divides only by an integer, exactly, and V is s/q^2 as it stands.  That
+    is V's reduced form: with N = q^4 quartic_rhs(p/q), N/q^4 is reduced
+    (``poly.monic_at``), so s^2 = N, which ``QuarticPoint`` checks, shows
+    that s and q are coprime.
     """
     zz = z * z
-    u = (x * z + y + 8 * M * z * zz) / (z * (2 * x - 8 * M * zz))
-    integral = isinstance(x, IPoly)
-    p, q = (u.num, u.den) if integral else (u, 1)
-    w = 2 * zz
-    s = x * q * q + w * p * (q - p)
-    return u, RatFn._raw(_exact(s, w), q * q) if integral else s / w
+    num, pole = x * z + y + 8 * M * z * zz, 2 * x - 8 * M * zz
+    if pole == 0:
+        raise PoleError("the map is undefined where X = 4m^4")
+    if not isinstance(x, IPoly):
+        u = num / (z * pole)
+        w = 2 * zz
+        return u, (x + w * u * (1 - u)) / w
+    p, r = _exact(num, g), _exact(pole, g)
+    q = z * r
+    c = gcd(content(p), content(q))
+    c = -c if q.lc < 0 else c
+    p, q = _exact(p, c), _exact(q, c)
+    # q = zr/c, so s = xr^2/(2c^2) + p(q-p) divides by integers only
+    s = _exact(x * (r * r), 2 * c * c) + p * (q - p)
+    return RatFn._raw(p, q), RatFn._raw(s, q * q)
 
 
 def to_weierstrass(u, v, M):
@@ -112,35 +138,33 @@ def weierstrass_to_quartic(M, pt: CurvePoint) -> QuarticPoint:
         raise PoleError("the point at infinity has no affine image")
     if not on_curve(curve_from_parameter(M), pt):
         raise ValueError("point is not on the curve for this parameter")
-    return _map_to_quartic(M, pt.x, pt.y)
+    return QuarticPoint(*to_quartic(pt.x, pt.y, M), M)
 
 
-def _map_to_quartic(M, x, y, z=1) -> QuarticPoint:
-    """The quartic-model point of the curve point (x/z^2, y/z^3)."""
-    if 2 * x - 8 * M * z * z == 0:
-        raise PoleError("the map is undefined where X = 4m^4")
-    return QuarticPoint(*to_quartic(x, y, M, z), M)
-
-
-def _solution_pairs(p, q, m, v) -> tuple:
-    """The module docstring's pairs, over Q or over Z[M] with v in Q(M)."""
-    return ((p - q, 2 * m * q), (m * (p + q), p),
-            (m * (p * p + q * q), q * q * v))
+def _solution_pairs(p, q, m, s) -> tuple:
+    """The module docstring's pairs, over Q or over Z[M], with s = q^2 V."""
+    return ((p - q, 2 * m * q), (m * (p + q), p), (m * (p * p + q * q), s))
 
 
 def quartic_point_to_param_solution(qp: QuarticPoint) -> ParamSolution:
     """Turn a quartic-model point over Q(M) into a polynomial family in m.
 
-    With U = p/q over Z[M], the entries are the module docstring's pairs at
-    m = 1, times m^e for e = (0, 1, 1, 0, 1, 0).  Each pair is freed of common
-    factors, the z entries are cleared to polynomials, and each entry is
-    spread to m.  The family's residual is the proof, taken once on the
-    spread entries: on a genuine family it forms only A - z1^2 and B - z2^2
-    (see ``ParamSolution.residual``), the two square identities in m, finds
-    both zero, and keeps that result for later callers.
+    With U = p/q reduced over Z[M], V is s/q^2 (``to_quartic``; for a reduced
+    V the ``QuarticPoint`` check forces that denominator), and the entries are
+    the module docstring's pairs at m = 1, times m^e for e = (0, 1, 1, 0, 1, 0).
+    gcd(p - q, 2q) and gcd(p + q, p) have polynomial part gcd(p, q) = 1, so
+    each pair is freed of its integer content gcd alone, d1 and d2, and no
+    ``RatFn`` is built.  The contents of p and q are coprime, so d2 = 1 and
+    d1 divides 2; if d1 = 2, p = q (mod 2), so 2 divides z1 = (p-q)^2 + 2pq
+    and 4 divides z2^2 = (p-q)^2 p^2 - 4q^2(p+q)^2, hence 2 divides z2, and
+    the z entries divide exactly by d1 d2.  Each entry is then spread to m.
+    The family's residual is the proof, taken once on the spread entries: on
+    a genuine family it forms only A - z1^2 and B - z2^2 (see
+    ``ParamSolution.residual``), the two square identities in m, finds both
+    zero, and keeps that result for later callers.
 
-    The gcds are those over Z[m], gcd(A(m^4), m B(m^4)) = gcd(A, B)(m^4),
-    since x1 = p - q and y2 = p, and with them the pair gcds, are nonzero at
+    Over Z[m] the pair gcds are the same: gcd(A(m^4), m B(m^4)) is
+    gcd(A, B)(m^4) when A(0) != 0, and x1 = p - q and y2 = p are nonzero at
     M = 0: U(0) is not 0, 1 or infinity.  At M = 0 the curve is
     Y^2 = X^2(X+1), P reduces to the smooth point with t = (Y-X)/(Y+X) = 1/4,
     so +-nP reduce to t = 4^-+n != 1, and U(0) = (1+s)/2 with
@@ -156,25 +180,12 @@ def quartic_point_to_param_solution(qp: QuarticPoint) -> ParamSolution:
     p, q = u.num, u.den
     if p.degree == 0 and q.degree == 0:
         raise PipelineError("constant U gives no one-parameter family")
-    (x1, x2), (y1, y2), (z1, z2) = _solution_pairs(p, q, 1, v)
-    d1 = _full_gcd(x1, x2)
-    x1, x2 = x1.exact_div(d1), x2.exact_div(d1)
-    d2 = _full_gcd(y1, y2)
-    y1, y2 = y1.exact_div(d2), y2.exact_div(d2)
-
-    shared = d1 * d2
-    z1 = RatFn(z1, shared)
-    z2 = z2 / shared
-    clear = (z1.den * z2.den).exact_div(_full_gcd(z1.den, z2.den))
-    if clear.degree > 0 or clear.lc != 1:
-        x1, x2 = x1 * clear, x2 * clear
-        z1 = z1 * RatFn(clear)
-        z2 = z2 * RatFn(clear)
-    if z1.den != 1 or z2.den != 1:
-        raise PipelineError("z entries did not clear to polynomials")
-
-    entries = (_positive(e) for e in (x1, x2, y1, y2, z1.num, z2.num))
-    ps = ParamSolution(*(IPoly(_spread(e.coeffs, r, 4))
+    (x1, x2), (y1, y2), (z1, z2) = _solution_pairs(p, q, 1, v.num)
+    d1 = gcd(content(x1), content(x2))
+    d2 = gcd(content(y1), content(y2))
+    entries = (_exact(x1, d1), _exact(x2, d1), _exact(y1, d2), _exact(y2, d2),
+               _exact(z1, d1 * d2), _exact(z2, d1 * d2))
+    ps = ParamSolution(*(IPoly(_spread(_positive(e).coeffs, r, 4))
                          for e, r in zip(entries, (0, 1, 1, 0, 1, 0))))
     if not ps.residual().is_zero:
         raise PipelineError("the family's residual is nonzero")
@@ -204,7 +215,7 @@ def solution_from_quartic_point(qp: QuarticPoint, m) -> SolutionSix:
         raise ValueError("m^4 differs from the quartic point's M")
     u, v = Fraction(qp.u), Fraction(qp.v)
     p, q = Fraction(u.numerator), Fraction(u.denominator)
-    return _clear_to_solution(*_solution_pairs(p, q, m, v))
+    return _clear_to_solution(*_solution_pairs(p, q, m, q * q * v))
 
 
 def _resolve_sign(n: int, sign: str) -> str:
@@ -226,9 +237,9 @@ def signed_multiple(n: int, M, sign: str = "auto") -> tuple:
     if isinstance(M, RatFn):
         if M != RatFn.gen():
             raise TypeError("parameter must be rational or the generator of Q(M)")
-        field, (x, y, z) = RatFn, multiple_P(n, IPoly.gen())
+        field, (x, y, z, *_) = RatFn, multiple_P(n, IPoly.gen())
     else:
-        field, (x, y, z) = Fraction, multiple_P(n, M.numerator, M.denominator)
+        field, (x, y, z, *_) = Fraction, multiple_P(n, M.numerator, M.denominator)
     w = CurvePoint(field(x, z * z), field(y, z * z * z))
     return w, w if sign == "plus" else CurvePoint(w.x, -w.y)
 
@@ -259,13 +270,16 @@ def auto_sign(n: int) -> str:
 def solution_from_nP(n: int, sign: str = "auto") -> ParamSolution:
     """Polynomial family from the n-th multiple of the base point over Q(M).
 
-    The map takes nP as ``multiple_P``'s triple over Z[M]: nP and V take no
-    gcd, and U is reduced once.
+    The map takes ``multiple_P``'s triple over Z[M] and the factor it shares
+    with U's numerator: the odd value at 2n + 1 on the minus branch (the
+    point 2nR) and at 2n - 1 on the plus branch.  No polynomial gcd is taken
+    anywhere on this path.
     """
     sign = _resolve_sign(n, sign)
     M = IPoly.gen()
-    x, y, z = multiple_P(n, M)
-    qp = _map_to_quartic(M, x, y if sign == "plus" else -y, z)
+    x, y, z, below, above = multiple_P(n, M)
+    y, g = (y, below) if sign == "plus" else (-y, above)
+    qp = QuarticPoint(*to_quartic(x, y, M, z, g), M)
     return quartic_point_to_param_solution(qp)
 
 

@@ -45,8 +45,9 @@ V = -U^2 - 5U - 2.  ``to_quartic`` takes V from the inverse map, so the X
 difference on the (X, Y) chart vanishes by construction; its Y difference
 checks the U map, and the (U, V) chart checks both maps.
 
-The last two verifiers run the curve side itself: the base point and the
-extra point lie on the curve over Q(m), as do small multiples at fixed m,
+The last two verifiers run the curve side itself: the base point, the
+extra point and the half point R lie on the curve over Q(m), P = -2R and
+the extra point is 3R there, small multiples at fixed m lie on it,
 and ``derive.solution_from_nP(3)`` gives a family with zero residual and
 z-degrees of at least 120.  ``ALL_VERIFIERS`` lists them in the order
 ``selftest`` prints them; ``selftest --quick`` skips ``curve_high_multiple``.
@@ -129,7 +130,7 @@ def verify_substitution_13() -> bool:
 
 def quartic_model_grid() -> GridIdentity:
     def residual(p, q, m, v):
-        (x1, x2), (y1, y2), (_, z2) = derive._solution_pairs(p, q, m, v)
+        (x1, x2), (y1, y2), (_, z2) = derive._solution_pairs(p, q, m, q * q * v)
         return (z2**2 - (x1 * y2) ** 2 + (x2 * y1) ** 2
                 - q**4 * (v**2 - derive.quartic_rhs(p / q, m**4)))
     return GridIdentity(("p", "q", "m", "v"), (4, 4, 4, 2), residual,
@@ -226,12 +227,17 @@ def verify_birational_roundtrip() -> bool:
 # the curve and the derivation it feeds
 
 def verify_curve_closure() -> bool:
-    """The base point and the extra point lie on the curve over Q(m), and at
-    m = 1 and 2 so do 2P, 3P and the extra point."""
+    """The base point, the extra point and the half point R = (4m^4, 12m^4)
+    lie on the curve over Q(m), P = -2R and the extra point is 3R there, and
+    at m = 1 and 2 so do 2P, 3P and the extra point."""
     mm = RatFn.gen()
     sym = curve.curve_from_parameter(mm**4)
-    if not (curve.on_curve(sym, curve.point_P(mm**4))
-            and curve.on_curve(sym, curve.extra_point(mm))):
+    p, e = curve.point_P(mm**4), curve.extra_point(mm)
+    r = curve.CurvePoint(4 * mm**4, 12 * mm**4)
+    if not all(curve.on_curve(sym, pt) for pt in (p, e, r)):
+        return False
+    two = curve.add(sym, r, r)
+    if two != curve.CurvePoint(p.x, -p.y) or curve.add(sym, two, r) != e:
         return False
     for m0 in (1, 2):
         c = curve.curve_from_parameter(m0**4)

@@ -428,6 +428,8 @@ def _positive(p: IPoly) -> IPoly:
 def _full_gcd(p: IPoly, q: IPoly) -> IPoly:
     """gcd in Z[m] including integer content, positive leading coefficient."""
     c = gcd(content(p), content(q))
+    if p.degree == 0 or q.degree == 0:
+        return IPoly.const(c)
     g = poly_gcd(p, q)
     return g if c == 1 else IPoly.const(c) * g
 

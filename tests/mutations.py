@@ -24,10 +24,19 @@ def v_term_23(to_quartic):
 
 
 def psi3_plus_one(initial_psi):
-    """The division value psi_3 of the base point read one too large."""
+    """The division value psi_3 of the half point read one too large."""
     def mutated(x, y, a2, a4):
         psi = initial_psi(x, y, a2, a4)
         psi[3] = psi[3] + 1
+        return psi
+    return mutated
+
+
+def psi3_doubled(initial_psi):
+    """The division value psi_3 of the half point read twice too large."""
+    def mutated(x, y, a2, a4):
+        psi = initial_psi(x, y, a2, a4)
+        psi[3] = 2 * psi[3]
         return psi
     return mutated
 

@@ -218,6 +218,18 @@ def test_curve_symbolic(capsys):
     assert "degrees: 24 21 25 24 49 48" in out
 
 
+def test_curve_m_prints_no_unchecked_point(capsys, monkeypatch):
+    # a ladder fault that passes every exact division gives a point off the
+    # curve; the map's on-curve check rejects it before anything is printed
+    import biquadrates.curve as curve
+    from mutations import psi3_doubled
+
+    monkeypatch.setattr(curve, "_initial_psi", psi3_doubled(curve._initial_psi))
+    with pytest.raises(ValueError, match="not on the curve"):
+        main(["curve", "--n", "2", "--m", "2", "--sign", "plus"])
+    assert capsys.readouterr().out == ""
+
+
 def test_curve_degenerate_parameter(capsys):
     code, _, err = run(capsys, "curve", "--n", "1", "--m", "0")
     assert code == 1

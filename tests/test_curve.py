@@ -17,6 +17,7 @@ from biquadrates.curve import (
     add,
     curve_from_parameter,
     extra_point,
+    half_point_psi,
     is_nontorsion_by_mazur,
     mul_scalar,
     multiple_P,
@@ -25,7 +26,7 @@ from biquadrates.curve import (
 )
 from biquadrates.derive import signed_multiple
 from biquadrates.poly import IPoly, PoleError, RatFn
-from mutations import psi3_plus_one
+from mutations import psi3_doubled, psi3_plus_one
 
 
 def test_curve_coefficients():
@@ -212,13 +213,37 @@ def test_ladder_degenerate_and_torsion():
         multiple_P(0, 1)
 
 
+def test_ladder_at_m4_equal_2_meets_torsion():
+    # at M = 2, P = (0, 0) has order 2, so nP is (0, 0) for odd n and the
+    # point at infinity for even n; the ladder divides by no coordinate of P
+    c = curve_from_parameter(2)
+    for n in range(1, 7):
+        ref = mul_scalar(c, n, point_P(2))
+        for sign in ("plus", "minus"):
+            if ref.infinity:
+                with pytest.raises(PoleError):
+                    signed_multiple(n, 2, sign)
+            else:
+                assert signed_multiple(n, 2, sign) == (ref, ref)
+
+
 @pytest.mark.parametrize("M", [Fraction(16), RatFn.gen()], ids=["m=2", "Q(M)"])
 def test_corrupted_psi3_fails_the_curve_check(M, monkeypatch):
-    # 2P takes psi_3 only in phi, and both of its divisions stay exact, so
-    # only the curve equation of the integral model can catch it
-    monkeypatch.setattr(curve, "_initial_psi", psi3_plus_one(curve._initial_psi))
-    with pytest.raises(PipelineError, match="curve equation"):
+    # psi_3 + 1 leaves a remainder where psi_3 is normalised; 2 psi_3
+    # normalises exactly, and the 2P it gives is off the curve, so the
+    # QuarticPoint check on its image, the curve equation pulled back, fails
+    initial = curve._initial_psi
+    monkeypatch.setattr(curve, "_initial_psi", psi3_plus_one(initial))
+    with pytest.raises(PipelineError, match="remainder"):
         signed_multiple(2, M, "plus")
+    monkeypatch.setattr(curve, "_initial_psi", psi3_doubled(initial))
+    _, pt = signed_multiple(2, M, "plus")
+    with pytest.raises(ValueError, match="quartic model"):
+        derive.QuarticPoint(*derive.to_quartic(pt.x, pt.y, pt.x * 0 + M), M)
+    if isinstance(M, RatFn):
+        # the pipeline's division by U's known factor catches it first
+        with pytest.raises(PipelineError, match="remainder"):
+            derive.solution_from_nP(2, "plus")
 
 
 def test_inexact_ladder_division_fails(monkeypatch):
@@ -231,7 +256,7 @@ def test_inexact_ladder_division_fails(monkeypatch):
 
     monkeypatch.setattr(curve, "_initial_psi", psi4_plus_one)
     for A in (16, IPoly.gen()):
-        # omega_2 = psi_4 / (4y)
+        # psi_4 is normalised by A^4 2^15
         with pytest.raises(PipelineError, match="remainder"):
             multiple_P(2, A)
 
@@ -241,6 +266,41 @@ def test_symbolic_map_pole(monkeypatch):
     # model has its pole
     M = IPoly.gen()
     assert on_curve(curve_from_parameter(RatFn.gen()), CurvePoint(4 * M, 12 * M))
-    monkeypatch.setattr(derive, "multiple_P", lambda n, A, B=1: (4 * M, 12 * M, 1))
+    monkeypatch.setattr(derive, "multiple_P", lambda n, A, B=1: (4 * M, 12 * M, 1, 1, 1))
     with pytest.raises(PoleError, match="X = 4m"):
         derive.solution_from_nP(1, "plus")
+
+
+def _plain_psi(A, B, top):
+    """psi_0 .. psi_top at R' by Ward's recurrences with no normalisation."""
+    x, y = 4 * A * B, 12 * A * B * B
+    psi = curve._initial_psi(x, y, B * (B - 4 * A), 32 * A * B**3)
+    for k in range(5, top + 1):
+        h = k >> 1
+        if k & 1:
+            psi[k] = psi[h + 2] * psi[h] ** 3 - psi[h - 1] * psi[h + 1] ** 3
+        else:
+            t = psi[h] * (psi[h + 2] * psi[h - 1] ** 2 - psi[h - 2] * psi[h + 1] ** 2)
+            psi[k] = t.exact_div(psi[2]) if isinstance(t, IPoly) else t // psi[2]
+    return psi
+
+
+def _check_normalised(A, B, top):
+    psi, at = _plain_psi(A, B, top), half_point_psi(A, B)
+    for k in range(1, top + 1):
+        norm = (A * B * B) ** (k * k // 4) * 2 ** (k * k - 1)
+        assert psi[k] == norm * at(k), k
+
+
+def test_half_point_psi_divisibility_over_q_m():
+    # psi_k(R') over Z[M] is divisible by M^floor(k^2/4) 2^(k^2-1), and the
+    # ladder's normalised values are the quotients; at M = A/B the power of
+    # A comes with the same power of B^2
+    _check_normalised(IPoly.gen(), 1, 30)
+
+
+@given(st.integers(-12, 12).filter(bool), st.integers(1, 12))
+@settings(max_examples=25, deadline=None)
+def test_half_point_psi_divisibility_over_q(a, b):
+    M = Fraction(a, b) ** 4
+    _check_normalised(M.numerator, M.denominator, 30)

@@ -6,6 +6,7 @@ import pytest
 
 import biquadrates.derive as derive
 import biquadrates.families as families
+import biquadrates.poly as poly
 from biquadrates.curve import (
     INFINITY,
     CurvePoint,
@@ -217,6 +218,27 @@ def test_symbolic_family_square_identities_n8():
     fam = solution_from_nP(8)
     assert fam.degrees()[4:] == (961, 960)
     _check_square_identities(fam)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_symbolic_pipeline_takes_no_polynomial_gcd(n, monkeypatch):
+    def no_gcd(a, b):
+        raise AssertionError("polynomial gcd taken")
+
+    monkeypatch.setattr(poly, "poly_gcd", no_gcd)
+    for sign in ("minus", "plus"):
+        assert solution_from_nP(n, sign).residual().is_zero
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_known_factor_reduces_u(n):
+    # dividing out the ladder's odd value and the integer content leaves U
+    # and V in the reduced forms the map over Q(M), with its gcds, gives
+    M = IPoly.gen()
+    x, y, z, below, above = multiple_P(n, M)
+    for y, g in ((y, below), (-y, above)):
+        ref = derive.to_quartic(RatFn(x), RatFn(y), RatFn.gen(), RatFn(z))
+        assert derive.to_quartic(x, y, M, z, g) == ref
 
 
 def test_family_is_proved_once(monkeypatch):

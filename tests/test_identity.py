@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from biquadrates import cli, derive, pell, search
+from biquadrates import cli, curve, derive, pell, search
 from biquadrates.curve import point_P
 from biquadrates.exact import SolutionSix
 from biquadrates.families import FAMILIES, ParamSolution, family_eq20
@@ -21,6 +21,7 @@ from biquadrates.identity import (
     quartic_model_grid,
     substitution_grid,
     verify_birational_roundtrip,
+    verify_curve_closure,
     verify_mod16_obstruction,
     verify_pell_reduction,
 )
@@ -77,8 +78,8 @@ def test_quartic_model_worked_point():
     r = quartic_model_grid().residual
     assert r(Fraction(-2), Fraction(3), Fraction(1), Fraction(-8, 9)) == 0
     assert derive.quartic_rhs(Fraction(-2, 3), Fraction(1)) == Fraction(64, 81)
-    # there the shapes satisfy the square identity for z2
-    (x1, x2), (y1, y2), (_, z2) = derive._solution_pairs(-2, 3, 1, Fraction(-8, 9))
+    # there the shapes, given s = q^2 V = -8, satisfy the square identity for z2
+    (x1, x2), (y1, y2), (_, z2) = derive._solution_pairs(-2, 3, 1, -8)
     assert z2**2 == (x1 * y2) ** 2 - (x2 * y1) ** 2
 
 
@@ -148,6 +149,21 @@ def test_mutated_roundtrip_fails(monkeypatch, capsys):
             derive.solution_from_nP(1)
         assert not verify_birational_roundtrip()
         assert _selftest_fails(capsys, "birational_roundtrip")
+
+
+def test_curve_closure_checks_the_half_point(monkeypatch, capsys):
+    # -P and 2P lie on the curve like P, but neither is -2R
+    for wrong in (lambda M: curve.CurvePoint(point_P(M).x, -point_P(M).y),
+                  lambda M: curve.mul_scalar(curve.curve_from_parameter(M), 2, point_P(M))):
+        with monkeypatch.context() as mp:
+            mp.setattr(curve, "point_P", wrong)
+            assert not verify_curve_closure()
+            assert _selftest_fails(capsys, "curve_closure")
+    # 3R read as 2R - R = R, which is not the extra point
+    add = curve.add
+    monkeypatch.setattr(curve, "add", lambda c, p, q: add(c, p, q) if p == q
+                        else add(c, p, curve.CurvePoint(q.x, -q.y)))
+    assert not verify_curve_closure()
 
 
 def test_mutated_inverse_map_fails(monkeypatch, capsys):

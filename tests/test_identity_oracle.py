@@ -19,7 +19,7 @@ sympy = pytest.importorskip("sympy")
 from sympy import QQ  # noqa: E402
 from sympy.polys.fields import field  # noqa: E402
 
-from biquadrates import derive, pell  # noqa: E402
+from biquadrates import curve, derive, pell  # noqa: E402
 from biquadrates.identity import (  # noqa: E402
     brahmagupta_grid,
     curve_chart_grid,
@@ -141,3 +141,16 @@ def test_mutation_fits_bounds(name, monkeypatch):
     grid, module, attr, mutation = MUTATIONS[name]
     monkeypatch.setattr(module, attr, mutation(getattr(module, attr)))
     assert _numerators_fit(grid())
+
+
+@pytest.mark.parametrize("jacobian", [False, True])
+def test_quartic_check_is_the_pulled_back_curve_equation(jacobian):
+    # with to_quartic's V = X/2 + U - U^2, V^2 - quartic_rhs(U) is the curve
+    # equation over 4(4M - X), so the QuarticPoint check on the image of a
+    # point proves the point was on the curve
+    x, y, z, M = sympy.symbols("x y z M")
+    X, Y = (x / z**2, y / z**3) if jacobian else (x, y)
+    u, v = derive.to_quartic(x, y, M, z) if jacobian else derive.to_quartic(x, y, M)
+    pulled_back = v**2 - derive.quartic_rhs(u, M)
+    c = curve.curve_from_parameter(M)
+    assert sympy.cancel(pulled_back - (Y**2 - c.rhs(X)) / (4 * (4 * M - X))) == 0
