@@ -227,20 +227,14 @@ def _resolve_sign(n: int, sign: str) -> str:
 def signed_multiple(n: int, M, sign: str = "auto") -> tuple:
     """The n-th multiple of the base point and the branch taken from it.
 
-    M = m^4 is a rational value or the generator of Q(M).  Returns reduced
-    affine points (nP, point) with point = nP on the "plus" branch and -nP
-    on "minus"; "auto" is resolved by ``auto_sign``.  nP comes from
-    ``multiple_P`` over Z or Z[M].
+    M = m^4 is a rational value.  Returns affine points (nP, point) over Q
+    with point = nP on the "plus" branch and -nP on "minus"; "auto" is
+    resolved by ``auto_sign``.  nP comes from ``multiple_P`` over Z.
     """
     sign = _resolve_sign(n, sign)
-    M = _lift(M)
-    if isinstance(M, RatFn):
-        if M != RatFn.gen():
-            raise TypeError("parameter must be rational or the generator of Q(M)")
-        field, (x, y, z, *_) = RatFn, multiple_P(n, IPoly.gen())
-    else:
-        field, (x, y, z, *_) = Fraction, multiple_P(n, M.numerator, M.denominator)
-    w = CurvePoint(field(x, z * z), field(y, z * z * z))
+    M = Fraction(M)
+    x, y, z, *_ = multiple_P(n, M.numerator, M.denominator)
+    w = CurvePoint(Fraction(x, z * z), Fraction(y, z * z * z))
     return w, w if sign == "plus" else CurvePoint(w.x, -w.y)
 
 
@@ -281,13 +275,6 @@ def solution_from_nP(n: int, sign: str = "auto") -> ParamSolution:
     y, g = (y, below) if sign == "plus" else (-y, above)
     qp = QuarticPoint(*to_quartic(x, y, M, z, g), M)
     return quartic_point_to_param_solution(qp)
-
-
-def numeric_solution_from_nP(n: int, m0, sign: str = "auto") -> SolutionSix:
-    """Integer solution from nP at a fixed rational parameter value."""
-    m0 = Fraction(m0)
-    _, w = signed_multiple(n, m0**4, sign)
-    return solution_from_quartic_point(weierstrass_to_quartic(m0**4, w), m0)
 
 
 def evaluate_param(ps: ParamSolution, m0) -> SolutionSix:

@@ -6,29 +6,16 @@ arithmetic is exact.  Multiplication switches to Kronecker substitution (pack
 the coefficients into one big integer, multiply, unpack balanced digits) once
 operands are large, which keeps degree-several-hundred products cheap.
 
-``poly_gcd`` has one route.  For primitive A, B, a gcd of the images
-modulo a prime below 2**30 (one CPython int digit, so its residues take the
-single-digit fast paths) proves coprimality when it is constant.  Otherwise
-GCDHEU (Char, Geddes and Gonnet, "GCDHEU: Heuristic polynomial GCD algorithm
-based on integer GCD computation", J. Symbolic Comp. 7, 1989) unpacks the
-balanced base-xi digits h of gamma = gcd(A(xi), B(xi)), xi = 2**w, with the
-Kronecker codec, and returns cand = pp(h) once exact trial division shows
-that cand divides A and B; if not, w grows to at least 2w + 1.  The codec
-works in whole bytes, so every w is a multiple of 8; the proofs below need
-only the lower bounds and the unbounded growth.
-* No undershoot.  w starts at >= bitlen(max(|A|_inf, |B|_inf)) + 3, so
-  xi > 2|A|_inf + 2.  If cand divides A and B, write gcd(A, B) = cand * k.
-  Then k(xi) divides the content c of h, 0 < |c| <= xi/2, and each root of k
-  is a root of A, so of modulus < 1 + |A|_inf <= xi/2 (Cauchy bound).  If
-  deg k >= 1, then |k(xi)| > (xi/2)**deg k >= |c|, too big to divide c.  So
-  k = 1, cand is the gcd, and a constant cand proves the gcd is 1.
-* Termination.  With A = G*A' and B = G*B', gamma = delta*|G(xi)|, where
-  delta = gcd(A'(xi), B'(xi)) divides Res(A', B') != 0 (delta = 1 if A' or B'
-  is +-1).  Once xi > 2|Res|*|G|_inf the balanced digits of gamma are
-  +-delta*G, so cand = G; w grows without bound, so the loop ends.
+``poly_gcd`` is the primitive polynomial remainder sequence (W. S. Brown,
+"On Euclid's algorithm and the computation of polynomial greatest common
+divisors", J. ACM 18, 1971): (A, B) becomes (B, pp(prem(A, B))) until B is
+zero or constant.  Its one caller is ``RatFn``'s reduction, and only when
+both parts of a quotient are nonconstant: the derivation over Z[M] takes no
+gcd, and ``selftest``'s curve closure over Q(M) takes about ten on small
+degrees, so the route is plain, not fast.
 
 ``RatFn`` is the field of rational functions in one variable (Q(M) in the
-curve pipeline): quotients kept fully reduced (polynomial part
+curve's group law): quotients kept fully reduced (polynomial part
 and integer content both coprime, denominator with positive leading
 coefficient), so equality is structural.  ``monic_at`` evaluates a monic
 polynomial over Z[M] at a reduced quotient with no gcd: its homogenised
@@ -68,10 +55,6 @@ class IPoly:
             if not isinstance(c, int):
                 raise TypeError("integer coefficients required, got %r" % (c,))
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, c: int) -> "IPoly":
-        return cls((c,))
 
     @classmethod
     def gen(cls) -> "IPoly":
@@ -171,7 +154,16 @@ class IPoly:
         o = self._coerce(other)
         if o is None:
             raise TypeError("cannot divide by %r" % (other,))
-        return IPoly(_exact_div_coeffs(self.coeffs, o.coeffs))
+        if o.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        if self.is_zero:
+            return self
+        if self.degree < o.degree:
+            raise ExactDivisionError("degree of divisor exceeds degree of dividend")
+        q, r = _divide(self.coeffs, o.coeffs)
+        if any(r):
+            raise ExactDivisionError("nonzero remainder")
+        return IPoly(q)
 
     def evaluate(self, x):
         """Horner evaluation; exact for int or Fraction arguments."""
@@ -268,11 +260,6 @@ def _spread(cs: tuple, r: int, g: int) -> tuple:
     return tuple(out)
 
 
-def _whole_bytes(bits: int) -> int:
-    """The least multiple of 8 that is at least bits: the codec's widths."""
-    return (bits + 7) & -8
-
-
 def _pack(cs, width: int) -> int:
     """sum(cs[i] << (i*width)) -- also the value of the polynomial at 2**width.
 
@@ -302,19 +289,18 @@ def _kronecker_mul(a: tuple, b: tuple) -> tuple:
     amax = max(map(abs, a))
     bmax = amax if a is b else max(map(abs, b))
     bound = amax * bmax * min(len(a), len(b))
-    width = _whole_bytes(bound.bit_length() + 2)
+    # a whole number of bytes with room for the sign
+    width = (bound.bit_length() + 9) & -8
     pa = _pack(a, width)
     prod = pa * pa if a is b else pa * _pack(b, width)
     return tuple(_unpack(prod, width, len(a) + len(b) - 1))
 
 
-def _exact_div_coeffs(a: tuple, b: tuple) -> tuple:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return ()
-    if len(a) < len(b):
-        raise ExactDivisionError("degree of divisor exceeds degree of dividend")
+def _divide(a, b) -> tuple:
+    """(q, r) with a = q*b + r over Z and r's entries from len(b) - 1 up zero.
+
+    Raises ExactDivisionError when lc(b) fails to divide a leading term.
+    """
     r = list(a)
     lb = b[-1]
     nb = len(b)
@@ -330,13 +316,11 @@ def _exact_div_coeffs(a: tuple, b: tuple) -> tuple:
         q[k] = qq
         for j in range(nb):
             r[k + j] -= qq * b[j]
-    if any(r):
-        raise ExactDivisionError("nonzero remainder")
-    return tuple(q)
+    return q, r
 
 
 # ---------------------------------------------------------------------------
-# content, gcd, square root
+# content, gcd
 
 def content(p: IPoly) -> int:
     """gcd of the coefficients (nonnegative); 0 for the zero polynomial."""
@@ -358,64 +342,27 @@ def primitive_part(p: IPoly) -> IPoly:
     return IPoly(tuple(x // c for x in p.coeffs))
 
 
-def divides(d: IPoly, p: IPoly) -> bool:
-    """True if d divides p exactly over Z."""
-    try:
-        p.exact_div(d)
-        return True
-    except (ExactDivisionError, ZeroDivisionError):
-        return False
-
-
-_SCREEN_PRIME = 1073741789  # the largest prime below 2**30
-
-
-def _mod_gcd_degree(ac: tuple, bc: tuple, p: int) -> Optional[int]:
-    """Degree of gcd of the images mod p, or None if a leading coeff vanishes."""
-    if ac[-1] % p == 0 or bc[-1] % p == 0:
-        return None
-    a = [c % p for c in ac]
-    b = [c % p for c in bc]
-    while b:
-        db = len(b) - 1
-        inv = pow(b[-1], -1, p)
-        r = list(a)
-        for k in range(len(r) - 1, db - 1, -1):
-            c = r[k]
-            if c:
-                f = (c * inv) % p
-                off = k - db
-                for j in range(db):
-                    r[off + j] = (r[off + j] - f * b[j]) % p
-        del r[db:]
-        while r and r[-1] == 0:
-            r.pop()
-        a, b = b, r
-    return len(a) - 1
-
-
 def poly_gcd(a: IPoly, b: IPoly) -> IPoly:
-    """Primitive gcd with positive leading coefficient (contents discarded)."""
+    """Primitive gcd with positive leading coefficient (contents discarded).
+
+    The primitive PRS: for deg A >= deg B and B primitive,
+    lc(B)^(deg A - deg B + 1) * A divides by B with an integer quotient term
+    at every step of ``_divide``, and the primitive part of the remainder
+    has the same gcd with B as A has.
+    """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    if a.is_zero:
-        return _positive(primitive_part(b))
-    if b.is_zero:
-        return _positive(primitive_part(a))
-    A = primitive_part(a)
-    B = primitive_part(b)
-    if (A.degree == 0 or B.degree == 0
-            or _mod_gcd_degree(A.coeffs, B.coeffs, _SCREEN_PRIME) == 0):
-        return IPoly((1,))
-    norm = max(max(map(abs, A.coeffs)), max(map(abs, B.coeffs)))
-    w = _whole_bytes(norm.bit_length() + 3)
-    while True:
-        g = gcd(_pack(A.coeffs, w), _pack(B.coeffs, w))
-        # one spare digit: the balanced top digit may carry into a new one
-        cand = _positive(primitive_part(IPoly(_unpack(g, w, g.bit_length() // w + 2))))
-        if cand.degree == 0 or (divides(cand, A) and divides(cand, B)):
-            return cand
-        w = _whole_bytes(2 * w + 1)
+    if a.degree < b.degree:
+        a, b = b, a
+    a = primitive_part(a)
+    while not b.is_zero:
+        if b.degree == 0:
+            return IPoly((1,))
+        b = primitive_part(b)
+        scale = b.lc ** (a.degree - b.degree + 1)
+        _, r = _divide([scale * c for c in a.coeffs], b.coeffs)
+        a, b = b, IPoly(r)
+    return _positive(a)
 
 
 def _positive(p: IPoly) -> IPoly:
@@ -425,13 +372,25 @@ def _positive(p: IPoly) -> IPoly:
 # ---------------------------------------------------------------------------
 # rational functions
 
-def _full_gcd(p: IPoly, q: IPoly) -> IPoly:
-    """gcd in Z[m] including integer content, positive leading coefficient."""
-    c = gcd(content(p), content(q))
-    if p.degree == 0 or q.degree == 0:
-        return IPoly.const(c)
-    g = poly_gcd(p, q)
-    return g if c == 1 else IPoly.const(c) * g
+def _reduced(n: IPoly, d: IPoly, coprime: bool = False) -> "RatFn":
+    """n/d, d nonzero, in RatFn's canonical form.
+
+    The integer content is divided out and d's leading coefficient made
+    positive; ``poly_gcd`` runs only when n and d are both nonconstant and
+    ``coprime`` does not already say their polynomial parts are coprime.
+    """
+    if n.is_zero:
+        return RatFn._raw(IPoly(()), IPoly((1,)))
+    if not coprime and n.degree > 0 and d.degree > 0:
+        g = poly_gcd(n, d)
+        if g.degree > 0:
+            n, d = n.exact_div(g), d.exact_div(g)
+    c = gcd(content(n), content(d))
+    c = -c if d.lc < 0 else c
+    if c != 1:
+        n = IPoly(tuple(x // c for x in n.coeffs))
+        d = IPoly(tuple(x // c for x in d.coeffs))
+    return RatFn._raw(n, d)
 
 
 class RatFn:
@@ -466,6 +425,12 @@ class RatFn:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    @property
+    def _is_const(self) -> bool:
+        # with n/d reduced and p/q constant, no nonconstant factor of d*q
+        # divides n*p or n*q + p*d: only integer content can cancel
+        return self.num.degree <= 0 and self.den.degree == 0
+
     def _coerce(self, other) -> Optional["RatFn"]:
         if isinstance(other, RatFn):
             return other
@@ -479,25 +444,8 @@ class RatFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero:
-            return o
-        if o.is_zero:
-            return self
-        g = _full_gcd(self.den, o.den)
-        if g.degree == 0 and g.lc == 1:
-            n = self.num * o.den + o.num * self.den
-            if n.is_zero:
-                return RatFn._raw(IPoly(()), IPoly((1,)))
-            return RatFn._raw(n, self.den * o.den)
-        b2 = self.den.exact_div(g)
-        d2 = o.den.exact_div(g)
-        t = self.num * d2 + o.num * b2
-        if t.is_zero:
-            return RatFn._raw(IPoly(()), IPoly((1,)))
-        h = _full_gcd(t, g)
-        if h.degree == 0 and h.lc == 1:
-            return RatFn._raw(t, b2 * o.den)
-        return RatFn._raw(t.exact_div(h), b2 * o.den.exact_div(h))
+        return _reduced(self.num * o.den + o.num * self.den, self.den * o.den,
+                        self._is_const or o._is_const)
 
     __radd__ = __add__
 
@@ -520,15 +468,9 @@ class RatFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return RatFn._raw(IPoly(()), IPoly((1,)))
         if o is self:  # num^2 and den^2 stay coprime, den^2 stays positive
             return RatFn._raw(self.num * self.num, self.den * self.den)
-        g1 = _full_gcd(self.num, o.den)
-        g2 = _full_gcd(o.num, self.den)
-        n = self.num.exact_div(g1) * o.num.exact_div(g2)
-        d = self.den.exact_div(g2) * o.den.exact_div(g1)
-        return RatFn._raw(n, d)
+        return _reduced(self.num * o.num, self.den * o.den, self._is_const or o._is_const)
 
     __rmul__ = __mul__
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biquadrates.cli as cli
+import biquadrates.poly as poly
 from biquadrates.cli import main
 from biquadrates.families import FAMILIES
 
@@ -284,10 +285,41 @@ def test_selftest_quick(capsys):
     assert out.splitlines() == ["%s: PASS" % name for name in SELFTEST_NAMES[:8]]
 
 
-def test_selftest_full(capsys):
+def test_selftest_full(capsys, monkeypatch):
+    # curve_closure's arithmetic over Q(M) takes 10 small polynomial gcds;
+    # more would mean a hot path reduces through RatFn again
+    calls = []
+    gcd = poly.poly_gcd
+    monkeypatch.setattr(poly, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
     code, out, err = run(capsys, "selftest")
     assert (code, err) == (0, "")
     assert out.splitlines() == ["%s: PASS" % name for name in SELFTEST_NAMES]
+    assert 0 < len(calls) <= 12
+
+
+# every command but selftest, each curve job on all three signs
+SWEEP = [["verify", "1", "2", "5", "6", "8", "13"], ["search", "--bx", "14", "--by", "30"],
+         ["pell", "--k", "3"], ["pell", "--t", "3/2"]]
+SWEEP += [["family", name] + mode for name in sorted(FAMILIES)
+          for mode in (["--symbolic"], ["--param", "2"], ["--param", "3/2", "--json"])]
+SWEEP += [["curve", "--n", str(n), "--sign", sign] + mode for n in range(1, 9)
+          for sign in ("auto", "plus", "minus") for mode in (["--m", "3/5"], ["--symbolic"])]
+# SHA-256 of "<exit code>\n<stdout>" for each job in order, from a run with
+# poly_gcd unpatched; every job exits 0
+SWEEP_DIGEST = "6c30c89e53fd6bb19259d3264a7b09197e94d3faf35483bc4610106798f9656d"
+
+
+def test_commands_but_selftest_take_no_polynomial_gcd(capsys, monkeypatch):
+    def no_gcd(a, b):
+        raise AssertionError("polynomial gcd taken")
+
+    monkeypatch.setattr(poly, "poly_gcd", no_gcd)
+    h = hashlib.sha256()
+    for argv in SWEEP:
+        code = main(argv)
+        h.update(("%d\n%s" % (code, capsys.readouterr().out)).encode())
+    assert len(SWEEP) == 64
+    assert h.hexdigest() == SWEEP_DIGEST
 
 
 def test_no_command():

@@ -27,6 +27,7 @@ from biquadrates.curve import (
 from biquadrates.derive import signed_multiple
 from biquadrates.poly import IPoly, PoleError, RatFn
 from mutations import psi3_doubled, psi3_plus_one
+from oracles import signed_multiple_over
 
 
 def test_curve_coefficients():
@@ -190,12 +191,38 @@ def test_ladder_matches_group_law_over_q(a, b, n, sign):
     assert pt == (ref if sign == "plus" else CurvePoint(ref.x, -ref.y))
 
 
+def _degree_bounds(n):
+    """Degrees in M of the reduced x(nP) and y(nP) over Q(M), numerator and
+    denominator: measured with sympy for n <= 8, checked here for n <= 4."""
+    return (2 * n * n, 2 * n * n - 2), (3 * n * n, 3 * n * n - 3)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_ladder_matches_group_law_over_q_m(n):
-    M = RatFn.gen()
-    w, pt = signed_multiple(n, M, "minus")
-    ref = mul_scalar(curve_from_parameter(M), n, point_P(M))
-    assert (w, pt) == (ref, CurvePoint(ref.x, -ref.y))
+    x, y, z, *_ = multiple_P(n, IPoly.gen())
+    if n <= 4:
+        M = RatFn.gen()
+        w, pt = signed_multiple_over(n, M, "minus")
+        ref = mul_scalar(curve_from_parameter(M), n, point_P(M))
+        assert (w, pt) == (ref, CurvePoint(ref.x, -ref.y))
+        got = ((ref.x.num.degree, ref.x.den.degree), (ref.y.num.degree, ref.y.den.degree))
+        assert got == _degree_bounds(n)
+    # x(nP) = a/b over Q(M) with deg a <= ax and deg b <= bx, so x/z^2 = a/b
+    # once x*b - a*z^2, of degree below need, vanishes at need values of M;
+    # likewise y(nP).  The curve is smooth at every integer M0 >= 1, so where
+    # nP is finite there the group law over Q gives its value at M0.
+    (ax, bx), (ay, by) = _degree_bounds(n)
+    need = 1 + max(x.degree + bx, ax + 2 * z.degree, y.degree + by, ay + 3 * z.degree)
+    compared, M0 = 0, 0
+    while compared < need:
+        M0 += 1
+        ref = mul_scalar(curve_from_parameter(M0), n, point_P(M0))
+        zv = z.evaluate(M0)
+        if ref.infinity or zv == 0:
+            continue
+        assert ref == CurvePoint(Fraction(x.evaluate(M0), zv * zv),
+                                 Fraction(y.evaluate(M0), zv**3)), M0
+        compared += 1
 
 
 def test_ladder_degenerate_and_torsion():
@@ -235,9 +262,9 @@ def test_corrupted_psi3_fails_the_curve_check(M, monkeypatch):
     initial = curve._initial_psi
     monkeypatch.setattr(curve, "_initial_psi", psi3_plus_one(initial))
     with pytest.raises(PipelineError, match="remainder"):
-        signed_multiple(2, M, "plus")
+        signed_multiple_over(2, M, "plus")
     monkeypatch.setattr(curve, "_initial_psi", psi3_doubled(initial))
-    _, pt = signed_multiple(2, M, "plus")
+    _, pt = signed_multiple_over(2, M, "plus")
     with pytest.raises(ValueError, match="quartic model"):
         derive.QuarticPoint(*derive.to_quartic(pt.x, pt.y, pt.x * 0 + M), M)
     if isinstance(M, RatFn):

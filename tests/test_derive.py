@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import biquadrates.derive as derive
 import biquadrates.families as families
@@ -22,7 +23,6 @@ from biquadrates.derive import (
     QuarticPoint,
     auto_sign,
     evaluate_param,
-    numeric_solution_from_nP,
     param_equivalent,
     quartic_point_to_param_solution,
     quartic_rhs,
@@ -35,6 +35,7 @@ from biquadrates.derive import (
 from biquadrates.exact import DegenerateSolutionError, SolutionSix, canonicalize, check_solution
 from biquadrates.families import ParamSolution, family_eq20, family_eq21
 from biquadrates.poly import IPoly, PoleError, RatFn
+from oracles import numeric_solution_from_nP, signed_multiple_over
 
 THIRD = Fraction(-2, 3)
 VVAL = Fraction(-8, 9)
@@ -92,7 +93,7 @@ def _paper_image(M, pt):
 
 def _check_against_paper(M, n_max):
     for n in range(1, n_max + 1):
-        w, _ = signed_multiple(n, M, "plus")
+        w, _ = signed_multiple_over(n, M, "plus")
         for pt in (w, CurvePoint(w.x, -w.y)):
             qp = weierstrass_to_quartic(M, pt)
             assert (qp.u, qp.v) == _paper_image(qp.M, pt), (n, pt)
@@ -230,15 +231,29 @@ def test_symbolic_pipeline_takes_no_polynomial_gcd(n, monkeypatch):
         assert solution_from_nP(n, sign).residual().is_zero
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+def _coprime(a: IPoly, b: IPoly) -> bool:
+    """gcd(a, b) = 1 in Z[M], integer contents included, by sympy's gcd."""
+    x = sympy.Symbol("M")
+    g = sympy.Poly(a.coeffs[::-1], x).gcd(sympy.Poly(b.coeffs[::-1], x))
+    return g.degree() == 0 and abs(g.LC()) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_known_factor_reduces_u(n):
-    # dividing out the ladder's odd value and the integer content leaves U
-    # and V in the reduced forms the map over Q(M), with its gcds, gives
+    # dividing out the ladder's odd value and the integer content leaves U =
+    # p/q and V = s/q^2 with the map's values, cross-multiplied over Z[M],
+    # and reduced: q's leading coefficient is positive and p, s are prime to q
     M = IPoly.gen()
     x, y, z, below, above = multiple_P(n, M)
+    zz = z * z
     for y, g in ((y, below), (-y, above)):
-        ref = derive.to_quartic(RatFn(x), RatFn(y), RatFn.gen(), RatFn(z))
-        assert derive.to_quartic(x, y, M, z, g) == ref
+        u, v = derive.to_quartic(x, y, M, z, g)
+        p, q, s = u.num, u.den, v.num
+        assert v.den == q * q and q.lc > 0
+        # U = (xz + y + 8Mz^3) / (z(2x - 8Mz^2)) and V = x/(2z^2) + U(1 - U)
+        assert p * z * (2 * x - 8 * M * zz) == q * (x * z + y + 8 * M * z * zz)
+        assert 2 * zz * s == x * q * q + 2 * zz * p * (q - p)
+        assert _coprime(p, q) and _coprime(s, q)
 
 
 def test_family_is_proved_once(monkeypatch):
@@ -277,8 +292,8 @@ def test_param_equivalent_distinguishes():
 
 
 def test_degenerate_and_corrupt_families():
-    z = IPoly.const(0)
-    one = IPoly.const(1)
+    z = IPoly(())
+    one = IPoly((1,))
     broken = ParamSolution(z, z, one, one, one, z)
     with pytest.raises(DegenerateSolutionError):
         evaluate_param(broken, 1)
@@ -314,7 +329,7 @@ def test_membership_checks_accept_multiples_and_reject_shifts(M):
     # poly.monic_at; at m = 2/3 they use Horner over Q
     c = curve_from_parameter(M)
     for n in range(1, 5):
-        w, _ = signed_multiple(n, M, "plus")
+        w, _ = signed_multiple_over(n, M, "plus")
         for pt in (w, CurvePoint(w.x, -w.y)):
             assert on_curve(c, pt)
             qp = weierstrass_to_quartic(M, pt)

@@ -15,15 +15,12 @@ from biquadrates.poly import (
     PoleError,
     RatFn,
     content,
-    divides,
     format_poly,
     monic_at,
     poly_gcd,
     primitive_part,
     _SCHOOLBOOK_LIMIT,
-    _SCREEN_PRIME,
     _kronecker_mul,
-    _mod_gcd_degree,
     _mul_coeffs,
     _pack,
     _positive,
@@ -127,7 +124,7 @@ def test_poly_gcd_sign_and_content():
     assert poly_gcd(P(6), M + 1) == P(1)
 
 
-def test_poly_gcd_large_inputs_hits_heuristic_path():
+def test_poly_gcd_large_inputs():
     a = (M**37 - 5 * M + 3) * (M**11 + 7) ** 2
     b = (M**41 + M + 9) * (M**11 + 7) ** 2
     assert poly_gcd(a, b) == (M**11 + 7) ** 2
@@ -136,45 +133,32 @@ def test_poly_gcd_large_inputs_hits_heuristic_path():
     assert poly_gcd(c, d) == P(1)
 
 
-def test_constant_heuristic_candidate_proves_coprime():
-    # the pair agrees mod the screen prime, so the screen reports degree 2;
-    # the GCDHEU candidate is constant, which proves the gcd is 1
-    assert poly_gcd(M**2 - 1, M**2 - (1 + _SCREEN_PRIME) ** 2) == P(1)
+# the largest prime below 2**30
+BIG_PRIME = 1073741789
 
 
-def test_screen_inconclusive_when_leading_coefficient_vanishes(monkeypatch):
-    # A's leading coefficient is the screen prime, so the screen returns None
-    # and GCDHEU alone must find the exact gcd
-    screens = []
+def test_poly_gcd_coprime_pair_equal_mod_a_large_prime():
+    # M^2 - 1 and M^2 - (1 + p)^2 agree mod p, where their gcd has degree 2
+    assert poly_gcd(M**2 - 1, M**2 - (1 + BIG_PRIME) ** 2) == P(1)
 
-    def recording(ac, bc, p):
-        screens.append(_mod_gcd_degree(ac, bc, p))
-        return screens[-1]
 
-    monkeypatch.setattr(poly, "_mod_gcd_degree", recording)
-    a = (_SCREEN_PRIME * M + 1) * (M**2 + 3)
+def test_poly_gcd_with_a_large_leading_coefficient():
+    # a's leading coefficient is the large prime; c makes the gcd nontrivial
+    a = (BIG_PRIME * M + 1) * (M**2 + 3)
     b = (M + 2) * (M - 5)
     c = M**2 + M + 7
     assert poly_gcd(a, b) == P(1)
-    assert screens == [None]
-    # GCDHEU finds c, and a candidate dividing both inputs is the full gcd
+    assert poly_gcd(b, a) == P(1)
     assert poly_gcd(a * c, b * c) == c
-    assert screens == [None, None]
+    assert poly_gcd(-a * c, 6 * b * c) == c
 
 
-def test_gcdheu_retries_at_a_wider_point(monkeypatch):
-    # at w = 16 the balanced digits of gcd(A(2^16), B(2^16)) give a candidate
-    # that fails trial division, so the loop retries at the least whole-byte
-    # width >= 2w + 1, w = 40
-    widths = set()
-
-    def recording(cs, width):
-        widths.add(width)
-        return _pack(cs, width)
-
-    monkeypatch.setattr(poly, "_pack", recording)
-    assert poly_gcd(P(-154, 239, 13, -62), P(-98, 238, -263, -27, 74)) == P(-7, 1, 2)
-    assert sorted(widths) == [16, 40]
+def test_poly_gcd_quadratic_factor_of_a_cubic_and_a_quartic():
+    # (2m^2 + m - 7)(-31m + 22) and (2m^2 + m - 7)(37m^2 - 32m + 14)
+    a, b = P(-154, 239, 13, -62), P(-98, 238, -263, -27, 74)
+    assert poly_gcd(a, b) == P(-7, 1, 2)
+    assert poly_gcd(b, a) == P(-7, 1, 2)
+    assert poly_gcd(a, b) == _reference_gcd(a, b)
 
 
 # -- formatting -------------------------------------------------------------
@@ -219,8 +203,8 @@ def test_gcd_scales_with_common_factor(a, b, c):
 @given(nonzero_polys, nonzero_polys)
 def test_gcd_divides_both(a, b):
     g = poly_gcd(a, b)
-    assert divides(g, primitive_part(a))
-    assert divides(g, primitive_part(b))
+    assert primitive_part(a).exact_div(g) * g == primitive_part(a)
+    assert primitive_part(b).exact_div(g) * g == primitive_part(b)
 
 
 @given(polys, polys, st.integers(min_value=-20, max_value=20))
@@ -515,7 +499,7 @@ def reduced_points(draw):
     of leading coefficient, and sometimes a constant d; RatFn reduces it."""
     k, e = draw(contents), draw(contents)
     num = k * draw(polys) * draw(st.sampled_from((1, -1)))
-    den = draw(st.one_of(nonzero_polys, st.integers(1, 9).map(IPoly.const)))
+    den = draw(st.one_of(nonzero_polys, st.integers(1, 9).map(lambda c: IPoly((c,)))))
     return RatFn(num, k * e * den * draw(st.sampled_from((1, -1))))
 
 
