@@ -11,6 +11,14 @@ stdout early (``| head``) also ends the run with exit 1 and a
 The commands only call the library and print.  Every emitted solution is
 checked, canonicalized and turned into text by ``_record``, and ``selftest``
 runs ``identity.ALL_VERIFIERS`` in order.
+
+``main`` builds its parser on its first call and reuses it for the rest of
+the process: parsing leaves a parser as it was, and building one costs about
+a millisecond, most of a short job that a caller runs many times in one
+process.  ``build_parser()`` still returns a new parser on every call, and
+nothing is built at import.  The parser binds the ``cmd_*`` handlers when it
+is built (``set_defaults(func=...)``), so patching a ``cmd_*`` name after
+the first ``main`` call does not reach ``main``; nothing patches them.
 """
 
 from __future__ import annotations
@@ -264,8 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None   # main's parser, built by its first call
+
+
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    ns = _parser.parse_args(argv)
     try:
         return ns.func(ns)
     except (PipelineError, PoleError, DegenerateSolutionError,

@@ -8,8 +8,13 @@ function vanishes at a node off its poles exactly when its reduced
 numerator does, so the bounds are on that numerator, and offsets move the
 nodes off every pole (a node on one raises ZeroDivisionError; it never
 passes).  A residual may be a tuple, and then every component must
-vanish.  The verifier trusts the stated bounds (d_i + 1 nodes would
-suffice; the spare node is margin against a bound that is off by one);
+vanish.  The nodes are plain ints, so a polynomial residual runs on int
+arithmetic; a residual that divides lifts the operands of its division to
+``Fraction`` with ``_q``, which leaves any other value (a ``Fraction``, a
+sympy symbol) as it is.  A division left unlifted would give a float, and
+``grid_verify`` refuses one with TypeError rather than trust it.  The
+verifier trusts the stated bounds (d_i + 1 nodes would suffice; the spare
+node is margin against a bound that is off by one);
 tests/test_identity_oracle.py checks each bound against a symbolic
 expansion, for the correct formulas and for the corruptions in
 tests/mutations.py.
@@ -82,10 +87,25 @@ class GridIdentity:
 def grid_verify(g: GridIdentity) -> bool:
     """True iff the residual, every component of it if it is a tuple,
     vanishes at every grid node, which within the stated degree bounds
-    means it is identically zero."""
-    axes = [[Fraction(n) for n in ns] for ns in g.nodes()]
-    residuals = (g.residual(*args) for args in product(*axes))
-    return not any(any(r) if isinstance(r, tuple) else r for r in residuals)
+    means it is identically zero.
+
+    The nodes are ints and the residual must lift what it divides (``_q``):
+    a float component raises TypeError, since a rounded 0.0 proves nothing.
+    """
+    for args in product(*g.nodes()):
+        r = g.residual(*args)
+        for c in r if isinstance(r, tuple) else (r,):
+            if isinstance(c, float):
+                raise TypeError("inexact residual %r at %r" % (c, args))
+            if c:
+                return False
+    return True
+
+
+def _q(x):
+    """x as a Fraction if it is an int, else x itself: the operand of a
+    residual's division, so that int nodes divide exactly."""
+    return Fraction(x) if isinstance(x, int) else x
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +152,7 @@ def quartic_model_grid() -> GridIdentity:
     def residual(p, q, m, v):
         (x1, x2), (y1, y2), (_, z2) = derive._solution_pairs(p, q, m, q * q * v)
         return (z2**2 - (x1 * y2) ** 2 + (x2 * y1) ** 2
-                - q**4 * (v**2 - derive.quartic_rhs(p / q, m**4)))
+                - q**4 * (v**2 - derive.quartic_rhs(_q(p) / q, m**4)))
     return GridIdentity(("p", "q", "m", "v"), (4, 4, 4, 2), residual,
                         offsets=(0, 1, 0, 0))
 
@@ -204,7 +224,7 @@ def verify_mod16_obstruction() -> bool:
 
 def curve_chart_grid() -> GridIdentity:
     def residual(X, Y):
-        M = (Y**2 - X**3 - X**2) / (4 * X * (8 - X))
+        M = _q(Y**2 - X**3 - X**2) / (4 * X * (8 - X))
         X2, Y2 = derive.to_weierstrass(*derive.to_quartic(X, Y, M), M)
         return X2 - X, Y2 - Y
     return GridIdentity(("X", "Y"), (8, 5), residual, offsets=(9, 1))
@@ -212,7 +232,7 @@ def curve_chart_grid() -> GridIdentity:
 
 def quartic_chart_grid() -> GridIdentity:
     def residual(U, V):
-        M = (U**2 * (U - 1) ** 2 - V**2) / (4 * (U + 1) ** 2)
+        M = _q(U**2 * (U - 1) ** 2 - V**2) / (4 * (U + 1) ** 2)
         U2, V2 = derive.to_quartic(*derive.to_weierstrass(U, V, M), M)
         return U2 - U, V2 - V
     return GridIdentity(("U", "V"), (8, 3), residual, offsets=(0, 1))
@@ -255,6 +275,17 @@ def verify_curve_high_multiple() -> bool:
     degs = fam.degrees()
     return fam.residual().is_zero and degs[4] >= 120 and degs[5] >= 120
 
+
+# every grid identity by name; tests check each one's bounds and nodes
+GRIDS = {
+    "brahmagupta": brahmagupta_grid,
+    "quartic_brahmagupta": quartic_brahmagupta_grid,
+    "substitution_13": substitution_grid,
+    "quartic_model": quartic_model_grid,
+    "pell_reduction": pell_reduction_grid,
+    "curve_chart": curve_chart_grid,
+    "quartic_chart": quartic_chart_grid,
+}
 
 ALL_VERIFIERS = {
     "brahmagupta": verify_brahmagupta,

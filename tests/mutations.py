@@ -2,6 +2,8 @@
 
 Each function wraps the real definition; tests monkeypatch the result into
 its module, so the pipeline and the verifiers both run the corrupted copy.
+The residual corruptions at the end wrap a grid's residual instead, and
+tests put the result into the grid with ``dataclasses.replace``.
 """
 
 
@@ -76,4 +78,39 @@ def mod5_class_1(pair_class):
     """search's mod-5 class read as a pair sum of 1 mod 5, not 2."""
     def mutated(a, b, s):
         return pair_class(a, b, s) & ~2 | (s % 5 == 1) << 1
+    return mutated
+
+
+def brahmagupta_square_twice(residual):
+    """Brahmagupta's (x1 y2 - x2 y1)^2 counted twice."""
+    def mutated(a, b, c, d):
+        return residual(a, b, c, d) - (a * d - b * c) ** 2
+    return mutated
+
+
+def quartic_brahmagupta_plus_abcd(residual):
+    """The quartic split off by (x1 x2 y1 y2)^2."""
+    def mutated(a, b, c, d):
+        return residual(a, b, c, d) + (a * b * c * d) ** 2
+    return mutated
+
+
+def substitution_3m2p2q2(residual):
+    """(x2 y2)^2 = 4 m^2 p^2 q^2 read as 3 m^2 p^2 q^2."""
+    def mutated(p, q, m):
+        return residual(p, q, m) + m**2 * p**2 * q**2
+    return mutated
+
+
+def quartic_rhs_7mu(residual):
+    """The quartic rhs's -8 m^4 U term read as -7 m^4 U, times q^4."""
+    def mutated(p, q, m, v):
+        return residual(p, q, m, v) + m**4 * p * q**3
+    return mutated
+
+
+def pell_factor_255(residual):
+    """The Pell reduction's factor 256 v^8 read as 255 v^8."""
+    def mutated(u, v):
+        return residual(u, v) - v**8 * (u**2 + 3 * v**2 + 1) * (u**2 - 3 * v**2 - 1)
     return mutated

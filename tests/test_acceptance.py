@@ -39,7 +39,16 @@ from biquadrates.pell import pell3_nth, pell_to_solution
 from biquadrates.poly import RatFn
 from biquadrates.search import decompose_fourth, fourth_power_sums, search
 from known_solutions import SMALL_SOLUTIONS
-from mutations import mod5_class_1, skip_odd_x1, v_denominator_16
+from mutations import (
+    brahmagupta_square_twice,
+    mod5_class_1,
+    pell_factor_255,
+    quartic_brahmagupta_plus_abcd,
+    quartic_rhs_7mu,
+    skip_odd_x1,
+    substitution_3m2p2q2,
+    v_denominator_16,
+)
 
 
 def _report(num: int, label: str, ok: bool):
@@ -66,28 +75,24 @@ def test_criterion_02_extended_window_row5():
     _report(2, "search 8/264 finds ((1,8),(65,264),(448,2113)) (%.1fs)" % dt, ok)
 
 
+CRITERION_03_RESIDUAL_MUTATIONS = [
+    (brahmagupta_grid, brahmagupta_square_twice),
+    (quartic_brahmagupta_grid, quartic_brahmagupta_plus_abcd),
+    (substitution_grid, substitution_3m2p2q2),
+    (quartic_model_grid, quartic_rhs_7mu),
+    (pell_reduction_grid, pell_factor_255),
+]
+
+
 def test_criterion_03_identity_suite_with_mutations(monkeypatch):
     ok = all(fn() for fn in ALL_VERIFIERS.values())
 
-    g = brahmagupta_grid()
-    ok &= not grid_verify(replace(
-        g, residual=lambda a, b, c, d: g.residual(a, b, c, d) - (a * d - b * c) ** 2))
-    g = quartic_brahmagupta_grid()
-    ok &= not grid_verify(replace(
-        g, residual=lambda a, b, c, d: g.residual(a, b, c, d) + (a * b * c * d) ** 2))
-    g = substitution_grid()
-    ok &= not grid_verify(replace(
-        g, residual=lambda p, q, m: g.residual(p, q, m) + m**2 * p**2 * q**2))
-    g = quartic_model_grid()
-    ok &= not grid_verify(replace(
-        g, residual=lambda p, q, m, v: g.residual(p, q, m, v) + m**4 * p * q**3))
+    for grid, mutation in CRITERION_03_RESIDUAL_MUTATIONS:
+        g = grid()
+        ok &= not grid_verify(replace(g, residual=mutation(g.residual)))
     with monkeypatch.context() as mp:
         mp.setattr(derive, "to_quartic", v_denominator_16(derive.to_quartic))
         ok &= not verify_birational_roundtrip()
-    g = pell_reduction_grid()
-    ok &= not grid_verify(replace(
-        g, residual=lambda u, v: g.residual(u, v)
-        - v**8 * (u**2 + 3 * v**2 + 1) * (u**2 - 3 * v**2 - 1)))
     for mutation in (skip_odd_x1, mod5_class_1):
         with monkeypatch.context() as mp:
             mp.setattr(search_module, "_pair_class",

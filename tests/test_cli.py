@@ -322,6 +322,38 @@ def test_commands_but_selftest_take_no_polynomial_gcd(capsys, monkeypatch):
     assert h.hexdigest() == SWEEP_DIGEST
 
 
+REUSE_ARGV = [["verify", "1", "2", "5", "6", "8", "13"],
+              ["family", "eq99", "--param", "1"],   # a usage error: exit 2
+              ["family", "eq20", "--param", "1/2"],
+              ["curve", "--n", "2", "--m", "3/5"],
+              ["selftest", "--quick"]]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code,) + tuple(capsys.readouterr())
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # one parser serves every main call in a process, through a usage error,
+    # with the output of a fresh parser for each argv
+    build = cli.build_parser
+    fresh = []
+    for argv in REUSE_ARGV:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(_outcome(capsys, argv))
+    assert [o[0] for o in fresh] == [0, 2, 0, 0, 0]
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [_outcome(capsys, argv) for argv in REUSE_ARGV] == fresh
+    assert len(built) == 1
+    assert build() is not build()
+
+
 def test_no_command():
     with pytest.raises(SystemExit) as exc:
         main([])

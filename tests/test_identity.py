@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,7 @@ from biquadrates.exact import SolutionSix
 from biquadrates.families import FAMILIES, ParamSolution, family_eq20
 from biquadrates.identity import (
     ALL_VERIFIERS,
+    GRIDS,
     GridIdentity,
     brahmagupta_grid,
     curve_chart_grid,
@@ -27,9 +29,14 @@ from biquadrates.identity import (
 )
 from biquadrates.poly import IPoly
 from mutations import (
+    brahmagupta_square_twice,
     mod5_class_1,
+    pell_factor_255,
     pell_z2_plus_one,
+    quartic_brahmagupta_plus_abcd,
+    quartic_rhs_7mu,
     skip_odd_x1,
+    substitution_3m2p2q2,
     v_denominator_16,
     v_term_23,
     y_plus_2uv,
@@ -53,6 +60,66 @@ def test_grid_verify_basics():
     # nodes of a degree-2 axis passes (test_identity_oracle checks bounds)
     quartic = GridIdentity(("x",), (2,), lambda x: x * (x - 1) * (x - 2) * (x - 3))
     assert grid_verify(quartic)
+
+
+def test_grid_verify_refuses_a_float_residual():
+    # the nodes are plain ints
+    assert grid_verify(GridIdentity(("x",), (1,), lambda x: type(x) is not int))
+    # so an unlifted division gives a float, whose 0.0 proves nothing
+    same = GridIdentity(("a", "b"), (1, 1), lambda a, b: a / b - a / b, (1, 1))
+    with pytest.raises(TypeError):
+        grid_verify(same)
+    pair = GridIdentity(("a", "b"), (1, 1), lambda a, b: (0, a / b - a / b), (1, 1))
+    with pytest.raises(TypeError):
+        grid_verify(pair)
+
+
+# every corruption that reaches a grid: a residual wrapper, or a formula
+# patched into its module as (module, name, wrapper)
+NODE_CASES = [(name, None) for name in GRIDS] + [
+    ("brahmagupta", brahmagupta_square_twice),
+    ("quartic_brahmagupta", quartic_brahmagupta_plus_abcd),
+    ("substitution_13", substitution_3m2p2q2),
+    ("substitution_13", (derive, "_solution_pairs", z2_doubled)),
+    ("quartic_model", quartic_rhs_7mu),
+    ("quartic_model", (derive, "_solution_pairs", z2_doubled)),
+    ("pell_reduction", pell_factor_255),
+    ("pell_reduction", (pell, "pell_shapes", pell_z2_plus_one)),
+] + [(chart, (derive, name, wrap)) for chart in ("curve_chart", "quartic_chart")
+     for name, wrap in (("to_quartic", v_denominator_16), ("to_quartic", v_term_23),
+                        ("to_weierstrass", y_plus_2uv))]
+POLYNOMIAL_GRIDS = ("brahmagupta", "quartic_brahmagupta", "substitution_13",
+                    "pell_reduction")
+
+
+def _case_id(case) -> str:
+    name, mutation = case
+    wrap = mutation[-1] if isinstance(mutation, tuple) else mutation
+    return name if wrap is None else "%s-%s" % (name, wrap.__name__)
+
+
+def _components(g, lift) -> list:
+    """Each residual component at each node, the nodes passed through lift."""
+    values = (g.residual(*map(lift, args)) for args in product(*g.nodes()))
+    return [c for r in values for c in (r if isinstance(r, tuple) else (r,))]
+
+
+@pytest.mark.parametrize("case", NODE_CASES, ids=_case_id)
+def test_int_nodes_match_fraction_nodes(case, monkeypatch):
+    # grid_verify's int nodes see exactly the values Fraction nodes give, for
+    # the formulas and their corruptions, and the polynomial grids stay on int
+    name, mutation = case
+    g = GRIDS[name]()
+    if isinstance(mutation, tuple):
+        module, attr, wrap = mutation
+        monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+    elif mutation is not None:
+        g = replace(g, residual=mutation(g.residual))
+    fast = _components(g, int)
+    assert not any(isinstance(c, float) for c in fast)
+    assert fast == _components(g, Fraction)
+    if name in POLYNOMIAL_GRIDS:
+        assert all(type(c) is int for c in fast)
 
 
 def test_brahmagupta_point_values():
@@ -101,35 +168,26 @@ def test_pell_reduction_point_values():
 
 # -- mutation falsifiers: one perturbed coefficient each ---------------------
 
+def _mutated(grid, mutation):
+    g = grid()
+    return replace(g, residual=mutation(g.residual))
+
+
 def test_mutated_brahmagupta_fails():
-    g = brahmagupta_grid()
-    # coefficient of (x1y2-x2y1)^2 changed 1 -> 2
-    bad = replace(g, residual=lambda a, b, c, d: g.residual(a, b, c, d)
-                  - (a * d - b * c) ** 2)
-    assert not grid_verify(bad)
+    assert not grid_verify(_mutated(brahmagupta_grid, brahmagupta_square_twice))
 
 
 def test_mutated_quartic_brahmagupta_fails():
-    g = quartic_brahmagupta_grid()
-    bad = replace(g, residual=lambda a, b, c, d: g.residual(a, b, c, d)
-                  + a**2 * b**2 * c**2 * d**2)
-    assert not grid_verify(bad)
+    assert not grid_verify(_mutated(quartic_brahmagupta_grid,
+                                    quartic_brahmagupta_plus_abcd))
 
 
 def test_mutated_substitution_fails():
-    g = substitution_grid()
-    # (x2 y2)^2 = 4 m^2 p^2 q^2 read as 3 m^2 p^2 q^2
-    bad = replace(g, residual=lambda p, q, m: g.residual(p, q, m)
-                  + m**2 * p**2 * q**2)
-    assert not grid_verify(bad)
+    assert not grid_verify(_mutated(substitution_grid, substitution_3m2p2q2))
 
 
 def test_mutated_quartic_model_fails():
-    g = quartic_model_grid()
-    # -8 m^4 U term of the quartic rhs read as -7 m^4 U, times q^4
-    bad = replace(g, residual=lambda p, q, m, v: g.residual(p, q, m, v)
-                  + m**4 * p * q**3)
-    assert not grid_verify(bad)
+    assert not grid_verify(_mutated(quartic_model_grid, quartic_rhs_7mu))
 
 
 def _selftest_fails(capsys, name) -> bool:

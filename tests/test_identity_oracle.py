@@ -21,13 +21,11 @@ from sympy.polys.fields import field  # noqa: E402
 
 from biquadrates import curve, derive, pell  # noqa: E402
 from biquadrates.identity import (  # noqa: E402
-    brahmagupta_grid,
+    GRIDS,
     curve_chart_grid,
     pell_reduction_grid,
-    quartic_brahmagupta_grid,
     quartic_chart_grid,
     quartic_model_grid,
-    substitution_grid,
 )
 from mutations import (  # noqa: E402
     pell_z2_plus_one,
@@ -36,16 +34,6 @@ from mutations import (  # noqa: E402
     y_plus_2uv,
     z2_doubled,
 )
-
-GRIDS = {
-    "brahmagupta": brahmagupta_grid,
-    "quartic_brahmagupta": quartic_brahmagupta_grid,
-    "substitution_13": substitution_grid,
-    "quartic_model": quartic_model_grid,
-    "pell_reduction": pell_reduction_grid,
-    "curve_chart": curve_chart_grid,
-    "quartic_chart": quartic_chart_grid,
-}
 
 
 def _components(residual) -> tuple:
