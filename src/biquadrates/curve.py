@@ -13,7 +13,7 @@ psi_k divided by (AB^2)^floor(k^2/4) 2^(k^2-1) (M = A/B); every division it
 makes, the normalisation of psi_2..psi_4 and the even step's division by
 the normalised psi_2, is exact or raises PipelineError.  Nothing here
 checks nP against the curve: the map to the quartic model pulls the curve
-equation back to the quartic one, which ``derive.QuarticPoint`` checks.
+equation back to the quartic one, which derive proves once per point.
 The affine chord-tangent law (``add``, ``mul_scalar``) from ``point_P`` is
 the slow oracle the ladder is tested against.  Group operations validate
 their inputs against the curve equation, so an off-curve point is rejected
@@ -282,8 +282,8 @@ def multiple_P(n: int, A, B=1) -> tuple:
     the normalised values, with W = at(2n+2) below^2 - at(2n-2) above^2,
     phi = 36(ABg^2 - below*above), omega = -36W and z = 3Bg.  Over Z[M] the
     map's pole factor is then x - 4Mz^2 = -36 below*above.  Nothing here
-    checks the curve equation: the ``QuarticPoint`` check on the map's image
-    is that equation (``derive.to_quartic``).
+    checks the curve equation: derive's one proof that the map's image lies
+    on the quartic model is that equation (``derive.to_quartic``).
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")

@@ -18,16 +18,17 @@ Over Q(M) the pipeline takes no polynomial gcd.  ``curve.multiple_P`` gives
 nP as a triple over Z[M] with the odd division values around it; the map's
 pole factor 2x - 8Mz^2 is -72 times their product and U's numerator shares
 one of them, so ``to_quartic`` reduces U by dividing it out exactly, then
-the integer content.  The map pulls the curve equation back to the quartic
-one, so the ``QuarticPoint`` check on the image proves nP lay on the curve.
-Clearing takes integer contents only, and the family's residual is its
-proof.
+the integer content.  Clearing takes integer contents only.  Each point is
+proved once, through its image, where the map pulls the curve equation back
+to the quartic one: by the ``QuarticPoint`` check over Q, and over Z[M] by
+the family's residual (``quartic_point_to_param_solution``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from biquadrates.curve import (
@@ -36,9 +37,7 @@ from biquadrates.curve import (
     PipelineError,
     _exact,
     _lift,
-    curve_from_parameter,
     multiple_P,
-    on_curve,
 )
 from biquadrates.exact import (
     DegenerateSolutionError,
@@ -92,8 +91,8 @@ def to_quartic(x, y, M, z=1, g=1):
     the paper's cubic form over 4(X-4M)^2, which costs far more to reduce.
     With V = X/2 + U - U^2 the quartic model's equation V^2 = quartic(U) is
     (Y^2 - X^3 - (1-4M)X^2 - 32MX) / (4(4M - X)) = 0, the curve equation
-    pulled back, so the ``QuarticPoint`` check on the image proves that
-    (X, Y) was on the curve.
+    pulled back, so proving the image on the quartic model proves (X, Y) on
+    the curve (over Z[M], by the family's residual).
 
     Over a field p, q = U, 1.  Over Z[M] the caller passes g, the polynomial
     part of the gcd of U's numerator and denominator, which also divides
@@ -102,8 +101,8 @@ def to_quartic(x, y, M, z=1, g=1):
     Then q = zr/c with r = (2x - 8Mz^2)/g, so s = xr^2/(2c^2) + p(q-p)
     divides only by an integer, exactly, and V is s/q^2 as it stands.  That
     is V's reduced form: with N = q^4 quartic_rhs(p/q), N/q^4 is reduced
-    (``poly.monic_at``), so s^2 = N, which ``QuarticPoint`` checks, shows
-    that s and q are coprime.
+    (the argument of ``poly.monic_at``), so s^2 = N, which the family's
+    residual proves, shows that s and q are coprime.
     """
     zz = z * z
     num, pole = x * z + y + 8 * M * z * zz, 2 * x - 8 * M * zz
@@ -132,12 +131,12 @@ def to_weierstrass(u, v, M):
 
 
 def weierstrass_to_quartic(M, pt: CurvePoint) -> QuarticPoint:
-    """Map a curve point to the quartic model; poles at X = 4M and infinity."""
+    """Map a curve point to the quartic model; poles at X = 4M and infinity.
+
+    Off the pole the ``QuarticPoint`` check is the curve equation."""
     M = _lift(M)
     if pt.infinity:
         raise PoleError("the point at infinity has no affine image")
-    if not on_curve(curve_from_parameter(M), pt):
-        raise ValueError("point is not on the curve for this parameter")
     return QuarticPoint(*to_quartic(pt.x, pt.y, M), M)
 
 
@@ -146,41 +145,40 @@ def _solution_pairs(p, q, m, s) -> tuple:
     return ((p - q, 2 * m * q), (m * (p + q), p), (m * (p * p + q * q), s))
 
 
-def quartic_point_to_param_solution(qp: QuarticPoint) -> ParamSolution:
-    """Turn a quartic-model point over Q(M) into a polynomial family in m.
+def quartic_point_to_param_solution(p: IPoly, q: IPoly, s: IPoly) -> ParamSolution:
+    """Turn U = p/q, V = s/q^2 over Z[M] into a polynomial family in m.
 
-    With U = p/q reduced over Z[M], V is s/q^2 (``to_quartic``; for a reduced
-    V the ``QuarticPoint`` check forces that denominator), and the entries are
-    the module docstring's pairs at m = 1, times m^e for e = (0, 1, 1, 0, 1, 0).
+    p, q and s come as ``to_quartic`` gives them; the entries are the module
+    docstring's pairs at m = 1, times m^e for e = (0, 1, 1, 0, 1, 0).
     gcd(p - q, 2q) and gcd(p + q, p) have polynomial part gcd(p, q) = 1, so
     each pair is freed of its integer content gcd alone, d1 and d2, and no
     ``RatFn`` is built.  The contents of p and q are coprime, so d2 = 1 and
     d1 divides 2; if d1 = 2, p = q (mod 2), so 2 divides z1 = (p-q)^2 + 2pq
-    and 4 divides z2^2 = (p-q)^2 p^2 - 4q^2(p+q)^2, hence 2 divides z2, and
-    the z entries divide exactly by d1 d2.  Each entry is then spread to m.
-    The family's residual is the proof, taken once on the spread entries: on
-    a genuine family it forms only A - z1^2 and B - z2^2 (see
-    ``ParamSolution.residual``), the two square identities in m, finds both
-    zero, and keeps that result for later callers.
+    and, on the quartic model, 4 divides z2^2 = (p-q)^2 p^2 - 4q^2(p+q)^2,
+    hence 2 divides z2, and the z entries divide exactly by d1 d2.  Each
+    entry is then spread to m.
 
-    Over Z[m] the pair gcds are the same: gcd(A(m^4), m B(m^4)) is
-    gcd(A, B)(m^4) when A(0) != 0, and x1 = p - q and y2 = p are nonzero at
-    M = 0: U(0) is not 0, 1 or infinity.  At M = 0 the curve is
-    Y^2 = X^2(X+1), P reduces to the smooth point with t = (Y-X)/(Y+X) = 1/4,
-    so +-nP reduce to t = 4^-+n != 1, and U(0) = (1+s)/2 with
-    s = Y/X = (1+t)/(1-t) != +-1.
+    The family's residual, taken once on the spread entries, proves the
+    family and the point.  With the shapes A - z1^2 is zero identically, so
+    it is (B - z2^2)(B + z2^2) (``ParamSolution.residual``), and z2^2 - B is
+    q^4 (V^2 - quartic_rhs(U)) / (d1 d2)^2.  x2 and y1 vanish at m = 0, so
+    B(0) + z2(0)^2 >= (x1(0) y2(0))^2 > 0 by the guard that x1 = p - q and
+    y2 = p have nonzero constant terms.  So a zero residual forces z2^2 = B,
+    which puts the image on the quartic model and nP on the curve
+    (``to_quartic``).  A genuine family forms only A - z1^2 and B - z2^2,
+    finds both zero, and keeps that result for later callers.
+
+    The guard also makes the pair gcds over Z[m] those over Z[M]:
+    gcd(A(m^4), m B(m^4)) is gcd(A, B)(m^4) when A(0) != 0.  Genuine nP
+    passes it: at M = 0 the curve is Y^2 = X^2(X+1), P reduces to the smooth
+    point with t = (Y-X)/(Y+X) = 1/4, so +-nP reduce to t = 4^-+n != 1, and
+    U(0) = (1+w)/2 with w = Y/X = (1+t)/(1-t) is not 0, 1 or infinity.
     """
-    M = qp.M
-    if not isinstance(M, RatFn) or M != RatFn.gen():
-        raise TypeError("parameter must be the generator of a function field")
-    u = M._coerce(qp.u)
-    v = M._coerce(qp.v)
-    if u is None or v is None:
-        raise TypeError("quartic point coordinates must live in Q(M)")
-    p, q = u.num, u.den
     if p.degree == 0 and q.degree == 0:
         raise PipelineError("constant U gives no one-parameter family")
-    (x1, x2), (y1, y2), (z1, z2) = _solution_pairs(p, q, 1, v.num)
+    if p[0] == 0 or p[0] == q[0]:
+        raise PipelineError("U is 0 or 1 at M = 0, which no multiple of P gives")
+    (x1, x2), (y1, y2), (z1, z2) = _solution_pairs(p, q, 1, s)
     d1 = gcd(content(x1), content(x2))
     d2 = gcd(content(y1), content(y2))
     entries = (_exact(x1, d1), _exact(x2, d1), _exact(y1, d2), _exact(y2, d2),
@@ -238,11 +236,12 @@ def signed_multiple(n: int, M, sign: str = "auto") -> tuple:
     return w, w if sign == "plus" else CurvePoint(w.x, -w.y)
 
 
+@cache
 def auto_sign(n: int) -> str:
     """The branch of nP whose solution has the smaller canonical key.
 
-    Decided numerically at small parameter values, one nP per value, so the
-    symbolic run pays nothing extra.
+    Decided numerically at small parameter values, one nP per value and
+    once per n in a process, so the symbolic run pays nothing extra.
     """
     for m0 in (1, 2, 3):
         # P has infinite order at each sample m0, so nP is never infinity
@@ -267,14 +266,14 @@ def solution_from_nP(n: int, sign: str = "auto") -> ParamSolution:
     The map takes ``multiple_P``'s triple over Z[M] and the factor it shares
     with U's numerator: the odd value at 2n + 1 on the minus branch (the
     point 2nR) and at 2n - 1 on the plus branch.  No polynomial gcd is taken
-    anywhere on this path.
+    anywhere on this path, and the family's residual is its one proof.
     """
     sign = _resolve_sign(n, sign)
     M = IPoly.gen()
     x, y, z, below, above = multiple_P(n, M)
     y, g = (y, below) if sign == "plus" else (-y, above)
-    qp = QuarticPoint(*to_quartic(x, y, M, z, g), M)
-    return quartic_point_to_param_solution(qp)
+    u, v = to_quartic(x, y, M, z, g)
+    return quartic_point_to_param_solution(u.num, u.den, v.num)
 
 
 def evaluate_param(ps: ParamSolution, m0) -> SolutionSix:

@@ -8,9 +8,11 @@ tests put the result into the grid with ``dataclasses.replace``.
 
 
 def v_denominator_16(to_quartic):
-    """V scaled by 1/4: the paper's V read over 16(X-4M)^2, not 4(X-4M)^2."""
-    def mutated(x, y, M, z=1):
-        u, v = to_quartic(x, y, M, z)
+    """V scaled by 1/4: the paper's V read over 16(X-4M)^2, not 4(X-4M)^2.
+
+    Further arguments (z, and the known factor g over Z[M]) pass through."""
+    def mutated(x, y, M, z=1, *rest):
+        u, v = to_quartic(x, y, M, z, *rest)
         return u, v / 4
     return mutated
 
@@ -19,28 +21,25 @@ def v_term_23(to_quartic):
     """V shifted by MY/(4(X-4M)^2): the paper's -24MY term read as -23MY.
 
     At X = x/z^2, Y = y/z^3 the shift is Myz/(4(x-4Mz^2)^2)."""
-    def mutated(x, y, M, z=1):
-        u, v = to_quartic(x, y, M, z)
+    def mutated(x, y, M, z=1, *rest):
+        u, v = to_quartic(x, y, M, z, *rest)
         return u, v + M * y * z / (4 * (x - 4 * M * z * z) ** 2)
     return mutated
 
 
-def psi3_plus_one(initial_psi):
-    """The division value psi_3 of the half point read one too large."""
-    def mutated(x, y, a2, a4):
-        psi = initial_psi(x, y, a2, a4)
-        psi[3] = psi[3] + 1
-        return psi
-    return mutated
+def psi_changed(k, change):
+    """The division value psi_k of the half point read as change(psi_k)."""
+    def wrap(initial_psi):
+        def mutated(x, y, a2, a4):
+            psi = initial_psi(x, y, a2, a4)
+            psi[k] = change(psi[k])
+            return psi
+        return mutated
+    return wrap
 
 
-def psi3_doubled(initial_psi):
-    """The division value psi_3 of the half point read twice too large."""
-    def mutated(x, y, a2, a4):
-        psi = initial_psi(x, y, a2, a4)
-        psi[3] = 2 * psi[3]
-        return psi
-    return mutated
+psi3_plus_one = psi_changed(3, lambda v: v + 1)   # psi_3 read one too large
+psi3_doubled = psi_changed(3, lambda v: 2 * v)    # psi_3 read twice too large
 
 
 def y_plus_2uv(to_weierstrass):

@@ -221,12 +221,13 @@ def test_curve_symbolic(capsys):
 
 def test_curve_m_prints_no_unchecked_point(capsys, monkeypatch):
     # a ladder fault that passes every exact division gives a point off the
-    # curve; the map's on-curve check rejects it before anything is printed
+    # curve; the map's quartic check, the curve equation pulled back, rejects
+    # its image before anything is printed
     import biquadrates.curve as curve
     from mutations import psi3_doubled
 
     monkeypatch.setattr(curve, "_initial_psi", psi3_doubled(curve._initial_psi))
-    with pytest.raises(ValueError, match="not on the curve"):
+    with pytest.raises(ValueError, match="quartic model"):
         main(["curve", "--n", "2", "--m", "2", "--sign", "plus"])
     assert capsys.readouterr().out == ""
 

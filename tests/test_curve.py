@@ -26,7 +26,7 @@ from biquadrates.curve import (
 )
 from biquadrates.derive import signed_multiple
 from biquadrates.poly import IPoly, PoleError, RatFn
-from mutations import psi3_doubled, psi3_plus_one
+from mutations import psi3_doubled, psi3_plus_one, psi_changed
 from oracles import signed_multiple_over
 
 
@@ -257,8 +257,10 @@ def test_ladder_at_m4_equal_2_meets_torsion():
 @pytest.mark.parametrize("M", [Fraction(16), RatFn.gen()], ids=["m=2", "Q(M)"])
 def test_corrupted_psi3_fails_the_curve_check(M, monkeypatch):
     # psi_3 + 1 leaves a remainder where psi_3 is normalised; 2 psi_3
-    # normalises exactly, and the 2P it gives is off the curve, so the
-    # QuarticPoint check on its image, the curve equation pulled back, fails
+    # normalises exactly, and the 2P it gives is off the curve, so its image
+    # fails the quartic model, the curve equation pulled back.  Over Q that
+    # QuarticPoint check is the map's only one; over Q(M) it is the reference
+    # here, and the pipeline catches the fault before its residual
     initial = curve._initial_psi
     monkeypatch.setattr(curve, "_initial_psi", psi3_plus_one(initial))
     with pytest.raises(PipelineError, match="remainder"):
@@ -274,14 +276,8 @@ def test_corrupted_psi3_fails_the_curve_check(M, monkeypatch):
 
 
 def test_inexact_ladder_division_fails(monkeypatch):
-    initial = curve._initial_psi
-
-    def psi4_plus_one(*args):
-        psi = initial(*args)
-        psi[4] = psi[4] + 1
-        return psi
-
-    monkeypatch.setattr(curve, "_initial_psi", psi4_plus_one)
+    monkeypatch.setattr(curve, "_initial_psi",
+                        psi_changed(4, lambda v: v + 1)(curve._initial_psi))
     for A in (16, IPoly.gen()):
         # psi_4 is normalised by A^4 2^15
         with pytest.raises(PipelineError, match="remainder"):

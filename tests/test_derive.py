@@ -35,6 +35,7 @@ from biquadrates.derive import (
 from biquadrates.exact import DegenerateSolutionError, SolutionSix, canonicalize, check_solution
 from biquadrates.families import ParamSolution, family_eq20, family_eq21
 from biquadrates.poly import IPoly, PoleError, RatFn
+from mutations import psi_changed
 from oracles import numeric_solution_from_nP, signed_multiple_over
 
 THIRD = Fraction(-2, 3)
@@ -153,6 +154,10 @@ def test_auto_sign_computes_each_multiple_once(monkeypatch):
         return multiple_P(n, A, B)
 
     monkeypatch.setattr(derive, "multiple_P", counting)
+    derive.auto_sign.cache_clear()
+    assert derive.auto_sign(5) in ("minus", "plus")
+    assert calls == [5]
+    # the branch depends on n alone, so it is decided once per process
     assert derive.auto_sign(5) in ("minus", "plus")
     assert calls == [5]
 
@@ -231,6 +236,96 @@ def test_symbolic_pipeline_takes_no_polynomial_gcd(n, monkeypatch):
         assert solution_from_nP(n, sign).residual().is_zero
 
 
+def _no_check(*args, **kwargs):
+    raise AssertionError("a second membership check ran")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_symbolic_pipeline_proves_each_point_once(n, monkeypatch):
+    # the family's residual is the one proof: no QuarticPoint is built over
+    # Q(M), and no right side is reduced by monic_at
+    monkeypatch.setattr(derive, "QuarticPoint", _no_check)
+    monkeypatch.setattr(derive, "monic_at", _no_check)
+    monkeypatch.setattr(poly, "monic_at", _no_check)
+    for sign in ("minus", "plus"):
+        assert solution_from_nP(n, sign).residual().is_zero
+
+
+def test_numeric_map_runs_no_curve_check(monkeypatch, capsys):
+    # over Q the QuarticPoint check on the image is the curve equation away
+    # from the pole, so the map runs no on_curve before it
+    import biquadrates.cli as cli
+    import biquadrates.curve as curve
+
+    monkeypatch.setattr(curve, "on_curve", _no_check)
+    monkeypatch.setattr(derive, "on_curve", _no_check, raising=False)
+    for m0 in (1, 2, Fraction(3, 5)):
+        for n in (1, 2, 3):
+            w, _ = signed_multiple(n, m0**4, "plus")
+            for pt in (w, CurvePoint(w.x, -w.y)):
+                qp = weierstrass_to_quartic(m0**4, pt)
+                assert to_weierstrass(qp.u, qp.v, qp.M) == (pt.x, pt.y)
+                with pytest.raises(ValueError, match="quartic model"):
+                    weierstrass_to_quartic(m0**4, CurvePoint(pt.x, pt.y + 1))
+    derive.auto_sign.cache_clear()   # auto_sign maps its samples here too
+    assert cli.main(["curve", "--n", "4", "--m", "3/5"]) == 0
+    assert "source: curve_nP" in capsys.readouterr().out
+
+
+def _moved_constant(p0):
+    """A stand-in for to_quartic whose p has constant term p0(p, q)."""
+    original = derive.to_quartic
+
+    def stand_in(*args):
+        u, v = original(*args)
+        p, q = u.num, u.den
+        return RatFn._raw(p + (p0(p, q) - p[0]), q), v
+    return stand_in
+
+
+@pytest.mark.parametrize("p0", [lambda p, q: 0, lambda p, q: q[0]], ids=["U(0)=0", "U(0)=1"])
+def test_guard_rejects_u_0_or_1_at_m_0(p0, monkeypatch):
+    # x1 = p - q and y2 = p must not vanish at M = 0 (the proof in
+    # quartic_point_to_param_solution relies on it); the guard says so
+    # before the residual is formed
+    monkeypatch.setattr(derive, "to_quartic", _moved_constant(p0))
+    for n in (1, 2):
+        for sign in ("minus", "plus"):
+            with pytest.raises(PipelineError, match="0 or 1 at M = 0"):
+                solution_from_nP(n, sign)
+
+
+PSI_CHANGES = {"plus_one": lambda v: v + 1, "doubled": lambda v: 2 * v,
+               "negated": lambda v: -v}
+
+
+@pytest.mark.parametrize("change", PSI_CHANGES)
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_psi_corruptions_fail_or_change_nothing(k, change, monkeypatch):
+    # a corrupted division value of the half point raises PipelineError
+    # (an exact division leaves a remainder, or the residual is nonzero) or
+    # still gives a genuine family.  Negating psi_2 or psi_4 negates nP; at
+    # n = 1 the plus branch divides U by psi_1 = 1, so it maps -P unreduced
+    # and gives the minus branch's family: -P is on the curve, so no check
+    # of the point can reject it
+    import biquadrates.curve as curve
+
+    ref = {(n, s): solution_from_nP(n, s) for n in range(1, 5) for s in ("minus", "plus")}
+    monkeypatch.setattr(curve, "_initial_psi",
+                        psi_changed(k, PSI_CHANGES[change])(curve._initial_psi))
+    accepted = []
+    for (n, sign), fam in ref.items():
+        try:
+            got = solution_from_nP(n, sign)
+        except PipelineError:
+            continue
+        if got.polys() != fam.polys():
+            other = ref[n, "minus" if sign == "plus" else "plus"]
+            assert got.residual().is_zero and param_equivalent(got, other)
+            accepted.append((n, sign))
+    assert accepted == ([(1, "plus")] if change == "negated" and k != 3 else [])
+
+
 def _coprime(a: IPoly, b: IPoly) -> bool:
     """gcd(a, b) = 1 in Z[M], integer contents included, by sympy's gcd."""
     x = sympy.Symbol("M")
@@ -304,8 +399,6 @@ def test_degenerate_and_corrupt_families():
 
 
 def test_symbolic_input_validation():
-    with pytest.raises(TypeError):
-        quartic_point_to_param_solution(QuarticPoint(THIRD, VVAL, 1))
     with pytest.raises(ValueError):
         solution_from_nP(0)
     with pytest.raises(ValueError):
@@ -319,7 +412,7 @@ def test_symbolic_quartic_point_roundtrip():
     w = CurvePoint(point_P(M).x, -point_P(M).y)
     qp = weierstrass_to_quartic(M, w)
     assert to_weierstrass(qp.u, qp.v, qp.M) == (w.x, w.y)
-    fam = quartic_point_to_param_solution(qp)
+    fam = quartic_point_to_param_solution(qp.u.num, qp.u.den, qp.v.num)
     assert fam.residual().is_zero
 
 

@@ -198,15 +198,25 @@ def _selftest_fails(capsys, name) -> bool:
 def test_mutated_roundtrip_fails(monkeypatch, capsys):
     # one patch of derive's map reaches the pipeline and the selftest alike
     original = derive.to_quartic
+    families = {(n, sign): derive.solution_from_nP(n, sign).polys()
+                for n in (1, 2, 3) for sign in ("minus", "plus")}
     for mutation in (v_denominator_16, v_term_23):
         monkeypatch.setattr(derive, "to_quartic", mutation(original))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="quartic model"):
             derive.weierstrass_to_quartic(1, point_P(1))
-        # the symbolic pipeline maps the triple over Z[M] through it too
-        with pytest.raises(ValueError):
-            derive.solution_from_nP(1)
         assert not verify_birational_roundtrip()
         assert _selftest_fails(capsys, "birational_roundtrip")
+    # the symbolic pipeline maps the triple over Z[M] through it too and
+    # reads V only as its numerator s over q^2: the shifted V fails the
+    # family's residual on both branches, while V/4 keeps s (its content is
+    # odd) and moves the 4 into a denominator that no entry reads, so the
+    # family stays the unmutated one
+    for (n, sign), polys in families.items():
+        monkeypatch.setattr(derive, "to_quartic", v_term_23(original))
+        with pytest.raises(derive.PipelineError, match="residual"):
+            derive.solution_from_nP(n, sign)
+        monkeypatch.setattr(derive, "to_quartic", v_denominator_16(original))
+        assert derive.solution_from_nP(n, sign).polys() == polys
 
 
 def test_curve_closure_checks_the_half_point(monkeypatch, capsys):

@@ -134,8 +134,9 @@ def test_mutation_fits_bounds(name, monkeypatch):
 @pytest.mark.parametrize("jacobian", [False, True])
 def test_quartic_check_is_the_pulled_back_curve_equation(jacobian):
     # with to_quartic's V = X/2 + U - U^2, V^2 - quartic_rhs(U) is the curve
-    # equation over 4(4M - X), so the QuarticPoint check on the image of a
-    # point proves the point was on the curve
+    # equation over 4(4M - X), so one proof that the image of a point lies
+    # on the quartic model (the QuarticPoint check over Q, the family's
+    # residual over Z[M]) proves the point was on the curve
     x, y, z, M = sympy.symbols("x y z M")
     X, Y = (x / z**2, y / z**3) if jacobian else (x, y)
     u, v = derive.to_quartic(x, y, M, z) if jacobian else derive.to_quartic(x, y, M)
