@@ -21,7 +21,8 @@ one of them, so ``to_quartic`` reduces U by dividing it out exactly, then
 the integer content.  Clearing takes integer contents only.  Each point is
 proved once, through its image, where the map pulls the curve equation back
 to the quartic one: by the ``QuarticPoint`` check over Q, and over Z[M] by
-the family's residual (``quartic_point_to_param_solution``).
+two square identities on the family's entries, which also prove the family
+(``quartic_point_to_param_solution``).
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def to_quartic(x, y, M, z=1, g=1):
     With V = X/2 + U - U^2 the quartic model's equation V^2 = quartic(U) is
     (Y^2 - X^3 - (1-4M)X^2 - 32MX) / (4(4M - X)) = 0, the curve equation
     pulled back, so proving the image on the quartic model proves (X, Y) on
-    the curve (over Z[M], by the family's residual).
+    the curve (over Z[M], by the family's identity B = z2^2).
 
     Over a field p, q = U, 1.  Over Z[M] the caller passes g, the polynomial
     part of the gcd of U's numerator and denominator, which also divides
@@ -102,7 +103,7 @@ def to_quartic(x, y, M, z=1, g=1):
     divides only by an integer, exactly, and V is s/q^2 as it stands.  That
     is V's reduced form: with N = q^4 quartic_rhs(p/q), N/q^4 is reduced
     (the argument of ``poly.monic_at``), so s^2 = N, which the family's
-    residual proves, shows that s and q are coprime.
+    identity B = z2^2 proves, shows that s and q are coprime.
     """
     zz = z * z
     num, pole = x * z + y + 8 * M * z * zz, 2 * x - 8 * M * zz
@@ -146,33 +147,32 @@ def _solution_pairs(p, q, m, s) -> tuple:
 
 
 def quartic_point_to_param_solution(p: IPoly, q: IPoly, s: IPoly) -> ParamSolution:
-    """Turn U = p/q, V = s/q^2 over Z[M] into a polynomial family in m.
+    """Turn U = p/q, V = s/q^2 over Z[M] into a proved polynomial family in m.
 
-    p, q and s come as ``to_quartic`` gives them; the entries are the module
-    docstring's pairs at m = 1, times m^e for e = (0, 1, 1, 0, 1, 0).
-    gcd(p - q, 2q) and gcd(p + q, p) have polynomial part gcd(p, q) = 1, so
-    each pair is freed of its integer content gcd alone, d1 and d2, and no
-    ``RatFn`` is built.  The contents of p and q are coprime, so d2 = 1 and
-    d1 divides 2; if d1 = 2, p = q (mod 2), so 2 divides z1 = (p-q)^2 + 2pq
-    and, on the quartic model, 4 divides z2^2 = (p-q)^2 p^2 - 4q^2(p+q)^2,
-    hence 2 divides z2, and the z entries divide exactly by d1 d2.  Each
-    entry is then spread to m.
+    p, q and s come as ``to_quartic`` gives them; the entries E1..E6 are the
+    module docstring's pairs at m = 1, and the family's entries are
+    m^r E(m^4) for r = (0, 1, 1, 0, 1, 0).  gcd(p - q, 2q) and gcd(p + q, p)
+    have polynomial part gcd(p, q) = 1, so each pair is freed of its integer
+    content gcd alone, d1 and d2, and no ``RatFn`` is built.  The contents
+    of p and q are coprime, so d2 = 1 and d1 divides 2; if d1 = 2, p = q
+    (mod 2), so 2 divides z1 = (p-q)^2 + 2pq and, on the quartic model, 4
+    divides z2^2 = (p-q)^2 p^2 - 4q^2(p+q)^2, hence 2 divides z2, and the z
+    entries divide exactly by d1 d2.  Each entry is then spread to m.
 
-    The family's residual, taken once on the spread entries, proves the
-    family and the point.  With the shapes A - z1^2 is zero identically, so
-    it is (B - z2^2)(B + z2^2) (``ParamSolution.residual``), and z2^2 - B is
-    q^4 (V^2 - quartic_rhs(U)) / (d1 d2)^2.  x2 and y1 vanish at m = 0, so
-    B(0) + z2(0)^2 >= (x1(0) y2(0))^2 > 0 by the guard that x1 = p - q and
-    y2 = p have nonzero constant terms.  So a zero residual forces z2^2 = B,
-    which puts the image on the quartic model and nP on the curve
-    (``to_quartic``).  A genuine family forms only A - z1^2 and B - z2^2,
-    finds both zero, and keeps that result for later callers.
+    Two square identities over Z[M] prove the family and the point.  With
+    A = (x1 y1)^2 + (x2 y2)^2 and B = (x1 y2)^2 - (x2 y1)^2 in m and
+    M = m^4, (E1 E3)^2 + (E2 E4)^2 = E5^2 is A = z1^2 over m^2 and
+    (E1 E4)^2 - M (E2 E3)^2 = E6^2 is B = z2^2, so the quartic Brahmagupta
+    identity gives (x1^4+x2^4)(y1^4+y2^4) = A^2 + B^2 = z1^4 + z2^4.  And
+    z2^2 - B is q^4 (V^2 - quartic_rhs(U)) / (d1 d2)^2, so the second puts
+    the image on the quartic model and nP on the curve (``to_quartic``).
 
-    The guard also makes the pair gcds over Z[m] those over Z[M]:
-    gcd(A(m^4), m B(m^4)) is gcd(A, B)(m^4) when A(0) != 0.  Genuine nP
-    passes it: at M = 0 the curve is Y^2 = X^2(X+1), P reduces to the smooth
-    point with t = (Y-X)/(Y+X) = 1/4, so +-nP reduce to t = 4^-+n != 1, and
-    U(0) = (1+w)/2 with w = Y/X = (1+t)/(1-t) is not 0, 1 or infinity.
+    The guard that x1 = p - q and y2 = p have nonzero constant terms makes
+    the pair gcds over Z[m] those over Z[M]: gcd(A(m^4), m B(m^4)) is
+    gcd(A, B)(m^4) when A(0) != 0.  Genuine nP passes it: at M = 0 the curve
+    is Y^2 = X^2(X+1), P reduces to the smooth point with t = (Y-X)/(Y+X) =
+    1/4, so +-nP reduce to t = 4^-+n != 1, and U(0) = (1+w)/2 with
+    w = Y/X = (1+t)/(1-t) is not 0, 1 or infinity.
     """
     if p.degree == 0 and q.degree == 0:
         raise PipelineError("constant U gives no one-parameter family")
@@ -183,11 +183,15 @@ def quartic_point_to_param_solution(p: IPoly, q: IPoly, s: IPoly) -> ParamSoluti
     d2 = gcd(content(y1), content(y2))
     entries = (_exact(x1, d1), _exact(x2, d1), _exact(y1, d2), _exact(y2, d2),
                _exact(z1, d1 * d2), _exact(z2, d1 * d2))
-    ps = ParamSolution(*(IPoly(_spread(_positive(e).coeffs, r, 4))
-                         for e, r in zip(entries, (0, 1, 1, 0, 1, 0))))
-    if not ps.residual().is_zero:
-        raise PipelineError("the family's residual is nonzero")
-    return ps
+    e1, e2, e3, e4, e5, e6 = entries
+    a, b, c, d = e1 * e3, e2 * e4, e1 * e4, e2 * e3
+    if a * a + b * b != e5 * e5:
+        raise PipelineError("the family's residual is nonzero: A != z1^2")
+    # M (E2 E3)^2 is a shift of its coefficients
+    if c * c - IPoly((0,) + (d * d).coeffs) != e6 * e6:
+        raise PipelineError("the family's residual is nonzero: B != z2^2")
+    return ParamSolution(*(IPoly(_spread(_positive(e).coeffs, r, 4))
+                           for e, r in zip(entries, (0, 1, 1, 0, 1, 0))))
 
 
 def _clear_to_solution(xpair, ypair, zpair) -> SolutionSix:
@@ -266,7 +270,8 @@ def solution_from_nP(n: int, sign: str = "auto") -> ParamSolution:
     The map takes ``multiple_P``'s triple over Z[M] and the factor it shares
     with U's numerator: the odd value at 2n + 1 on the minus branch (the
     point 2nR) and at 2n - 1 on the plus branch.  No polynomial gcd is taken
-    anywhere on this path, and the family's residual is its one proof.
+    anywhere on this path, and ``quartic_point_to_param_solution``'s two
+    square identities are its one proof.
     """
     sign = _resolve_sign(n, sign)
     M = IPoly.gen()

@@ -15,9 +15,8 @@ curve, and eq26 from the rational parametrization of u^2 - 3v^2 = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
-from biquadrates.poly import IPoly, _spread, _stride
+from biquadrates.poly import IPoly
 
 
 @dataclass(frozen=True)
@@ -48,56 +47,16 @@ class ParamSolution:
         this is the same polynomial.  A product whose first factor A - z1^2
         or B - z2^2 is zero is skipped, so a genuine family costs only squares
         of about half the degree of the fourth powers.
-
-        Every entry is var^r * P(var^h), so every term is var^s * Q(var^g)
-        once g divides each h and each gap between the shifts s of terms that
-        get added: 2(r1+r3), 2(r2+r4) and 2r5 within A - z1^2, and 2(r1+r4),
-        2(r2+r3) and 2r6 within B - z2^2.  The gap 4(r3-r4) between the two
-        products is the difference of the two x-gaps, so it follows.  A zero
-        entry counts with r = 0, which can only shrink g.  The work is done
-        in var^g with each s reduced mod g and spread back once: g = 4 for
-        the curve families and 2 for eq26.
-
-        The result is kept on the instance, so a family that
-        ``derive.quartic_point_to_param_solution`` has proved is not proved
-        again when it is printed.
         """
-        known = self.__dict__.get("_residual")
-        if known is not None:
-            return known
-        polys = self.polys()
-        shapes = [_stride(p.coeffs) if p.coeffs else (0, 0) for p in polys]
-        r1, r2, r3, r4, r5, r6 = (r for r, _ in shapes)
-        g = gcd(*(h for _, h in shapes), 2 * (r1 + r3 - r2 - r4), 2 * (r1 + r3 - r5),
-                2 * (r1 + r4 - r2 - r3), 2 * (r1 + r4 - r6)) or 1
-
-        # a term is (s, Q) for var^s * Q(var^g), 0 <= s < g; terms that get
-        # added share s unless one is zero
-        def mul(a, b):
-            s, q = a[0] + b[0], a[1] * b[1]
-            return (s, q) if s < g else (s - g, IPoly((0,) + q.coeffs))
-
-        def sq(a):
-            return mul(a, a)
-
-        def add(a, b, sign=1):
-            q = b[1] if sign > 0 else -b[1]
-            return (b[0] if a[1].is_zero else a[0], a[1] + q)
-
-        x1, x2, y1, y2, z1, z2 = ((r % g, IPoly(p.coeffs[r % g::g]))
-                                  for p, (r, _) in zip(polys, shapes))
-        a = add(sq(mul(x1, y1)), sq(mul(x2, y2)))
-        b = add(sq(mul(x1, y2)), sq(mul(x2, y1)), -1)
-        res = (0, IPoly(()))
-        for ab, z in ((a, z1), (b, z2)):
-            zz = sq(z)
-            lo = add(ab, zz, -1)
-            if not lo[1].is_zero:
-                res = add(res, mul(lo, add(ab, zz)))
-        s, q = res
-        known = IPoly(_spread(q.coeffs, s, g)) if q.coeffs else q
-        object.__setattr__(self, "_residual", known)
-        return known
+        x1, x2, y1, y2, z1, z2 = self.polys()
+        res = IPoly(())
+        for ab, z in (((x1 * y1) ** 2 + (x2 * y2) ** 2, z1),
+                      ((x1 * y2) ** 2 - (x2 * y1) ** 2, z2)):
+            zz = z * z
+            lo = ab - zz
+            if not lo.is_zero:
+                res = res + lo * (ab + zz)
+        return res
 
     def degrees(self) -> tuple:
         return tuple(p.degree for p in self.polys())

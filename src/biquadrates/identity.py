@@ -53,9 +53,10 @@ checks the U map, and the (U, V) chart checks both maps.
 The last two verifiers run the curve side itself: the base point, the
 extra point and the half point R lie on the curve over Q(m), P = -2R and
 the extra point is 3R there, small multiples at fixed m lie on it,
-and ``derive.solution_from_nP(3)`` gives a family with zero residual and
-z-degrees of at least 120.  ``ALL_VERIFIERS`` lists them in the order
-``selftest`` prints them; ``selftest --quick`` skips ``curve_high_multiple``.
+and ``derive.solution_from_nP(3)`` gives, on each branch, a family with
+zero residual and z-degrees of at least 120.  ``ALL_VERIFIERS`` lists them
+in the order ``selftest`` prints them; ``selftest --quick`` skips
+``curve_high_multiple``.
 """
 
 from __future__ import annotations
@@ -270,10 +271,19 @@ def verify_curve_closure() -> bool:
 
 
 def verify_curve_high_multiple() -> bool:
-    """The 3P family has zero residual and z-degrees of at least 120."""
-    fam = derive.solution_from_nP(3)
-    degs = fam.degrees()
-    return fam.residual().is_zero and degs[4] >= 120 and degs[5] >= 120
+    """The 3P family on each branch has zero residual and z-degrees of at
+    least 120.
+
+    ``derive.solution_from_nP`` proves a family over Z[M] before it spreads
+    the entries to m; the residual here is taken on the family it returns,
+    so it also checks the spread, and both branches' divisions are run.
+    """
+    for sign in ("minus", "plus"):
+        fam = derive.solution_from_nP(3, sign)
+        degs = fam.degrees()
+        if not (fam.residual().is_zero and degs[4] >= 120 and degs[5] >= 120):
+            return False
+    return True
 
 
 # every grid identity by name; tests check each one's bounds and nodes

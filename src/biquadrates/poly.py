@@ -25,7 +25,6 @@ Horner sum is reduced already.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import gcd
 from typing import Iterable, Optional
 
@@ -237,24 +236,8 @@ def _mul_coeffs(a: tuple, b: tuple) -> tuple:
     return _kronecker_mul(a, b)
 
 
-def _stride(cs: tuple) -> tuple:
-    """(r, g) with cs = m^r * P(m^g), P(0) != 0; g = 0 for a monomial.
-
-    r is the lowest exponent with a nonzero coefficient and g the gcd of the
-    gaps between such exponents; cs must be nonzero.
-    """
-    exps = compress(range(len(cs)), cs)
-    r = next(exps)
-    g = 0
-    for e in exps:
-        g = gcd(g, e - r)
-        if g == 1:
-            break
-    return r, g
-
-
 def _spread(cs: tuple, r: int, g: int) -> tuple:
-    """Coefficients of m^r * P(m^g) from those of P; the inverse of _stride."""
+    """Coefficients of m^r * P(m^g) from those of P."""
     out = [0] * (r + g * (len(cs) - 1) + 1)
     out[r::g] = cs
     return tuple(out)

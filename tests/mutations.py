@@ -58,6 +58,14 @@ def z2_doubled(solution_pairs):
     return mutated
 
 
+def z1_plus_q2(solution_pairs):
+    """The solution shape z1 = m(p^2 + q^2) read as m(p^2 + q^2) + q^2."""
+    def mutated(p, q, m, v):
+        x, y, (z1, z2) = solution_pairs(p, q, m, v)
+        return x, y, (z1 + q * q, z2)
+    return mutated
+
+
 def pell_z2_plus_one(pell_shapes):
     """The Pell shape z2 = 8v^4+4v^2+1 read as 8v^4+4v^2+2."""
     def mutated(u, v):

@@ -242,8 +242,8 @@ def _no_check(*args, **kwargs):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_symbolic_pipeline_proves_each_point_once(n, monkeypatch):
-    # the family's residual is the one proof: no QuarticPoint is built over
-    # Q(M), and no right side is reduced by monic_at
+    # the two square identities over Z[M] are the one proof: no QuarticPoint
+    # is built over Q(M), and no right side is reduced by monic_at
     monkeypatch.setattr(derive, "QuarticPoint", _no_check)
     monkeypatch.setattr(derive, "monic_at", _no_check)
     monkeypatch.setattr(poly, "monic_at", _no_check)
@@ -285,9 +285,9 @@ def _moved_constant(p0):
 
 @pytest.mark.parametrize("p0", [lambda p, q: 0, lambda p, q: q[0]], ids=["U(0)=0", "U(0)=1"])
 def test_guard_rejects_u_0_or_1_at_m_0(p0, monkeypatch):
-    # x1 = p - q and y2 = p must not vanish at M = 0 (the proof in
+    # x1 = p - q and y2 = p must not vanish at M = 0 (the gcd argument in
     # quartic_point_to_param_solution relies on it); the guard says so
-    # before the residual is formed
+    # before the square identities are formed
     monkeypatch.setattr(derive, "to_quartic", _moved_constant(p0))
     for n in (1, 2):
         for sign in ("minus", "plus"):
@@ -303,7 +303,7 @@ PSI_CHANGES = {"plus_one": lambda v: v + 1, "doubled": lambda v: 2 * v,
 @pytest.mark.parametrize("k", (2, 3, 4))
 def test_psi_corruptions_fail_or_change_nothing(k, change, monkeypatch):
     # a corrupted division value of the half point raises PipelineError
-    # (an exact division leaves a remainder, or the residual is nonzero) or
+    # (an exact division leaves a remainder, or a square identity fails) or
     # still gives a genuine family.  Negating psi_2 or psi_4 negates nP; at
     # n = 1 the plus branch divides U by psi_1 = 1, so it maps -P unreduced
     # and gives the minus branch's family: -P is on the curve, so no check
@@ -351,18 +351,28 @@ def test_known_factor_reduces_u(n):
         assert _coprime(p, q) and _coprime(s, q)
 
 
-def test_family_is_proved_once(monkeypatch):
-    # the pipeline's residual is the proof; printing the family reuses it,
-    # while a fresh family with the same entries computes its own
-    fam = solution_from_nP(2, sign="plus")
+def test_family_is_proved_once(monkeypatch, capsys):
+    # derive proves each family with its two square identities over Z[M] and
+    # printing runs no residual; a published family is checked by cmd_family
+    import biquadrates.cli as cli
 
-    def recompute(cs):
-        raise AssertionError("residual recomputed")
+    assert cli.main(["curve", "--n", "3", "--symbolic"]) == 0
+    printed = capsys.readouterr().out
 
-    monkeypatch.setattr(families, "_stride", recompute)
-    assert fam.residual().is_zero
-    with pytest.raises(AssertionError, match="recomputed"):
-        ParamSolution(*fam.polys()).residual()
+    def no_residual(self):
+        raise AssertionError("ParamSolution.residual ran")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(families.ParamSolution, "residual", no_residual)
+        for n in (1, 2, 3, 4):
+            for sign in ("minus", "plus"):
+                solution_from_nP(n, sign)
+        assert cli.main(["curve", "--n", "3", "--symbolic"]) == 0
+        assert capsys.readouterr().out == printed
+    monkeypatch.setattr(families.ParamSolution, "residual", lambda self: IPoly((1,)))
+    assert cli.main(["family", "eq21", "--symbolic"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "family: the residual is nonzero\n"
 
 
 def test_pipeline_commutes_with_evaluation():

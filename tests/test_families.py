@@ -1,4 +1,4 @@
-"""Tests for ParamSolution's residual, formed through the Brahmagupta split in var^g."""
+"""Tests for ParamSolution's residual, formed through the Brahmagupta split."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from biquadrates.derive import solution_from_nP
 from biquadrates.families import FAMILIES, ParamSolution, family_eq20, family_eq26
-from biquadrates.poly import IPoly, _stride
+from biquadrates.poly import IPoly
 
 
 def _dense_residual(ps: ParamSolution) -> IPoly:
@@ -27,8 +27,8 @@ def sparse_entry(draw, hs):
 
 @st.composite
 def sparse_families(draw):
-    # every h a multiple of step, so the shared g takes each value often; at
-    # h = 8 an odd r caps g at gcd(8, 4r) = 4
+    # every h a multiple of step, so that sparse entries in var^4 and var^2,
+    # the curve families' and eq26's shapes, are drawn often
     step = draw(st.sampled_from((1, 2, 4, 8)))
     hs = tuple(h for h in (0, 1, 2, 4, 8) if h % step == 0)
     return ParamSolution(*(draw(sparse_entry(hs)) for _ in range(6)))
@@ -61,20 +61,18 @@ EDGE_FAMILIES = {
     "all_zero": _family({}, {}, {}, {}, {}, {}),
     "one_zero_entry": ParamSolution(IPoly(()), *family_eq20().polys()[1:]),
     "monomials": _family({3: 2}, {1: -1}, {5: -1}, {0: 3}, {2: 1}, {7: 4}),
-    # odd r with h = 4 or 8: the 2r gaps cap the shared stride at 2
+    # odd r with h = 4 or 8
     "odd_r_h4": _family({1: 1, 5: -2}, {3: 2, 7: 1}, {1: 3}, {5: -1, 9: 1},
                         {3: 1, 11: 2}, {1: 1, 5: 1}),
     "odd_r_h8": _family({1: 1, 9: -2}, {3: 2, 11: 1}, {1: 3, 17: 1}, {5: -1, 13: 1},
                         {3: 1, 19: 2}, {1: 1, 9: 1}),
-    # with h = 8, each of the shift gaps 2(r1+r3) - 2(r2+r4), 2(r1+r3) - 2r5,
-    # 2(r1+r4) - 2(r2+r3) and 2(r1+r4) - 2r6 in turn is the one that caps the
-    # shared stride at 4
+    # h = 8, with shifts that put two summands 4 apart mod 8, one case each:
+    # the two terms of A, A and z1^2, the two terms of B, B and z2^2
     "gap_x_in_A": _shifted(1, 0, 1, 0, 2, 1),
     "gap_z1_in_A": _shifted(0, 0, 0, 0, 2, 0),
     "gap_x_in_B": _shifted(1, 0, 0, 1, 1, 2),
     "gap_z2_in_B": _shifted(0, 0, 0, 0, 0, 2),
-    # eq26's shapes (r, h) = (0,2) (1,0) (0,2) (1,2) (2,4) (0,2), with z1 bent
-    # by t^10 so the residual is nonzero in t^2
+    # eq26's entries with z1 bent by t^10, so the residual is nonzero
     "eq26_shape": ParamSolution(*family_eq26().polys()[:4],
                                 family_eq26().z1 + IPoly.from_terms({10: 1}),
                                 family_eq26().z2, var="t"),
@@ -91,13 +89,13 @@ def test_residual_edge_cases_match_dense(name):
 @pytest.mark.parametrize("n", (2, 3))
 def test_corrupted_curve_families_keep_a_nonzero_residual(n):
     # the curve families are m^r * P(m^4) with r = (0, 1, 1, 0, 1, 0); adding
-    # m^(r+4) to one entry keeps that shape, so the residual stays in m^4
+    # m^(r+4) to one entry keeps that shape, so only a coefficient is wrong
     ps = solution_from_nP(n)
     assert ps.residual().is_zero
     for i, r in enumerate((0, 1, 1, 0, 1, 0)):
         entries = list(ps.polys())
         entries[i] = entries[i] + IPoly.from_terms({r + 4: 1})
-        assert _stride(entries[i].coeffs) == (r, 4)
+        assert {k % 4 for k, c in enumerate(entries[i].coeffs) if c} == {r}
         bent = ParamSolution(*entries)
         res = bent.residual()
         assert not res.is_zero, i

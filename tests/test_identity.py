@@ -24,6 +24,7 @@ from biquadrates.identity import (
     substitution_grid,
     verify_birational_roundtrip,
     verify_curve_closure,
+    verify_curve_high_multiple,
     verify_mod16_obstruction,
     verify_pell_reduction,
 )
@@ -40,6 +41,7 @@ from mutations import (
     v_denominator_16,
     v_term_23,
     y_plus_2uv,
+    z1_plus_q2,
     z2_doubled,
 )
 
@@ -81,6 +83,7 @@ NODE_CASES = [(name, None) for name in GRIDS] + [
     ("quartic_brahmagupta", quartic_brahmagupta_plus_abcd),
     ("substitution_13", substitution_3m2p2q2),
     ("substitution_13", (derive, "_solution_pairs", z2_doubled)),
+    ("substitution_13", (derive, "_solution_pairs", z1_plus_q2)),
     ("quartic_model", quartic_rhs_7mu),
     ("quartic_model", (derive, "_solution_pairs", z2_doubled)),
     ("pell_reduction", pell_factor_255),
@@ -248,6 +251,30 @@ def test_mutated_shapes_fail(monkeypatch, capsys):
     with pytest.raises(derive.PipelineError, match="residual"):
         derive.solution_from_nP(2, "minus")
     assert cli.main(["curve", "--n", "2", "--symbolic"]) == 1
+
+
+def test_mutated_z1_shape_fails(monkeypatch, capsys):
+    # z1 = m(p^2 + q^2) + q^2 leaves z2 and B as they were: only the
+    # substitution check and the pipeline's identity A = z1^2 can see it
+    monkeypatch.setattr(derive, "_solution_pairs", z1_plus_q2(derive._solution_pairs))
+    assert _selftest_fails(capsys, "substitution_13")
+    for n in (1, 2, 3):
+        for sign in ("minus", "plus"):
+            with pytest.raises(derive.PipelineError, match="residual"):
+                derive.solution_from_nP(n, sign)
+
+
+def test_high_multiple_rechecks_the_spread_family(monkeypatch, capsys):
+    # entries spread to m with no factor m^r: derive's identities over Z[M]
+    # pass, but B - z2^2 is then M (E2 E3)^2 - (E2 E3)^2 in m, so the family
+    # is no solution, and only selftest's residual on the 3P family sees it
+    spread = derive._spread
+    monkeypatch.setattr(derive, "_spread", lambda cs, r, g: spread(cs, 0, g))
+    for sign in ("minus", "plus"):
+        assert not derive.solution_from_nP(3, sign).residual().is_zero
+    assert not verify_curve_high_multiple()
+    assert cli.main(["selftest"]) == 1
+    assert "curve_high_multiple: FAIL" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("chart", [curve_chart_grid, quartic_chart_grid])
