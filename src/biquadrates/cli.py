@@ -8,9 +8,10 @@ any other exception is a bug and ends in a traceback.  A reader that closes
 stdout early (``| head``) also ends the run with exit 1 and a
 ``<command>: broken pipe`` line.  Data goes to stdout, diagnostics to stderr.
 
-The commands only call the library and print.  Every emitted solution is
-checked, canonicalized and turned into text by ``_record``, and ``selftest``
-runs ``identity.ALL_VERIFIERS`` in order.
+The commands only call the library and print; ``curve --m`` maps nP over Z
+as ``--symbolic`` does over Z[M] (``derive.quartic_image``).  Every emitted
+solution is checked, canonicalized and turned into text by ``_record``, and
+``selftest`` runs ``identity.ALL_VERIFIERS`` in order.
 
 ``main`` builds its parser on its first call and reuses it for the rest of
 the process: parsing leaves a parser as it was, and building one costs about
@@ -30,15 +31,15 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from biquadrates.curve import DegenerateCurveError
+from biquadrates.curve import DegenerateCurveError, multiple_P
 from biquadrates.derive import (
     PipelineError,
+    _clear_to_solution,
+    _solution_pairs,
     auto_sign,
     evaluate_param,
-    signed_multiple,
+    quartic_image,
     solution_from_nP,
-    solution_from_quartic_point,
-    weierstrass_to_quartic,
 )
 from biquadrates.exact import (
     DegenerateSolutionError,
@@ -179,19 +180,20 @@ def cmd_curve(ns) -> int:
         fam = solution_from_nP(ns.n, sign)
         print("sign: %s" % sign)
         return _print_family(fam, ns.descending)
-    w, pt = signed_multiple(ns.n, ns.m**4, sign)
+    M = ns.m**4
+    x, y, z, *_ = nP = multiple_P(ns.n, M.numerator, M.denominator)
+    wx, wy = Fraction(x, z * z), Fraction(y, z**3)
     with _int_text():
         # a point past the digit limit fails here, before the map runs
         head = "nP: (%s, %s)\nsign: %s\ncurve point: (%s, %s)" % (
-            w.x, w.y, sign, pt.x, pt.y)
-    # the map's checks prove the point before any of it is printed
-    qp = weierstrass_to_quartic(ns.m**4, pt)
-    u = Fraction(qp.u)
+            wx, wy, sign, wx, wy if sign == "plus" else -wy)
+    # the map's identity proves the point before any of it is printed
+    p, q, s = quartic_image(nP, M, sign)
     print(head)
     with _int_text():
-        print("quartic point: (%s, %s)" % (qp.u, qp.v))
-        print("U = p/q: p = %d, q = %d" % (u.numerator, u.denominator))
-    sol = solution_from_quartic_point(qp, ns.m)
+        print("quartic point: (%s, %s)" % (Fraction(p, q), Fraction(s, q * q)))
+        print("U = p/q: p = %d, q = %d" % (p, q))
+    sol = _clear_to_solution(*_solution_pairs(p, q, ns.m, s))
     print(_record(sol, "curve_nP", ns.m, ns.json))
     return 0
 

@@ -1,9 +1,9 @@
 """Elliptic curve arithmetic for Y^2 = X^3 + a2*X^2 + a4*X over an exact field.
 
-The coefficient field is either Q (``fractions.Fraction``) or a rational
-function field (``RatFn``); the same code runs over both.  For the family
-studied here a2 = 1 - 4M and a4 = 32M with M = m^4, so the curve and its
-base point live over Q(M), and the symbolic derivation runs there.
+The coefficients lie in Q (``fractions.Fraction``), in Z[M] (``IPoly``)
+or in the rational function field Q(M) (``RatFn``); the same code runs
+over each, and the group law's quotients of polynomials land in Q(M).  For
+the family studied here a2 = 1 - 4M and a4 = 32M with M = m^4.
 
 The derivation takes nP from ``multiple_P``: P = -2R for the half point
 R = (4M, 12M), and nP = -2nR comes from the division values of R on an
@@ -14,10 +14,12 @@ makes, the normalisation of psi_2..psi_4 and the even step's division by
 the normalised psi_2, is exact or raises PipelineError.  Nothing here
 checks nP against the curve: the map to the quartic model pulls the curve
 equation back to the quartic one, which derive proves once per point.
-The affine chord-tangent law (``add``, ``mul_scalar``) from ``point_P`` is
-the slow oracle the ladder is tested against.  Group operations validate
-their inputs against the curve equation, so an off-curve point is rejected
-instead of silently producing nonsense.
+``point_P`` and ``extra_point`` come from Jacobian triples over Z[M], as
+the ladder's points do.  The affine chord-tangent law (``add``,
+``mul_scalar``) from ``point_P`` is the slow oracle the ladder is tested
+against.  Group operations validate their inputs against the curve
+equation, so an off-curve point is rejected instead of silently producing
+nonsense.
 """
 
 from __future__ import annotations
@@ -28,14 +30,12 @@ from typing import Optional, Union
 
 from biquadrates.poly import ExactDivisionError, IPoly, PoleError, RatFn, monic_at
 
-Element = Union[Fraction, RatFn]
+Element = Union[Fraction, IPoly, RatFn]
 
 
 def _lift(v) -> Element:
-    """v in its field: an int in Q, a polynomial over Z in Q(M)."""
-    if isinstance(v, int):
-        return Fraction(v)
-    return RatFn(v) if isinstance(v, IPoly) else v
+    """An int as an element of Q; any other value (a polynomial too) as it is."""
+    return Fraction(v) if isinstance(v, int) else v
 
 
 class PipelineError(RuntimeError):
@@ -91,7 +91,7 @@ class WeierstrassCurve:
 
 
 def curve_from_parameter(M) -> WeierstrassCurve:
-    """The curve with a2 = 1-4M, a4 = 32M, M = m^4, over Q or Q(M)."""
+    """The curve with a2 = 1-4M, a4 = 32M, M = m^4, over Q, Z[M] or Q(M)."""
     M = _lift(M)
     return WeierstrassCurve(a2=1 - 4 * M, a4=32 * M)
 
@@ -101,8 +101,8 @@ def on_curve(c: WeierstrassCurve, p: CurvePoint) -> bool:
 
     Over Q(M) the right side comes reduced from ``poly.monic_at``, which
     takes no gcd; a2 and a4 must then be polynomials, as
-    ``curve_from_parameter`` makes them.  Over Q it is the Horner form
-    ``rhs``.  Either way y*y is compared structurally with an exact value.
+    ``curve_from_parameter`` makes them.  Over Q and Z[M] it is the Horner
+    form ``rhs``.  Either way y*y is compared structurally with an exact value.
     """
     if p.infinity:
         return True
@@ -153,36 +153,39 @@ def mul_scalar(c: WeierstrassCurve, n: int, p: CurvePoint) -> CurvePoint:
     return result
 
 
+def _affine(phi, omega, z) -> CurvePoint:
+    """The point (phi/z^2, omega/z^3) of a Jacobian triple."""
+    zz = z * z
+    return CurvePoint(phi / zz, omega / (zz * z))
+
+
+def _P_triple(M) -> tuple:
+    """P as a Jacobian triple (phi, omega, z) in M = m^4, over Z[M] or at a value."""
+    return 4 * (M - 2) ** 2, 4 * (M - 2) * (2 * M * M - 17 * M - 10), 3
+
+
 def point_P(M) -> CurvePoint:
     """The base point (4(M-2)^2/9, 4(M-2)(2M^2-17M-10)/27), M = m^4.
 
     It is -2R for the half point R = (4M, 12M) that ``multiple_P`` starts
     from; the group-law oracle starts from it.
     """
-    M = _lift(M)
-    x = 4 * (M - 2) ** 2 / 9
-    y = 4 * (M - 2) * (2 * M * M - 17 * M - 10) / 27
-    return CurvePoint(x, y)
+    return _affine(*_P_triple(_lift(M)))
 
 
-def extra_point(m) -> CurvePoint:
+def _extra_triple(M) -> tuple:
+    """The extra point as a Jacobian triple; z = (m^4+3m^2-2)(m^4-3m^2-2)."""
+    core = M * M - 4 * M - 14
+    return (4 * M * core**2, 36 * M * core * (M**4 - 11 * M**3 + 30 * M**2 - 74 * M - 8),
+            M * M - 13 * M + 4)
+
+
+def extra_point(M) -> CurvePoint:
     """The further rational point with denominator (m^4+3m^2-2)(m^4-3m^2-2).
 
-    It takes m, not M; it lies on ``curve_from_parameter(m**4)``, where it
-    is 3R for the half point R = (4m^4, 12m^4).
+    It is 3R for the half point R = (4M, 12M), M = m^4.
     """
-    m = _lift(m)
-    m2 = m * m
-    m4 = m2 * m2
-    a = m4 + 3 * m2 - 2
-    b = m4 - 3 * m2 - 2
-    ab = a * b
-    if ab == 0:
-        raise ZeroDivisionError("coordinates have a pole at this m")
-    core = m4**2 - 4 * m4 - 14
-    x = 4 * m4 * core**2 / (ab * ab)
-    y = 36 * m4 * core * (m4**4 - 11 * m4**3 + 30 * m4**2 - 74 * m4 - 8) / ab**3
-    return CurvePoint(x, y)
+    return _affine(*_extra_triple(_lift(M)))
 
 
 def is_nontorsion_by_mazur(c: WeierstrassCurve, p: CurvePoint) -> bool:

@@ -10,36 +10,27 @@ and writing U = p/q in lowest terms yields the solution
     x = (p-q, 2mq),  y = (m(p+q), p),  z = (m(p^2+q^2), q^2 V),
 
 up to the scaling action.  The curve, its points and the quartic model
-live over Q(M), M = m^4, and take M; m enters only through the solution
-shapes.  Run over Q(M) the pipeline produces polynomial families in m; run
-over Q at a fixed parameter it produces integer solutions.
-
-Over Q(M) the pipeline takes no polynomial gcd.  ``curve.multiple_P`` gives
-nP as a triple over Z[M] with the odd division values around it; the map's
-pole factor 2x - 8Mz^2 is -72 times their product and U's numerator shares
-one of them, so ``to_quartic`` reduces U by dividing it out exactly, then
-the integer content.  Clearing takes integer contents only.  Each point is
-proved once, through its image, where the map pulls the curve equation back
-to the quartic one: by the ``QuarticPoint`` check over Q, and over Z[M] by
-two square identities on the family's entries, which also prove the family
+take M = m^4; m enters only through the solution shapes.  One map gives
+polynomial families in m over Z[M] and integer solutions over Z at a
+rational m, with no polynomial gcd.  ``curve.multiple_P`` gives nP as a
+triple with the odd division values around it; the map's pole factor
+2x - 8Mz^2 is -72 times their product and U's numerator shares one of
+them, so ``to_quartic`` reduces U by dividing it out exactly, then the
+integer content.  Clearing takes integer contents only.  Each point is
+proved once, through its image, where the map pulls the curve equation
+back to the quartic one: over Z by one integer identity
+(``quartic_image``), and over Z[M] by two square identities on the
+family's entries, which also prove the family
 (``quartic_point_to_param_solution``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-from biquadrates.curve import (
-    CurvePoint,
-    Element,
-    PipelineError,
-    _exact,
-    _lift,
-    multiple_P,
-)
+from biquadrates.curve import PipelineError, _exact, multiple_P
 from biquadrates.exact import (
     DegenerateSolutionError,
     SolutionSix,
@@ -47,7 +38,7 @@ from biquadrates.exact import (
     check_solution,
 )
 from biquadrates.families import ParamSolution
-from biquadrates.poly import IPoly, PoleError, RatFn, _positive, _spread, content, monic_at
+from biquadrates.poly import IPoly, PoleError, _positive, _spread, content
 
 SAMPLES = (1, 2, 3, Fraction(1, 2), 5)
 
@@ -63,27 +54,7 @@ def quartic_rhs(u, M):
     return (((u + c3) * u + c2) * u + c1) * u + c0
 
 
-@dataclass(frozen=True)
-class QuarticPoint:
-    """Point (u, v) with v^2 = quartic_rhs(u, M); checked on construction."""
-
-    u: Element
-    v: Element
-    M: Element
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", _lift(self.u))
-        object.__setattr__(self, "v", _lift(self.v))
-        object.__setattr__(self, "M", _lift(self.M))
-        u, M = self.u, self.M
-        # over Q(M) the right side comes reduced from monic_at, with no gcd
-        rhs = (monic_at(_quartic_coeffs(M), u) if isinstance(u, RatFn)
-               else quartic_rhs(u, M))
-        if self.v * self.v != rhs:
-            raise ValueError("point does not satisfy the quartic model")
-
-
-def to_quartic(x, y, M, z=1, g=1):
+def to_quartic(x, y, M, z=1, g=None):
     """The map (X, Y) -> (U, V) to the quartic model at X = x/z^2, Y = y/z^3.
 
     U = (xz + y + 8Mz^3) / (z(2x - 8Mz^2)), with its pole where X = 4M.  V
@@ -93,34 +64,38 @@ def to_quartic(x, y, M, z=1, g=1):
     With V = X/2 + U - U^2 the quartic model's equation V^2 = quartic(U) is
     (Y^2 - X^3 - (1-4M)X^2 - 32MX) / (4(4M - X)) = 0, the curve equation
     pulled back, so proving the image on the quartic model proves (X, Y) on
-    the curve (over Z[M], by the family's identity B = z2^2).
+    the curve.
 
-    Over a field p, q = U, 1.  Over Z[M] the caller passes g, the polynomial
-    part of the gcd of U's numerator and denominator, which also divides
-    2x - 8Mz^2 (``multiple_P``'s odd value); it is divided out of both
-    exactly, then their integer content c, and no polynomial gcd is taken.
-    Then q = zr/c with r = (2x - 8Mz^2)/g, so s = xr^2/(2c^2) + p(q-p)
-    divides only by an integer, exactly, and V is s/q^2 as it stands.  That
-    is V's reduced form: with N = q^4 quartic_rhs(p/q), N/q^4 is reduced
-    (the argument of ``poly.monic_at``), so s^2 = N, which the family's
-    identity B = z2^2 proves, shows that s and q are coprime.
+    Over a field (no g) it returns (U, V).  Given ``multiple_P``'s triple
+    over Z or Z[M] and g, the odd value that U's numerator shares with
+    2x - 8Mz^2, it returns (p, q, s); at M = A/B, z = 3Bg makes Mz^2 an
+    integer.  g is divided out of both exactly, then their integer content
+    c, signed to make q (over Z[M], its leading coefficient) positive.  Then
+    q = zr/c with r = (2x - 8Mz^2)/g, so s = xr^2/(2c^2) + p(q-p) divides
+    only by an integer, exactly, and V = s/q^2 is reduced: with
+    N = q^4 quartic_rhs(p/q), N/q^4 is reduced (the argument of
+    ``poly.monic_at``), so s^2 = N, which the caller proves, makes s and q
+    coprime.
     """
     zz = z * z
-    num, pole = x * z + y + 8 * M * z * zz, 2 * x - 8 * M * zz
+    mzz = M * zz
+    if g is not None and isinstance(mzz, Fraction):
+        mzz = _exact(mzz.numerator, mzz.denominator)
+    num, pole = x * z + y + 8 * mzz * z, 2 * x - 8 * mzz
     if pole == 0:
         raise PoleError("the map is undefined where X = 4m^4")
-    if not isinstance(x, IPoly):
+    if g is None:
         u = num / (z * pole)
         w = 2 * zz
         return u, (x + w * u * (1 - u)) / w
     p, r = _exact(num, g), _exact(pole, g)
     q = z * r
     c = gcd(content(p), content(q))
-    c = -c if q.lc < 0 else c
+    if (q if isinstance(q, int) else q.lc) < 0:
+        c = -c
     p, q = _exact(p, c), _exact(q, c)
     # q = zr/c, so s = xr^2/(2c^2) + p(q-p) divides by integers only
-    s = _exact(x * (r * r), 2 * c * c) + p * (q - p)
-    return RatFn._raw(p, q), RatFn._raw(s, q * q)
+    return p, q, _exact(x * (r * r), 2 * c * c) + p * (q - p)
 
 
 def to_weierstrass(u, v, M):
@@ -129,16 +104,6 @@ def to_weierstrass(u, v, M):
     y = (4 * u**3 - 6 * u * u + 4 * u * v - 2 * (4 * M - 1) * u
          - 2 * v - 8 * M)
     return x, y
-
-
-def weierstrass_to_quartic(M, pt: CurvePoint) -> QuarticPoint:
-    """Map a curve point to the quartic model; poles at X = 4M and infinity.
-
-    Off the pole the ``QuarticPoint`` check is the curve equation."""
-    M = _lift(M)
-    if pt.infinity:
-        raise PoleError("the point at infinity has no affine image")
-    return QuarticPoint(*to_quartic(pt.x, pt.y, M), M)
 
 
 def _solution_pairs(p, q, m, s) -> tuple:
@@ -167,17 +132,13 @@ def quartic_point_to_param_solution(p: IPoly, q: IPoly, s: IPoly) -> ParamSoluti
     z2^2 - B is q^4 (V^2 - quartic_rhs(U)) / (d1 d2)^2, so the second puts
     the image on the quartic model and nP on the curve (``to_quartic``).
 
-    The guard that x1 = p - q and y2 = p have nonzero constant terms makes
-    the pair gcds over Z[m] those over Z[M]: gcd(A(m^4), m B(m^4)) is
-    gcd(A, B)(m^4) when A(0) != 0.  Genuine nP passes it: at M = 0 the curve
-    is Y^2 = X^2(X+1), P reduces to the smooth point with t = (Y-X)/(Y+X) =
-    1/4, so +-nP reduce to t = 4^-+n != 1, and U(0) = (1+w)/2 with
-    w = Y/X = (1+t)/(1-t) is not 0, 1 or infinity.
+    U is not 0, 1 or infinity at M = 0 (``solution_from_nP`` pins U(0)), so
+    x1 = p - q and y2 = p have nonzero constant terms.  That makes the pair
+    gcds over Z[m] those over Z[M]: gcd(A(m^4), m B(m^4)) is gcd(A, B)(m^4)
+    when A(0) != 0.
     """
     if p.degree == 0 and q.degree == 0:
         raise PipelineError("constant U gives no one-parameter family")
-    if p[0] == 0 or p[0] == q[0]:
-        raise PipelineError("U is 0 or 1 at M = 0, which no multiple of P gives")
     (x1, x2), (y1, y2), (z1, z2) = _solution_pairs(p, q, 1, s)
     d1 = gcd(content(x1), content(x2))
     d2 = gcd(content(y1), content(y2))
@@ -210,34 +171,10 @@ def _clear_to_solution(xpair, ypair, zpair) -> SolutionSix:
     return sol
 
 
-def solution_from_quartic_point(qp: QuarticPoint, m) -> SolutionSix:
-    """Integer solution from a quartic-model point over Q at a fixed m."""
-    m = Fraction(m)
-    if m**4 != qp.M:
-        raise ValueError("m^4 differs from the quartic point's M")
-    u, v = Fraction(qp.u), Fraction(qp.v)
-    p, q = Fraction(u.numerator), Fraction(u.denominator)
-    return _clear_to_solution(*_solution_pairs(p, q, m, q * q * v))
-
-
 def _resolve_sign(n: int, sign: str) -> str:
     if sign not in ("auto", "plus", "minus"):
         raise ValueError("sign must be 'auto', 'plus' or 'minus'")
     return auto_sign(n) if sign == "auto" else sign
-
-
-def signed_multiple(n: int, M, sign: str = "auto") -> tuple:
-    """The n-th multiple of the base point and the branch taken from it.
-
-    M = m^4 is a rational value.  Returns affine points (nP, point) over Q
-    with point = nP on the "plus" branch and -nP on "minus"; "auto" is
-    resolved by ``auto_sign``.  nP comes from ``multiple_P`` over Z.
-    """
-    sign = _resolve_sign(n, sign)
-    M = Fraction(M)
-    x, y, z, *_ = multiple_P(n, M.numerator, M.denominator)
-    w = CurvePoint(Fraction(x, z * z), Fraction(y, z * z * z))
-    return w, w if sign == "plus" else CurvePoint(w.x, -w.y)
 
 
 @cache
@@ -249,12 +186,13 @@ def auto_sign(n: int) -> str:
     """
     for m0 in (1, 2, 3):
         # P has infinite order at each sample m0, so nP is never infinity
-        w, w_minus = signed_multiple(n, m0**4, "minus")
+        nP = multiple_P(n, m0**4)
         keys = {}
-        for sign, pt in (("minus", w_minus), ("plus", w)):
+        for sign in ("minus", "plus"):
             try:
-                qp = weierstrass_to_quartic(m0**4, pt)
-                keys[sign] = canonicalize(solution_from_quartic_point(qp, m0))
+                p, q, s = quartic_image(nP, m0**4, sign)
+                sol = _clear_to_solution(*_solution_pairs(p, q, m0, s))
+                keys[sign] = canonicalize(sol)
             except (DegenerateSolutionError, PoleError, PipelineError):
                 continue
         if len(keys) == 1:
@@ -264,21 +202,43 @@ def auto_sign(n: int) -> str:
     raise PipelineError("no branch of nP gives a usable solution")
 
 
-def solution_from_nP(n: int, sign: str = "auto") -> ParamSolution:
-    """Polynomial family from the n-th multiple of the base point over Q(M).
+def quartic_image(nP: tuple, M, sign: str) -> tuple:
+    """U = p/q and V = s/q^2, the image of nP ("plus") or -nP ("minus").
 
-    The map takes ``multiple_P``'s triple over Z[M] and the factor it shares
-    with U's numerator: the odd value at 2n + 1 on the minus branch (the
-    point 2nR) and at 2n - 1 on the plus branch.  No polynomial gcd is taken
-    anywhere on this path, and ``quartic_point_to_param_solution``'s two
-    square identities are its one proof.
+    nP is ``multiple_P``'s tuple over Z[M] or at a rational M = A/B; U's
+    numerator shares its odd value at 2n - 1 on the plus branch and at
+    2n + 1 on the minus branch (the point 2nR).  At M = A/B the image is
+    proved here by B s^2 = B p^2 (p-q)^2 - 4A q^2 (p+q)^2, which is
+    s^2 = q^4 quartic_rhs(p/q), so nP lies on the curve; over Z[M] the
+    family's square identities prove it.
+    """
+    x, y, z, below, above = nP
+    y, g = (y, below) if sign == "plus" else (-y, above)
+    p, q, s = to_quartic(x, y, M, z, g)
+    if not isinstance(M, IPoly):
+        A, B = M.numerator, M.denominator
+        if B * s * s != B * (p * (p - q)) ** 2 - 4 * A * (q * (p + q)) ** 2:
+            raise PipelineError("the image of nP is not on the quartic model")
+    return p, q, s
+
+
+def solution_from_nP(n: int, sign: str = "auto") -> ParamSolution:
+    """Polynomial family from the n-th multiple of the base point over Z[M].
+
+    ``quartic_point_to_param_solution``'s square identities are the one
+    proof, after a check at M = 0 that pins the branch.  There the curve is
+    Y^2 = X^2(X+1) and P reduces to the point with t = (Y-X)/(Y+X) = 1/4,
+    so +-nP reduce to t = 4^-+n and U(0) = (1+w)/2, w = (1+t)/(1-t), is
+    4^n/(4^n - 1) on the plus branch and -1/(4^n - 1) on the minus one.
+    That catches a ladder that hands the plus branch -P at n = 1, where its
+    division by the value at 2n - 1 = 1 checks nothing.
     """
     sign = _resolve_sign(n, sign)
     M = IPoly.gen()
-    x, y, z, below, above = multiple_P(n, M)
-    y, g = (y, below) if sign == "plus" else (-y, above)
-    u, v = to_quartic(x, y, M, z, g)
-    return quartic_point_to_param_solution(u.num, u.den, v.num)
+    p, q, s = quartic_image(multiple_P(n, M), M, sign)
+    if q[0] == 0 or p[0] * (4**n - 1) != q[0] * (4**n if sign == "plus" else -1):
+        raise PipelineError("U at M = 0 is not the %s branch's value" % sign)
+    return quartic_point_to_param_solution(p, q, s)
 
 
 def evaluate_param(ps: ParamSolution, m0) -> SolutionSix:

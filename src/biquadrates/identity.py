@@ -50,12 +50,12 @@ V = -U^2 - 5U - 2.  ``to_quartic`` takes V from the inverse map, so the X
 difference on the (X, Y) chart vanishes by construction; its Y difference
 checks the U map, and the (U, V) chart checks both maps.
 
-The last two verifiers run the curve side itself: the base point, the
-extra point and the half point R lie on the curve over Q(m), P = -2R and
-the extra point is 3R there, small multiples at fixed m lie on it,
-and ``derive.solution_from_nP(3)`` gives, on each branch, a family with
-zero residual and z-degrees of at least 120.  ``ALL_VERIFIERS`` lists them
-in the order ``selftest`` prints them; ``selftest --quick`` skips
+The last two verifiers run the curve side itself: over Z[M] the ladder
+from R = (4M, 12M) meets P and the extra point (Jacobian triples,
+cross-multiplied), small multiples at m = 1, 2 lie on the curve, and
+``derive.solution_from_nP(3)`` gives, on each branch, a family with zero
+residual and z-degrees of at least 120.  ``ALL_VERIFIERS`` lists them in
+the order ``selftest`` prints them; ``selftest --quick`` skips
 ``curve_high_multiple``.
 """
 
@@ -67,7 +67,7 @@ from itertools import product
 from typing import Callable
 
 from biquadrates import curve, derive, pell, search
-from biquadrates.poly import RatFn
+from biquadrates.poly import IPoly
 
 
 @dataclass(frozen=True)
@@ -247,24 +247,34 @@ def verify_birational_roundtrip() -> bool:
 # ---------------------------------------------------------------------------
 # the curve and the derivation it feeds
 
+def _same_point(a, b) -> bool:
+    """Whether Jacobian triples (phi, omega, z) give one point, cross-multiplied."""
+    (pa, wa, za), (pb, wb, zb) = a, b
+    return pa * zb * zb == pb * za * za and wa * zb**3 == wb * za**3
+
+
 def verify_curve_closure() -> bool:
-    """The base point, the extra point and the half point R = (4m^4, 12m^4)
-    lie on the curve over Q(m), P = -2R and the extra point is 3R there, and
-    at m = 1 and 2 so do 2P, 3P and the extra point."""
-    mm = RatFn.gen()
-    sym = curve.curve_from_parameter(mm**4)
-    p, e = curve.point_P(mm**4), curve.extra_point(mm)
-    r = curve.CurvePoint(4 * mm**4, 12 * mm**4)
-    if not all(curve.on_curve(sym, pt) for pt in (p, e, r)):
+    """Over Z[M] the half point R = (4M, 12M) lies on the curve, the
+    ladder's P is ``curve.point_P`` (so P = -2R) and its 3R, from at(1..5)
+    by Silverman's formulas, is ``curve.extra_point``; at m = 1 and 2, 2P,
+    3P and the extra point lie on the curve over Q."""
+    M = IPoly.gen()
+    if not curve.on_curve(curve.curve_from_parameter(M), curve.CurvePoint(4 * M, 12 * M)):
         return False
-    two = curve.add(sym, r, r)
-    if two != curve.CurvePoint(p.x, -p.y) or curve.add(sym, two, r) != e:
+    if not _same_point(curve.multiple_P(1, M)[:3], curve._P_triple(M)):
+        return False
+    # with psi_k = M^floor(k^2/4) 2^(k^2-1) at(k), x(3R) = 4M - psi_2 psi_4 / psi_3^2
+    # and y(3R) = (psi_5 psi_2^2 - psi_1 psi_4^2) / (48M psi_3^3)
+    a1, a2, a3, a4, a5 = map(curve.half_point_psi(M), range(1, 6))
+    three_r = (36 * M * (a3 * a3 - a2 * a4), 36 * M * (a2 * a2 * a5 - a1 * a4 * a4),
+               3 * a3)
+    if not _same_point(three_r, curve._extra_triple(M)):
         return False
     for m0 in (1, 2):
         c = curve.curve_from_parameter(m0**4)
         p = curve.point_P(m0**4)
         for pt in (curve.mul_scalar(c, 2, p), curve.mul_scalar(c, 3, p),
-                   curve.extra_point(m0)):
+                   curve.extra_point(m0**4)):
             if not curve.on_curve(c, pt):
                 return False
     return True

@@ -10,9 +10,10 @@ operands are large, which keeps degree-several-hundred products cheap.
 "On Euclid's algorithm and the computation of polynomial greatest common
 divisors", J. ACM 18, 1971): (A, B) becomes (B, pp(prem(A, B))) until B is
 zero or constant.  Its one caller is ``RatFn``'s reduction, and only when
-both parts of a quotient are nonconstant: the derivation over Z[M] takes no
-gcd, and ``selftest``'s curve closure over Q(M) takes about ten on small
-degrees, so the route is plain, not fast.
+both parts of a quotient are nonconstant.  No command takes one: the
+derivation and ``selftest``'s curve closure run over Z[M], and only the
+group-law oracle over Q(M) reduces through ``RatFn``, so the route is plain,
+not fast.
 
 ``RatFn`` is the field of rational functions in one variable (Q(M) in the
 curve's group law): quotients kept fully reduced (polynomial part
@@ -305,8 +306,10 @@ def _divide(a, b) -> tuple:
 # ---------------------------------------------------------------------------
 # content, gcd
 
-def content(p: IPoly) -> int:
-    """gcd of the coefficients (nonnegative); 0 for the zero polynomial."""
+def content(p) -> int:
+    """gcd of the coefficients (nonnegative); 0 for the zero polynomial; |p| for an int."""
+    if isinstance(p, int):
+        return abs(p)
     g = 0
     for c in p.coeffs:
         g = gcd(g, c)

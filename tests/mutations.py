@@ -10,20 +10,33 @@ tests put the result into the grid with ``dataclasses.replace``.
 def v_denominator_16(to_quartic):
     """V scaled by 1/4: the paper's V read over 16(X-4M)^2, not 4(X-4M)^2.
 
-    Further arguments (z, and the known factor g over Z[M]) pass through."""
+    Further arguments (z, and the known factor g) pass through.  Over a
+    field the image is (U, V); over Z or Z[M] it is (p, q, s) with
+    V = s/q^2, and V/4 is s/(2q)^2 with U = 2p/2q."""
     def mutated(x, y, M, z=1, *rest):
-        u, v = to_quartic(x, y, M, z, *rest)
-        return u, v / 4
+        image = to_quartic(x, y, M, z, *rest)
+        if len(image) == 2:
+            u, v = image
+            return u, v / 4
+        p, q, s = image
+        return 2 * p, 2 * q, s
     return mutated
 
 
 def v_term_23(to_quartic):
     """V shifted by MY/(4(X-4M)^2): the paper's -24MY term read as -23MY.
 
-    At X = x/z^2, Y = y/z^3 the shift is Myz/(4(x-4Mz^2)^2)."""
+    At X = x/z^2, Y = y/z^3 the shift is Myz/w^2 with w = 2(x - 4Mz^2), so
+    over Z or Z[M] V = s/q^2 becomes (s w^2 + q^2 Myz)/(qw)^2, with
+    U = pw/qw."""
     def mutated(x, y, M, z=1, *rest):
-        u, v = to_quartic(x, y, M, z, *rest)
-        return u, v + M * y * z / (4 * (x - 4 * M * z * z) ** 2)
+        image = to_quartic(x, y, M, z, *rest)
+        w = 2 * (x - 4 * M * z * z)
+        if len(image) == 2:
+            u, v = image
+            return u, v + M * y * z / (w * w)
+        p, q, s = image
+        return p * w, q * w, s * w * w + q * q * M * y * z
     return mutated
 
 

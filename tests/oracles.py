@@ -1,16 +1,83 @@
-"""Pipeline constructions that only tests use.
+"""Pipeline constructions that only tests use: the field route over Q and Q(M).
 
-``numeric_solution_from_nP`` runs the curve pipeline over Q at one value of
-m.  ``signed_multiple_over`` extends ``derive.signed_multiple``, which takes
-a rational M only, to the generator of Q(M), M = m^4.
+The library maps nP to the quartic model over Z and Z[M]
+(``derive.quartic_image``) and proves each image by an identity on its
+integers.  This module is the reference it is compared against: nP as an
+affine point over Q or Q(M) (``signed_multiple``), its image through the
+field branch of ``derive.to_quartic`` (``weierstrass_to_quartic``), checked
+on the quartic model by ``QuarticPoint``, and cleared to an integer solution
+at one value of m (``solution_from_quartic_point``,
+``numeric_solution_from_nP``).  derive's formulas are looked up through the
+module, so a test that patches one reaches this route too.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from biquadrates.curve import CurvePoint, multiple_P
-from biquadrates.derive import signed_multiple, solution_from_quartic_point, weierstrass_to_quartic
+from biquadrates import derive
+from biquadrates.curve import CurvePoint, Element, _lift, multiple_P
 from biquadrates.exact import SolutionSix
-from biquadrates.poly import IPoly, RatFn
+from biquadrates.poly import IPoly, PoleError, RatFn, monic_at
+
+
+@dataclass(frozen=True)
+class QuarticPoint:
+    """Point (u, v) with v^2 = quartic_rhs(u, M); checked on construction."""
+
+    u: Element
+    v: Element
+    M: Element
+
+    def __post_init__(self):
+        object.__setattr__(self, "u", _lift(self.u))
+        object.__setattr__(self, "v", _lift(self.v))
+        object.__setattr__(self, "M", _lift(self.M))
+        u, M = self.u, self.M
+        # over Q(M) the right side comes reduced from monic_at, with no gcd
+        rhs = (monic_at(derive._quartic_coeffs(M), u) if isinstance(u, RatFn)
+               else derive.quartic_rhs(u, M))
+        if self.v * self.v != rhs:
+            raise ValueError("point does not satisfy the quartic model")
+
+
+def weierstrass_to_quartic(M, pt: CurvePoint) -> QuarticPoint:
+    """Map a curve point to the quartic model; poles at X = 4M and infinity.
+
+    Off the pole the ``QuarticPoint`` check is the curve equation."""
+    M = _lift(M)
+    if pt.infinity:
+        raise PoleError("the point at infinity has no affine image")
+    return QuarticPoint(*derive.to_quartic(pt.x, pt.y, M), M)
+
+
+def solution_from_quartic_point(qp: QuarticPoint, m) -> SolutionSix:
+    """Integer solution from a quartic-model point over Q at a fixed m."""
+    m = Fraction(m)
+    if m**4 != qp.M:
+        raise ValueError("m^4 differs from the quartic point's M")
+    u, v = Fraction(qp.u), Fraction(qp.v)
+    p, q = Fraction(u.numerator), Fraction(u.denominator)
+    return derive._clear_to_solution(*derive._solution_pairs(p, q, m, q * q * v))
+
+
+def signed_multiple(n: int, M, sign: str = "auto") -> tuple:
+    """The n-th multiple of the base point and the branch taken from it.
+
+    M = m^4 is a rational value or ``RatFn.gen()``.  Returns affine points
+    (nP, point) with point = nP on the "plus" branch and -nP on "minus";
+    "auto" is resolved by ``derive.auto_sign``.  nP is ``multiple_P``'s
+    triple over Z at a rational M, and over Q(M) its triple over Z[M]
+    reduced by ``RatFn`` and its gcds.
+    """
+    sign = derive._resolve_sign(n, sign)
+    if isinstance(M, RatFn):
+        x, y, z, *_ = multiple_P(n, IPoly.gen())
+        w = CurvePoint(RatFn(x, z * z), RatFn(y, z * z * z))
+    else:
+        M = Fraction(M)
+        x, y, z, *_ = multiple_P(n, M.numerator, M.denominator)
+        w = CurvePoint(Fraction(x, z * z), Fraction(y, z * z * z))
+    return w, w if sign == "plus" else CurvePoint(w.x, -w.y)
 
 
 def numeric_solution_from_nP(n: int, m0, sign: str = "auto") -> SolutionSix:
@@ -18,16 +85,3 @@ def numeric_solution_from_nP(n: int, m0, sign: str = "auto") -> SolutionSix:
     m0 = Fraction(m0)
     _, w = signed_multiple(n, m0**4, sign)
     return solution_from_quartic_point(weierstrass_to_quartic(m0**4, w), m0)
-
-
-def signed_multiple_over(n: int, M, sign: str) -> tuple:
-    """``signed_multiple(n, M, sign)`` for M rational or ``RatFn.gen()``.
-
-    Over Q(M), nP is the ladder's triple over Z[M] reduced by ``RatFn`` and
-    its gcds, and the branch is "plus" or "minus".
-    """
-    if not isinstance(M, RatFn):
-        return signed_multiple(n, M, sign)
-    x, y, z, *_ = multiple_P(n, IPoly.gen())
-    w = CurvePoint(RatFn(x, z * z), RatFn(y, z * z * z))
-    return w, w if sign == "plus" else CurvePoint(w.x, -w.y)

@@ -140,7 +140,7 @@ def test_criterion_07_points_on_curve_symbolically():
     mm = RatFn.gen()
     sym = curve_from_parameter(mm**4)
     p1 = point_P(1)
-    ok = (on_curve(sym, point_P(mm**4)) and on_curve(sym, extra_point(mm))
+    ok = (on_curve(sym, point_P(mm**4)) and on_curve(sym, extra_point(mm**4))
           and (p1.x, p1.y) == (Fraction(4, 9), Fraction(100, 27)))
     _report(7, "point_P and extra_point lie on the curve over Q(m)", ok)
 

@@ -220,16 +220,16 @@ def test_curve_symbolic(capsys):
 
 
 def test_curve_m_prints_no_unchecked_point(capsys, monkeypatch):
-    # a ladder fault that passes every exact division gives a point off the
-    # curve; the map's quartic check, the curve equation pulled back, rejects
-    # its image before anything is printed
+    # a ladder fault that passes the ladder's exact divisions gives a point
+    # off the curve; the map's exact division or its integer identity, the
+    # curve equation pulled back, rejects it before anything is printed
     import biquadrates.curve as curve
     from mutations import psi3_doubled
 
     monkeypatch.setattr(curve, "_initial_psi", psi3_doubled(curve._initial_psi))
-    with pytest.raises(ValueError, match="quartic model"):
-        main(["curve", "--n", "2", "--m", "2", "--sign", "plus"])
-    assert capsys.readouterr().out == ""
+    code, out, err = run(capsys, "curve", "--n", "2", "--m", "2", "--sign", "plus")
+    assert (code, out) == (1, "")
+    assert err.startswith("curve: ") and err.count("\n") == 1
 
 
 def test_curve_degenerate_parameter(capsys):
@@ -287,39 +287,49 @@ def test_selftest_quick(capsys):
 
 
 def test_selftest_full(capsys, monkeypatch):
-    # curve_closure's arithmetic over Q(M) takes 10 small polynomial gcds;
-    # more would mean a hot path reduces through RatFn again
+    # curve_closure checks the ladder over Z[M], so no verifier reduces
+    # through RatFn: the full selftest takes no polynomial gcd
     calls = []
     gcd = poly.poly_gcd
     monkeypatch.setattr(poly, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
     code, out, err = run(capsys, "selftest")
     assert (code, err) == (0, "")
     assert out.splitlines() == ["%s: PASS" % name for name in SELFTEST_NAMES]
-    assert 0 < len(calls) <= 12
+    assert calls == []
 
 
-# every command but selftest, each curve job on all three signs
+# every command, each curve job on all three signs
 SWEEP = [["verify", "1", "2", "5", "6", "8", "13"], ["search", "--bx", "14", "--by", "30"],
          ["pell", "--k", "3"], ["pell", "--t", "3/2"]]
 SWEEP += [["family", name] + mode for name in sorted(FAMILIES)
           for mode in (["--symbolic"], ["--param", "2"], ["--param", "3/2", "--json"])]
 SWEEP += [["curve", "--n", str(n), "--sign", sign] + mode for n in range(1, 9)
           for sign in ("auto", "plus", "minus") for mode in (["--m", "3/5"], ["--symbolic"])]
+SWEEP += [["selftest"], ["selftest", "--quick"], ["curve", "--n", "1", "--m", "1"]]
+# curve --m at n <= 24 on five parameters: from n = 18 on some jobs reach
+# the int-to-text digit limit and exit 1 with the lines printed before it
+SWEEP += [["curve", "--n", str(n), "--sign", sign, "--m=" + m] for n in range(1, 25)
+          for sign in ("auto", "plus", "minus") for m in ("1", "2", "3/5", "-2/7", "7/2")]
+SWEEP += [["curve", "--n", str(n), "--m=" + m, "--json"] for n in (1, 5) for m in ("2", "-2/7")]
 # SHA-256 of "<exit code>\n<stdout>" for each job in order, from a run with
-# poly_gcd unpatched; every job exits 0
-SWEEP_DIGEST = "6c30c89e53fd6bb19259d3264a7b09197e94d3faf35483bc4610106798f9656d"
+# poly_gcd unpatched while curve --m still took the field route over Q and
+# selftest's closure the group law over Q(M); 58 of the curve jobs exit 1 at
+# the digit limit, every other job exits 0
+SWEEP_DIGEST = "3a053dd246befc4a856ead7ca3766e506f9b69ae84c222120af8f2f9f6994792"
 
 
-def test_commands_but_selftest_take_no_polynomial_gcd(capsys, monkeypatch):
+def test_every_command_takes_no_polynomial_gcd(capsys, monkeypatch):
     def no_gcd(a, b):
         raise AssertionError("polynomial gcd taken")
 
     monkeypatch.setattr(poly, "poly_gcd", no_gcd)
     h = hashlib.sha256()
+    codes = []
     for argv in SWEEP:
-        code = main(argv)
-        h.update(("%d\n%s" % (code, capsys.readouterr().out)).encode())
-    assert len(SWEEP) == 64
+        codes.append(main(argv))
+        h.update(("%d\n%s" % (codes[-1], capsys.readouterr().out)).encode())
+    assert len(SWEEP) == 431
+    assert (codes.count(0), codes.count(1)) == (373, 58)
     assert h.hexdigest() == SWEEP_DIGEST
 
 

@@ -24,10 +24,9 @@ from biquadrates.curve import (
     on_curve,
     point_P,
 )
-from biquadrates.derive import signed_multiple
 from biquadrates.poly import IPoly, PoleError, RatFn
 from mutations import psi3_doubled, psi3_plus_one, psi_changed
-from oracles import signed_multiple_over
+from oracles import QuarticPoint, signed_multiple
 
 
 def test_curve_coefficients():
@@ -73,7 +72,7 @@ def test_extra_point_values():
     # at m=0 the formulas collapse onto the 2-torsion point
     assert extra_point(0) == CurvePoint(0, 0)
     for m in (2, 3, Fraction(3, 2)):
-        assert on_curve(curve_from_parameter(m**4), extra_point(m))
+        assert on_curve(curve_from_parameter(m**4), extra_point(m**4))
 
 
 def test_point_validation():
@@ -119,7 +118,7 @@ def test_closure():
     for m in (1, 2, Fraction(3, 2)):
         c = curve_from_parameter(m**4)
         p = point_P(m**4)
-        q = extra_point(m)
+        q = extra_point(m**4)
         for r in (add(c, p, q), add(c, p, p), mul_scalar(c, 5, p), CurvePoint(q.x, -q.y)):
             assert on_curve(c, r)
 
@@ -128,7 +127,7 @@ def test_commutativity_and_associativity():
     for m in (1, 2, Fraction(3, 2)):
         c = curve_from_parameter(m**4)
         p = point_P(m**4)
-        q = extra_point(m)
+        q = extra_point(m**4)
         r = add(c, p, p)
         assert add(c, p, q) == add(c, q, p)
         assert add(c, add(c, p, q), r) == add(c, p, add(c, q, r))
@@ -161,7 +160,7 @@ def test_symbolic_points_on_curve():
     mm = RatFn.gen()
     c = curve_from_parameter(mm**4)
     assert on_curve(c, point_P(mm**4))
-    assert on_curve(c, extra_point(mm))
+    assert on_curve(c, extra_point(mm**4))
 
 
 def test_symbolic_numeric_commutation():
@@ -202,7 +201,7 @@ def test_ladder_matches_group_law_over_q_m(n):
     x, y, z, *_ = multiple_P(n, IPoly.gen())
     if n <= 4:
         M = RatFn.gen()
-        w, pt = signed_multiple_over(n, M, "minus")
+        w, pt = signed_multiple(n, M, "minus")
         ref = mul_scalar(curve_from_parameter(M), n, point_P(M))
         assert (w, pt) == (ref, CurvePoint(ref.x, -ref.y))
         got = ((ref.x.num.degree, ref.x.den.degree), (ref.y.num.degree, ref.y.den.degree))
@@ -258,21 +257,24 @@ def test_ladder_at_m4_equal_2_meets_torsion():
 def test_corrupted_psi3_fails_the_curve_check(M, monkeypatch):
     # psi_3 + 1 leaves a remainder where psi_3 is normalised; 2 psi_3
     # normalises exactly, and the 2P it gives is off the curve, so its image
-    # fails the quartic model, the curve equation pulled back.  Over Q that
-    # QuarticPoint check is the map's only one; over Q(M) it is the reference
-    # here, and the pipeline catches the fault before its residual
+    # fails the quartic model, the curve equation pulled back.  The oracle's
+    # QuarticPoint check is the reference here; the integral map's division
+    # by U's known factor catches the fault first, over Z and over Z[M]
     initial = curve._initial_psi
     monkeypatch.setattr(curve, "_initial_psi", psi3_plus_one(initial))
     with pytest.raises(PipelineError, match="remainder"):
-        signed_multiple_over(2, M, "plus")
+        signed_multiple(2, M, "plus")
     monkeypatch.setattr(curve, "_initial_psi", psi3_doubled(initial))
-    _, pt = signed_multiple_over(2, M, "plus")
+    _, pt = signed_multiple(2, M, "plus")
     with pytest.raises(ValueError, match="quartic model"):
-        derive.QuarticPoint(*derive.to_quartic(pt.x, pt.y, pt.x * 0 + M), M)
+        QuarticPoint(*derive.to_quartic(pt.x, pt.y, pt.x * 0 + M), M)
     if isinstance(M, RatFn):
-        # the pipeline's division by U's known factor catches it first
         with pytest.raises(PipelineError, match="remainder"):
             derive.solution_from_nP(2, "plus")
+    else:
+        nP = multiple_P(2, M.numerator, M.denominator)
+        with pytest.raises(PipelineError, match="remainder"):
+            derive.quartic_image(nP, M, "plus")
 
 
 def test_inexact_ladder_division_fails(monkeypatch):

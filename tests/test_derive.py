@@ -20,23 +20,26 @@ from biquadrates.curve import (
 )
 from biquadrates.derive import (
     PipelineError,
-    QuarticPoint,
     auto_sign,
     evaluate_param,
     param_equivalent,
+    quartic_image,
     quartic_point_to_param_solution,
     quartic_rhs,
-    signed_multiple,
     solution_from_nP,
-    solution_from_quartic_point,
     to_weierstrass,
-    weierstrass_to_quartic,
 )
 from biquadrates.exact import DegenerateSolutionError, SolutionSix, canonicalize, check_solution
 from biquadrates.families import ParamSolution, family_eq20, family_eq21
 from biquadrates.poly import IPoly, PoleError, RatFn
 from mutations import psi_changed
-from oracles import numeric_solution_from_nP, signed_multiple_over
+from oracles import (
+    QuarticPoint,
+    numeric_solution_from_nP,
+    signed_multiple,
+    solution_from_quartic_point,
+    weierstrass_to_quartic,
+)
 
 THIRD = Fraction(-2, 3)
 VVAL = Fraction(-8, 9)
@@ -94,7 +97,7 @@ def _paper_image(M, pt):
 
 def _check_against_paper(M, n_max):
     for n in range(1, n_max + 1):
-        w, _ = signed_multiple_over(n, M, "plus")
+        w, _ = signed_multiple(n, M, "plus")
         for pt in (w, CurvePoint(w.x, -w.y)):
             qp = weierstrass_to_quartic(M, pt)
             assert (qp.u, qp.v) == _paper_image(qp.M, pt), (n, pt)
@@ -242,34 +245,74 @@ def _no_check(*args, **kwargs):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_symbolic_pipeline_proves_each_point_once(n, monkeypatch):
-    # the two square identities over Z[M] are the one proof: no QuarticPoint
-    # is built over Q(M), and no right side is reduced by monic_at
-    monkeypatch.setattr(derive, "QuarticPoint", _no_check)
-    monkeypatch.setattr(derive, "monic_at", _no_check)
+    # the two square identities over Z[M] are the one proof: derive holds no
+    # QuarticPoint, RatFn or monic_at, and the field route is not reached
+    import oracles
+
+    assert not {"QuarticPoint", "RatFn", "monic_at"} & set(vars(derive))
+    monkeypatch.setattr(oracles, "QuarticPoint", _no_check)
     monkeypatch.setattr(poly, "monic_at", _no_check)
     for sign in ("minus", "plus"):
         assert solution_from_nP(n, sign).residual().is_zero
 
 
 def test_numeric_map_runs_no_curve_check(monkeypatch, capsys):
-    # over Q the QuarticPoint check on the image is the curve equation away
-    # from the pole, so the map runs no on_curve before it
+    # at a rational m the integer identity in quartic_image is the curve
+    # equation pulled back, so the map runs no on_curve and no QuarticPoint,
+    # and it rejects a point off the curve
     import biquadrates.cli as cli
     import biquadrates.curve as curve
+    import oracles
 
     monkeypatch.setattr(curve, "on_curve", _no_check)
-    monkeypatch.setattr(derive, "on_curve", _no_check, raising=False)
+    monkeypatch.setattr(oracles, "QuarticPoint", _no_check)
+    monkeypatch.setattr(poly, "monic_at", _no_check)
     for m0 in (1, 2, Fraction(3, 5)):
+        M = Fraction(m0) ** 4
         for n in (1, 2, 3):
-            w, _ = signed_multiple(n, m0**4, "plus")
-            for pt in (w, CurvePoint(w.x, -w.y)):
-                qp = weierstrass_to_quartic(m0**4, pt)
-                assert to_weierstrass(qp.u, qp.v, qp.M) == (pt.x, pt.y)
-                with pytest.raises(ValueError, match="quartic model"):
-                    weierstrass_to_quartic(m0**4, CurvePoint(pt.x, pt.y + 1))
+            x, y, z, below, above = multiple_P(n, M.numerator, M.denominator)
+            for sign, w in (("plus", y), ("minus", -y)):
+                p, q, s = quartic_image((x, y, z, below, above), M, sign)
+                assert (to_weierstrass(Fraction(p, q), Fraction(s, q * q), M)
+                        == (Fraction(x, z * z), Fraction(w, z**3)))
+                with pytest.raises(PipelineError):
+                    quartic_image((x, y + 1, z, below, above), M, sign)
     derive.auto_sign.cache_clear()   # auto_sign maps its samples here too
     assert cli.main(["curve", "--n", "4", "--m", "3/5"]) == 0
     assert "source: curve_nP" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("m0", [1, 2, 3, Fraction(1, 2), Fraction(3, 5), Fraction(-2, 7),
+                                Fraction(7, 2)], ids=str)
+def test_integer_route_equals_field_route(m0, monkeypatch):
+    # quartic_image over Z gives the oracle's nP, U, V and solution over Q
+    # on both branches, with U = p/q in lowest terms; a point off the curve
+    # (y + 1) or an image off the quartic model (s + 1) raises PipelineError
+    M = Fraction(m0) ** 4
+    for n in range(1, 9):
+        nP = multiple_P(n, M.numerator, M.denominator)
+        x, y, z = nP[:3]
+        for sign in ("minus", "plus"):
+            w, pt = signed_multiple(n, M, sign)
+            assert w == CurvePoint(Fraction(x, z * z), Fraction(y, z**3))
+            p, q, s = quartic_image(nP, M, sign)
+            qp = weierstrass_to_quartic(M, pt)
+            assert (Fraction(p, q), Fraction(s, q * q)) == (qp.u, qp.v)
+            assert (p, q) == (qp.u.numerator, qp.u.denominator)
+            sol = derive._clear_to_solution(*derive._solution_pairs(p, q, m0, s))
+            assert sol == solution_from_quartic_point(qp, m0)
+            with pytest.raises(PipelineError):
+                quartic_image((x, y + 1) + nP[2:], M, sign)
+    original = derive.to_quartic
+
+    def s_plus_one(*args):
+        p, q, s = original(*args)
+        return p, q, s + 1
+
+    monkeypatch.setattr(derive, "to_quartic", s_plus_one)
+    for sign in ("minus", "plus"):
+        with pytest.raises(PipelineError, match="quartic model"):
+            quartic_image(multiple_P(2, M.numerator, M.denominator), M, sign)
 
 
 def _moved_constant(p0):
@@ -277,21 +320,20 @@ def _moved_constant(p0):
     original = derive.to_quartic
 
     def stand_in(*args):
-        u, v = original(*args)
-        p, q = u.num, u.den
-        return RatFn._raw(p + (p0(p, q) - p[0]), q), v
+        p, q, s = original(*args)
+        return p + (p0(p, q) - p[0]), q, s
     return stand_in
 
 
 @pytest.mark.parametrize("p0", [lambda p, q: 0, lambda p, q: q[0]], ids=["U(0)=0", "U(0)=1"])
 def test_guard_rejects_u_0_or_1_at_m_0(p0, monkeypatch):
     # x1 = p - q and y2 = p must not vanish at M = 0 (the gcd argument in
-    # quartic_point_to_param_solution relies on it); the guard says so
+    # quartic_point_to_param_solution relies on it); the pin of U(0) says so
     # before the square identities are formed
     monkeypatch.setattr(derive, "to_quartic", _moved_constant(p0))
     for n in (1, 2):
         for sign in ("minus", "plus"):
-            with pytest.raises(PipelineError, match="0 or 1 at M = 0"):
+            with pytest.raises(PipelineError, match="at M = 0"):
                 solution_from_nP(n, sign)
 
 
@@ -303,11 +345,11 @@ PSI_CHANGES = {"plus_one": lambda v: v + 1, "doubled": lambda v: 2 * v,
 @pytest.mark.parametrize("k", (2, 3, 4))
 def test_psi_corruptions_fail_or_change_nothing(k, change, monkeypatch):
     # a corrupted division value of the half point raises PipelineError
-    # (an exact division leaves a remainder, or a square identity fails) or
-    # still gives a genuine family.  Negating psi_2 or psi_4 negates nP; at
-    # n = 1 the plus branch divides U by psi_1 = 1, so it maps -P unreduced
-    # and gives the minus branch's family: -P is on the curve, so no check
-    # of the point can reject it
+    # (an exact division leaves a remainder, the pin of U at M = 0 fails, or
+    # a square identity fails) or still gives a genuine family.  Negating
+    # psi_2 or psi_4 negates nP; at n = 1 the plus branch divides U by
+    # psi_1 = 1, so it maps -P unreduced, and -P is on the curve: only the
+    # pin, U(0) = -1/3 where the plus branch has 4/3, rejects it
     import biquadrates.curve as curve
 
     ref = {(n, s): solution_from_nP(n, s) for n in range(1, 5) for s in ("minus", "plus")}
@@ -323,7 +365,7 @@ def test_psi_corruptions_fail_or_change_nothing(k, change, monkeypatch):
             other = ref[n, "minus" if sign == "plus" else "plus"]
             assert got.residual().is_zero and param_equivalent(got, other)
             accepted.append((n, sign))
-    assert accepted == ([(1, "plus")] if change == "negated" and k != 3 else [])
+    assert accepted == []
 
 
 def _coprime(a: IPoly, b: IPoly) -> bool:
@@ -342,9 +384,8 @@ def test_known_factor_reduces_u(n):
     x, y, z, below, above = multiple_P(n, M)
     zz = z * z
     for y, g in ((y, below), (-y, above)):
-        u, v = derive.to_quartic(x, y, M, z, g)
-        p, q, s = u.num, u.den, v.num
-        assert v.den == q * q and q.lc > 0
+        p, q, s = derive.to_quartic(x, y, M, z, g)
+        assert q.lc > 0
         # U = (xz + y + 8Mz^3) / (z(2x - 8Mz^2)) and V = x/(2z^2) + U(1 - U)
         assert p * z * (2 * x - 8 * M * zz) == q * (x * z + y + 8 * M * z * zz)
         assert 2 * zz * s == x * q * q + 2 * zz * p * (q - p)
@@ -432,7 +473,7 @@ def test_membership_checks_accept_multiples_and_reject_shifts(M):
     # poly.monic_at; at m = 2/3 they use Horner over Q
     c = curve_from_parameter(M)
     for n in range(1, 5):
-        w, _ = signed_multiple_over(n, M, "plus")
+        w, _ = signed_multiple(n, M, "plus")
         for pt in (w, CurvePoint(w.x, -w.y)):
             assert on_curve(c, pt)
             qp = weierstrass_to_quartic(M, pt)

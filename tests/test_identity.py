@@ -34,6 +34,7 @@ from mutations import (
     mod5_class_1,
     pell_factor_255,
     pell_z2_plus_one,
+    psi_changed,
     quartic_brahmagupta_plus_abcd,
     quartic_rhs_7mu,
     skip_odd_x1,
@@ -44,6 +45,7 @@ from mutations import (
     z1_plus_q2,
     z2_doubled,
 )
+import oracles
 
 
 def test_all_verifiers_true():
@@ -199,42 +201,53 @@ def _selftest_fails(capsys, name) -> bool:
 
 
 def test_mutated_roundtrip_fails(monkeypatch, capsys):
-    # one patch of derive's map reaches the pipeline and the selftest alike
+    # one patch of derive's map reaches the roundtrip grid, the selftest, the
+    # oracle's field route, and the integral map over Z and over Z[M]
     original = derive.to_quartic
-    families = {(n, sign): derive.solution_from_nP(n, sign).polys()
-                for n in (1, 2, 3) for sign in ("minus", "plus")}
     for mutation in (v_denominator_16, v_term_23):
         monkeypatch.setattr(derive, "to_quartic", mutation(original))
         with pytest.raises(ValueError, match="quartic model"):
-            derive.weierstrass_to_quartic(1, point_P(1))
+            oracles.weierstrass_to_quartic(1, point_P(1))
         assert not verify_birational_roundtrip()
         assert _selftest_fails(capsys, "birational_roundtrip")
-    # the symbolic pipeline maps the triple over Z[M] through it too and
-    # reads V only as its numerator s over q^2: the shifted V fails the
-    # family's residual on both branches, while V/4 keeps s (its content is
-    # odd) and moves the 4 into a denominator that no entry reads, so the
-    # family stays the unmutated one
-    for (n, sign), polys in families.items():
-        monkeypatch.setattr(derive, "to_quartic", v_term_23(original))
-        with pytest.raises(derive.PipelineError, match="residual"):
-            derive.solution_from_nP(n, sign)
-        monkeypatch.setattr(derive, "to_quartic", v_denominator_16(original))
-        assert derive.solution_from_nP(n, sign).polys() == polys
+        # the symbolic pipeline reads V as s over q^2: V/4 doubles p and q,
+        # and the shifted V multiplies them by 2(x - 4Mz^2); either way an
+        # exact division or a square identity fails on both branches
+        for n in (1, 2, 3):
+            for sign in ("minus", "plus"):
+                with pytest.raises(derive.PipelineError):
+                    derive.solution_from_nP(n, sign)
+    # at a rational m the integer identity rejects the shifted V before
+    # anything is printed, on every branch auto_sign samples too
+    for argv in (["curve", "--n", "1", "--m", "1"], ["curve", "--n", "3", "--m=-2/7"],
+                 ["curve", "--n", "2", "--m", "3/5", "--sign", "plus"]):
+        derive.auto_sign.cache_clear()
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("curve: ")
+    derive.auto_sign.cache_clear()
 
 
 def test_curve_closure_checks_the_half_point(monkeypatch, capsys):
     # -P and 2P lie on the curve like P, but neither is -2R
-    for wrong in (lambda M: curve.CurvePoint(point_P(M).x, -point_P(M).y),
-                  lambda M: curve.mul_scalar(curve.curve_from_parameter(M), 2, point_P(M))):
+    triple = curve._P_triple
+    for wrong in (lambda M: (lambda t: (t[0], -t[1], t[2]))(triple(M)),
+                  lambda M: curve.multiple_P(2, M)[:3]):
         with monkeypatch.context() as mp:
-            mp.setattr(curve, "point_P", wrong)
+            mp.setattr(curve, "_P_triple", wrong)
             assert not verify_curve_closure()
             assert _selftest_fails(capsys, "curve_closure")
-    # 3R read as 2R - R = R, which is not the extra point
-    add = curve.add
-    monkeypatch.setattr(curve, "add", lambda c, p, q: add(c, p, q) if p == q
-                        else add(c, p, curve.CurvePoint(q.x, -q.y)))
-    assert not verify_curve_closure()
+    # 3R read as R, which is not the extra point
+    with monkeypatch.context() as mp:
+        mp.setattr(curve, "_extra_triple", lambda M: (4 * M, 12 * M, 1))
+        assert not verify_curve_closure()
+    # a ladder fault: psi_2 or psi_4 negated turns multiple_P(1, M) into -P,
+    # psi_3 doubled moves 3R; each passes the ladder's exact divisions
+    for k, change in ((2, lambda v: -v), (4, lambda v: -v), (3, lambda v: 2 * v)):
+        with monkeypatch.context() as mp:
+            mp.setattr(curve, "_initial_psi", psi_changed(k, change)(curve._initial_psi))
+            assert not verify_curve_closure()
+            assert _selftest_fails(capsys, "curve_closure")
 
 
 def test_mutated_inverse_map_fails(monkeypatch, capsys):
