@@ -6,12 +6,15 @@ limit), 2 usage error.  Every exit-1 failure writes one ``<command>: <message>``
 line to stderr.  Only the domain error classes that ``main`` catches exit 1;
 any other exception is a bug and ends in a traceback.  A reader that closes
 stdout early (``| head``) also ends the run with exit 1 and a
-``<command>: broken pipe`` line.  Data goes to stdout, diagnostics to stderr.
+``<command>: broken pipe`` line, and a ``MemoryError`` (a job past the
+process's memory limit) with a ``<command>: out of memory`` line.  Data goes
+to stdout, diagnostics to stderr.
 
 The commands only call the library and print; ``curve --m`` maps nP over Z
-as ``--symbolic`` does over Z[M] (``derive.quartic_image``).  Every emitted
-solution is checked, canonicalized and turned into text by ``_record``, and
-``selftest`` runs ``identity.ALL_VERIFIERS`` in order.
+as ``--symbolic`` does over Z[M] (``derive.quartic_image``), and ``--sign``
+resolves through ``derive._resolve_sign``, where ``auto`` is ``minus``.
+Every emitted solution is checked, canonicalized and turned into text by
+``_record``, and ``selftest`` runs ``identity.ALL_VERIFIERS`` in order.
 
 ``main`` builds its parser on its first call and reuses it for the rest of
 the process: parsing leaves a parser as it was, and building one costs about
@@ -35,8 +38,8 @@ from biquadrates.curve import DegenerateCurveError, multiple_P
 from biquadrates.derive import (
     PipelineError,
     _clear_to_solution,
+    _resolve_sign,
     _solution_pairs,
-    auto_sign,
     evaluate_param,
     quartic_image,
     solution_from_nP,
@@ -175,7 +178,7 @@ def cmd_family(ns) -> int:
 
 
 def cmd_curve(ns) -> int:
-    sign = auto_sign(ns.n) if ns.sign == "auto" else ns.sign
+    sign = _resolve_sign(ns.sign)
     if ns.symbolic:
         fam = solution_from_nP(ns.n, sign)
         print("sign: %s" % sign)
@@ -254,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--m", type=_fraction, metavar="a/b")
     mode.add_argument("--symbolic", action="store_true")
-    p.add_argument("--sign", choices=("auto", "plus", "minus"), default="auto")
+    p.add_argument("--sign", choices=("auto", "plus", "minus"), default="auto",
+                   help="branch: nP (plus) or -nP (minus); auto is the "
+                        "lower-degree branch, minus")
     p.add_argument("--descending", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_curve)
@@ -288,6 +293,9 @@ def main(argv=None) -> int:
     except (PipelineError, PoleError, DegenerateSolutionError,
             DegenerateCurveError, NotASolutionError, DigitLimitError) as exc:
         print("%s: %s" % (ns.command, exc), file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("%s: out of memory" % ns.command, file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader is gone: flush what is left to devnull at shutdown

@@ -21,13 +21,14 @@ proved once, through its image, where the map pulls the curve equation
 back to the quartic one: over Z by one integer identity
 (``quartic_image``), and over Z[M] by two square identities on the
 family's entries, which also prove the family
-(``quartic_point_to_param_solution``).
+(``quartic_point_to_param_solution``).  Of the two branches, nP ("plus")
+and -nP ("minus"), "auto" names the one whose family has the lower degree,
+which is "minus" at every n (``_resolve_sign``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 
 from biquadrates.curve import PipelineError, _exact, multiple_P
@@ -48,10 +49,12 @@ def _quartic_coeffs(M) -> tuple:
     return (-4 * M, -8 * M, 1 - 4 * M, -2)
 
 
-def quartic_rhs(u, M):
-    """Right side of the quartic model in M = m^4, V^2 = quartic_rhs(U, M)."""
+def quartic_rhs(u, M, q=1):
+    """Right side of the quartic model in M = m^4, V^2 = quartic_rhs(U, M);
+    given q, the homogeneous value q^4 quartic_rhs(u/q, M), with no division."""
     c0, c1, c2, c3 = _quartic_coeffs(M)
-    return (((u + c3) * u + c2) * u + c1) * u + c0
+    qq = q * q
+    return (((u + c3 * q) * u + c2 * qq) * u + c1 * qq * q) * u + c0 * qq * qq
 
 
 def to_quartic(x, y, M, z=1, g=None):
@@ -171,35 +174,20 @@ def _clear_to_solution(xpair, ypair, zpair) -> SolutionSix:
     return sol
 
 
-def _resolve_sign(n: int, sign: str) -> str:
+def _resolve_sign(sign: str) -> str:
+    """The branch a sign names; "auto" is the one whose family has the
+    lower degree, which is "minus" at every n.
+
+    Over Z[M] the pole factor 2x - 8Mz^2 is -72 at(2n-1) at(2n+1)
+    (``curve.multiple_P``).  The minus branch divides out at(2n+1) and the
+    plus branch at(2n-1), so q is z = 3 at(2n) times the value left, over
+    an integer content that changes no degree.  at(k) has degree
+    (k^2 - 1)/4 in M for odd k, so deg q_plus - deg q_minus = 2n, and
+    deg p = deg q + 1 on both.
+    """
     if sign not in ("auto", "plus", "minus"):
         raise ValueError("sign must be 'auto', 'plus' or 'minus'")
-    return auto_sign(n) if sign == "auto" else sign
-
-
-@cache
-def auto_sign(n: int) -> str:
-    """The branch of nP whose solution has the smaller canonical key.
-
-    Decided numerically at small parameter values, one nP per value and
-    once per n in a process, so the symbolic run pays nothing extra.
-    """
-    for m0 in (1, 2, 3):
-        # P has infinite order at each sample m0, so nP is never infinity
-        nP = multiple_P(n, m0**4)
-        keys = {}
-        for sign in ("minus", "plus"):
-            try:
-                p, q, s = quartic_image(nP, m0**4, sign)
-                sol = _clear_to_solution(*_solution_pairs(p, q, m0, s))
-                keys[sign] = canonicalize(sol)
-            except (DegenerateSolutionError, PoleError, PipelineError):
-                continue
-        if len(keys) == 1:
-            return next(iter(keys))
-        if len(keys) == 2:
-            return "minus" if keys["minus"] <= keys["plus"] else "plus"
-    raise PipelineError("no branch of nP gives a usable solution")
+    return "minus" if sign == "auto" else sign
 
 
 def quartic_image(nP: tuple, M, sign: str) -> tuple:
@@ -233,7 +221,7 @@ def solution_from_nP(n: int, sign: str = "auto") -> ParamSolution:
     That catches a ladder that hands the plus branch -P at n = 1, where its
     division by the value at 2n - 1 = 1 checks nothing.
     """
-    sign = _resolve_sign(n, sign)
+    sign = _resolve_sign(sign)
     M = IPoly.gen()
     p, q, s = quartic_image(multiple_P(n, M), M, sign)
     if q[0] == 0 or p[0] * (4**n - 1) != q[0] * (4**n if sign == "plus" else -1):

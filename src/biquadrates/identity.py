@@ -21,11 +21,11 @@ tests/mutations.py.
 
 Every grid evaluates the library's own formulas, looked up through their
 modules: ``substitution_13`` and ``quartic_model`` take the solution
-shapes from ``derive._solution_pairs`` and the quartic rhs from
-``derive.quartic_rhs``; together with the quartic Brahmagupta split they
-show that a point (p/q, v) of the quartic model gives a solution.  The
-Pell shapes come from ``pell.pell_shapes`` and the residue check runs
-search's own filters.
+shapes from ``derive._solution_pairs`` and the homogeneous quartic rhs
+q^4 quartic_rhs(p/q), which divides by nothing, from ``derive.quartic_rhs``;
+together with the quartic Brahmagupta split they show that a point (p/q, v)
+of the quartic model gives a solution.  The Pell shapes come from
+``pell.pell_shapes`` and the residue check runs search's own filters.
 
 The birational maps ``derive.to_quartic`` and ``derive.to_weierstrass``
 between the Weierstrass model and the quartic model
@@ -153,9 +153,8 @@ def quartic_model_grid() -> GridIdentity:
     def residual(p, q, m, v):
         (x1, x2), (y1, y2), (_, z2) = derive._solution_pairs(p, q, m, q * q * v)
         return (z2**2 - (x1 * y2) ** 2 + (x2 * y1) ** 2
-                - q**4 * (v**2 - derive.quartic_rhs(_q(p) / q, m**4)))
-    return GridIdentity(("p", "q", "m", "v"), (4, 4, 4, 2), residual,
-                        offsets=(0, 1, 0, 0))
+                - q**4 * v**2 + derive.quartic_rhs(p, m**4, q))
+    return GridIdentity(("p", "q", "m", "v"), (4, 4, 4, 2), residual)
 
 
 def verify_quartic_model() -> bool:

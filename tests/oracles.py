@@ -8,7 +8,9 @@ field branch of ``derive.to_quartic`` (``weierstrass_to_quartic``), checked
 on the quartic model by ``QuarticPoint``, and cleared to an integer solution
 at one value of m (``solution_from_quartic_point``,
 ``numeric_solution_from_nP``).  derive's formulas are looked up through the
-module, so a test that patches one reaches this route too.
+module, so a test that patches one reaches this route too.  It also keeps
+the sampled rule that once resolved "auto" (``sampled_sign``), as the
+reference for the lower-degree branch that resolves it now.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from biquadrates import derive
 from biquadrates.curve import CurvePoint, Element, _lift, multiple_P
-from biquadrates.exact import SolutionSix
+from biquadrates.exact import DegenerateSolutionError, SolutionSix, canonicalize
 from biquadrates.poly import IPoly, PoleError, RatFn, monic_at
 
 
@@ -65,11 +67,11 @@ def signed_multiple(n: int, M, sign: str = "auto") -> tuple:
 
     M = m^4 is a rational value or ``RatFn.gen()``.  Returns affine points
     (nP, point) with point = nP on the "plus" branch and -nP on "minus";
-    "auto" is resolved by ``derive.auto_sign``.  nP is ``multiple_P``'s
+    "auto" is resolved by ``derive._resolve_sign``.  nP is ``multiple_P``'s
     triple over Z at a rational M, and over Q(M) its triple over Z[M]
     reduced by ``RatFn`` and its gcds.
     """
-    sign = derive._resolve_sign(n, sign)
+    sign = derive._resolve_sign(sign)
     if isinstance(M, RatFn):
         x, y, z, *_ = multiple_P(n, IPoly.gen())
         w = CurvePoint(RatFn(x, z * z), RatFn(y, z * z * z))
@@ -85,3 +87,27 @@ def numeric_solution_from_nP(n: int, m0, sign: str = "auto") -> SolutionSix:
     m0 = Fraction(m0)
     _, w = signed_multiple(n, m0**4, sign)
     return solution_from_quartic_point(weierstrass_to_quartic(m0**4, w), m0)
+
+
+def sampled_sign(n: int) -> str:
+    """The branch of nP whose solution has the smaller canonical key.
+
+    Decided at m = 1, 2, 3 in turn: the first value where a branch gives a
+    solution decides, by the smaller key if both do.
+    """
+    for m0 in (1, 2, 3):
+        # P has infinite order at each sample m0, so nP is never infinity
+        nP = multiple_P(n, m0**4)
+        keys = {}
+        for sign in ("minus", "plus"):
+            try:
+                p, q, s = derive.quartic_image(nP, m0**4, sign)
+                pairs = derive._solution_pairs(p, q, m0, s)
+                keys[sign] = canonicalize(derive._clear_to_solution(*pairs))
+            except (DegenerateSolutionError, PoleError, derive.PipelineError):
+                continue
+        if len(keys) == 1:
+            return next(iter(keys))
+        if len(keys) == 2:
+            return "minus" if keys["minus"] <= keys["plus"] else "plus"
+    raise derive.PipelineError("no branch of nP gives a usable solution")

@@ -430,6 +430,24 @@ def test_broken_pipe_exits_clean():
     assert err == b"curve: broken pipe\n"
 
 
+def test_memory_limit_exits_clean():
+    # search 60x90 peaks near 80 MB; a 60 MB address-space limit, set on the
+    # child alone, makes it raise MemoryError, which main reports in one line
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (60 << 20, 60 << 20))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "biquadrates.cli", "search", "--bx", "60", "--by", "90"],
+        capture_output=True, env=env, preexec_fn=limit, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"search: ") and proc.stderr.count(b"\n") == 1
+    assert b"Traceback" not in proc.stderr
+
+
 def test_internal_value_error_is_not_a_domain_failure(capsys, monkeypatch):
     def broken():
         raise ValueError("internal bug")

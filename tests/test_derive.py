@@ -20,7 +20,6 @@ from biquadrates.curve import (
 )
 from biquadrates.derive import (
     PipelineError,
-    auto_sign,
     evaluate_param,
     param_equivalent,
     quartic_image,
@@ -36,6 +35,7 @@ from mutations import psi_changed
 from oracles import (
     QuarticPoint,
     numeric_solution_from_nP,
+    sampled_sign,
     signed_multiple,
     solution_from_quartic_point,
     weierstrass_to_quartic,
@@ -136,7 +136,7 @@ def test_numeric_solution_branches_at_m1():
     assert minus == SolutionSix(-5, 6, 1, -2, 13, -8)
     plus = numeric_solution_from_nP(1, 1, sign="plus")
     assert canonicalize(plus) == canonicalize(SolutionSix(65, 48, 17, 41, 2257, 2537))
-    # auto resolves to the branch with the smaller canonical key
+    # auto resolves to the minus branch, which here has the smaller key too
     assert numeric_solution_from_nP(1, 1) == minus
 
 
@@ -145,24 +145,28 @@ def test_signed_multiple_branches():
     assert w == point_P(1)
     assert pt == CurvePoint(Fraction(4, 9), Fraction(-100, 27))
     assert signed_multiple(1, 1, "plus") == (w, w)
-    assert auto_sign(1) == "minus"
     assert signed_multiple(1, 1) == (w, pt)
 
 
-def test_auto_sign_computes_each_multiple_once(monkeypatch):
-    calls = []
+def test_auto_is_the_lower_degree_branch():
+    # on one triple over Z[M], q on the plus branch has degree 2n more than
+    # on the minus branch, and p has degree deg q + 1 on both
+    M = IPoly.gen()
+    for n in range(1, 9):
+        nP = multiple_P(n, M)
+        (pm, qm, _), (pp, qp, _) = (quartic_image(nP, M, s) for s in ("minus", "plus"))
+        assert qp.degree - qm.degree == 2 * n
+        assert (qm.degree, qp.degree) == (2 * n * n - n - 1, 2 * n * n + n - 1)
+        assert (pm.degree, pp.degree) == (qm.degree + 1, qp.degree + 1)
+    assert derive._resolve_sign("auto") == "minus"
+    with pytest.raises(ValueError, match="sign must be"):
+        derive._resolve_sign("both")
 
-    def counting(n, A, B=1):
-        calls.append(n)
-        return multiple_P(n, A, B)
 
-    monkeypatch.setattr(derive, "multiple_P", counting)
-    derive.auto_sign.cache_clear()
-    assert derive.auto_sign(5) in ("minus", "plus")
-    assert calls == [5]
-    # the branch depends on n alone, so it is decided once per process
-    assert derive.auto_sign(5) in ("minus", "plus")
-    assert calls == [5]
+def test_sampled_rule_picks_minus():
+    # the rule "auto" once ran, smaller canonical key at m = 1, 2, 3,
+    # agrees with the lower-degree branch
+    assert all(sampled_sign(n) == "minus" for n in range(1, 41))
 
 
 def test_numeric_solution_n2():
@@ -277,7 +281,6 @@ def test_numeric_map_runs_no_curve_check(monkeypatch, capsys):
                         == (Fraction(x, z * z), Fraction(w, z**3)))
                 with pytest.raises(PipelineError):
                     quartic_image((x, y + 1, z, below, above), M, sign)
-    derive.auto_sign.cache_clear()   # auto_sign maps its samples here too
     assert cli.main(["curve", "--n", "4", "--m", "3/5"]) == 0
     assert "source: curve_nP" in capsys.readouterr().out
 

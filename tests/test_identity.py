@@ -94,7 +94,7 @@ NODE_CASES = [(name, None) for name in GRIDS] + [
      for name, wrap in (("to_quartic", v_denominator_16), ("to_quartic", v_term_23),
                         ("to_weierstrass", y_plus_2uv))]
 POLYNOMIAL_GRIDS = ("brahmagupta", "quartic_brahmagupta", "substitution_13",
-                    "pell_reduction")
+                    "quartic_model", "pell_reduction")
 
 
 def _case_id(case) -> str:
@@ -218,14 +218,12 @@ def test_mutated_roundtrip_fails(monkeypatch, capsys):
                 with pytest.raises(derive.PipelineError):
                     derive.solution_from_nP(n, sign)
     # at a rational m the integer identity rejects the shifted V before
-    # anything is printed, on every branch auto_sign samples too
+    # anything is printed, on both branches
     for argv in (["curve", "--n", "1", "--m", "1"], ["curve", "--n", "3", "--m=-2/7"],
                  ["curve", "--n", "2", "--m", "3/5", "--sign", "plus"]):
-        derive.auto_sign.cache_clear()
         assert cli.main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("curve: ")
-    derive.auto_sign.cache_clear()
 
 
 def test_curve_closure_checks_the_half_point(monkeypatch, capsys):
