@@ -1,9 +1,11 @@
-"""Elliptic curve arithmetic for Y^2 = X^3 + a2*X^2 + a4*X over an exact field.
+"""Elliptic curve arithmetic for Y^2 = X^3 + a2*X^2 + a4*X, exactly.
 
 The coefficients lie in Q (``fractions.Fraction``), in Z[M] (``IPoly``)
-or in the rational function field Q(M) (``RatFn``); the same code runs
-over each, and the group law's quotients of polynomials land in Q(M).  For
-the family studied here a2 = 1 - 4M and a4 = 32M with M = m^4.
+or in the rational function field Q(M) (``RatFn``).  For the family
+studied here a2 = 1 - 4M and a4 = 32M with M = m^4.  Z[M] has no
+division, so affine points and the chord-tangent law run over Q and Q(M)
+only: over Z[M] ``point_P`` and ``extra_point`` raise TypeError, and the
+ladder and ``identity``'s closure check keep Jacobian triples instead.
 
 The derivation takes nP from ``multiple_P``: P = -2R for the half point
 R = (4M, 12M), and nP = -2nR comes from the division values of R on an
@@ -14,10 +16,10 @@ makes, the normalisation of psi_2..psi_4 and the even step's division by
 the normalised psi_2, is exact or raises PipelineError.  Nothing here
 checks nP against the curve: the map to the quartic model pulls the curve
 equation back to the quartic one, which derive proves once per point.
-``point_P`` and ``extra_point`` come from Jacobian triples over Z[M], as
-the ladder's points do.  The affine chord-tangent law (``add``,
-``mul_scalar``) from ``point_P`` is the slow oracle the ladder is tested
-against.  Group operations validate their inputs against the curve
+``point_P`` and ``extra_point`` are the affine images of Jacobian triples
+over Z[M], as the ladder's points are.  The affine chord-tangent law
+(``add``, ``mul_scalar``) from ``point_P`` is the slow oracle the ladder is
+tested against.  Group operations validate their inputs against the curve
 equation, so an off-curve point is rejected instead of silently producing
 nonsense.
 """
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from biquadrates.poly import ExactDivisionError, IPoly, PoleError, RatFn, monic_at
+from biquadrates.poly import ExactDivisionError, IPoly, PoleError, RatFn
 
 Element = Union[Fraction, IPoly, RatFn]
 
@@ -86,8 +88,9 @@ class WeierstrassCurve:
         if self.a4 == 0 or self.a2 * self.a2 - 4 * self.a4 == 0:
             raise DegenerateCurveError("degenerate curve: repeated root in x^3+a2x^2+a4x")
 
-    def rhs(self, x: Element) -> Element:
-        return x * (x * (x + self.a2) + self.a4)
+    def rhs(self, x: Element, d: Element = 1) -> Element:
+        """x^3 + a2 x^2 d + a4 x d^2, which is d^3 rhs(x/d), with no division."""
+        return x * (x * (x + self.a2 * d) + self.a4 * d * d)
 
 
 def curve_from_parameter(M) -> WeierstrassCurve:
@@ -99,15 +102,16 @@ def curve_from_parameter(M) -> WeierstrassCurve:
 def on_curve(c: WeierstrassCurve, p: CurvePoint) -> bool:
     """Whether p satisfies the curve equation exactly.
 
-    Over Q(M) the right side comes reduced from ``poly.monic_at``, which
-    takes no gcd; a2 and a4 must then be polynomials, as
-    ``curve_from_parameter`` makes them.  Over Q and Z[M] it is the Horner
-    form ``rhs``.  Either way y*y is compared structurally with an exact value.
+    Over Q(M), with x = n/d and y = a/b, it is a^2 d^3 = b^2 rhs(n, d),
+    cross-multiplied over Z[M]: no quotient is formed and, with a2 and a4
+    polynomials as ``curve_from_parameter`` makes them, no gcd is taken.
+    Over Q and Z[M] it is y^2 = rhs(x).
     """
     if p.infinity:
         return True
     if isinstance(p.x, RatFn):
-        return p.y * p.y == monic_at((0, c.a4, c.a2), p.x)
+        (n, d), (a, b) = (p.x.num, p.x.den), (p.y.num, p.y.den)
+        return a * a * d**3 == b * b * c.rhs(n, d)
     return p.y * p.y == c.rhs(p.x)
 
 

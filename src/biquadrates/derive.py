@@ -44,17 +44,12 @@ from biquadrates.poly import IPoly, PoleError, _positive, _spread, content
 SAMPLES = (1, 2, 3, Fraction(1, 2), 5)
 
 
-def _quartic_coeffs(M) -> tuple:
-    """The quartic model's coefficients below U^4, ascending, in M = m^4."""
-    return (-4 * M, -8 * M, 1 - 4 * M, -2)
-
-
 def quartic_rhs(u, M, q=1):
     """Right side of the quartic model in M = m^4, V^2 = quartic_rhs(U, M);
     given q, the homogeneous value q^4 quartic_rhs(u/q, M), with no division."""
-    c0, c1, c2, c3 = _quartic_coeffs(M)
     qq = q * q
-    return (((u + c3 * q) * u + c2 * qq) * u + c1 * qq * q) * u + c0 * qq * qq
+    return ((((u - 2 * q) * u + (1 - 4 * M) * qq) * u - 8 * M * qq * q) * u
+            - 4 * M * qq * qq)
 
 
 def to_quartic(x, y, M, z=1, g=None):
@@ -75,10 +70,11 @@ def to_quartic(x, y, M, z=1, g=None):
     integer.  g is divided out of both exactly, then their integer content
     c, signed to make q (over Z[M], its leading coefficient) positive.  Then
     q = zr/c with r = (2x - 8Mz^2)/g, so s = xr^2/(2c^2) + p(q-p) divides
-    only by an integer, exactly, and V = s/q^2 is reduced: with
-    N = q^4 quartic_rhs(p/q), N/q^4 is reduced (the argument of
-    ``poly.monic_at``), so s^2 = N, which the caller proves, makes s and q
-    coprime.
+    only by an integer, exactly, and V = s/q^2 is reduced: the caller proves
+    s^2 = N with N = q^4 quartic_rhs(p/q) = p^4 + q * (terms in p and q), and
+    a prime of Z[M] (an integer prime or an irreducible primitive
+    polynomial) dividing s and q divides N and q, so p^4, so p; p and q are
+    coprime, so s and q are.
     """
     zz = z * z
     mzz = M * zz
@@ -193,6 +189,9 @@ def _resolve_sign(sign: str) -> str:
 def quartic_image(nP: tuple, M, sign: str) -> tuple:
     """U = p/q and V = s/q^2, the image of nP ("plus") or -nP ("minus").
 
+    The sign goes through ``_resolve_sign``, so "auto" is "minus" and any
+    other name raises ValueError.
+
     nP is ``multiple_P``'s tuple over Z[M] or at a rational M = A/B; U's
     numerator shares its odd value at 2n - 1 on the plus branch and at
     2n + 1 on the minus branch (the point 2nR).  At M = A/B the image is
@@ -201,7 +200,7 @@ def quartic_image(nP: tuple, M, sign: str) -> tuple:
     family's square identities prove it.
     """
     x, y, z, below, above = nP
-    y, g = (y, below) if sign == "plus" else (-y, above)
+    y, g = (y, below) if _resolve_sign(sign) == "plus" else (-y, above)
     p, q, s = to_quartic(x, y, M, z, g)
     if not isinstance(M, IPoly):
         A, B = M.numerator, M.denominator

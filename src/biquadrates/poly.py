@@ -18,9 +18,9 @@ not fast.
 ``RatFn`` is the field of rational functions in one variable (Q(M) in the
 curve's group law): quotients kept fully reduced (polynomial part
 and integer content both coprime, denominator with positive leading
-coefficient), so equality is structural.  ``monic_at`` evaluates a monic
-polynomial over Z[M] at a reduced quotient with no gcd: its homogenised
-Horner sum is reduced already.
+coefficient), so equality is structural.  ``IPoly`` does not divide into
+it: Z[M] is closed, a stray ``/`` there raises TypeError, and a ``RatFn``
+is only ever built on purpose, from ``RatFn(n, d)`` or ``RatFn.gen()``.
 """
 
 from __future__ import annotations
@@ -144,10 +144,6 @@ class IPoly:
             base = base * base if k > 1 else base
             k >>= 1
         return result
-
-    def __truediv__(self, other):
-        """The reduced quotient in Q(M), the field of fractions."""
-        return RatFn(self, other)
 
     def exact_div(self, other: "IPoly") -> "IPoly":
         """Quotient self/other when the division is exact over Z; else raises."""
@@ -501,28 +497,3 @@ class RatFn:
             return "RatFn(%s)" % (self.num,)
         return "RatFn((%s)/(%s))" % (self.num, self.den)
 
-
-def monic_at(coeffs, x: RatFn) -> RatFn:
-    """P(x) for monic P = X^k + coeffs[k-1] X^(k-1) + ... + coeffs[0] over Z[M].
-
-    coeffs are ints, IPolys, or elements of Q(M) that are polynomials (a
-    TypeError otherwise).  With x = n/d reduced, homogenised Horner gives
-    N = d^k P(n/d) in Z[M], and N - n^k = d * sum(coeffs[i] n^i d^(k-1-i)),
-    so N = n^k (mod d).  Z[M] has unique factorisation; its primes are the
-    integer primes and the primitive polynomials irreducible over Q.  A
-    prime dividing d^k and N divides d, so N - n^k, so n^k, so n; but n and
-    d are coprime in Z[M] (their contents and their polynomial parts are).
-    So N/d^k is already reduced, contents included, and d^k has d's
-    positive leading coefficient: no gcd of any kind is taken.  The result
-    is Horner in Q(M), coefficient for coefficient, since the reduced form
-    is unique.
-    """
-    cs = [x._coerce(c) for c in coeffs]
-    if not cs or any(c is None or c.den.coeffs != (1,) for c in cs):
-        raise TypeError("need k >= 1 coefficients, each a polynomial over Z")
-    n, d = x.num, x.den
-    acc, dk = n + cs[-1].num * d, d
-    for c in reversed(cs[:-1]):
-        dk = dk * d
-        acc = acc * n + c.num * dk
-    return RatFn._raw(acc, dk if acc.coeffs else IPoly((1,)))

@@ -5,12 +5,13 @@ The library maps nP to the quartic model over Z and Z[M]
 integers.  This module is the reference it is compared against: nP as an
 affine point over Q or Q(M) (``signed_multiple``), its image through the
 field branch of ``derive.to_quartic`` (``weierstrass_to_quartic``), checked
-on the quartic model by ``QuarticPoint``, and cleared to an integer solution
-at one value of m (``solution_from_quartic_point``,
-``numeric_solution_from_nP``).  derive's formulas are looked up through the
-module, so a test that patches one reaches this route too.  It also keeps
-the sampled rule that once resolved "auto" (``sampled_sign``), as the
-reference for the lower-degree branch that resolves it now.
+on the quartic model by ``QuarticPoint`` (over Q(M) cross-multiplied, with
+no quotient and no gcd), and cleared to an integer solution at one value of
+m (``solution_from_quartic_point``, ``numeric_solution_from_nP``).  derive's
+formulas are looked up through the module, so a test that patches one
+reaches this route too.  It also keeps the sampled rule that once resolved
+"auto" (``sampled_sign``), as the reference for the lower-degree branch that
+resolves it now.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from fractions import Fraction
 from biquadrates import derive
 from biquadrates.curve import CurvePoint, Element, _lift, multiple_P
 from biquadrates.exact import DegenerateSolutionError, SolutionSix, canonicalize
-from biquadrates.poly import IPoly, PoleError, RatFn, monic_at
+from biquadrates.poly import IPoly, PoleError, RatFn
 
 
 @dataclass(frozen=True)
@@ -34,11 +35,14 @@ class QuarticPoint:
         object.__setattr__(self, "u", _lift(self.u))
         object.__setattr__(self, "v", _lift(self.v))
         object.__setattr__(self, "M", _lift(self.M))
-        u, M = self.u, self.M
-        # over Q(M) the right side comes reduced from monic_at, with no gcd
-        rhs = (monic_at(derive._quartic_coeffs(M), u) if isinstance(u, RatFn)
-               else derive.quartic_rhs(u, M))
-        if self.v * self.v != rhs:
+        u, v, M = self.u, self.v, self.M
+        if isinstance(u, RatFn):
+            # u = n/d, v = a/b cross-multiplied: a^2 d^4 = b^2 quartic_rhs(n, M, d)
+            (n, d), (a, b) = (u.num, u.den), (v.num, v.den)
+            ok = a * a * d**4 == b * b * derive.quartic_rhs(n, M, d)
+        else:
+            ok = v * v == derive.quartic_rhs(u, M)
+        if not ok:
             raise ValueError("point does not satisfy the quartic model")
 
 

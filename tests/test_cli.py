@@ -319,10 +319,15 @@ SWEEP_DIGEST = "3a053dd246befc4a856ead7ca3766e506f9b69ae84c222120af8f2f9f6994792
 
 
 def test_every_command_takes_no_polynomial_gcd(capsys, monkeypatch):
+    # nor does any leave Z[M]: every RatFn is made through RatFn._raw
     def no_gcd(a, b):
         raise AssertionError("polynomial gcd taken")
 
+    def no_ratfn(*args):
+        raise AssertionError("RatFn built")
+
     monkeypatch.setattr(poly, "poly_gcd", no_gcd)
+    monkeypatch.setattr(poly.RatFn, "_raw", staticmethod(no_ratfn))
     h = hashlib.sha256()
     codes = []
     for argv in SWEEP:

@@ -250,12 +250,13 @@ def _no_check(*args, **kwargs):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_symbolic_pipeline_proves_each_point_once(n, monkeypatch):
     # the two square identities over Z[M] are the one proof: derive holds no
-    # QuarticPoint, RatFn or monic_at, and the field route is not reached
+    # QuarticPoint, on_curve or RatFn, and the field route is not reached
+    import biquadrates.curve as curve
     import oracles
 
-    assert not {"QuarticPoint", "RatFn", "monic_at"} & set(vars(derive))
+    assert not {"QuarticPoint", "on_curve", "RatFn"} & set(vars(derive))
+    monkeypatch.setattr(curve, "on_curve", _no_check)
     monkeypatch.setattr(oracles, "QuarticPoint", _no_check)
-    monkeypatch.setattr(poly, "monic_at", _no_check)
     for sign in ("minus", "plus"):
         assert solution_from_nP(n, sign).residual().is_zero
 
@@ -270,7 +271,6 @@ def test_numeric_map_runs_no_curve_check(monkeypatch, capsys):
 
     monkeypatch.setattr(curve, "on_curve", _no_check)
     monkeypatch.setattr(oracles, "QuarticPoint", _no_check)
-    monkeypatch.setattr(poly, "monic_at", _no_check)
     for m0 in (1, 2, Fraction(3, 5)):
         M = Fraction(m0) ** 4
         for n in (1, 2, 3):
@@ -461,6 +461,13 @@ def test_symbolic_input_validation():
         numeric_solution_from_nP(-2, 1)
 
 
+def test_quartic_image_rejects_an_unknown_sign():
+    nP = multiple_P(2, 1)
+    with pytest.raises(ValueError):
+        quartic_image(nP, Fraction(1), "Plus")
+    assert quartic_image(nP, Fraction(1), "auto") == quartic_image(nP, Fraction(1), "minus")
+
+
 def test_symbolic_quartic_point_roundtrip():
     M = RatFn.gen()
     w = CurvePoint(point_P(M).x, -point_P(M).y)
@@ -472,8 +479,8 @@ def test_symbolic_quartic_point_roundtrip():
 
 @pytest.mark.parametrize("M", [RatFn.gen(), Fraction(2, 3) ** 4], ids=["Q(M)", "m=2/3"])
 def test_membership_checks_accept_multiples_and_reject_shifts(M):
-    # over Q(M) on_curve and QuarticPoint reduce the right side with
-    # poly.monic_at; at m = 2/3 they use Horner over Q
+    # over Q(M) on_curve and QuarticPoint cross-multiply over Z[M]; at
+    # m = 2/3 they compare y^2 with Horner over Q
     c = curve_from_parameter(M)
     for n in range(1, 5):
         w, _ = signed_multiple(n, M, "plus")

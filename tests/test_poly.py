@@ -16,7 +16,6 @@ from biquadrates.poly import (
     RatFn,
     content,
     format_poly,
-    monic_at,
     poly_gcd,
     primitive_part,
     _SCHOOLBOOK_LIMIT,
@@ -70,6 +69,13 @@ def test_exact_div_examples():
         P(2, 2).exact_div(P(4))
     with pytest.raises(ZeroDivisionError):
         M.exact_div(P())
+
+
+def test_true_division_leaves_no_way_out_of_z_m():
+    # Z[M] is closed: a stray / raises instead of building a RatFn
+    for divisor in (2, Fraction(1, 2), M + 1):
+        with pytest.raises(TypeError):
+            M / divisor
 
 
 def test_int_coercion():
@@ -480,59 +486,3 @@ def test_ratfn_field_axioms(a, b, c):
     if not b.is_zero:
         assert (a / b) * b == a
 
-
-# -- monic_at: a monic polynomial over Z[M] at a reduced n/d, with no gcd ----
-
-def _ratfn_horner(cs, x: RatFn) -> RatFn:
-    acc = RatFn(1)
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
-contents = st.sampled_from((1, 2, 3, 4, 6))
-
-
-@st.composite
-def reduced_points(draw):
-    """n/d drawn with a shared content, an extra content on d, either sign
-    of leading coefficient, and sometimes a constant d; RatFn reduces it."""
-    k, e = draw(contents), draw(contents)
-    num = k * draw(polys) * draw(st.sampled_from((1, -1)))
-    den = draw(st.one_of(nonzero_polys, st.integers(1, 9).map(lambda c: IPoly((c,)))))
-    return RatFn(num, k * e * den * draw(st.sampled_from((1, -1))))
-
-
-@given(st.lists(st.tuples(contents, polys), min_size=1, max_size=4), reduced_points())
-@settings(max_examples=150)
-def test_monic_at_matches_ratfn_horner(terms, x):
-    cs = [k * p for k, p in terms]
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly, "poly_gcd", lambda *a: calls.append(a) or poly_gcd(*a))
-        mp.setattr(poly, "gcd", lambda *a: calls.append(a) or igcd(*a))
-        got = monic_at(cs, x)
-    want = _ratfn_horner(cs, x)
-    assert got.num.coeffs == want.num.coeffs
-    assert got.den.coeffs == want.den.coeffs
-    assert calls == []
-
-
-def test_monic_at_examples():
-    mg = RatFn.gen()
-    x = (mg + 1) / 6
-    # X^2 + 2X - 3 at (m+1)/6: (m^2 + 14m - 95)/36, whose content is 1
-    r = monic_at((-3, 2), x)
-    assert (r.num.coeffs, r.den.coeffs) == ((-95, 14, 1), (36,))
-    assert r == x * x + 2 * x - 3
-    # a zero value is 0/1
-    r = monic_at((-4,), RatFn(4))
-    assert r.num.coeffs == () and r.den.coeffs == (1,)
-    # Z[M] coefficients given as RatFn, Fraction or IPoly
-    assert monic_at((mg, Fraction(2), M), mg / 2) == _ratfn_horner([mg, 2, mg], mg / 2)
-    with pytest.raises(TypeError):
-        monic_at((Fraction(1, 2),), x)
-    with pytest.raises(TypeError):
-        monic_at((1 / mg,), x)
-    with pytest.raises(TypeError):
-        monic_at((), x)
