@@ -13,8 +13,8 @@ to stdout, diagnostics to stderr.
 The commands only call the library and print; ``curve --m`` maps nP over Z
 as ``--symbolic`` does over Z[M] (``derive.quartic_image``), and ``--sign``
 resolves through ``derive._resolve_sign``, where ``auto`` is ``minus``.
-Every emitted solution is checked, canonicalized and turned into text by
-``_record``, and ``selftest`` runs ``identity.ALL_VERIFIERS`` in order.
+Every emitted solution is checked once, by ``_proved``, and turned into text
+by ``_record``; ``selftest`` runs ``identity.ALL_VERIFIERS`` in order.
 
 ``main`` builds its parser on its first call and reuses it for the rest of
 the process: parsing leaves a parser as it was, and building one costs about
@@ -37,9 +37,8 @@ from fractions import Fraction
 from biquadrates.curve import DegenerateCurveError, multiple_P
 from biquadrates.derive import (
     PipelineError,
-    _clear_to_solution,
+    _clear_image,
     _resolve_sign,
-    _solution_pairs,
     evaluate_param,
     quartic_image,
     solution_from_nP,
@@ -78,12 +77,17 @@ def _int_text():
         raise DigitLimitError(str(exc)) from None
 
 
+def _proved(sol: SolutionSix) -> SolutionSix:
+    """sol, after the one equation check of a solution about to be emitted."""
+    if not check_solution(sol):
+        raise PipelineError("refusing to emit a tuple that fails the equation")
+    return sol
+
+
 def _record(sol: SolutionSix, source: str, parameter=None, as_json=False) -> str:
     """The text of one emitted solution: the tuple, its canonical key and
     its provenance, as labelled lines or as one JSON object."""
-    if not check_solution(sol):
-        raise PipelineError("refusing to emit a tuple that fails the equation")
-    key = canonicalize(sol)
+    key = canonicalize(_proved(sol), check=False)
     param = None if parameter is None else str(parameter)
     with _int_text():
         if as_json:
@@ -138,14 +142,11 @@ def cmd_search(ns) -> int:
         return 2
     if ns.csv:
         print("x1,x2,y1,y2,z1,z2")
-        for sol in results:
-            print(",".join(str(v) for v in sol))
-    elif ns.json:
-        for sol in results:
+    for sol in results:
+        if ns.json:
             print(_record(sol, "search", as_json=True))
-    else:
-        for sol in results:
-            print(" ".join(str(v) for v in sol))
+        else:
+            print(("," if ns.csv else " ").join(str(v) for v in _proved(sol)))
     return 0
 
 
@@ -160,7 +161,7 @@ def _print_family(ps, descending: bool) -> int:
 
 
 def _emit_family_value(ps, value: Fraction, source: str, as_json: bool) -> int:
-    sol = evaluate_param(ps, value)
+    sol = evaluate_param(ps, value, check=False)
     if 0 in sol:
         raise DegenerateSolutionError(
             "degenerate at parameter %s (zero coordinate)" % value)
@@ -185,19 +186,20 @@ def cmd_curve(ns) -> int:
         return _print_family(fam, ns.descending)
     M = ns.m**4
     x, y, z, *_ = nP = multiple_P(ns.n, M.numerator, M.denominator)
-    wx, wy = Fraction(x, z * z), Fraction(y, z**3)
     with _int_text():
         # a point past the digit limit fails here, before the map runs
-        head = "nP: (%s, %s)\nsign: %s\ncurve point: (%s, %s)" % (
-            wx, wy, sign, wx, wy if sign == "plus" else -wy)
+        wx, wy = str(Fraction(x, z * z)), str(Fraction(y, z**3))
+    # -nP's y is nP's with the sign flipped (Fraction prints 0 unsigned)
+    cy = wy if sign == "plus" or wy == "0" else wy[1:] if wy[0] == "-" else "-" + wy
     # the map's identity proves the point before any of it is printed
     p, q, s = quartic_image(nP, M, sign)
-    print(head)
+    print("nP: (%s, %s)\nsign: %s\ncurve point: (%s, %s)" % (wx, wy, sign, wx, cy))
     with _int_text():
-        print("quartic point: (%s, %s)" % (Fraction(p, q), Fraction(s, q * q)))
-        print("U = p/q: p = %d, q = %d" % (p, q))
-    sol = _clear_to_solution(*_solution_pairs(p, q, ns.m, s))
-    print(_record(sol, "curve_nP", ns.m, ns.json))
+        # to_quartic gives q > 0 with p/q and s/q^2 in lowest terms
+        tp, tq = str(p), str(q)
+        u, v = (tp, str(s)) if q == 1 else (tp + "/" + tq, "%s/%s" % (s, q * q))
+        print("quartic point: (%s, %s)\nU = p/q: p = %s, q = %s" % (u, v, tp, tq))
+    print(_record(_clear_image(p, q, s, ns.m), "curve_nP", ns.m, ns.json))
     return 0
 
 

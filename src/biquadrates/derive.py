@@ -155,19 +155,27 @@ def quartic_point_to_param_solution(p: IPoly, q: IPoly, s: IPoly) -> ParamSoluti
 
 
 def _clear_to_solution(xpair, ypair, zpair) -> SolutionSix:
-    """Scale rational pairs to an integer solution of the equation."""
+    """Scale rational pairs to integers by the scaling action, unchecked."""
     if all(v == 0 for v in xpair) or all(v == 0 for v in ypair):
         raise DegenerateSolutionError("pair evaluated to (0, 0)")
     k1 = lcm(*(v.denominator for v in xpair))
     k2 = lcm(*(v.denominator for v in ypair))
-    fix = lcm(*((v * k1 * k2).denominator for v in zpair))
-    k1 *= fix
+    k1 *= lcm(*((v * k1 * k2).denominator for v in zpair))
     vals = [int(v * k1) for v in xpair] + [int(v * k2) for v in ypair]
     vals += [int(v * k1 * k2) for v in zpair]
-    sol = SolutionSix(*vals)
-    if not check_solution(sol):
-        raise PipelineError("cleared values fail the equation")
-    return sol
+    return SolutionSix(*vals)
+
+
+def _clear_image(p: int, q: int, s: int, m) -> SolutionSix:
+    """``_clear_to_solution`` of the pairs at U = p/q, V = s/q^2, m = a/b in
+    integers, k1 = b/gcd(2q, b), k2 = b/gcd(p+q, b): a prime power dividing
+    2q and p+q divides p^2+q^2, so the z-pair needs no factor of its own.
+    q > 0 and a != 0 (m = 0 is a singular curve) leave no pair (0, 0)."""
+    a, b = m.numerator, m.denominator
+    w = p * p + q * q
+    k1, k2 = b // gcd(2 * q, b), b // gcd(p + q, b)
+    return SolutionSix((p - q) * k1, 2 * a * q * k1 // b, a * (p + q) * k2 // b,
+                       p * k2, a * w * k1 * k2 // b, s * k1 * k2)
 
 
 def _resolve_sign(sign: str) -> str:
@@ -228,11 +236,16 @@ def solution_from_nP(n: int, sign: str = "auto") -> ParamSolution:
     return quartic_point_to_param_solution(p, q, s)
 
 
-def evaluate_param(ps: ParamSolution, m0) -> SolutionSix:
-    """Evaluate a family at a rational parameter and clear to integers."""
+def evaluate_param(ps: ParamSolution, m0, check: bool = True) -> SolutionSix:
+    """Evaluate a family at a rational parameter and clear to integers,
+    checked against the equation unless ``check`` is false (the CLI checks
+    what it prints)."""
     m0 = Fraction(m0)
-    vals = [Fraction(p.evaluate(m0)) for p in ps.polys()]
-    return _clear_to_solution(vals[0:2], vals[2:4], vals[4:6])
+    vals = [p.evaluate(m0) for p in ps.polys()]
+    sol = _clear_to_solution(vals[0:2], vals[2:4], vals[4:6])
+    if check and not check_solution(sol):
+        raise PipelineError("cleared values fail the equation")
+    return sol
 
 
 def param_equivalent(a: ParamSolution, b: ParamSolution) -> bool:

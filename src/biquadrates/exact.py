@@ -65,16 +65,16 @@ def scale_solution(s: SolutionSix, k1: int, k2: int) -> SolutionSix:
                        k1 * k2 * s.z1, k1 * k2 * s.z2)
 
 
-def canonicalize(s: SolutionSix) -> CanonicalKey:
+def canonicalize(s: SolutionSix, check: bool = True) -> CanonicalKey:
     """Canonical key of a solution; constant on equivalence classes.
 
     Takes absolute values, removes the gcd of each of the x- and y-pairs,
     divides the z-pair by the product of those gcds, sorts within pairs and
     exchanges the x- and y-pairs so the lexicographically smaller one comes
     first.  Raises DegenerateSolutionError if the x- or y-pair is (0, 0),
-    ValueError if s is not a solution.
+    ValueError if s is not a solution (unless ``check`` is false).
     """
-    if not check_solution(s):
+    if check and not check_solution(s):
         raise ValueError("input is not a solution")
     ax = (abs(s.x1), abs(s.x2))
     ay = (abs(s.y1), abs(s.y2))

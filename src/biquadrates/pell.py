@@ -6,7 +6,8 @@ Every solution of the Pell equation with v >= 1 plugs into fixed shapes
 
 and satisfies the product equation, because the difference of the two sides
 factors through (u^2-3v^2-1).  The ladder of integer solutions is generated
-from (2, 1) by (u, v) -> (2u+3v, u+2v).  The rational one-parameter slice
+from (2, 1) by (u, v) -> (2u+3v, u+2v), multiplication by 2 + sqrt(3), so
+its k-th rung is (2 + sqrt(3))^k.  The rational one-parameter slice
 u = (t^2+3)/(t^2-3), v = 2t/(t^2-3) gives the family eq26 in ``families``.
 """
 
@@ -28,9 +29,11 @@ def pell3_nth(k: int) -> PellSolution:
     """k-th solution of u^2 - 3v^2 = 1, counting (2, 1) as the first."""
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
-    u, v = 2, 1
-    for _ in range(k - 1):
-        u, v = 2 * u + 3 * v, u + 2 * v
+    u, v = 2, 1   # (2 + sqrt 3)^k by squaring, from the top bit of k down
+    for bit in bin(k)[3:]:
+        u, v = u * u + 3 * v * v, 2 * u * v
+        if bit == "1":
+            u, v = 2 * u + 3 * v, u + 2 * v
     return PellSolution(u, v)
 
 

@@ -162,11 +162,13 @@ class IPoly:
         return IPoly(q)
 
     def evaluate(self, x):
-        """Horner evaluation; exact for int or Fraction arguments."""
-        acc = x * 0
+        """The value at an int or Fraction x = a/b: b^d P(a/b) by Horner's
+        rule over the integers, over b^d (an int if b = 1 or d < 1)."""
+        a, b = x.numerator, x.denominator
+        acc, bj = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc, bj = acc * a + c * bj, bj * b
+        return acc if bj <= b else Fraction(acc, bj // b)
 
     def __eq__(self, other):
         o = self._coerce(other)

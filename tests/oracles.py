@@ -12,14 +12,21 @@ formulas are looked up through the module, so a test that patches one
 reaches this route too.  It also keeps the sampled rule that once resolved
 "auto" (``sampled_sign``), as the reference for the lower-degree branch that
 resolves it now.
+
+The rest are the slow, obvious forms of the library's integer shortcuts:
+the Pell ladder one step at a time (``pell3_ladder``), Horner's rule in
+Fraction arithmetic (``fraction_horner``), and the text ``curve --m`` printed
+when it built every value as a reduced Fraction (``curve_m_text``).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from biquadrates import derive
+from biquadrates.cli import _record
 from biquadrates.curve import CurvePoint, Element, _lift, multiple_P
 from biquadrates.exact import DegenerateSolutionError, SolutionSix, canonicalize
+from biquadrates.pell import PellSolution
 from biquadrates.poly import IPoly, PoleError, RatFn
 
 
@@ -115,3 +122,47 @@ def sampled_sign(n: int) -> str:
         if len(keys) == 2:
             return "minus" if keys["minus"] <= keys["plus"] else "plus"
     raise derive.PipelineError("no branch of nP gives a usable solution")
+
+
+def pell3_ladder(k: int) -> PellSolution:
+    """The k-th rung of the Pell ladder, k - 1 steps up from (2, 1)."""
+    u, v = 2, 1
+    for _ in range(k - 1):
+        u, v = 2 * u + 3 * v, u + 2 * v
+    return PellSolution(u, v)
+
+
+def fraction_horner(coeffs, x) -> Fraction:
+    """P(x) for P's coefficients, lowest first, by Horner's rule over Q."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def curve_m_text(n: int, m: Fraction, sign: str, as_json: bool = False) -> str:
+    """What ``curve --n n --m m`` writes to stdout, each value built as a
+    reduced Fraction and cleared by ``derive._clear_to_solution``.
+
+    A value past the int-to-text digit limit ends the text where the
+    command stops: before anything if it is in nP, after the curve point
+    if it is in the quartic point, and before the record if it is there.
+    """
+    M = m**4
+    nP = multiple_P(n, M.numerator, M.denominator)
+    x, y, z = nP[:3]
+    wx, wy = Fraction(x, z * z), Fraction(y, z**3)
+    out = ""
+    try:
+        head = "nP: (%s, %s)\nsign: %s\ncurve point: (%s, %s)\n" % (
+            wx, wy, sign, wx, wy if sign == "plus" else -wy)
+        p, q, s = derive.quartic_image(nP, M, sign)
+        out = head
+        out += "quartic point: (%s, %s)\n" % (Fraction(p, q), Fraction(s, q * q))
+        out += "U = p/q: p = %d, q = %d\n" % (p, q)
+        sol = derive._clear_to_solution(*derive._solution_pairs(p, q, m, s))
+        return out + _record(sol, "curve_nP", m, as_json) + "\n"
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        return out

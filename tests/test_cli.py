@@ -7,15 +7,20 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biquadrates.cli as cli
+import biquadrates.derive as derive
+import biquadrates.exact as exact
+import biquadrates.pell as pell
 import biquadrates.poly as poly
 from biquadrates.cli import main
 from biquadrates.families import FAMILIES
+from oracles import curve_m_text
 
 
 def run(capsys, *argv):
@@ -272,6 +277,101 @@ def test_pell_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["pell"])
     assert exc.value.code == 2
+
+
+@given(st.integers(1, 24), st.integers(-13, 13).filter(bool), st.integers(1, 13),
+       st.sampled_from(("auto", "plus", "minus")), st.booleans())
+@example(19, 3, 5, "auto", False)    # past the digit limit at the quartic point
+@example(22, 4, 3, "auto", False)
+@example(1, 1, 1, "minus", False)
+@example(24, 1, 2, "plus", True)
+@settings(max_examples=60, deadline=None)
+def test_curve_m_text_is_the_fraction_route_text(n, a, b, sign, as_json):
+    # curve --m prints p/q and s/q^2 without a gcd and -nP's y by flipping
+    # nP's sign: the same bytes as reduced Fractions, up to the digit limit
+    m = Fraction(a, b)
+    argv = ["curve", "--n", str(n), "--m=%s" % m, "--sign", sign]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + ["--json"] * as_json)
+    want = curve_m_text(n, m, derive._resolve_sign(sign), as_json)
+    assert out.getvalue() == want
+    assert code == (0 if "curve_nP" in want else 1)
+
+
+def _counted_checks(monkeypatch) -> list:
+    """The tuples passed to check_solution through any module that binds it."""
+    calls = []
+    check = exact.check_solution
+
+    def counted(sol):
+        calls.append(tuple(str(v) for v in sol))
+        return check(sol)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("biquadrates") and getattr(mod, "check_solution", None) is check:
+            monkeypatch.setattr(mod, "check_solution", counted)
+    return calls
+
+
+def _emitted(out: str) -> list:
+    """The solutions a command printed, in order, in any of its formats."""
+    rows = []
+    for line in out.splitlines():
+        if line.startswith("{"):
+            rows.append(tuple(json.loads(line)["solution"]))
+        elif line.startswith("solution: "):
+            rows.append(tuple(line.split()[1:]))
+        elif line[:1].isdigit():
+            rows.append(tuple(line.replace(",", " ").split()))
+    return rows
+
+
+CHECKED_ONCE = [["curve", "--n", "3", "--m", "2/5"],
+                ["curve", "--n", "24", "--m", "1/2", "--sign", "plus", "--json"],
+                ["pell", "--k", "1805"], ["pell", "--k", "7", "--json"],
+                ["pell", "--t", "5/17"]]
+CHECKED_ONCE += [["family", name, "--param", "6/7"] for name in sorted(FAMILIES)]
+CHECKED_ONCE += [["search", "--bx", "8", "--by", "30"] + fmt
+                 for fmt in ([], ["--csv"], ["--json"])]
+
+
+@pytest.mark.parametrize("argv", CHECKED_ONCE, ids=" ".join)
+def test_each_emitted_tuple_is_checked_once(capsys, monkeypatch, argv):
+    calls = _counted_checks(monkeypatch)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = _emitted(out)
+    assert len(rows) == (7 if argv[0] == "search" else 1)
+    assert calls == rows
+
+
+def _z2_plus_one(fn):
+    def corrupted(*args, **kwargs):
+        sol = fn(*args, **kwargs)
+        return sol._replace(z2=sol.z2 + 1)
+    return corrupted
+
+
+@pytest.mark.parametrize("argv", [["curve", "--n", "3", "--m", "2/5"],
+                                  ["family", "eq21", "--param", "6/7"],
+                                  ["pell", "--t", "5/17", "--json"],
+                                  ["pell", "--k", "4"],
+                                  ["search", "--bx", "6", "--by", "6", "--csv"]],
+                         ids=" ".join)
+def test_a_corrupted_tuple_is_refused(capsys, monkeypatch, argv):
+    # z2 + 1 after clearing (or in the Pell shapes, or in a search row):
+    # the one check at emission refuses it with one stderr line
+    monkeypatch.setattr(cli, "_clear_image", _z2_plus_one(cli._clear_image))
+    monkeypatch.setattr(derive, "_clear_to_solution",
+                        _z2_plus_one(derive._clear_to_solution))
+    shapes, search = pell.pell_shapes, cli.search
+    monkeypatch.setattr(pell, "pell_shapes", lambda u, v: (*shapes(u, v)[:5], shapes(u, v)[5] + 1))
+    monkeypatch.setattr(cli, "search", lambda bx, by: [s._replace(z2=s.z2 + 1)
+                                                       for s in search(bx, by)])
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and _emitted(out) == []
+    assert err == "%s: refusing to emit a tuple that fails the equation\n" % argv[0]
 
 
 # selftest prints one line per verifier, in this order; --quick drops the last

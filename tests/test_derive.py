@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import biquadrates.derive as derive
 import biquadrates.families as families
@@ -29,11 +31,12 @@ from biquadrates.derive import (
     to_weierstrass,
 )
 from biquadrates.exact import DegenerateSolutionError, SolutionSix, canonicalize, check_solution
-from biquadrates.families import ParamSolution, family_eq20, family_eq21
+from biquadrates.families import FAMILIES, ParamSolution, family_eq20, family_eq21
 from biquadrates.poly import IPoly, PoleError, RatFn
 from mutations import psi_changed
 from oracles import (
     QuarticPoint,
+    fraction_horner,
     numeric_solution_from_nP,
     sampled_sign,
     signed_multiple,
@@ -433,6 +436,56 @@ def test_evaluate_param_known_value():
     assert key.xpair == (3, 5)
     assert key.ypair == (17, 28)
     assert key.zpair == (Fraction(13), Fraction(149))
+
+
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(-30, 30), st.integers(1, 30))
+@example("eq21", 6, 7)
+@example("eq26", 0, 1)
+@settings(max_examples=60, deadline=None)
+def test_evaluate_param_matches_fraction_horner(name, a, b):
+    fam, m0 = FAMILIES[name](), Fraction(a, b)
+    vals = [fraction_horner(p.coeffs, m0) for p in fam.polys()]
+    try:
+        want = derive._clear_to_solution(vals[0:2], vals[2:4], vals[4:6])
+    except DegenerateSolutionError:
+        with pytest.raises(DegenerateSolutionError):
+            evaluate_param(fam, m0)
+        return
+    assert evaluate_param(fam, m0) == evaluate_param(fam, m0, check=False) == want
+
+
+@given(st.integers(1, 24), st.integers(-13, 13).filter(bool), st.integers(1, 13),
+       st.sampled_from(("minus", "plus")))
+@example(24, 1, 2, "minus")
+@example(24, 13, 6, "plus")
+@example(1, -1, 1, "minus")
+@example(5, 7, 13, "minus")
+@settings(max_examples=80, deadline=None)
+def test_integer_clearing_matches_fraction_clearing(n, a, b, sign):
+    # small-jobs' heights: max(|a|, b) <= 13, n <= 24
+    m = Fraction(a, b)
+    M = m**4
+    try:
+        p, q, s = quartic_image(multiple_P(n, M.numerator, M.denominator), M, sign)
+    except (PoleError, PipelineError):
+        assume(False)
+    want = derive._clear_to_solution(*derive._solution_pairs(p, q, m, s))
+    assert derive._clear_image(p, q, s, m) == want
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool),
+       st.integers(-10**6, 10**6), st.integers(-60, 60).filter(bool), st.integers(1, 60))
+@example(1, 1, 0, 1, 4)
+@example(4, 4, 7, -3, 32)
+@example(7, 9, 1, 5, 8)
+@settings(max_examples=300, deadline=None)
+def test_integer_clearing_matches_fraction_clearing_off_the_curve(p, q, s, a, b):
+    # on the curve b divides 2q; any p, q != 0 and s also reach odd 2q and
+    # p + q sharing primes with b, where the Fraction route's z-pair lcm is
+    # still 1 because those prime powers divide p^2 + q^2
+    m = Fraction(a, b)
+    want = derive._clear_to_solution(*derive._solution_pairs(p, q, m, s))
+    assert derive._clear_image(p, q, s, m) == want
 
 
 def test_param_equivalent_distinguishes():

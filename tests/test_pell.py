@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biquadrates.derive import _clear_to_solution, evaluate_param, param_equivalent
 from biquadrates.exact import SolutionSix, canonicalize, check_solution
 from biquadrates.families import family_eq26
 from biquadrates.pell import PellSolution, pell3_nth, pell_shapes, pell_to_solution
+from oracles import pell3_ladder
 
 
 def test_ladder_start():
@@ -16,6 +19,15 @@ def test_ladder_start():
     assert pell3_nth(3) == PellSolution(26, 15)
     with pytest.raises(ValueError):
         pell3_nth(0)
+
+
+@given(st.integers(1, 3000))
+@example(1)
+@example(2)
+@example(2730)
+@settings(max_examples=40, deadline=None)
+def test_doubling_matches_the_step_ladder(k):
+    assert pell3_nth(k) == pell3_ladder(k)
 
 
 def test_ladder_stays_on_pell_curve():

@@ -5,7 +5,7 @@ from math import gcd as igcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biquadrates import poly
@@ -25,6 +25,8 @@ from biquadrates.poly import (
     _positive,
     _unpack,
 )
+
+from oracles import fraction_horner
 
 M = IPoly.gen()
 
@@ -486,3 +488,18 @@ def test_ratfn_field_axioms(a, b, c):
     if not b.is_zero:
         assert (a / b) * b == a
 
+
+
+@given(st.lists(st.integers(-50, 50) | st.just(0), max_size=9),
+       st.integers(-40, 40), st.integers(1, 40))
+@example([], -3, 4)
+@example([7], -3, 4)
+@example([0, 0, 5, 0, -1], -7, 1)
+@example([0, 0, 0, 3], 0, 5)
+@settings(max_examples=200, deadline=None)
+def test_evaluation_matches_fraction_horner(cs, a, b):
+    # b^d P(a/b) over the integers, reduced once, is Horner's rule over Q,
+    # for the zero polynomial, constants, zero coefficients, a < 0 and b = 1
+    x = Fraction(a, b)
+    assert IPoly(cs).evaluate(x) == fraction_horner(cs, x)
+    assert IPoly(cs).evaluate(a) == fraction_horner(cs, a)
