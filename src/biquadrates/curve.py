@@ -1,11 +1,9 @@
-"""Elliptic curve arithmetic for Y^2 = X^3 + a2*X^2 + a4*X, exactly.
+"""The base point's multiples on Y^2 = X^3 + a2*X^2 + a4*X, exactly.
 
-The coefficients lie in Q (``fractions.Fraction``), in Z[M] (``IPoly``)
-or in the rational function field Q(M) (``RatFn``).  For the family
-studied here a2 = 1 - 4M and a4 = 32M with M = m^4.  Z[M] has no
-division, so affine points and the chord-tangent law run over Q and Q(M)
-only: over Z[M] ``point_P`` and ``extra_point`` raise TypeError, and the
-ladder and ``identity``'s closure check keep Jacobian triples instead.
+For the family studied here a2 = 1 - 4M and a4 = 32M with M = m^4.  The
+one kind of point is a Jacobian triple (phi : omega : z), standing for
+(phi/z^2, omega/z^3), over Z at a fixed M or over Z[M] symbolically, where
+nothing divides.  ``on_curve`` is the curve equation on a triple.
 
 The derivation takes nP from ``multiple_P``: P = -2R for the half point
 R = (4M, 12M), and nP = -2nR comes from the division values of R on an
@@ -16,197 +14,45 @@ makes, the normalisation of psi_2..psi_4 and the even step's division by
 the normalised psi_2, is exact or raises PipelineError.  Nothing here
 checks nP against the curve: the map to the quartic model pulls the curve
 equation back to the quartic one, which derive proves once per point.
-``point_P`` and ``extra_point`` are the affine images of Jacobian triples
-over Z[M], as the ladder's points are.  The affine chord-tangent law
-(``add``, ``mul_scalar``) from ``point_P`` is the slow oracle the ladder is
-tested against.  Group operations validate their inputs against the curve
-equation, so an off-curve point is rejected instead of silently producing
-nonsense.
+``_P_triple`` and ``_extra_triple`` are the paper's base point and extra
+point as triples, which ``identity``'s closure check compares with the
+ladder.  The affine chord-tangent law over Q and Q(M) is the tests' slow
+oracle (tests/oracles.py), not part of the library.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Union
-
-from biquadrates.poly import ExactDivisionError, IPoly, PoleError, RatFn
-
-Element = Union[Fraction, IPoly, RatFn]
-
-
-def _lift(v) -> Element:
-    """An int as an element of Q; any other value (a polynomial too) as it is."""
-    return Fraction(v) if isinstance(v, int) else v
+from biquadrates.poly import ExactDivisionError, PoleError
 
 
 class PipelineError(RuntimeError):
     """An internal consistency check failed while deriving a solution."""
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """Affine point (x, y) or the point at infinity."""
-
-    x: Optional[Element] = None
-    y: Optional[Element] = None
-    infinity: bool = False
-
-    def __post_init__(self):
-        if self.infinity:
-            if self.x is not None or self.y is not None:
-                raise ValueError("infinity carries no coordinates")
-        else:
-            if self.x is None or self.y is None:
-                raise ValueError("affine point needs both coordinates")
-            object.__setattr__(self, "x", _lift(self.x))
-            object.__setattr__(self, "y", _lift(self.y))
-
-    def __repr__(self):
-        if self.infinity:
-            return "CurvePoint(infinity)"
-        return "CurvePoint(%s, %s)" % (self.x, self.y)
-
-
-INFINITY = CurvePoint(infinity=True)
-
-
 class DegenerateCurveError(ValueError):
     """The cubic has a repeated root (for the family here, m = 0)."""
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
-    """Y^2 = X^3 + a2*X^2 + a4*X with a4 != 0 and a2^2 - 4*a4 != 0."""
-
-    a2: Element
-    a4: Element
-
-    def __post_init__(self):
-        object.__setattr__(self, "a2", _lift(self.a2))
-        object.__setattr__(self, "a4", _lift(self.a4))
-        if self.a4 == 0 or self.a2 * self.a2 - 4 * self.a4 == 0:
-            raise DegenerateCurveError("degenerate curve: repeated root in x^3+a2x^2+a4x")
-
-    def rhs(self, x: Element, d: Element = 1) -> Element:
-        """x^3 + a2 x^2 d + a4 x d^2, which is d^3 rhs(x/d), with no division."""
-        return x * (x * (x + self.a2 * d) + self.a4 * d * d)
-
-
-def curve_from_parameter(M) -> WeierstrassCurve:
-    """The curve with a2 = 1-4M, a4 = 32M, M = m^4, over Q, Z[M] or Q(M)."""
-    M = _lift(M)
-    return WeierstrassCurve(a2=1 - 4 * M, a4=32 * M)
-
-
-def on_curve(c: WeierstrassCurve, p: CurvePoint) -> bool:
-    """Whether p satisfies the curve equation exactly.
-
-    Over Q(M), with x = n/d and y = a/b, it is a^2 d^3 = b^2 rhs(n, d),
-    cross-multiplied over Z[M]: no quotient is formed and, with a2 and a4
-    polynomials as ``curve_from_parameter`` makes them, no gcd is taken.
-    Over Q and Z[M] it is y^2 = rhs(x).
-    """
-    if p.infinity:
-        return True
-    if isinstance(p.x, RatFn):
-        (n, d), (a, b) = (p.x.num, p.x.den), (p.y.num, p.y.den)
-        return a * a * d**3 == b * b * c.rhs(n, d)
-    return p.y * p.y == c.rhs(p.x)
-
-
-def _require_on_curve(c: WeierstrassCurve, p: CurvePoint):
-    if not on_curve(c, p):
-        raise ValueError("point %r is not on the curve" % (p,))
-
-
-def _add_unchecked(c: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
-    if p.infinity:
-        return q
-    if q.infinity:
-        return p
-    if p.x == q.x:
-        if p.y + q.y == 0:
-            return INFINITY
-        lam = (3 * p.x * p.x + 2 * c.a2 * p.x + c.a4) / (2 * p.y)
-    else:
-        lam = (q.y - p.y) / (q.x - p.x)
-    x3 = lam * lam - c.a2 - p.x - q.x
-    y3 = lam * (p.x - x3) - p.y
-    return CurvePoint(x3, y3)
-
-
-def add(c: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
-    _require_on_curve(c, p)
-    _require_on_curve(c, q)
-    return _add_unchecked(c, p, q)
-
-
-def mul_scalar(c: WeierstrassCurve, n: int, p: CurvePoint) -> CurvePoint:
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("scalar must be a nonnegative integer")
-    _require_on_curve(c, p)
-    result = INFINITY
-    base = p
-    while n:
-        if n & 1:
-            result = _add_unchecked(c, result, base)
-        n >>= 1
-        if n:
-            base = _add_unchecked(c, base, base)
-    return result
-
-
-def _affine(phi, omega, z) -> CurvePoint:
-    """The point (phi/z^2, omega/z^3) of a Jacobian triple."""
+def on_curve(phi, omega, z, M) -> bool:
+    """Whether (phi/z^2, omega/z^3) lies on the curve with parameter M:
+    omega^2 = phi^3 + (1-4M) phi^2 z^2 + 32M phi z^4, over Z, Q or Z[M]."""
     zz = z * z
-    return CurvePoint(phi / zz, omega / (zz * z))
+    return omega * omega == phi * (phi * (phi + (1 - 4 * M) * zz) + 32 * M * zz * zz)
 
 
 def _P_triple(M) -> tuple:
-    """P as a Jacobian triple (phi, omega, z) in M = m^4, over Z[M] or at a value."""
+    """P as a Jacobian triple (phi, omega, z) in M = m^4, over Z[M] or at a
+    value: the base point (4(M-2)^2/9, 4(M-2)(2M^2-17M-10)/27), which is -2R
+    for the half point R = (4M, 12M) that ``multiple_P`` starts from."""
     return 4 * (M - 2) ** 2, 4 * (M - 2) * (2 * M * M - 17 * M - 10), 3
 
 
-def point_P(M) -> CurvePoint:
-    """The base point (4(M-2)^2/9, 4(M-2)(2M^2-17M-10)/27), M = m^4.
-
-    It is -2R for the half point R = (4M, 12M) that ``multiple_P`` starts
-    from; the group-law oracle starts from it.
-    """
-    return _affine(*_P_triple(_lift(M)))
-
-
 def _extra_triple(M) -> tuple:
-    """The extra point as a Jacobian triple; z = (m^4+3m^2-2)(m^4-3m^2-2)."""
+    """The further rational point 3R as a Jacobian triple, R = (4M, 12M);
+    z = (m^4+3m^2-2)(m^4-3m^2-2)."""
     core = M * M - 4 * M - 14
     return (4 * M * core**2, 36 * M * core * (M**4 - 11 * M**3 + 30 * M**2 - 74 * M - 8),
             M * M - 13 * M + 4)
-
-
-def extra_point(M) -> CurvePoint:
-    """The further rational point with denominator (m^4+3m^2-2)(m^4-3m^2-2).
-
-    It is 3R for the half point R = (4M, 12M), M = m^4.
-    """
-    return _affine(*_extra_triple(_lift(M)))
-
-
-def is_nontorsion_by_mazur(c: WeierstrassCurve, p: CurvePoint) -> bool:
-    """True iff nP != infinity for all n in 1..12.
-
-    A rational torsion point has order at most 12; surviving all twelve
-    multiples therefore certifies infinite order.
-    """
-    if p.infinity:
-        raise ValueError("infinity is torsion by definition")
-    _require_on_curve(c, p)
-    q = p
-    for _ in range(12):
-        if q.infinity:
-            return False
-        q = _add_unchecked(c, q, p)
-    return True
 
 
 def _exact(a, b):

@@ -117,7 +117,7 @@ def quartic_point_to_param_solution(p: IPoly, q: IPoly, s: IPoly) -> ParamSoluti
     module docstring's pairs at m = 1, and the family's entries are
     m^r E(m^4) for r = (0, 1, 1, 0, 1, 0).  gcd(p - q, 2q) and gcd(p + q, p)
     have polynomial part gcd(p, q) = 1, so each pair is freed of its integer
-    content gcd alone, d1 and d2, and no ``RatFn`` is built.  The contents
+    content gcd alone, d1 and d2, and no polynomial gcd is taken.  The contents
     of p and q are coprime, so d2 = 1 and d1 divides 2; if d1 = 2, p = q
     (mod 2), so 2 divides z1 = (p-q)^2 + 2pq and, on the quartic model, 4
     divides z2^2 = (p-q)^2 p^2 - 4q^2(p+q)^2, hence 2 divides z2, and the z

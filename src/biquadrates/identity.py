@@ -52,7 +52,8 @@ checks the U map, and the (U, V) chart checks both maps.
 
 The last two verifiers run the curve side itself: over Z[M] the ladder
 from R = (4M, 12M) meets P and the extra point (Jacobian triples,
-cross-multiplied), small multiples at m = 1, 2 lie on the curve, and
+cross-multiplied), the extra point and the ladder's P, 2P and 3P lie on
+the curve, and
 ``derive.solution_from_nP(3)`` gives, on each branch, a family with zero
 residual and z-degrees of at least 120.  ``ALL_VERIFIERS`` lists them in
 the order ``selftest`` prints them; ``selftest --quick`` skips
@@ -253,12 +254,13 @@ def _same_point(a, b) -> bool:
 
 
 def verify_curve_closure() -> bool:
-    """Over Z[M] the half point R = (4M, 12M) lies on the curve, the
-    ladder's P is ``curve.point_P`` (so P = -2R) and its 3R, from at(1..5)
-    by Silverman's formulas, is ``curve.extra_point``; at m = 1 and 2, 2P,
-    3P and the extra point lie on the curve over Q."""
+    """Over Z[M], as Jacobian triples with no division: the half point
+    R = (4M, 12M) lies on the curve, the ladder's P is ``curve._P_triple``
+    (so P = -2R), its 3R, from at(1..5) by Silverman's formulas, is
+    ``curve._extra_triple``, and the extra point and the ladder's P, 2P and
+    3P lie on the curve."""
     M = IPoly.gen()
-    if not curve.on_curve(curve.curve_from_parameter(M), curve.CurvePoint(4 * M, 12 * M)):
+    if not curve.on_curve(4 * M, 12 * M, 1, M):
         return False
     if not _same_point(curve.multiple_P(1, M)[:3], curve._P_triple(M)):
         return False
@@ -269,14 +271,8 @@ def verify_curve_closure() -> bool:
                3 * a3)
     if not _same_point(three_r, curve._extra_triple(M)):
         return False
-    for m0 in (1, 2):
-        c = curve.curve_from_parameter(m0**4)
-        p = curve.point_P(m0**4)
-        for pt in (curve.mul_scalar(c, 2, p), curve.mul_scalar(c, 3, p),
-                   curve.extra_point(m0**4)):
-            if not curve.on_curve(c, pt):
-                return False
-    return True
+    points = [curve._extra_triple(M)] + [curve.multiple_P(n, M)[:3] for n in (1, 2, 3)]
+    return all(curve.on_curve(*pt, M) for pt in points)
 
 
 def verify_curve_high_multiple() -> bool:

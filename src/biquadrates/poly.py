@@ -1,26 +1,21 @@
-"""Dense univariate integer polynomials and their quotient field.
+"""Dense univariate integer polynomials.
 
 ``IPoly`` is its tuple of coefficients, ascending over plain ``int``; it
 names no variable (``format_poly`` takes the name when printing).  All
 arithmetic is exact.  Multiplication switches to Kronecker substitution (pack
 the coefficients into one big integer, multiply, unpack balanced digits) once
 operands are large, which keeps degree-several-hundred products cheap.
+Z[M] is closed: ``IPoly`` has no ``/``, so code that would leave it raises
+TypeError, and a quotient that must be exact goes through ``exact_div``.
 
 ``poly_gcd`` is the primitive polynomial remainder sequence (W. S. Brown,
 "On Euclid's algorithm and the computation of polynomial greatest common
 divisors", J. ACM 18, 1971): (A, B) becomes (B, pp(prem(A, B))) until B is
-zero or constant.  Its one caller is ``RatFn``'s reduction, and only when
-both parts of a quotient are nonconstant.  No command takes one: the
-derivation and ``selftest``'s curve closure run over Z[M], and only the
-group-law oracle over Q(M) reduces through ``RatFn``, so the route is plain,
-not fast.
-
-``RatFn`` is the field of rational functions in one variable (Q(M) in the
-curve's group law): quotients kept fully reduced (polynomial part
-and integer content both coprime, denominator with positive leading
-coefficient), so equality is structural.  ``IPoly`` does not divide into
-it: Z[M] is closed, a stray ``/`` there raises TypeError, and a ``RatFn``
-is only ever built on purpose, from ``RatFn(n, d)`` or ``RatFn.gen()``.
+zero or constant.  No command takes one: the derivation and ``selftest``
+run over Z[M] and divide out known factors and integer contents only.  It
+stays in the library because perfbench's tracer patches ``poly.poly_gcd``
+by name; the tests' rational functions over Q(M) (tests/oracles.py) reduce
+through it, so the route is plain, not fast.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ class ExactDivisionError(ArithmeticError):
 
 
 class PoleError(ZeroDivisionError):
-    """Evaluation of a rational function at a zero of its denominator."""
+    """A pole: the map to the quartic model at X = 4M, or nP at infinity."""
 
 
 class IPoly:
@@ -351,151 +346,3 @@ def poly_gcd(a: IPoly, b: IPoly) -> IPoly:
 
 def _positive(p: IPoly) -> IPoly:
     return -p if p.lc < 0 else p
-
-
-# ---------------------------------------------------------------------------
-# rational functions
-
-def _reduced(n: IPoly, d: IPoly, coprime: bool = False) -> "RatFn":
-    """n/d, d nonzero, in RatFn's canonical form.
-
-    The integer content is divided out and d's leading coefficient made
-    positive; ``poly_gcd`` runs only when n and d are both nonconstant and
-    ``coprime`` does not already say their polynomial parts are coprime.
-    """
-    if n.is_zero:
-        return RatFn._raw(IPoly(()), IPoly((1,)))
-    if not coprime and n.degree > 0 and d.degree > 0:
-        g = poly_gcd(n, d)
-        if g.degree > 0:
-            n, d = n.exact_div(g), d.exact_div(g)
-    c = gcd(content(n), content(d))
-    c = -c if d.lc < 0 else c
-    if c != 1:
-        n = IPoly(tuple(x // c for x in n.coeffs))
-        d = IPoly(tuple(x // c for x in d.coeffs))
-    return RatFn._raw(n, d)
-
-
-class RatFn:
-    """Rational function num/den over Z in fully reduced canonical form.
-
-    Invariant: den != 0 with positive leading coefficient, and num/den share
-    no factor (their integer contents and polynomial parts are coprime), so
-    two equal values are structurally identical.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num=0, den=1):
-        n, d = self._coerce(num), self._coerce(den)
-        if n is None or d is None:
-            raise TypeError("cannot interpret %r/%r as a rational function" % (num, den))
-        q = n * d.reciprocal()
-        self.num, self.den = q.num, q.den
-
-    @classmethod
-    def _raw(cls, num: IPoly, den: IPoly) -> "RatFn":
-        self = object.__new__(cls)
-        self.num = num
-        self.den = den
-        return self
-
-    @classmethod
-    def gen(cls) -> "RatFn":
-        return cls._raw(IPoly.gen(), IPoly((1,)))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @property
-    def _is_const(self) -> bool:
-        # with n/d reduced and p/q constant, no nonconstant factor of d*q
-        # divides n*p or n*q + p*d: only integer content can cancel
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def _coerce(self, other) -> Optional["RatFn"]:
-        if isinstance(other, RatFn):
-            return other
-        if isinstance(other, IPoly):
-            return RatFn._raw(other, IPoly((1,)))
-        if isinstance(other, (int, Fraction)):
-            return RatFn._raw(IPoly((other.numerator,)), IPoly((other.denominator,)))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _reduced(self.num * o.den + o.num * self.den, self.den * o.den,
-                        self._is_const or o._is_const)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFn._raw(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o is self:  # num^2 and den^2 stay coprime, den^2 stays positive
-            return RatFn._raw(self.num * self.num, self.den * self.den)
-        return _reduced(self.num * o.num, self.den * o.den, self._is_const or o._is_const)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "RatFn":
-        if self.is_zero:
-            raise ZeroDivisionError("reciprocal of zero rational function")
-        n, d = self.den, self.num
-        if d.lc < 0:
-            n, d = -n, -d
-        return RatFn._raw(n, d)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.reciprocal()
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise ValueError("exponent must be an integer")
-        if k < 0:
-            return self.reciprocal() ** (-k)
-        return RatFn._raw(self.num ** k, self.den ** k)
-
-    def evaluate(self, x) -> Fraction:
-        dv = self.den.evaluate(x)
-        if dv == 0:
-            raise PoleError("denominator vanishes at %s" % (x,))
-        return Fraction(self.num.evaluate(x), 1) / dv
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num.coeffs == o.num.coeffs and self.den.coeffs == o.den.coeffs
-
-    def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
-
-    def __repr__(self):
-        if self.den.degree == 0 and self.den.lc == 1:
-            return "RatFn(%s)" % (self.num,)
-        return "RatFn((%s)/(%s))" % (self.num, self.den)
-

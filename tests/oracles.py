@@ -1,17 +1,25 @@
-"""Pipeline constructions that only tests use: the field route over Q and Q(M).
+"""Slow, obvious references that only tests use: the field route over Q and Q(M).
 
-The library maps nP to the quartic model over Z and Z[M]
+The library keeps one kind of curve point, a Jacobian triple over Z or
+Z[M], and computes every nP one way, by the division-value ladder
+(``curve.multiple_P``); it maps nP to the quartic model over Z and Z[M]
 (``derive.quartic_image``) and proves each image by an identity on its
-integers.  This module is the reference it is compared against: nP as an
-affine point over Q or Q(M) (``signed_multiple``), its image through the
-field branch of ``derive.to_quartic`` (``weierstrass_to_quartic``), checked
-on the quartic model by ``QuarticPoint`` (over Q(M) cross-multiplied, with
-no quotient and no gcd), and cleared to an integer solution at one value of
-m (``solution_from_quartic_point``, ``numeric_solution_from_nP``).  derive's
-formulas are looked up through the module, so a test that patches one
-reaches this route too.  It also keeps the sampled rule that once resolved
-"auto" (``sampled_sign``), as the reference for the lower-degree branch that
-resolves it now.
+integers.  This module is what those are compared against.  ``RatFn`` is
+the field Q(M) of rational functions, kept fully reduced through
+``poly.poly_gcd`` (looked up through its module, so a test that patches the
+gcd reaches it).  The affine chord-tangent law (``add``, ``mul_scalar``) on
+``CurvePoint``s over Q and Q(M) starts from ``point_P`` and ``extra_point``,
+the affine images of the library's triples; ``on_curve`` is its membership
+test (over Q(M) cross-multiplied, with no quotient and no gcd) and
+``is_nontorsion_by_mazur`` its certificate of infinite order.  nP as an
+affine point (``signed_multiple``) goes through the field branch of
+``derive.to_quartic`` (``weierstrass_to_quartic``), is checked on the
+quartic model by ``QuarticPoint``, and is cleared to an integer solution at
+one value of m (``solution_from_quartic_point``, ``numeric_solution_from_nP``).
+derive's formulas are looked up through the module, so a test that patches
+one reaches this route too.  It also keeps the sampled rule that once
+resolved "auto" (``sampled_sign``), as the reference for the lower-degree
+branch that resolves it now.
 
 The rest are the slow, obvious forms of the library's integer shortcuts:
 the Pell ladder one step at a time (``pell3_ladder``), Horner's rule in
@@ -21,14 +29,318 @@ when it built every value as a reduced Fraction (``curve_m_text``).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import Optional, Union
 
-from biquadrates import derive
+from biquadrates import derive, poly
 from biquadrates.cli import _record
-from biquadrates.curve import CurvePoint, Element, _lift, multiple_P
+from biquadrates.curve import DegenerateCurveError, _extra_triple, _P_triple, multiple_P
 from biquadrates.exact import DegenerateSolutionError, SolutionSix, canonicalize
 from biquadrates.pell import PellSolution
-from biquadrates.poly import IPoly, PoleError, RatFn
+from biquadrates.poly import IPoly, PoleError, content
 
+
+# ---------------------------------------------------------------------------
+# Q(M): rational functions in one variable
+
+def _reduced(n: IPoly, d: IPoly, coprime: bool = False) -> "RatFn":
+    """n/d, d nonzero, in RatFn's canonical form.
+
+    The integer content is divided out and d's leading coefficient made
+    positive; ``poly.poly_gcd`` runs only when n and d are both nonconstant
+    and ``coprime`` does not already say their polynomial parts are coprime.
+    """
+    if n.is_zero:
+        return RatFn._raw(IPoly(()), IPoly((1,)))
+    if not coprime and n.degree > 0 and d.degree > 0:
+        g = poly.poly_gcd(n, d)
+        if g.degree > 0:
+            n, d = n.exact_div(g), d.exact_div(g)
+    c = gcd(content(n), content(d))
+    c = -c if d.lc < 0 else c
+    if c != 1:
+        n = IPoly(tuple(x // c for x in n.coeffs))
+        d = IPoly(tuple(x // c for x in d.coeffs))
+    return RatFn._raw(n, d)
+
+
+class RatFn:
+    """Rational function num/den over Z in fully reduced canonical form.
+
+    Invariant: den != 0 with positive leading coefficient, and num/den share
+    no factor (their integer contents and polynomial parts are coprime), so
+    two equal values are structurally identical.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num=0, den=1):
+        n, d = self._coerce(num), self._coerce(den)
+        if n is None or d is None:
+            raise TypeError("cannot interpret %r/%r as a rational function" % (num, den))
+        q = n * d.reciprocal()
+        self.num, self.den = q.num, q.den
+
+    @classmethod
+    def _raw(cls, num: IPoly, den: IPoly) -> "RatFn":
+        self = object.__new__(cls)
+        self.num = num
+        self.den = den
+        return self
+
+    @classmethod
+    def gen(cls) -> "RatFn":
+        return cls._raw(IPoly.gen(), IPoly((1,)))
+
+    @property
+    def is_zero(self) -> bool:
+        return self.num.is_zero
+
+    @property
+    def _is_const(self) -> bool:
+        # with n/d reduced and p/q constant, no nonconstant factor of d*q
+        # divides n*p or n*q + p*d: only integer content can cancel
+        return self.num.degree <= 0 and self.den.degree == 0
+
+    def _coerce(self, other) -> Optional["RatFn"]:
+        if isinstance(other, RatFn):
+            return other
+        if isinstance(other, IPoly):
+            return RatFn._raw(other, IPoly((1,)))
+        if isinstance(other, (int, Fraction)):
+            return RatFn._raw(IPoly((other.numerator,)), IPoly((other.denominator,)))
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _reduced(self.num * o.den + o.num * self.den, self.den * o.den,
+                        self._is_const or o._is_const)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RatFn._raw(-self.num, self.den)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if o is self:  # num^2 and den^2 stay coprime, den^2 stays positive
+            return RatFn._raw(self.num * self.num, self.den * self.den)
+        return _reduced(self.num * o.num, self.den * o.den, self._is_const or o._is_const)
+
+    __rmul__ = __mul__
+
+    def reciprocal(self) -> "RatFn":
+        if self.is_zero:
+            raise ZeroDivisionError("reciprocal of zero rational function")
+        n, d = self.den, self.num
+        if d.lc < 0:
+            n, d = -n, -d
+        return RatFn._raw(n, d)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.reciprocal()
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int):
+            raise ValueError("exponent must be an integer")
+        if k < 0:
+            return self.reciprocal() ** (-k)
+        return RatFn._raw(self.num ** k, self.den ** k)
+
+    def evaluate(self, x) -> Fraction:
+        dv = self.den.evaluate(x)
+        if dv == 0:
+            raise PoleError("denominator vanishes at %s" % (x,))
+        return Fraction(self.num.evaluate(x), 1) / dv
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.num.coeffs == o.num.coeffs and self.den.coeffs == o.den.coeffs
+
+    def __repr__(self):
+        if self.den.degree == 0 and self.den.lc == 1:
+            return "RatFn(%s)" % (self.num,)
+        return "RatFn((%s)/(%s))" % (self.num, self.den)
+
+
+# ---------------------------------------------------------------------------
+# the affine chord-tangent law over Q and Q(M)
+
+Element = Union[Fraction, IPoly, RatFn]
+
+
+def _lift(v) -> Element:
+    """An int as an element of Q; any other value (a polynomial too) as it is."""
+    return Fraction(v) if isinstance(v, int) else v
+
+
+@dataclass(frozen=True)
+class CurvePoint:
+    """Affine point (x, y) or the point at infinity."""
+
+    x: Optional[Element] = None
+    y: Optional[Element] = None
+    infinity: bool = False
+
+    def __post_init__(self):
+        if self.infinity:
+            if self.x is not None or self.y is not None:
+                raise ValueError("infinity carries no coordinates")
+        else:
+            if self.x is None or self.y is None:
+                raise ValueError("affine point needs both coordinates")
+            object.__setattr__(self, "x", _lift(self.x))
+            object.__setattr__(self, "y", _lift(self.y))
+
+    def __repr__(self):
+        if self.infinity:
+            return "CurvePoint(infinity)"
+        return "CurvePoint(%s, %s)" % (self.x, self.y)
+
+
+INFINITY = CurvePoint(infinity=True)
+
+
+@dataclass(frozen=True)
+class WeierstrassCurve:
+    """Y^2 = X^3 + a2*X^2 + a4*X with a4 != 0 and a2^2 - 4*a4 != 0."""
+
+    a2: Element
+    a4: Element
+
+    def __post_init__(self):
+        object.__setattr__(self, "a2", _lift(self.a2))
+        object.__setattr__(self, "a4", _lift(self.a4))
+        if self.a4 == 0 or self.a2 * self.a2 - 4 * self.a4 == 0:
+            raise DegenerateCurveError("degenerate curve: repeated root in x^3+a2x^2+a4x")
+
+    def rhs(self, x: Element, d: Element = 1) -> Element:
+        """x^3 + a2 x^2 d + a4 x d^2, which is d^3 rhs(x/d), with no division."""
+        return x * (x * (x + self.a2 * d) + self.a4 * d * d)
+
+
+def curve_from_parameter(M) -> WeierstrassCurve:
+    """The curve with a2 = 1-4M, a4 = 32M, M = m^4, over Q, Z[M] or Q(M)."""
+    M = _lift(M)
+    return WeierstrassCurve(a2=1 - 4 * M, a4=32 * M)
+
+
+def on_curve(c: WeierstrassCurve, p: CurvePoint) -> bool:
+    """Whether the affine point p satisfies the curve equation exactly.
+
+    Over Q(M), with x = n/d and y = a/b, it is a^2 d^3 = b^2 rhs(n, d),
+    cross-multiplied over Z[M]: no quotient is formed and, with a2 and a4
+    polynomials as ``curve_from_parameter`` makes them, no gcd is taken.
+    Over Q and Z[M] it is y^2 = rhs(x).
+    """
+    if p.infinity:
+        return True
+    if isinstance(p.x, RatFn):
+        (n, d), (a, b) = (p.x.num, p.x.den), (p.y.num, p.y.den)
+        return a * a * d**3 == b * b * c.rhs(n, d)
+    return p.y * p.y == c.rhs(p.x)
+
+
+def _require_on_curve(c: WeierstrassCurve, p: CurvePoint):
+    if not on_curve(c, p):
+        raise ValueError("point %r is not on the curve" % (p,))
+
+
+def _add_unchecked(c: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
+    if p.infinity:
+        return q
+    if q.infinity:
+        return p
+    if p.x == q.x:
+        if p.y + q.y == 0:
+            return INFINITY
+        lam = (3 * p.x * p.x + 2 * c.a2 * p.x + c.a4) / (2 * p.y)
+    else:
+        lam = (q.y - p.y) / (q.x - p.x)
+    x3 = lam * lam - c.a2 - p.x - q.x
+    y3 = lam * (p.x - x3) - p.y
+    return CurvePoint(x3, y3)
+
+
+def add(c: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
+    _require_on_curve(c, p)
+    _require_on_curve(c, q)
+    return _add_unchecked(c, p, q)
+
+
+def mul_scalar(c: WeierstrassCurve, n: int, p: CurvePoint) -> CurvePoint:
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("scalar must be a nonnegative integer")
+    _require_on_curve(c, p)
+    result = INFINITY
+    base = p
+    while n:
+        if n & 1:
+            result = _add_unchecked(c, result, base)
+        n >>= 1
+        if n:
+            base = _add_unchecked(c, base, base)
+    return result
+
+
+def _affine(phi, omega, z) -> CurvePoint:
+    """The point (phi/z^2, omega/z^3) of a Jacobian triple."""
+    zz = z * z
+    return CurvePoint(phi / zz, omega / (zz * z))
+
+
+def point_P(M) -> CurvePoint:
+    """The base point (4(M-2)^2/9, 4(M-2)(2M^2-17M-10)/27), M = m^4, the
+    affine image of ``curve._P_triple``: the group law starts from it."""
+    return _affine(*_P_triple(_lift(M)))
+
+
+def extra_point(M) -> CurvePoint:
+    """The extra point 3R, with denominator (m^4+3m^2-2)(m^4-3m^2-2), the
+    affine image of ``curve._extra_triple``."""
+    return _affine(*_extra_triple(_lift(M)))
+
+
+def is_nontorsion_by_mazur(c: WeierstrassCurve, p: CurvePoint) -> bool:
+    """True iff nP != infinity for all n in 1..12.
+
+    A rational torsion point has order at most 12; surviving all twelve
+    multiples therefore certifies infinite order.
+    """
+    if p.infinity:
+        raise ValueError("infinity is torsion by definition")
+    _require_on_curve(c, p)
+    q = p
+    for _ in range(12):
+        if q.infinity:
+            return False
+        q = _add_unchecked(c, q, p)
+    return True
+
+
+# ---------------------------------------------------------------------------
+# the field route from nP to a solution
 
 @dataclass(frozen=True)
 class QuarticPoint:

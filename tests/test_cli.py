@@ -387,8 +387,8 @@ def test_selftest_quick(capsys):
 
 
 def test_selftest_full(capsys, monkeypatch):
-    # curve_closure checks the ladder over Z[M], so no verifier reduces
-    # through RatFn: the full selftest takes no polynomial gcd
+    # every verifier runs over Z, Q or Z[M] with no quotient field: the full
+    # selftest takes no polynomial gcd
     calls = []
     gcd = poly.poly_gcd
     monkeypatch.setattr(poly, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
@@ -419,15 +419,12 @@ SWEEP_DIGEST = "3a053dd246befc4a856ead7ca3766e506f9b69ae84c222120af8f2f9f6994792
 
 
 def test_every_command_takes_no_polynomial_gcd(capsys, monkeypatch):
-    # nor does any leave Z[M]: every RatFn is made through RatFn._raw
+    # nor can any leave Z[M]: the library defines no rational function
+    # (tests/test_source.py)
     def no_gcd(a, b):
         raise AssertionError("polynomial gcd taken")
 
-    def no_ratfn(*args):
-        raise AssertionError("RatFn built")
-
     monkeypatch.setattr(poly, "poly_gcd", no_gcd)
-    monkeypatch.setattr(poly.RatFn, "_raw", staticmethod(no_ratfn))
     h = hashlib.sha256()
     codes = []
     for argv in SWEEP:

@@ -1,32 +1,38 @@
-"""Group-law checks for the Weierstrass model Y^2 = X^3 + (1-4m^4)X^2 + 32m^4 X."""
+"""The ladder's multiples and the Jacobian membership test on the Weierstrass
+model Y^2 = X^3 + (1-4m^4)X^2 + 32m^4 X, against the tests' affine group law
+over Q and Q(M), and that oracle's own checks."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import biquadrates.curve as curve
 import biquadrates.derive as derive
 from biquadrates.curve import (
-    INFINITY,
-    CurvePoint,
     DegenerateCurveError,
     PipelineError,
+    half_point_psi,
+    multiple_P,
+)
+from biquadrates.poly import IPoly, PoleError
+from mutations import psi3_doubled, psi3_plus_one, psi_changed
+from oracles import (
+    INFINITY,
+    CurvePoint,
+    QuarticPoint,
+    RatFn,
     WeierstrassCurve,
     add,
     curve_from_parameter,
     extra_point,
-    half_point_psi,
     is_nontorsion_by_mazur,
     mul_scalar,
-    multiple_P,
     on_curve,
     point_P,
+    signed_multiple,
 )
-from biquadrates.poly import IPoly, PoleError, RatFn
-from mutations import psi3_doubled, psi3_plus_one, psi_changed
-from oracles import QuarticPoint, signed_multiple
 
 
 def test_curve_coefficients():
@@ -253,6 +259,44 @@ def test_ladder_at_m4_equal_2_meets_torsion():
                 assert signed_multiple(n, 2, sign) == (ref, ref)
 
 
+@given(st.integers(-30, 30).filter(bool), st.integers(1, 30), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_jacobian_membership_matches_the_affine_oracle(a, b, n):
+    # at a rational M, not only a fourth power, the triple's equation agrees
+    # with y^2 = rhs(x) on +-nP and on their y + 1 shifts (omega + z^3)
+    M = Fraction(a, b)
+    try:
+        x, y, z, *_ = multiple_P(n, M.numerator, M.denominator)
+    except PoleError:
+        assume(False)
+    c, zz = curve_from_parameter(M), z * z
+    for w in (y, -y):
+        assert curve.on_curve(x, w, z, M)
+        for shift in (0, 1):
+            pt = CurvePoint(Fraction(x, zz), Fraction(w, zz * z) + shift)
+            assert curve.on_curve(x, w + shift * zz * z, z, M) == on_curve(c, pt)
+
+
+def _ladder_certifies_infinite_order(M) -> bool:
+    """nP = -2nR is finite, at(2n) != 0, for n = 1..12; by Mazur's bound a
+    rational torsion point has order at most 12."""
+    try:
+        for n in range(1, 13):
+            multiple_P(n, M.numerator, M.denominator)
+    except PoleError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("M", [Fraction(1), Fraction(16), Fraction(3, 5) ** 4, Fraction(2)],
+                         ids=["m=1", "m=2", "m=3/5", "M=2"])
+def test_ladder_certificate_matches_mazur_oracle(M):
+    # at M = 2 (not a fourth power) P = (0, 0) has order 2
+    ok = _ladder_certifies_infinite_order(M)
+    assert ok == is_nontorsion_by_mazur(curve_from_parameter(M), point_P(M))
+    assert ok == (M != 2)
+
+
 @pytest.mark.parametrize("M", [Fraction(16), RatFn.gen()], ids=["m=2", "Q(M)"])
 def test_corrupted_psi3_fails_the_curve_check(M, monkeypatch):
     # psi_3 + 1 leaves a remainder where psi_3 is normalised; 2 psi_3
@@ -290,7 +334,7 @@ def test_symbolic_map_pole(monkeypatch):
     # (4M, 12M) lies on the curve over Z[M], where the map to the quartic
     # model has its pole
     M = IPoly.gen()
-    assert on_curve(curve_from_parameter(RatFn.gen()), CurvePoint(4 * M, 12 * M))
+    assert curve.on_curve(4 * M, 12 * M, 1, M)
     monkeypatch.setattr(derive, "multiple_P", lambda n, A, B=1: (4 * M, 12 * M, 1, 1, 1))
     with pytest.raises(PoleError, match="X = 4m"):
         derive.solution_from_nP(1, "plus")

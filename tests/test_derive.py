@@ -10,16 +10,7 @@ from hypothesis import strategies as st
 import biquadrates.derive as derive
 import biquadrates.families as families
 import biquadrates.poly as poly
-from biquadrates.curve import (
-    INFINITY,
-    CurvePoint,
-    add,
-    curve_from_parameter,
-    mul_scalar,
-    multiple_P,
-    on_curve,
-    point_P,
-)
+from biquadrates.curve import multiple_P
 from biquadrates.derive import (
     PipelineError,
     evaluate_param,
@@ -32,10 +23,18 @@ from biquadrates.derive import (
 )
 from biquadrates.exact import DegenerateSolutionError, SolutionSix, canonicalize, check_solution
 from biquadrates.families import FAMILIES, ParamSolution, family_eq20, family_eq21
-from biquadrates.poly import IPoly, PoleError, RatFn
+from biquadrates.poly import IPoly, PoleError
 from mutations import psi_changed
 from oracles import (
+    INFINITY,
+    CurvePoint,
     QuarticPoint,
+    RatFn,
+    add,
+    curve_from_parameter,
+    mul_scalar,
+    on_curve,
+    point_P,
     fraction_horner,
     numeric_solution_from_nP,
     sampled_sign,

@@ -7,7 +7,6 @@ from itertools import product
 import pytest
 
 from biquadrates import cli, curve, derive, pell, search
-from biquadrates.curve import point_P
 from biquadrates.exact import SolutionSix
 from biquadrates.families import FAMILIES, ParamSolution, family_eq20
 from biquadrates.identity import (
@@ -46,6 +45,7 @@ from mutations import (
     z2_doubled,
 )
 import oracles
+from oracles import point_P
 
 
 def test_all_verifiers_true():
@@ -246,6 +246,20 @@ def test_curve_closure_checks_the_half_point(monkeypatch, capsys):
             mp.setattr(curve, "_initial_psi", psi_changed(k, change)(curve._initial_psi))
             assert not verify_curve_closure()
             assert _selftest_fails(capsys, "curve_closure")
+
+
+def test_curve_closure_checks_the_ladder_at_2p(monkeypatch, capsys):
+    # 2P read with omega + 1 is off the curve; the closure takes 2P and 3P
+    # from the ladder itself
+    ladder = curve.multiple_P
+
+    def shifted(n, A, B=1):
+        phi, omega, *rest = ladder(n, A, B)
+        return (phi, omega + 1 if n == 2 else omega, *rest)
+
+    monkeypatch.setattr(curve, "multiple_P", shifted)
+    assert not verify_curve_closure()
+    assert _selftest_fails(capsys, "curve_closure")
 
 
 def test_mutated_inverse_map_fails(monkeypatch, capsys):

@@ -19,7 +19,7 @@ sympy = pytest.importorskip("sympy")
 from sympy import QQ  # noqa: E402
 from sympy.polys.fields import field  # noqa: E402
 
-from biquadrates import curve, derive, pell  # noqa: E402
+from biquadrates import derive, pell  # noqa: E402
 from biquadrates.identity import (  # noqa: E402
     GRIDS,
     curve_chart_grid,
@@ -34,6 +34,7 @@ from mutations import (  # noqa: E402
     y_plus_2uv,
     z2_doubled,
 )
+from oracles import curve_from_parameter  # noqa: E402
 
 
 def _components(residual) -> tuple:
@@ -141,5 +142,5 @@ def test_quartic_check_is_the_pulled_back_curve_equation(jacobian):
     X, Y = (x / z**2, y / z**3) if jacobian else (x, y)
     u, v = derive.to_quartic(x, y, M, z) if jacobian else derive.to_quartic(x, y, M)
     pulled_back = v**2 - derive.quartic_rhs(u, M)
-    c = curve.curve_from_parameter(M)
+    c = curve_from_parameter(M)
     assert sympy.cancel(pulled_back - (Y**2 - c.rhs(X)) / (4 * (4 * M - X))) == 0

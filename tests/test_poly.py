@@ -1,4 +1,4 @@
-"""Tests for integer polynomials and rational functions."""
+"""Tests for integer polynomials and the tests' rational functions over Q(M)."""
 
 from fractions import Fraction
 from math import gcd as igcd
@@ -13,7 +13,6 @@ from biquadrates.poly import (
     ExactDivisionError,
     IPoly,
     PoleError,
-    RatFn,
     content,
     format_poly,
     poly_gcd,
@@ -26,7 +25,7 @@ from biquadrates.poly import (
     _unpack,
 )
 
-from oracles import fraction_horner
+from oracles import RatFn, fraction_horner
 
 M = IPoly.gen()
 
@@ -74,7 +73,7 @@ def test_exact_div_examples():
 
 
 def test_true_division_leaves_no_way_out_of_z_m():
-    # Z[M] is closed: a stray / raises instead of building a RatFn
+    # Z[M] is closed: a stray / raises instead of leaving it
     for divisor in (2, Fraction(1, 2), M + 1):
         with pytest.raises(TypeError):
             M / divisor
