@@ -16,13 +16,12 @@ resolves through ``derive._resolve_sign``, where ``auto`` is ``minus``.
 Every emitted solution is checked once, by ``_proved``, and turned into text
 by ``_record``; ``selftest`` runs ``identity.ALL_VERIFIERS`` in order.
 
-``main`` builds its parser on its first call and reuses it for the rest of
-the process: parsing leaves a parser as it was, and building one costs about
-a millisecond, most of a short job that a caller runs many times in one
-process.  ``build_parser()`` still returns a new parser on every call, and
-nothing is built at import.  The parser binds the ``cmd_*`` handlers when it
-is built (``set_defaults(func=...)``), so patching a ``cmd_*`` name after
-the first ``main`` call does not reach ``main``; nothing patches them.
+``main`` builds its parser on its first call and reuses it: parsing leaves
+a parser as it was, and building one costs about a millisecond, most of a
+short job.  ``build_parser()`` returns a new parser on every call, and
+nothing is built at import.  The parser binds the ``cmd_*`` handlers when
+it is built, so patching a ``cmd_*`` name after the first ``main`` call
+does not reach ``main``.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 from biquadrates.curve import DegenerateCurveError, multiple_P
 from biquadrates.derive import (
@@ -90,15 +90,19 @@ def _record(sol: SolutionSix, source: str, parameter=None, as_json=False) -> str
     key = canonicalize(_proved(sol), check=False)
     param = None if parameter is None else str(parameter)
     with _int_text():
+        texts = [str(v) for v in sol]
+        if gcd(sol.x1, sol.x2) == gcd(sol.y1, sol.y2) == 1:  # key entries are |sol|'s
+            known = {abs(v): t.lstrip("-") for v, t in zip(sol, texts)}
+            key = key._make((known[a.numerator], known[b.numerator]) for a, b in key)
         if as_json:
             return json.dumps({
-                "solution": [str(v) for v in sol],
+                "solution": texts,
                 "canonical": {name: [str(v) for v in pair]
                               for name, pair in key._asdict().items()},
                 "source": source,
                 "parameter": param,
             })
-        lines = ["solution: %s" % " ".join(str(v) for v in sol),
+        lines = ["solution: %s" % " ".join(texts),
                  "canonical: %s" % " ".join("(%s,%s)" % pair for pair in key),
                  "source: %s" % source]
         if param is not None:

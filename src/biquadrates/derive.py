@@ -16,14 +16,13 @@ rational m, with no polynomial gcd.  ``curve.multiple_P`` gives nP as a
 triple with the odd division values around it; the map's pole factor
 2x - 8Mz^2 is -72 times their product and U's numerator shares one of
 them, so ``to_quartic`` reduces U by dividing it out exactly, then the
-integer content.  Clearing takes integer contents only.  Each point is
-proved once, through its image, where the map pulls the curve equation
-back to the quartic one: over Z by one integer identity
-(``quartic_image``), and over Z[M] by two square identities on the
-family's entries, which also prove the family
-(``quartic_point_to_param_solution``).  Of the two branches, nP ("plus")
-and -nP ("minus"), "auto" names the one whose family has the lower degree,
-which is "minus" at every n (``_resolve_sign``).
+integer content.  Clearing takes integer contents only.  Each point is proved
+once, through its image, where the map pulls the curve equation back to the
+quartic one: over Z by one integer identity (``quartic_image``), and over Z[M]
+by two square identities on the family's entries, checked exactly at M = +-2^w,
+which also prove the family (``quartic_point_to_param_solution``).  Of the two
+branches, nP ("plus") and -nP ("minus"), "auto" names the one whose family has
+the lower degree, which is "minus" at every n (``_resolve_sign``).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from biquadrates.exact import (
     check_solution,
 )
 from biquadrates.families import ParamSolution
-from biquadrates.poly import IPoly, PoleError, _positive, _spread, content
+from biquadrates.poly import IPoly, PoleError, _pack, _positive, _spread, content
 
 SAMPLES = (1, 2, 3, Fraction(1, 2), 5)
 
@@ -114,14 +113,13 @@ def quartic_point_to_param_solution(p: IPoly, q: IPoly, s: IPoly) -> ParamSoluti
     """Turn U = p/q, V = s/q^2 over Z[M] into a proved polynomial family in m.
 
     p, q and s come as ``to_quartic`` gives them; the entries E1..E6 are the
-    module docstring's pairs at m = 1, and the family's entries are
-    m^r E(m^4) for r = (0, 1, 1, 0, 1, 0).  gcd(p - q, 2q) and gcd(p + q, p)
-    have polynomial part gcd(p, q) = 1, so each pair is freed of its integer
-    content gcd alone, d1 and d2, and no polynomial gcd is taken.  The contents
-    of p and q are coprime, so d2 = 1 and d1 divides 2; if d1 = 2, p = q
-    (mod 2), so 2 divides z1 = (p-q)^2 + 2pq and, on the quartic model, 4
-    divides z2^2 = (p-q)^2 p^2 - 4q^2(p+q)^2, hence 2 divides z2, and the z
-    entries divide exactly by d1 d2.  Each entry is then spread to m.
+    module docstring's pairs at m = 1, and the family's entries are m^r E(m^4)
+    for r = (0, 1, 1, 0, 1, 0).  gcd(p - q, 2q) and gcd(p + q, p) have
+    polynomial part gcd(p, q) = 1, so each pair is freed of its integer content
+    gcd alone, d1 and d2.  The contents of p and q are coprime, so d2 = 1 and
+    d1 divides 2; if d1 = 2, p = q (mod 2), so 2 divides z1 = (p-q)^2 + 2pq
+    and, on the quartic model, 4 divides z2^2 = (p-q)^2 p^2 - 4q^2(p+q)^2,
+    hence 2 divides z2, and the z entries divide exactly by d1 d2.
 
     Two square identities over Z[M] prove the family and the point.  With
     A = (x1 y1)^2 + (x2 y2)^2 and B = (x1 y2)^2 - (x2 y1)^2 in m and
@@ -130,6 +128,15 @@ def quartic_point_to_param_solution(p: IPoly, q: IPoly, s: IPoly) -> ParamSoluti
     identity gives (x1^4+x2^4)(y1^4+y2^4) = A^2 + B^2 = z1^4 + z2^4.  And
     z2^2 - B is q^4 (V^2 - quartic_rhs(U)) / (d1 d2)^2, so the second puts
     the image on the quartic model and nP on the curve (``to_quartic``).
+
+    Each identity R = 0 is checked at M = +-2^w on ``_pack``'s integers (D. Harvey,
+    "Faster polynomial multiplication via multipoint Kronecker substitution",
+    J. Symbolic Comput. 44, 2009), exactly if all |R_i| < 4^w: R's even and odd
+    parts then vanish at 4^w, and a nonzero one cannot, as 4^w would divide its
+    lowest nonzero coefficient (4^w - M^2 is the edge).  A product of k entries
+    has coefficients below 2^(sum of their bit lengths) L^(k-1), L the longest
+    entry's length, so |R_i| < 3 2^t L^3 for t the largest such sum over R's
+    terms, and 2w >= t + 2 + 3 bitlen(L) suffices; each entry is then below 2^w.
 
     U is not 0, 1 or infinity at M = 0 (``solution_from_nP`` pins U(0)), so
     x1 = p - q and y2 = p have nonzero constant terms.  That makes the pair
@@ -143,12 +150,17 @@ def quartic_point_to_param_solution(p: IPoly, q: IPoly, s: IPoly) -> ParamSoluti
     d2 = gcd(content(y1), content(y2))
     entries = (_exact(x1, d1), _exact(x2, d1), _exact(y1, d2), _exact(y2, d2),
                _exact(z1, d1 * d2), _exact(z2, d1 * d2))
-    e1, e2, e3, e4, e5, e6 = entries
-    a, b, c, d = e1 * e3, e2 * e4, e1 * e4, e2 * e3
-    if a * a + b * b != e5 * e5:
+    cs = [e.coeffs for e in entries]
+    b1, b2, b3, b4, b5, b6 = (max(map(int.bit_length, co), default=0) for co in cs)
+    t = 2 * max(b5, b6, b1 + b3, b2 + b4, b1 + b4, b2 + b3)
+    w = -(-(t + 2 + 3 * max(map(len, cs)).bit_length()) // 16) * 8  # 8 divides w
+    plus = [_pack(co, w) for co in cs]
+    minus = [_pack([-v if i & 1 else v for i, v in enumerate(co)], w) for co in cs]
+    if any((e5 - (a := e1 * e3)) * (e5 + a) != (e2 * e4) ** 2
+           for e1, e2, e3, e4, e5, _ in (plus, minus)):
         raise PipelineError("the family's residual is nonzero: A != z1^2")
-    # M (E2 E3)^2 is a shift of its coefficients
-    if c * c - IPoly((0,) + (d * d).coeffs) != e6 * e6:
+    if any(((c := e1 * e4) - e6) * (c + e6) != sign * ((e2 * e3) ** 2 << w)
+           for sign, (e1, e2, e3, e4, _, e6) in ((1, plus), (-1, minus))):
         raise PipelineError("the family's residual is nonzero: B != z2^2")
     return ParamSolution(*(IPoly(_spread(_positive(e).coeffs, r, 4))
                            for e, r in zip(entries, (0, 1, 1, 0, 1, 0))))

@@ -1,21 +1,18 @@
 """Dense univariate integer polynomials.
 
-``IPoly`` is its tuple of coefficients, ascending over plain ``int``; it
-names no variable (``format_poly`` takes the name when printing).  All
-arithmetic is exact.  Multiplication switches to Kronecker substitution (pack
-the coefficients into one big integer, multiply, unpack balanced digits) once
-operands are large, which keeps degree-several-hundred products cheap.
-Z[M] is closed: ``IPoly`` has no ``/``, so code that would leave it raises
-TypeError, and a quotient that must be exact goes through ``exact_div``.
+``IPoly`` is its tuple of coefficients, ascending over plain ``int``; it names
+no variable (``format_poly`` takes the name when printing).  All arithmetic is
+exact.  Multiplication switches to Kronecker substitution (pack the
+coefficients into one big integer, multiply, unpack balanced digits) once the
+operand lengths' product passes 400, its measured crossover.  Z[M] is closed:
+``IPoly`` has no ``/``, so code that would leave it raises TypeError, and a
+quotient that must be exact goes through ``exact_div``.
 
 ``poly_gcd`` is the primitive polynomial remainder sequence (W. S. Brown,
 "On Euclid's algorithm and the computation of polynomial greatest common
-divisors", J. ACM 18, 1971): (A, B) becomes (B, pp(prem(A, B))) until B is
-zero or constant.  No command takes one: the derivation and ``selftest``
-run over Z[M] and divide out known factors and integer contents only.  It
-stays in the library because perfbench's tracer patches ``poly.poly_gcd``
-by name; the tests' rational functions over Q(M) (tests/oracles.py) reduce
-through it, so the route is plain, not fast.
+divisors", J. ACM 18, 1971).  No command takes one.  It stays because
+perfbench's tracer patches ``poly.poly_gcd`` by name, and the tests'
+rational functions over Q(M) (tests/oracles.py) reduce through it.
 """
 
 from __future__ import annotations
@@ -124,7 +121,9 @@ class IPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return IPoly(_mul_coeffs(self.coeffs, o.coeffs))
+        p = IPoly.__new__(IPoly)  # int coefficients, the top one lc(a) lc(b) != 0
+        p.coeffs = _mul_coeffs(self.coeffs, o.coeffs)
+        return p
 
     __rmul__ = __mul__
 
@@ -214,7 +213,7 @@ def format_poly(p: IPoly, var: str = "m", descending: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # coefficient-level arithmetic
 
-_SCHOOLBOOK_LIMIT = 1600
+_SCHOOLBOOK_LIMIT = 400
 
 
 def _mul_coeffs(a: tuple, b: tuple) -> tuple:

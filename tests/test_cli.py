@@ -299,6 +299,30 @@ def test_curve_m_text_is_the_fraction_route_text(n, a, b, sign, as_json):
     assert code == (0 if "curve_nP" in want else 1)
 
 
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(-9, 9).filter(bool), st.integers(1, 9),
+       st.integers(1, 4), st.integers(1, 4), st.lists(st.booleans(), min_size=6, max_size=6),
+       st.booleans())
+@example("eq20", 2, 1, 1, 1, [True, False, False, True, True, False], False)
+@example("eq20", 2, 1, 2, 3, [False] * 6, True)
+def test_record_prints_the_canonical_key(name, a, b, k1, k2, flips, as_json):
+    # the key text reuses the tuple's text when both pair gcds are 1 (k1 = k2
+    # = 1 on a primitive value) and formats the key otherwise: the same bytes
+    try:
+        sol = derive.evaluate_param(FAMILIES[name](), Fraction(a, b))
+    except exact.DegenerateSolutionError:
+        return
+    sol = exact.scale_solution(sol, k1, k2)
+    sol = exact.SolutionSix(*(-v if f else v for v, f in zip(sol, flips)))
+    key = exact.canonicalize(sol)
+    text = cli._record(sol, "family_" + name, Fraction(a, b), as_json)
+    if as_json:
+        assert json.loads(text)["canonical"] == {
+            field: [str(v) for v in pair] for field, pair in key._asdict().items()}
+    else:
+        assert text.splitlines()[1] == "canonical: %s" % " ".join(
+            "(%s,%s)" % pair for pair in key)
+
+
 def _counted_checks(monkeypatch) -> list:
     """The tuples passed to check_solution through any module that binds it."""
     calls = []

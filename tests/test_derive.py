@@ -1,6 +1,7 @@
 """Tests for the curve-point-to-solution pipeline."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -23,8 +24,8 @@ from biquadrates.derive import (
 )
 from biquadrates.exact import DegenerateSolutionError, SolutionSix, canonicalize, check_solution
 from biquadrates.families import FAMILIES, ParamSolution, family_eq20, family_eq21
-from biquadrates.poly import IPoly, PoleError
-from mutations import psi_changed
+from biquadrates.poly import IPoly, PoleError, content
+from mutations import psi_changed, z_entry_bent
 from oracles import (
     INFINITY,
     CurvePoint,
@@ -485,6 +486,125 @@ def test_integer_clearing_matches_fraction_clearing_off_the_curve(p, q, s, a, b)
     m = Fraction(a, b)
     want = derive._clear_to_solution(*derive._solution_pairs(p, q, m, s))
     assert derive._clear_image(p, q, s, m) == want
+
+
+# -- the two-point zero test of the square identities ------------------------
+
+@st.composite
+def bounded_polys(draw):
+    """(w, R) with every |R_i| < 4^w, drawn towards the bound's edge."""
+    w = draw(st.integers(1, 40))
+    top = 4**w - 1
+    coeff = st.one_of(st.integers(-top, top),
+                      st.sampled_from((0, 1, -1, top, -top, 2**w, -(2**w))))
+    return w, IPoly(draw(st.lists(coeff, max_size=8)))
+
+
+@given(bounded_polys())
+@example((8, IPoly((4**8 - 1, 0, -1))))
+@example((8, IPoly((0, 4**8 - 1, 0, -1))))
+def test_zero_test_is_exact_within_the_bound(case):
+    w, r = case
+    assert (r.evaluate(2**w) == 0 and r.evaluate(-(2**w)) == 0) == r.is_zero
+
+
+@given(st.integers(1, 40), st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=6))
+def test_polynomials_vanishing_at_both_points_leave_the_bound(w, cs):
+    # an integer polynomial vanishing at +-2^w is S (M^2 - 4^w), and every
+    # nonzero one has a coefficient of at least 4^w
+    sq = IPoly(cs)
+    assume(not sq.is_zero)
+    r = sq * IPoly((-(4**w), 0, 1))
+    assert r.evaluate(2**w) == r.evaluate(-(2**w)) == 0
+    assert max(map(abs, r.coeffs)) >= 4**w
+
+
+@pytest.mark.parametrize("w", (1, 8, 64, 1120))
+def test_zero_test_bound_is_tight(w):
+    # 4^w - M^2 vanishes at +-2^w and its top coefficient, 4^w, has 2w + 1
+    # bits: a width w whose 2w is one bit short of that passes a nonzero R,
+    # and at w + 1 it no longer vanishes
+    r = IPoly((4**w, 0, -1))
+    assert max(map(abs, r.coeffs)) == 4**w
+    assert r.evaluate(2**w) == r.evaluate(-(2**w)) == 0
+    assert r.evaluate(2 ** (w + 1)) != 0
+
+
+def _packed_entries_and_error(p, q, s, pairs=None):
+    """The entries and width the zero test packs, and the PipelineError's text
+    (None if the family is accepted)."""
+    packs = []
+
+    def pack_spy(cs, width):
+        packs.append((tuple(cs), width))
+        return poly._pack(cs, width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(derive, "_pack", pack_spy)
+        if pairs is not None:
+            mp.setattr(derive, "_solution_pairs", pairs)
+        try:
+            derive.quartic_point_to_param_solution(p, q, s)
+            error = None
+        except PipelineError as exc:
+            error = str(exc)
+    return [IPoly(cs) for cs, _ in packs[:6]], packs[0][1] if packs else None, error
+
+
+small_entry = st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=12)
+
+
+@given(small_entry, small_entry, small_entry, st.lists(st.integers(-9, 9), max_size=5))
+@settings(max_examples=60, deadline=None)
+# the minus branch at n = 1, as it is and with z1 bent
+@example([-1, -1], [3], [4, -13, 1], [])
+@example([-1, -1], [3], [4, -13, 1], [0, 0, 1])
+# one long entry of equal coefficients of 64 bits: its square's middle
+# coefficient is about L 2^128, so the L^3 term of the width is needed
+@example([1, 1], [1], [2**64 - 1] * 12, [])
+@example([1, 1], [1], [1], [2**64 - 1] * 12)
+def test_zero_test_width_bounds_every_residual(pc, qc, sc, bend):
+    # random p, q, s (and a bent z1): the width puts every coefficient of both
+    # residuals below 4^w, and the zero test rejects exactly the nonzero ones
+    p, q = IPoly(pc), IPoly(qc)
+    assume(not p.is_zero and not q.is_zero)
+    d = gcd(content(p - q), content(2 * q)) * gcd(content(p + q), content(p))
+    pairs = derive._solution_pairs
+
+    def bent(p, q, m, v):
+        x, y, (z1, z2) = pairs(p, q, m, v)
+        return x, y, (z1 + d * IPoly(bend), z2)
+
+    entries, w, error = _packed_entries_and_error(p, q, d * IPoly(sc), bent)
+    assume(w is not None)
+    e1, e2, e3, e4, e5, e6 = entries
+    r1 = e5 * e5 - (e1 * e3) ** 2 - (e2 * e4) ** 2
+    r2 = (e1 * e4) ** 2 - e6 * e6 - IPoly.gen() * (e2 * e3) ** 2
+    assert w % 8 == 0
+    assert max(map(abs, r1.coeffs + r2.coeffs), default=0) < 4**w
+    if not r1.is_zero:
+        assert error == "the family's residual is nonzero: A != z1^2"
+    elif not r2.is_zero:
+        assert error == "the family's residual is nonzero: B != z2^2"
+    else:
+        assert error is None
+
+
+@pytest.mark.parametrize("where", ("top", "constant", "edge"))
+@pytest.mark.parametrize("k, name", ((0, "A != z1^2"), (1, "B != z2^2")))
+@pytest.mark.parametrize("sign", ("minus", "plus"))
+def test_mutated_entries_fail_the_zero_test(sign, k, name, where):
+    # one changed coefficient of E5 (k = 0) or E6 (k = 1) fails its identity;
+    # at the edge the width is the family's own
+    bent = z_entry_bent(derive._solution_pairs, k, where)
+    X = IPoly.gen()
+    for n in range(1, 7):
+        p, q, s = quartic_image(multiple_P(n, X), X, sign)
+        _, w, error = _packed_entries_and_error(p, q, s)
+        assert error is None
+        _, bent_w, error = _packed_entries_and_error(p, q, s, bent)
+        assert error == "the family's residual is nonzero: " + name
+        assert bent_w == w or where != "edge"
 
 
 def test_param_equivalent_distinguishes():

@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 from math import gcd as igcd
+from math import isqrt
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from biquadrates import poly
@@ -239,6 +240,50 @@ def test_kronecker_matches_schoolbook(a, b):
     if not any(ta) or not any(tb):
         return
     assert list(_kronecker_mul(ta, tb)) == _schoolbook(ta, tb)
+
+
+def _lengths_around_the_limit() -> list:
+    """Operand lengths whose product is one below, at and one above the
+    schoolbook limit, each pair in both orders."""
+    out = []
+    for n in (_SCHOOLBOOK_LIMIT - 1, _SCHOOLBOOK_LIMIT, _SCHOOLBOOK_LIMIT + 1):
+        d = max(k for k in range(1, isqrt(n) + 1) if n % k == 0)
+        out += [(d, n // d)] + ([(n // d, d)] if d * d != n else [])
+    return out
+
+
+@pytest.mark.parametrize("la, lb", _lengths_around_the_limit())
+@given(st.data())
+@settings(max_examples=10, deadline=None)
+def test_mul_routes_agree_around_the_limit(la, lb, data):
+    # mixed signs; Kronecker runs exactly when la * lb passes the limit
+    coeff = st.integers(-10**40, 10**40)
+    a = tuple(data.draw(st.lists(coeff, min_size=la, max_size=la)))
+    b = tuple(data.draw(st.lists(coeff, min_size=lb, max_size=lb)))
+    assume(min(a + b) < 0 < max(a + b))
+    routes = []
+
+    def kronecker_spy(x, y):
+        routes.append("kronecker")
+        return _kronecker_mul(x, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_kronecker_mul", kronecker_spy)
+        assert list(_mul_coeffs(a, b)) == _schoolbook(a, b)
+    assert routes == (["kronecker"] if la * lb > _SCHOOLBOOK_LIMIT else [])
+
+
+any_polys = st.lists(st.integers(-10**30, 10**30), max_size=45).map(IPoly)
+
+
+@given(any_polys, st.one_of(any_polys, st.integers(-5, 5)))
+@settings(deadline=None)
+def test_products_are_built_canonical(a, b):
+    # products skip the constructor's checks, so they must already pass them
+    for prod in (a * b, b * a):
+        assert IPoly(prod.coeffs).coeffs == prod.coeffs
+        assert type(prod.coeffs) is tuple
+        assert all(type(c) is int for c in prod.coeffs)
 
 
 @st.composite
