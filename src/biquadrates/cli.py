@@ -32,7 +32,6 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
 
 from biquadrates.curve import DegenerateCurveError, multiple_P
 from biquadrates.derive import (
@@ -91,19 +90,21 @@ def _record(sol: SolutionSix, source: str, parameter=None, as_json=False) -> str
     param = None if parameter is None else str(parameter)
     with _int_text():
         texts = [str(v) for v in sol]
-        if gcd(sol.x1, sol.x2) == gcd(sol.y1, sol.y2) == 1:  # key entries are |sol|'s
-            known = {abs(v): t.lstrip("-") for v, t in zip(sol, texts)}
-            key = key._make((known[a.numerator], known[b.numerator]) for a, b in key)
+        # equal integers print the same: an integral key entry that is an
+        # entry of |sol| reuses that entry's text
+        known = {abs(v): t.lstrip("-") for v, t in zip(sol, texts)}
+        key_texts = [v.denominator == 1 and known.get(v.numerator) or str(v)
+                     for pair in key for v in pair]
         if as_json:
             return json.dumps({
                 "solution": texts,
-                "canonical": {name: [str(v) for v in pair]
-                              for name, pair in key._asdict().items()},
+                "canonical": dict(zip(key._fields,
+                                      (key_texts[:2], key_texts[2:4], key_texts[4:]))),
                 "source": source,
                 "parameter": param,
             })
         lines = ["solution: %s" % " ".join(texts),
-                 "canonical: %s" % " ".join("(%s,%s)" % pair for pair in key),
+                 "canonical: (%s,%s) (%s,%s) (%s,%s)" % tuple(key_texts),
                  "source: %s" % source]
         if param is not None:
             lines.append("parameter: %s" % param)

@@ -3,9 +3,10 @@
 Enumerates coprime pairs x1 < x2 <= bx and y1 < y2 <= by and collects the set
 of products (x1^4+x2^4)(y1^4+y2^4) with (y1, y2) >= (x1, x2).  One sweep over
 z1 <= z2 then tests each z1^4 + z2^4 up to the largest product for
-membership in that set, and every hit is confirmed and decomposed by
-``decompose_fourth``.  The rows of a hit n are the x-pairs whose sum divides
-n, each with the y-pairs whose sum is the quotient.
+membership in that set, at one C-level add and one set lookup per probed
+pair, and every hit is confirmed and decomposed by ``decompose_fourth``.
+The rows of a hit n are the x-pairs whose sum divides n, each with the
+y-pairs whose sum is the quotient.
 
 Residue laws prune both sides exactly.  n^4 is 0 or 1 mod 16 and mod 5, so
 z1^4 + z2^4 is 0, 1 or 2 mod 16 and mod 5.  The sum of a coprime pair is 1
@@ -32,7 +33,9 @@ of its two pair sums.  The command line checks each row it prints.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import repeat
 from math import gcd
+from operator import add, mul
 
 from biquadrates.exact import (
     SolutionSix,
@@ -50,14 +53,9 @@ def decompose_fourth(N: int) -> list:
     """All (z1, z2) with 0 <= z1 <= z2 and z1^4 + z2^4 = N, ascending in z1."""
     if not isinstance(N, int) or N < 1:
         raise ValueError("N must be a positive integer")
-    out = []
-    z1 = 0
-    while 2 * z1**4 <= N:
-        z2 = is_fourth_power(N - z1**4)
-        if z2 is not None:
-            out.append((z1, z2))
-        z1 += 1
-    return out
+    # 2 * z1^4 <= N exactly when z1^4 <= N >> 1
+    return [(z1, z2) for z1 in range(integer_fourth_root_floor(N >> 1) + 1)
+            if (z2 := is_fourth_power(N - z1**4)) is not None]
 
 
 def fourth_power_sums(targets, coprime_to: int = 1) -> set:
@@ -87,7 +85,7 @@ def fourth_power_sums(targets, coprime_to: int = 1) -> set:
         # g divides z1, so z1 + r is the first z2 >= z1 that is r mod g
         for r in units[g]:
             hits.update(targets.intersection(
-                map(a.__add__, powers[z1 + r:top:g])))
+                map(add, powers[z1 + r:top:g], repeat(a))))
     return hits
 
 
@@ -129,7 +127,7 @@ def search(bx: int, by: int) -> list:
     for x1, x2, sx in xpairs:
         ys, sums = ylists[_pair_class(x1, x2, sx)]
         # a triple (y1, y2, sy) sorts at or after (x1, x2) iff (y1, y2) does
-        products.update(map(sx.__mul__, sums[bisect_left(ys, (x1, x2)):]))
+        products.update(map(mul, sums[bisect_left(ys, (x1, x2)):], repeat(sx)))
     # Sums of two fourth powers are not unique (59^4 + 158^4 = 133^4 + 134^4),
     # and neither are pair products, so every hit lists all its z-pairs.
     hits = {n: decompose_fourth(n)

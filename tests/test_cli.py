@@ -8,6 +8,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -305,8 +306,8 @@ def test_curve_m_text_is_the_fraction_route_text(n, a, b, sign, as_json):
 @example("eq20", 2, 1, 1, 1, [True, False, False, True, True, False], False)
 @example("eq20", 2, 1, 2, 3, [False] * 6, True)
 def test_record_prints_the_canonical_key(name, a, b, k1, k2, flips, as_json):
-    # the key text reuses the tuple's text when both pair gcds are 1 (k1 = k2
-    # = 1 on a primitive value) and formats the key otherwise: the same bytes
+    # an integral key entry reuses the text of the tuple's entry it equals,
+    # and any other entry is formatted: the same bytes as the key's own text
     try:
         sol = derive.evaluate_param(FAMILIES[name](), Fraction(a, b))
     except exact.DegenerateSolutionError:
@@ -321,6 +322,64 @@ def test_record_prints_the_canonical_key(name, a, b, k1, k2, flips, as_json):
     else:
         assert text.splitlines()[1] == "canonical: %s" % " ".join(
             "(%s,%s)" % pair for pair in key)
+
+
+def old_record(sol, source, parameter=None, as_json=False) -> str:
+    """_record's text by the earlier rule: the key takes the tuple's texts
+    only when both pair gcds are 1, and is formatted otherwise."""
+    key = exact.canonicalize(sol, check=False)
+    param = None if parameter is None else str(parameter)
+    texts = [str(v) for v in sol]
+    if gcd(sol.x1, sol.x2) == gcd(sol.y1, sol.y2) == 1:
+        known = {abs(v): t.lstrip("-") for v, t in zip(sol, texts)}
+        key = key._make((known[a.numerator], known[b.numerator]) for a, b in key)
+    if as_json:
+        return json.dumps({
+            "solution": texts,
+            "canonical": {name: [str(v) for v in pair] for name, pair in key._asdict().items()},
+            "source": source,
+            "parameter": param,
+        })
+    lines = ["solution: %s" % " ".join(texts),
+             "canonical: %s" % " ".join("(%s,%s)" % pair for pair in key),
+             "source: %s" % source]
+    if param is not None:
+        lines.append("parameter: %s" % param)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("sol, parameter", [
+    (exact.SolutionSix(1, 2, 5, 6, 8, 13), None),
+    (exact.SolutionSix(-5, 6, 1, -2, 13, -8), None),
+    # pair gcds 6 and 35, with the key's z-pair (8, 13) among no entry
+    (exact.SolutionSix(-6, 12, 175, 210, -1680, 2730), None),
+    # gcd 3 on the x-pair only: the key's y-pair is the tuple's own
+    (exact.scale_solution(pell.pell_to_solution(pell.pell3_nth(40)), 3, -1), 40),
+    (derive.evaluate_param(FAMILIES["eq21"](), Fraction(-6, 7)), Fraction(-6, 7)),
+])
+def test_record_text_is_the_old_rule_text(sol, parameter, as_json):
+    assert cli._record(sol, "pell", parameter, as_json) == old_record(
+        sol, "pell", parameter, as_json)
+
+
+nonzero_pair = st.tuples(st.integers(-60, 60), st.integers(-60, 60)).filter(any)
+
+
+@given(nonzero_pair, nonzero_pair, st.integers(-10**40, 10**40), st.integers(-99, 99),
+       st.integers(1, 12), st.integers(1, 12), st.booleans())
+@example((1, 2), (5, 6), 8, 13, 2, 1, False)     # z-pair key (4, 13/2)
+@example((-3, 3), (0, 2), 9, -1, 1, 3, True)      # key (0, 1), (1, 1), (1/18, 1/2)
+@settings(max_examples=150)
+def test_record_key_text_on_any_tuple(x, y, z1, z2, k1, k2, as_json):
+    # _record proves what it prints; the key's text does not depend on the
+    # tuple being a solution, so this lets random tuples through, with
+    # fractional z keys whenever k1 * k2 does not divide the z-pair
+    sol = exact.SolutionSix(k1 * x[0], k1 * x[1], k2 * y[0], k2 * y[1], z1, z2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_proved", lambda s: s)
+        text = cli._record(sol, "search", None, as_json)
+    assert text == old_record(sol, "search", None, as_json)
 
 
 def _counted_checks(monkeypatch) -> list:

@@ -34,9 +34,8 @@ def test_decompose_validation():
         decompose_fourth(-5)
 
 
-@settings(max_examples=200)
-@given(st.integers(min_value=1, max_value=200000))
-def test_decompose_matches_naive_loop(n):
+def naive_decompose(n):
+    """The z-pairs of n found by stepping z2 up from each z1."""
     naive = []
     z1 = 0
     while z1**4 * 2 <= n:
@@ -46,7 +45,21 @@ def test_decompose_matches_naive_loop(n):
         if z1**4 + z2**4 == n:
             naive.append((z1, z2))
         z1 += 1
-    assert decompose_fourth(n) == naive
+    return naive
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=1, max_value=200000))
+def test_decompose_matches_naive_loop(n):
+    assert decompose_fourth(n) == naive_decompose(n)
+
+
+def test_decompose_at_the_bound_edges():
+    # the last z1 is floor((N >> 1)^(1/4)): N = 2 z^4 takes z1 = z2 = z,
+    # and N = 2 z^4 - 1 stops one short of it
+    edges = [n for z in range(1, 61) for n in (z**4, 2 * z**4 - 1, 2 * z**4, 2 * z**4 + 1)]
+    for n in edges + [635318657]:
+        assert decompose_fourth(n) == naive_decompose(n), n
 
 
 def test_fourth_power_sums_agrees_with_decompose():
@@ -75,6 +88,22 @@ def test_fourth_power_sums_skip_precondition():
     # 2592 = 6^4 + 6^4 is divisible by 2^4 and 3^4: skipping either gcd loses it
     assert fourth_power_sums({2592}) == {2592}
     assert fourth_power_sums({2592}, 2) == fourth_power_sums({2592}, 3) == set()
+
+
+near_sums = st.builds(lambda z1, z2, d: z1**4 + z2**4 + d, st.integers(0, 99),
+                      st.integers(0, 99), st.integers(-2, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(near_sums, st.integers(1, 10**8 - 1)), max_size=40))
+def test_fourth_power_sums_is_decompose_on_random_targets(targets):
+    targets = {n for n in targets if 0 < n < 10**8}
+    for coprime_to in (1, 2, 3, 5, 6, 10, 15, 30):
+        # the precondition of the skip: no target divisible by p^4, p | coprime_to
+        kept = {n for n in targets
+                if all(n % p**4 for p in (2, 3, 5) if coprime_to % p == 0)}
+        assert fourth_power_sums(kept, coprime_to) == {
+            n for n in kept if decompose_fourth(n)}
 
 
 def test_pruned_sweep_equals_plain_sweep(monkeypatch):
