@@ -13,8 +13,9 @@ to stdout, diagnostics to stderr.
 The commands only call the library and print; ``curve --m`` maps nP over Z
 as ``--symbolic`` does over Z[M] (``derive.quartic_image``), and ``--sign``
 resolves through ``derive._resolve_sign``, where ``auto`` is ``minus``.
-Every emitted solution is checked once, by ``_proved``, and turned into text
-by ``_record``; ``selftest`` runs ``identity.ALL_VERIFIERS`` in order.
+Every emitted solution is turned into text by ``_record`` and then checked
+once, by ``_proved``, so a tuple past the digit limit is refused unproved;
+``selftest`` runs ``identity.ALL_VERIFIERS`` in order.
 
 ``main`` builds its parser on its first call and reuses it: parsing leaves
 a parser as it was, and building one costs about a millisecond, most of a
@@ -30,7 +31,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 
 from biquadrates.curve import DegenerateCurveError, multiple_P
@@ -63,17 +63,19 @@ class DigitLimitError(ValueError):
     """An exact result has more digits than Python turns into text."""
 
 
-@contextmanager
-def _int_text():
+class _int_text:
     """Report Python's int-to-text digit limit as a DigitLimitError.
 
     Wraps only statements that turn exact values into text, whose one
     ValueError is that limit; the message keeps Python's wording.
     """
-    try:
-        yield
-    except ValueError as exc:
-        raise DigitLimitError(str(exc)) from None
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        if kind is not None and issubclass(kind, ValueError):
+            raise DigitLimitError(str(exc)) from None
 
 
 def _proved(sol: SolutionSix) -> SolutionSix:
@@ -86,29 +88,31 @@ def _proved(sol: SolutionSix) -> SolutionSix:
 def _record(sol: SolutionSix, source: str, parameter=None, as_json=False) -> str:
     """The text of one emitted solution: the tuple, its canonical key and
     its provenance, as labelled lines or as one JSON object."""
+    # a tuple past the digit limit is refused before it is proved
+    with _int_text():
+        texts = [str(v) for v in sol]
     key = canonicalize(_proved(sol), check=False)
     param = None if parameter is None else str(parameter)
     with _int_text():
-        texts = [str(v) for v in sol]
         # equal integers print the same: an integral key entry that is an
         # entry of |sol| reuses that entry's text
         known = {abs(v): t.lstrip("-") for v, t in zip(sol, texts)}
         key_texts = [v.denominator == 1 and known.get(v.numerator) or str(v)
                      for pair in key for v in pair]
-        if as_json:
-            return json.dumps({
-                "solution": texts,
-                "canonical": dict(zip(key._fields,
-                                      (key_texts[:2], key_texts[2:4], key_texts[4:]))),
-                "source": source,
-                "parameter": param,
-            })
-        lines = ["solution: %s" % " ".join(texts),
-                 "canonical: (%s,%s) (%s,%s) (%s,%s)" % tuple(key_texts),
-                 "source: %s" % source]
-        if param is not None:
-            lines.append("parameter: %s" % param)
-        return "\n".join(lines)
+    if as_json:
+        return json.dumps({
+            "solution": texts,
+            "canonical": dict(zip(key._fields,
+                                  (key_texts[:2], key_texts[2:4], key_texts[4:]))),
+            "source": source,
+            "parameter": param,
+        })
+    lines = ["solution: %s" % " ".join(texts),
+             "canonical: (%s,%s) (%s,%s) (%s,%s)" % tuple(key_texts),
+             "source: %s" % source]
+    if param is not None:
+        lines.append("parameter: %s" % param)
+    return "\n".join(lines)
 
 
 def _positive_int(text: str) -> int:

@@ -34,13 +34,10 @@ from biquadrates.curve import PipelineError, _exact, multiple_P
 from biquadrates.exact import (
     DegenerateSolutionError,
     SolutionSix,
-    canonicalize,
     check_solution,
 )
 from biquadrates.families import ParamSolution
 from biquadrates.poly import IPoly, PoleError, _pack, _positive, _spread, content
-
-SAMPLES = (1, 2, 3, Fraction(1, 2), 5)
 
 
 def quartic_rhs(u, M, q=1):
@@ -258,22 +255,3 @@ def evaluate_param(ps: ParamSolution, m0, check: bool = True) -> SolutionSix:
     if check and not check_solution(sol):
         raise PipelineError("cleared values fail the equation")
     return sol
-
-
-def param_equivalent(a: ParamSolution, b: ParamSolution) -> bool:
-    """Whether two families give the same solution up to scaling and signs.
-
-    Compares canonical keys at each sample parameter, skipping values where
-    either family degenerates; at least one comparison must succeed.
-    """
-    compared = 0
-    for m0 in SAMPLES:
-        try:
-            ka = canonicalize(evaluate_param(a, m0))
-            kb = canonicalize(evaluate_param(b, m0))
-        except DegenerateSolutionError:
-            continue
-        if ka != kb:
-            return False
-        compared += 1
-    return compared > 0

@@ -11,6 +11,10 @@ y-pair may be exchanged wholesale.  ``canonicalize`` quotients out the
 whole symmetry group; two solutions are equivalent exactly when their
 canonical keys agree.
 
+``check_solution`` proves a tuple through Brahmagupta's split of the left
+side into two squares: at half the width of z^4 when one square is a z^2,
+as on every family's tuples (four routes), by the full residual otherwise.
+
 Everything here is exact: plain ``int`` plus ``fractions.Fraction``.
 """
 
@@ -50,9 +54,26 @@ class CanonicalKey(NamedTuple):
 
 
 def check_solution(s: SolutionSix) -> bool:
-    """True if s satisfies (x1^4+x2^4)(y1^4+y2^4) = z1^4+z2^4 exactly."""
+    """True if s satisfies (x1^4+x2^4)(y1^4+y2^4) = z1^4+z2^4 exactly.
+
+    Brahmagupta's split: with a, b, c, d = x1y1, x2y2, x1y2, x2y1 the left
+    side is P^2 + Q^2 for (P, Q) = (a^2 + b^2, c^2 - d^2) and for
+    (c^2 + d^2, a^2 - b^2).  Where a P equals z1^2 or z2^2 (four routes),
+    the test is |Q| = the other z^2, on numbers half as wide as z^4; every
+    family takes one.  Otherwise (P - z1^2)(P + z1^2) = (z2^2 - Q)(z2^2 + Q)
+    decides it in full.
+    """
     x1, x2, y1, y2, z1, z2 = s
-    return (x1**4 + x2**4) * (y1**4 + y2**4) == z1**4 + z2**4
+    a, b, c, d = x1 * y1, x2 * y2, x1 * y2, x2 * y1
+    u, v = z1 * z1, z2 * z2
+    p = a * a + b * b
+    if p == u or p == v:
+        return abs((c - d) * (c + d)) == (v if p == u else u)
+    p2 = c * c + d * d
+    if p2 == u or p2 == v:
+        return abs((a - b) * (a + b)) == (v if p2 == u else u)
+    q = (c - d) * (c + d)
+    return (p - u) * (p + u) == (v - q) * (v + q)
 
 
 def scale_solution(s: SolutionSix, k1: int, k2: int) -> SolutionSix:

@@ -264,6 +264,9 @@ def _unpack(v: int, width: int, n: int) -> list:
 def _kronecker_mul(a: tuple, b: tuple) -> tuple:
     amax = max(map(abs, a))
     bmax = amax if a is b else max(map(abs, b))
+    if not (amax and bmax):
+        # an all-zero operand: the width below would not hold the other one
+        return (0,) * (len(a) + len(b) - 1)
     bound = amax * bmax * min(len(a), len(b))
     # a whole number of bytes with room for the sign
     width = (bound.bit_length() + 9) & -8

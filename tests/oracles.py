@@ -22,9 +22,12 @@ resolved "auto" (``sampled_sign``), as the reference for the lower-degree
 branch that resolves it now.
 
 The rest are the slow, obvious forms of the library's integer shortcuts:
-the Pell ladder one step at a time (``pell3_ladder``), Horner's rule in
-Fraction arithmetic (``fraction_horner``), and the text ``curve --m`` printed
-when it built every value as a reduced Fraction (``curve_m_text``).
+the equation as written, four fourth powers and a product (``plain_equation``,
+for ``exact.check_solution``'s Brahmagupta split), the Pell ladder one step at
+a time (``pell3_ladder``), Horner's rule in Fraction arithmetic
+(``fraction_horner``), and the text ``curve --m`` printed when it built every
+value as a reduced Fraction (``curve_m_text``).  ``param_equivalent`` compares
+two families by their canonical keys at the ``SAMPLES`` parameters.
 """
 
 from dataclasses import dataclass
@@ -434,6 +437,34 @@ def sampled_sign(n: int) -> str:
         if len(keys) == 2:
             return "minus" if keys["minus"] <= keys["plus"] else "plus"
     raise derive.PipelineError("no branch of nP gives a usable solution")
+
+
+def plain_equation(s) -> bool:
+    """(x1^4 + x2^4)(y1^4 + y2^4) == z1^4 + z2^4, expanded as written."""
+    x1, x2, y1, y2, z1, z2 = s
+    return (x1**4 + x2**4) * (y1**4 + y2**4) == z1**4 + z2**4
+
+
+SAMPLES = (1, 2, 3, Fraction(1, 2), 5)
+
+
+def param_equivalent(a, b) -> bool:
+    """Whether two families give the same solution up to scaling and signs.
+
+    Compares canonical keys at each sample parameter, skipping values where
+    either family degenerates; at least one comparison must succeed.
+    """
+    compared = 0
+    for m0 in SAMPLES:
+        try:
+            ka = canonicalize(derive.evaluate_param(a, m0))
+            kb = canonicalize(derive.evaluate_param(b, m0))
+        except DegenerateSolutionError:
+            continue
+        if ka != kb:
+            return False
+        compared += 1
+    return compared > 0
 
 
 def pell3_ladder(k: int) -> PellSolution:

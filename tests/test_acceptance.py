@@ -14,7 +14,7 @@ import pytest
 from biquadrates import derive, search as search_module
 from biquadrates.cli import main as cli_main
 from biquadrates.curve import _extra_triple, _P_triple, multiple_P, on_curve
-from biquadrates.derive import param_equivalent, solution_from_nP
+from biquadrates.derive import solution_from_nP
 from biquadrates.exact import SolutionSix, canonicalize, check_solution
 from biquadrates.families import FAMILIES
 from biquadrates.identity import (
@@ -42,6 +42,7 @@ from mutations import (
     substitution_3m2p2q2,
     v_denominator_16,
 )
+from oracles import param_equivalent
 
 
 def _report(num: int, label: str, ok: bool):

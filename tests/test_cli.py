@@ -600,6 +600,26 @@ def test_digit_limit_is_a_domain_failure(capsys, argv):
     assert "for integer string conversion" in err
 
 
+def test_a_record_past_the_digit_limit_is_refused_unproved(capsys, monkeypatch):
+    # the record's text comes first, so its refusal costs no check and no
+    # canonical key; the spies only count, since str() of the tuple would
+    # itself hit the limit
+    check, key = exact.check_solution, exact.canonicalize
+    calls = []
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("biquadrates"):
+            if getattr(mod, "check_solution", None) is check:
+                monkeypatch.setattr(mod, "check_solution",
+                                    lambda s: calls.append("check") or check(s))
+            if getattr(mod, "canonicalize", None) is key:
+                monkeypatch.setattr(mod, "canonicalize",
+                                    lambda s, check=True: calls.append("key") or key(s, check))
+    code, out, err = run(capsys, "pell", "--k", "2463")
+    assert (code, out, calls) == (1, "", [])
+    assert err.startswith("pell: ") and err.count("\n") == 1
+    assert "integer string conversion" in err
+
+
 def test_broken_pipe_exits_clean():
     # 109 KB of output outgrows the pipe buffer and the reader's one read, so
     # a write inside main fails once the reader has closed the pipe

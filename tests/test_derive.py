@@ -15,7 +15,6 @@ from biquadrates.curve import multiple_P
 from biquadrates.derive import (
     PipelineError,
     evaluate_param,
-    param_equivalent,
     quartic_image,
     quartic_point_to_param_solution,
     quartic_rhs,
@@ -30,6 +29,7 @@ from oracles import (
     INFINITY,
     CurvePoint,
     QuarticPoint,
+    SAMPLES,
     RatFn,
     add,
     curve_from_parameter,
@@ -38,6 +38,7 @@ from oracles import (
     point_P,
     fraction_horner,
     numeric_solution_from_nP,
+    param_equivalent,
     sampled_sign,
     signed_multiple,
     solution_from_quartic_point,
@@ -106,7 +107,7 @@ def _check_against_paper(M, n_max):
             assert (qp.u, qp.v) == _paper_image(qp.M, pt), (n, pt)
 
 
-@pytest.mark.parametrize("m0", derive.SAMPLES)
+@pytest.mark.parametrize("m0", SAMPLES)
 def test_v_map_matches_paper_formula(m0):
     # to_quartic takes V from the inverse map; on the curve it must agree
     # with the paper's quotient at +-nP

@@ -1,11 +1,14 @@
 """Tests for the integer/rational layer."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from biquadrates.curve import multiple_P
+from biquadrates.derive import _clear_image, quartic_image
 from biquadrates.exact import (
     CanonicalKey,
     DegenerateSolutionError,
@@ -16,7 +19,9 @@ from biquadrates.exact import (
     is_fourth_power,
     scale_solution,
 )
+from biquadrates.pell import pell3_nth, pell_to_solution
 from known_solutions import SMALL_SOLUTIONS
+from oracles import plain_equation
 
 
 def test_known_solutions_check():
@@ -28,6 +33,74 @@ def test_check_solution_rejects_near_miss():
     assert not check_solution(SolutionSix(1, 2, 5, 6, 8, 14))
     assert not check_solution(SolutionSix(1, 2, 5, 6, 9, 13))
     assert not check_solution(SolutionSix(1, 1, 1, 1, 1, 1))
+
+
+def _oriented(s, swap_x, swap_y, swap_z, exchange):
+    x1, x2, y1, y2, z1, z2 = s
+    if swap_x:
+        x1, x2 = x2, x1
+    if swap_y:
+        y1, y2 = y2, y1
+    if swap_z:
+        z1, z2 = z2, z1
+    if exchange:
+        x1, x2, y1, y2 = y1, y2, x1, x2
+    return SolutionSix(x1, x2, y1, y2, z1, z2)
+
+
+def _near(s, entry, delta):
+    """s with delta added to one entry (entry 6 leaves s as it is)."""
+    return s if entry == 6 else s._replace(**{s._fields[entry]: s[entry] + delta})
+
+
+@given(st.tuples(*[st.integers(-40, 40)] * 6))
+@example((0, 0, 0, 0, 0, 0))
+@example((0, 3, -2, 0, 0, 6))
+@example((-1, 2, 5, -6, -8, 13))
+@settings(max_examples=300)
+def test_check_solution_matches_the_plain_equation_on_small_tuples(t):
+    assert check_solution(SolutionSix(*t)) == plain_equation(t)
+
+
+def test_check_solution_matches_the_plain_equation_around_known_solutions():
+    # each orientation sends Brahmagupta's split down a different route
+    # (a P equal to z1^2 or z2^2, with Q of either sign, or the full
+    # residual), and every entry is pushed one either way off the solution
+    for s in SMALL_SOLUTIONS:
+        for flags in product((False, True), repeat=4):
+            base = _oriented(s, *flags)
+            assert check_solution(base)
+            for entry, delta in product(range(6), (-1, 1)):
+                near = _near(base, entry, delta)
+                assert check_solution(near) == plain_equation(near)
+
+
+def _curve_solution(n, m, sign):
+    """The tuple ``curve --n n --m m --sign sign`` emits, built as it builds it."""
+    M = m**4
+    return _clear_image(*quartic_image(multiple_P(n, M.numerator, M.denominator),
+                                       M, sign), m)
+
+
+big_solutions = st.one_of(
+    st.builds(_curve_solution, st.integers(18, 24),
+              st.builds(Fraction, st.integers(-13, 13).filter(bool), st.integers(1, 13)),
+              st.sampled_from(("plus", "minus"))),
+    st.builds(lambda k: pell_to_solution(pell3_nth(k)), st.integers(1, 1800)))
+
+
+@given(big_solutions, st.tuples(*[st.booleans()] * 4),
+       st.tuples(*[st.sampled_from((-1, 1))] * 6), st.integers(0, 6),
+       st.sampled_from((-1, 1)))
+@settings(max_examples=100, deadline=None)
+def test_check_solution_matches_the_plain_equation_on_big_tuples(s, flags, signs,
+                                                                 entry, delta):
+    # curve --m tuples run to 27 000 bits and take the route P = z1^2, pell's
+    # P = z2^2 with Q = -z1^2; orientations and one-off entries leave them
+    t = SolutionSix(*(e * v for e, v in zip(signs, _oriented(s, *flags))))
+    assert plain_equation(t)
+    t = _near(t, entry, delta)
+    assert check_solution(t) == plain_equation(t)
 
 
 def test_trivial_zero_solution():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biquadrates.derive import _clear_to_solution, evaluate_param, param_equivalent
+from biquadrates.derive import _clear_to_solution, evaluate_param
 from biquadrates.exact import SolutionSix, canonicalize, check_solution
 from biquadrates.families import family_eq26
 from biquadrates.pell import PellSolution, pell3_nth, pell_shapes, pell_to_solution
