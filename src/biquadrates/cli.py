@@ -32,6 +32,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 
 from biquadrates.curve import DegenerateCurveError, multiple_P
 from biquadrates.derive import (
@@ -187,6 +188,18 @@ def cmd_family(ns) -> int:
     return _emit_family_value(ps, ns.param, "family_" + ns.name, ns.json)
 
 
+def _ratio_text(num: int, z: int, k: int) -> str:
+    """str(Fraction(num, z^k)), z != 0, reduced at z's width: with g = gcd(num, z),
+    gcd(num, z^k) = g gcd(num/g, g^(k-1)), as a prime in num a times and in z
+    b times is in both min(a, kb) times (if a < b, num/g holds it no more)."""
+    g = gcd(num, z)
+    g *= gcd(num // g, g ** (k - 1))
+    num, den = num // g, z**k // g
+    if den < 0:
+        num, den = -num, -den
+    return str(num) if den == 1 else "%s/%s" % (num, den)
+
+
 def cmd_curve(ns) -> int:
     sign = _resolve_sign(ns.sign)
     if ns.symbolic:
@@ -197,8 +210,8 @@ def cmd_curve(ns) -> int:
     x, y, z, *_ = nP = multiple_P(ns.n, M.numerator, M.denominator)
     with _int_text():
         # a point past the digit limit fails here, before the map runs
-        wx, wy = str(Fraction(x, z * z)), str(Fraction(y, z**3))
-    # -nP's y is nP's with the sign flipped (Fraction prints 0 unsigned)
+        wx, wy = _ratio_text(x, z, 2), _ratio_text(y, z, 3)
+    # -nP's y is nP's with the sign flipped (0 prints unsigned)
     cy = wy if sign == "plus" or wy == "0" else wy[1:] if wy[0] == "-" else "-" + wy
     # the map's identity proves the point before any of it is printed
     p, q, s = quartic_image(nP, M, sign)

@@ -163,16 +163,18 @@ def quartic_point_to_param_solution(p: IPoly, q: IPoly, s: IPoly) -> ParamSoluti
                            for e, r in zip(entries, (0, 1, 1, 0, 1, 0))))
 
 
-def _clear_to_solution(xpair, ypair, zpair) -> SolutionSix:
-    """Scale rational pairs to integers by the scaling action, unchecked."""
-    if all(v == 0 for v in xpair) or all(v == 0 for v in ypair):
+def _clear_to_solution(hs, bs) -> SolutionSix:
+    """Scale the six values h/b (the pairs in order, b > 0) to integers by the
+    scaling action, unchecked, with the factors reduced Fractions would take:
+    k1, k2 the lcms of the x- and y-pair's reduced denominators d = b/gcd(h, b),
+    then k1 times that of the z-pair's after scaling by k1 k2, d/gcd(k1 k2, d)."""
+    if not (hs[0] or hs[1]) or not (hs[2] or hs[3]):
         raise DegenerateSolutionError("pair evaluated to (0, 0)")
-    k1 = lcm(*(v.denominator for v in xpair))
-    k2 = lcm(*(v.denominator for v in ypair))
-    k1 *= lcm(*((v * k1 * k2).denominator for v in zpair))
-    vals = [int(v * k1) for v in xpair] + [int(v * k2) for v in ypair]
-    vals += [int(v * k1 * k2) for v in zpair]
-    return SolutionSix(*vals)
+    d1, d2, d3, d4, d5, d6 = (b // gcd(h, b) for h, b in zip(hs, bs))
+    k1, k2 = lcm(d1, d2), lcm(d3, d4)
+    k1 *= lcm(d5 // gcd(k1 * k2, d5), d6 // gcd(k1 * k2, d6))
+    fs = (k1, k1, k2, k2, k1 * k2, k1 * k2)
+    return SolutionSix(*(h * f // b for h, b, f in zip(hs, bs, fs)))
 
 
 def _clear_image(p: int, q: int, s: int, m) -> SolutionSix:
@@ -248,10 +250,10 @@ def solution_from_nP(n: int, sign: str = "auto") -> ParamSolution:
 def evaluate_param(ps: ParamSolution, m0, check: bool = True) -> SolutionSix:
     """Evaluate a family at a rational parameter and clear to integers,
     checked against the equation unless ``check`` is false (the CLI checks
-    what it prints)."""
+    what it prints); at m0 = a/b, b^d P(a/b) over b^d is cleared in integers."""
     m0 = Fraction(m0)
-    vals = [p.evaluate(m0) for p in ps.polys()]
-    sol = _clear_to_solution(vals[0:2], vals[2:4], vals[4:6])
+    a, b = m0.numerator, m0.denominator
+    sol = _clear_to_solution(*zip(*(p.homogenized(a, b) for p in ps.polys())))
     if check and not check_solution(sol):
         raise PipelineError("cleared values fail the equation")
     return sol

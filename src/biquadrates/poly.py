@@ -155,14 +155,17 @@ class IPoly:
             raise ExactDivisionError("nonzero remainder")
         return IPoly(q)
 
-    def evaluate(self, x):
-        """The value at an int or Fraction x = a/b: b^d P(a/b) by Horner's
-        rule over the integers, over b^d (an int if b = 1 or d < 1)."""
-        a, b = x.numerator, x.denominator
+    def homogenized(self, a: int, b: int) -> tuple:
+        """(b^d P(a/b), b^d), d the degree (0 for zero), by Horner's rule over Z."""
         acc, bj = 0, 1
         for c in reversed(self.coeffs):
             acc, bj = acc * a + c * bj, bj * b
-        return acc if bj <= b else Fraction(acc, bj // b)
+        return acc, bj // b or 1
+
+    def evaluate(self, x):
+        """The value at an int or Fraction x = a/b, ``homogenized`` reduced once."""
+        h, bd = self.homogenized(x.numerator, x.denominator)
+        return h if bd == 1 else Fraction(h, bd)
 
     def __eq__(self, other):
         o = self._coerce(other)

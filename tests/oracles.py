@@ -25,14 +25,16 @@ The rest are the slow, obvious forms of the library's integer shortcuts:
 the equation as written, four fourth powers and a product (``plain_equation``,
 for ``exact.check_solution``'s Brahmagupta split), the Pell ladder one step at
 a time (``pell3_ladder``), Horner's rule in Fraction arithmetic
-(``fraction_horner``), and the text ``curve --m`` printed when it built every
-value as a reduced Fraction (``curve_m_text``).  ``param_equivalent`` compares
-two families by their canonical keys at the ``SAMPLES`` parameters.
+(``fraction_horner``), a family's value cleared from reduced Fractions
+(``clear_fractions``, ``fraction_evaluate_param``), and the text
+``curve --m`` printed when it built every value as a reduced Fraction
+(``curve_m_text``).  ``param_equivalent`` compares two families by their
+canonical keys at the ``SAMPLES`` parameters.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Union
 
 from biquadrates import derive, poly
@@ -385,7 +387,7 @@ def solution_from_quartic_point(qp: QuarticPoint, m) -> SolutionSix:
         raise ValueError("m^4 differs from the quartic point's M")
     u, v = Fraction(qp.u), Fraction(qp.v)
     p, q = Fraction(u.numerator), Fraction(u.denominator)
-    return derive._clear_to_solution(*derive._solution_pairs(p, q, m, q * q * v))
+    return clear_fractions(*derive._solution_pairs(p, q, m, q * q * v))
 
 
 def signed_multiple(n: int, M, sign: str = "auto") -> tuple:
@@ -429,7 +431,7 @@ def sampled_sign(n: int) -> str:
             try:
                 p, q, s = derive.quartic_image(nP, m0**4, sign)
                 pairs = derive._solution_pairs(p, q, m0, s)
-                keys[sign] = canonicalize(derive._clear_to_solution(*pairs))
+                keys[sign] = canonicalize(clear_fractions(*pairs))
             except (DegenerateSolutionError, PoleError, derive.PipelineError):
                 continue
         if len(keys) == 1:
@@ -475,6 +477,28 @@ def pell3_ladder(k: int) -> PellSolution:
     return PellSolution(u, v)
 
 
+def clear_fractions(xpair, ypair, zpair) -> SolutionSix:
+    """Scale rational pairs to integers by the scaling action, one reduced
+    Fraction at a time: what ``derive._clear_to_solution`` does in integers."""
+    if all(v == 0 for v in xpair) or all(v == 0 for v in ypair):
+        raise DegenerateSolutionError("pair evaluated to (0, 0)")
+    k1 = lcm(*(v.denominator for v in xpair))
+    k2 = lcm(*(v.denominator for v in ypair))
+    k1 *= lcm(*((v * k1 * k2).denominator for v in zpair))
+    vals = [int(v * k1) for v in xpair] + [int(v * k2) for v in ypair]
+    vals += [int(v * k1 * k2) for v in zpair]
+    return SolutionSix(*vals)
+
+
+def fraction_evaluate_param(ps, m0) -> SolutionSix:
+    """``derive.evaluate_param(ps, m0, check=False)`` by the Fraction route:
+    each entry's value as a reduced Fraction (``IPoly.evaluate``), cleared by
+    ``clear_fractions``."""
+    m0 = Fraction(m0)
+    vals = [p.evaluate(m0) for p in ps.polys()]
+    return clear_fractions(vals[0:2], vals[2:4], vals[4:6])
+
+
 def fraction_horner(coeffs, x) -> Fraction:
     """P(x) for P's coefficients, lowest first, by Horner's rule over Q."""
     acc = Fraction(0)
@@ -485,7 +509,7 @@ def fraction_horner(coeffs, x) -> Fraction:
 
 def curve_m_text(n: int, m: Fraction, sign: str, as_json: bool = False) -> str:
     """What ``curve --n n --m m`` writes to stdout, each value built as a
-    reduced Fraction and cleared by ``derive._clear_to_solution``.
+    reduced Fraction and cleared by ``clear_fractions``.
 
     A value past the int-to-text digit limit ends the text where the
     command stops: before anything if it is in nP, after the curve point
@@ -503,7 +527,7 @@ def curve_m_text(n: int, m: Fraction, sign: str, as_json: bool = False) -> str:
         out = head
         out += "quartic point: (%s, %s)\n" % (Fraction(p, q), Fraction(s, q * q))
         out += "U = p/q: p = %d, q = %d\n" % (p, q)
-        sol = derive._clear_to_solution(*derive._solution_pairs(p, q, m, s))
+        sol = clear_fractions(*derive._solution_pairs(p, q, m, s))
         return out + _record(sol, "curve_nP", m, as_json) + "\n"
     except ValueError as exc:
         if "integer string conversion" not in str(exc):

@@ -300,6 +300,41 @@ def test_curve_m_text_is_the_fraction_route_text(n, a, b, sign, as_json):
     assert code == (0 if "curve_nP" in want else 1)
 
 
+SMALL_PRIMES = (2, 3, 5, 7)
+
+
+@given(st.lists(st.integers(0, 9), min_size=4, max_size=4),
+       st.lists(st.integers(0, 30), min_size=4, max_size=4),
+       st.integers(-10**30, 10**30).filter(bool), st.integers(-10**40, 10**40),
+       st.sampled_from((2, 3)))
+@example([0] * 4, [0] * 4, 1, 0, 2)
+@example([1, 0, 0, 0], [5, 0, 0, 0], -1, 3, 3)        # 2^5 num over (-2)^3
+@example([2, 1, 0, 0], [3, 7, 0, 0], 7, -11, 2)
+@example([3, 0, 1, 0], [20, 0, 2, 0], -13, 1, 3)
+def test_ratio_text_is_the_reduced_fraction_text(zexp, nexp, zco, nco, k):
+    # z and num share 2, 3, 5 and 7, num often more often than z (a >= b and
+    # a < b in the gcd identity), z of either sign, num zero or not
+    z, num = zco, nco
+    for p, e, f in zip(SMALL_PRIMES, zexp, nexp):
+        z, num = z * p**e, num * p**f
+    assert cli._ratio_text(num, z, k) == str(Fraction(num, z**k))
+
+
+@pytest.mark.parametrize("n, m, out_lines, digest", [("23", "5", 0, "e3b0c44298fc"),
+                                                     ("19", "3/5", 3, "bd301f2108ad")])
+def test_curve_past_the_digit_limit_keeps_its_text(capsys, n, m, out_lines, digest):
+    # n = 23 at m = 5: nP itself is past the limit, nothing is printed;
+    # n = 19 at m = 3/5: nP, sign and curve point print, the quartic point fails
+    code, out, err = run(capsys, "curve", "--n", n, "--m", m)
+    assert code == 1
+    assert out == curve_m_text(int(n), Fraction(m), "minus")
+    assert len(out.splitlines()) == out_lines
+    # one line, Python's own message (later versions add the digit count)
+    assert err.startswith("curve: Exceeds the limit (4300 digits) for integer string "
+                          "conversion") and err.count("\n") == 1 and err[-1] == "\n"
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest
+
+
 @given(st.sampled_from(sorted(FAMILIES)), st.integers(-9, 9).filter(bool), st.integers(1, 9),
        st.integers(1, 4), st.integers(1, 4), st.lists(st.booleans(), min_size=6, max_size=6),
        st.booleans())

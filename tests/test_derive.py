@@ -32,10 +32,12 @@ from oracles import (
     SAMPLES,
     RatFn,
     add,
+    clear_fractions,
     curve_from_parameter,
     mul_scalar,
     on_curve,
     point_P,
+    fraction_evaluate_param,
     fraction_horner,
     numeric_solution_from_nP,
     param_equivalent,
@@ -306,7 +308,7 @@ def test_integer_route_equals_field_route(m0, monkeypatch):
             qp = weierstrass_to_quartic(M, pt)
             assert (Fraction(p, q), Fraction(s, q * q)) == (qp.u, qp.v)
             assert (p, q) == (qp.u.numerator, qp.u.denominator)
-            sol = derive._clear_to_solution(*derive._solution_pairs(p, q, m0, s))
+            sol = clear_fractions(*derive._solution_pairs(p, q, m0, s))
             assert sol == solution_from_quartic_point(qp, m0)
             with pytest.raises(PipelineError):
                 quartic_image((x, y + 1) + nP[2:], M, sign)
@@ -439,20 +441,66 @@ def test_evaluate_param_known_value():
     assert key.zpair == (Fraction(13), Fraction(149))
 
 
-@given(st.sampled_from(sorted(FAMILIES)), st.integers(-30, 30), st.integers(1, 30))
-@example("eq21", 6, 7)
-@example("eq26", 0, 1)
-@settings(max_examples=60, deadline=None)
+# a family whose x-pair vanishes at m = 2 and whose y-pair vanishes at m = -1/3
+PAIR_ZERO = ParamSolution(IPoly((-2, 1)), IPoly((-6, 3)), IPoly((1, 3)), IPoly((-2, -6)),
+                          IPoly((1, 0, 1)), IPoly((0, 5)))
+
+
+@given(st.sampled_from(sorted(FAMILIES) + ["pair_zero", "corrupt"]),
+       st.integers(-40, 40), st.integers(1, 40))
+@example("eq20", 0, 1)       # m = 0: zero coordinates, no (0, 0) pair
+@example("eq21", -6, 7)
+@example("eq26", 3, 1)
+@example("eq22", 12, 8)      # a/b not in lowest terms
+@example("pair_zero", 2, 1)
+@example("pair_zero", -1, 3)
+@example("corrupt", 2, 3)
+@settings(max_examples=150, deadline=None)
 def test_evaluate_param_matches_fraction_horner(name, a, b):
-    fam, m0 = FAMILIES[name](), Fraction(a, b)
-    vals = [fraction_horner(p.coeffs, m0) for p in fam.polys()]
+    # evaluate_param clears b^d P(a/b) over b^d in integers; the oracle
+    # reduces each value to a Fraction (IPoly.evaluate, Horner's rule over Q)
+    # and clears those
+    fam = {"pair_zero": PAIR_ZERO,
+           "corrupt": ParamSolution(*family_eq20().polys()[:4], family_eq20().z1 + 1,
+                                    family_eq20().z2)}.get(name) or FAMILIES[name]()
+    m0 = Fraction(a, b)
+    assert [p.evaluate(m0) for p in fam.polys()] == [fraction_horner(p.coeffs, m0)
+                                                     for p in fam.polys()]
     try:
-        want = derive._clear_to_solution(vals[0:2], vals[2:4], vals[4:6])
-    except DegenerateSolutionError:
-        with pytest.raises(DegenerateSolutionError):
-            evaluate_param(fam, m0)
+        want = fraction_evaluate_param(fam, m0)
+    except DegenerateSolutionError as exc:
+        for check in (True, False):
+            with pytest.raises(DegenerateSolutionError) as got:
+                evaluate_param(fam, m0, check=check)
+            assert str(got.value) == str(exc) == "pair evaluated to (0, 0)"
         return
-    assert evaluate_param(fam, m0) == evaluate_param(fam, m0, check=False) == want
+    assert evaluate_param(fam, m0, check=False) == want
+    if check_solution(want):
+        assert evaluate_param(fam, m0) == want
+    else:
+        assert name in ("corrupt", "pair_zero")
+        with pytest.raises(PipelineError):
+            evaluate_param(fam, m0)
+
+
+@given(st.lists(st.integers(-10**9, 10**9), min_size=6, max_size=6),
+       st.lists(st.integers(1, 10**5), min_size=6, max_size=6),
+       st.lists(st.integers(1, 36), min_size=6, max_size=6))
+@example([0, 0, 1, 1, 1, 1], [1] * 6, [1] * 6)
+@example([1, 1, 0, 0, 1, 1], [1] * 6, [1] * 6)
+@example([3, 0, 0, 5, 7, 0], [4, 9, 25, 1, 36, 8], [6, 1, 10, 4, 1, 2])
+@settings(max_examples=200, deadline=None)
+def test_clear_to_solution_matches_fraction_clearing(hs, bs, cs):
+    # values h/b given unreduced (h c over b c) clear as their Fractions do
+    fracs = [Fraction(h, b) for h, b in zip(hs, bs)]
+    scaled = ([h * c for h, c in zip(hs, cs)], [b * c for b, c in zip(bs, cs)])
+    try:
+        want = clear_fractions(fracs[0:2], fracs[2:4], fracs[4:6])
+    except DegenerateSolutionError:
+        with pytest.raises(DegenerateSolutionError, match=r"pair evaluated to \(0, 0\)"):
+            derive._clear_to_solution(*scaled)
+        return
+    assert derive._clear_to_solution(*scaled) == want
 
 
 @given(st.integers(1, 24), st.integers(-13, 13).filter(bool), st.integers(1, 13),
@@ -470,7 +518,7 @@ def test_integer_clearing_matches_fraction_clearing(n, a, b, sign):
         p, q, s = quartic_image(multiple_P(n, M.numerator, M.denominator), M, sign)
     except (PoleError, PipelineError):
         assume(False)
-    want = derive._clear_to_solution(*derive._solution_pairs(p, q, m, s))
+    want = clear_fractions(*derive._solution_pairs(p, q, m, s))
     assert derive._clear_image(p, q, s, m) == want
 
 
@@ -485,7 +533,7 @@ def test_integer_clearing_matches_fraction_clearing_off_the_curve(p, q, s, a, b)
     # p + q sharing primes with b, where the Fraction route's z-pair lcm is
     # still 1 because those prime powers divide p^2 + q^2
     m = Fraction(a, b)
-    want = derive._clear_to_solution(*derive._solution_pairs(p, q, m, s))
+    want = clear_fractions(*derive._solution_pairs(p, q, m, s))
     assert derive._clear_image(p, q, s, m) == want
 
 

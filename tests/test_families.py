@@ -1,11 +1,19 @@
-"""Tests for ParamSolution's residual, formed through the Brahmagupta split."""
+"""Tests for ParamSolution's residual, formed through the Brahmagupta split
+with each product run at its operands' common stride."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import biquadrates.families as families
 from biquadrates.derive import solution_from_nP
-from biquadrates.families import FAMILIES, ParamSolution, family_eq20, family_eq26
+from biquadrates.families import (
+    FAMILIES,
+    ParamSolution,
+    family_eq20,
+    family_eq21,
+    family_eq26,
+)
 from biquadrates.poly import IPoly
 
 
@@ -34,10 +42,41 @@ def sparse_families(draw):
     return ParamSolution(*(draw(sparse_entry(hs)) for _ in range(6)))
 
 
-@given(sparse_families())
-@settings(max_examples=80, deadline=None)
+@st.composite
+def strided_entry(draw):
+    """m^r E(m^g) with g drawn from 1, 2, 4 for each entry on its own: a
+    monomial (one coefficient), the zero polynomial, or up to 7 terms."""
+    kind = draw(st.sampled_from(("zero", "monomial", "strided", "strided")))
+    if kind == "zero":
+        return IPoly(())
+    g, r = draw(st.sampled_from((1, 2, 4))), draw(st.integers(0, 6))
+    size = 1 if kind == "monomial" else 7
+    cs = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=size))
+    cs[-1] = cs[-1] or 1
+    return IPoly.from_terms({r + g * i: c for i, c in enumerate(cs)})
+
+
+@st.composite
+def mixed_stride_families(draw):
+    """Six strided entries, and maybe one coefficient bent off its entry's
+    stride (or onto it): the residual of a family with one wrong term."""
+    entries = [draw(strided_entry()) for _ in range(6)]
+    if draw(st.booleans()):
+        i, k = draw(st.integers(0, 5)), draw(st.integers(0, 12))
+        entries[i] = entries[i] + IPoly.from_terms({k: draw(st.sampled_from((-1, 1, 3)))})
+    return ParamSolution(*entries)
+
+
+@given(st.one_of(sparse_families(), mixed_stride_families()))
+@example(ParamSolution(*(IPoly.from_terms({r: 1, r + 4: -2}) for r in (0, 1, 1, 0, 1, 0))))
+@example(ParamSolution(IPoly(()), IPoly.from_terms({5: 3}), IPoly.from_terms({2: 1, 6: 1}),
+                       IPoly.from_terms({7: -1}), IPoly(()), IPoly.from_terms({1: 2, 3: 1})))
+@settings(max_examples=200, deadline=None)
 def test_residual_matches_dense_formula(ps):
     assert ps.residual() == _dense_residual(ps)
+    for a in ps.polys():
+        for b in ps.polys():
+            assert families._mul(a, b) == a * b
 
 
 def test_published_families_and_a_corruption():
@@ -100,3 +139,38 @@ def test_corrupted_curve_families_keep_a_nonzero_residual(n):
         res = bent.residual()
         assert not res.is_zero, i
         assert res == _dense_residual(bent), i
+
+
+@pytest.mark.parametrize("sign", ("minus", "plus"))
+def test_3p_families_on_both_branches(sign):
+    ps = solution_from_nP(3, sign)
+    assert ps.residual().is_zero
+    assert _dense_residual(ps).is_zero
+    # a wrong coefficient on the stride and one off it
+    for bend in (IPoly.from_terms({4: 1}), IPoly.from_terms({2: -1})):
+        bent = ParamSolution(ps.x1, ps.x2 + bend, *ps.polys()[2:])
+        assert bent.residual() == _dense_residual(bent) != IPoly(())
+
+
+def test_eq21_residual_runs_every_product_compressed(monkeypatch):
+    # eq21's entries are m^r E(m^4): the four pair products, their squares,
+    # z1^2 and z2^2 run on a quarter of the coefficients; its A - z1^2 and
+    # B - z2^2 are nonzero (their products cancel), with exponents 0 and
+    # 2 mod 4, so the two outer products run on half; no product is dense
+    lengths = []
+    compressed = families._mul_coeffs
+
+    def spy(a, b):
+        lengths.append((len(a), len(b)))
+        return compressed(a, b)
+
+    def no_dense(self, other):
+        raise AssertionError("dense product taken")
+
+    monkeypatch.setattr(families, "_mul_coeffs", spy)
+    monkeypatch.setattr(IPoly, "__mul__", no_dense)
+    assert family_eq21().residual().is_zero
+    quarter = [(6, 7), (7, 7), (6, 7), (7, 7), (12, 12), (13, 13), (12, 12), (13, 13)]
+    # then for A and for B: z^2 on a quarter, of 49 coefficients, and the
+    # outer product on half, of 99
+    assert lengths == quarter + [(13, 13), (50, 50)] * 2

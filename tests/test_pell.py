@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biquadrates.derive import _clear_to_solution, evaluate_param
+from biquadrates.derive import evaluate_param
 from biquadrates.exact import SolutionSix, canonicalize, check_solution
 from biquadrates.families import family_eq26
 from biquadrates.pell import PellSolution, pell3_nth, pell_shapes, pell_to_solution
-from oracles import pell3_ladder
+from oracles import clear_fractions, pell3_ladder
 
 
 def test_ladder_start():
@@ -70,7 +70,7 @@ def test_param_family_matches_rational_slice():
         u, v = (t * t + 3) / (t * t - 3), 2 * t / (t * t - 3)
         assert u * u - 3 * v * v == 1
         x1, x2, y1, y2, z1, z2 = pell_shapes(u, v)
-        shaped = _clear_to_solution((x1, x2), (y1, y2), (z1, z2))
+        shaped = clear_fractions((x1, x2), (y1, y2), (z1, z2))
         assert canonicalize(shaped) == canonicalize(evaluate_param(fam, t))
 
 

@@ -547,3 +547,6 @@ def test_evaluation_matches_fraction_horner(cs, a, b):
     x = Fraction(a, b)
     assert IPoly(cs).evaluate(x) == fraction_horner(cs, x)
     assert IPoly(cs).evaluate(a) == fraction_horner(cs, a)
+    h, bd = IPoly(cs).homogenized(a, b)
+    assert bd == b ** max(IPoly(cs).degree, 0)
+    assert Fraction(h, bd) == fraction_horner(cs, x)
