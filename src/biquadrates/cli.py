@@ -12,7 +12,9 @@ to stdout, diagnostics to stderr.
 
 The commands only call the library and print; ``curve --m`` maps nP over Z
 as ``--symbolic`` does over Z[M] (``derive.quartic_image``), and ``--sign``
-resolves through ``derive._resolve_sign``, where ``auto`` is ``minus``.
+resolves through ``derive._resolve_sign``, where ``auto`` is ``minus``;
+``family`` and ``pell --t`` take their family from
+``derive.published_family``, which builds each once per process.
 Every emitted solution is turned into text by ``_record`` and then checked
 once, by ``_proved``, so a tuple past the digit limit is refused unproved;
 ``selftest`` runs ``identity.ALL_VERIFIERS`` in order.
@@ -36,10 +38,12 @@ from math import gcd
 
 from biquadrates.curve import DegenerateCurveError, multiple_P
 from biquadrates.derive import (
+    FAMILIES,
     PipelineError,
     _clear_image,
     _resolve_sign,
     evaluate_param,
+    published_family,
     quartic_image,
     solution_from_nP,
 )
@@ -49,7 +53,6 @@ from biquadrates.exact import (
     canonicalize,
     check_solution,
 )
-from biquadrates.families import FAMILIES
 from biquadrates.identity import ALL_VERIFIERS
 from biquadrates.pell import pell3_nth, pell_to_solution
 from biquadrates.poly import PoleError, format_poly
@@ -124,6 +127,9 @@ def _positive_int(text: str) -> int:
 
 
 def _fraction(text: str) -> Fraction:
+    # Fraction("1e3000000000") would compute 10**3000000000
+    if "e" in text or "E" in text:
+        raise ValueError("no exponent notation")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -180,7 +186,7 @@ def _emit_family_value(ps, value: Fraction, source: str, as_json: bool) -> int:
 
 
 def cmd_family(ns) -> int:
-    ps = FAMILIES[ns.name]()
+    ps = published_family(ns.name)
     if ns.symbolic:
         if not ps.residual().is_zero:
             raise PipelineError("the residual is nonzero")
@@ -230,7 +236,7 @@ def cmd_pell(ns) -> int:
         sol = pell_to_solution(pell3_nth(ns.k))
         print(_record(sol, "pell", ns.k, ns.json))
         return 0
-    return _emit_family_value(FAMILIES["eq26"](), ns.t, "family_eq26", ns.json)
+    return _emit_family_value(published_family("eq26"), ns.t, "family_eq26", ns.json)
 
 
 def cmd_selftest(ns) -> int:
@@ -282,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--m", type=_fraction, metavar="a/b")
     mode.add_argument("--symbolic", action="store_true")
     p.add_argument("--sign", choices=("auto", "plus", "minus"), default="auto",
-                   help="branch: nP (plus) or -nP (minus); auto is the "
+                   help="branch: nP (plus, the family of jR for the odd "
+                        "j=2n+1) or -nP (minus, the even j=2n); auto is the "
                         "lower-degree branch, minus")
     p.add_argument("--descending", action="store_true")
     p.add_argument("--json", action="store_true")

@@ -22,12 +22,18 @@ quartic one: over Z by one integer identity (``quartic_image``), and over Z[M]
 by two square identities on the family's entries, checked exactly at M = +-2^w,
 which also prove the family (``quartic_point_to_param_solution``).  Of the two
 branches, nP ("plus") and -nP ("minus"), "auto" names the one whose family has
-the lower degree, which is "minus" at every n (``_resolve_sign``).
+the lower degree, which is "minus" at every n (``_resolve_sign``).  With
+nP = -2nR for the half point R (``curve.multiple_P``), the family of jR is
+the minus branch at n for the even j = 2n, as -nP = 2nR, and the plus branch
+at n for the odd j = 2n + 1, as -kR and (k+1)R give one solution; its z1 has
+degree (2j - 1)^2 in m.  The published families eq20, eq21 and eq22 are
+j = 2, 4 and 3 with the x-pair swapped (``FAMILIES``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from biquadrates.curve import PipelineError, _exact, multiple_P
@@ -36,7 +42,7 @@ from biquadrates.exact import (
     SolutionSix,
     check_solution,
 )
-from biquadrates.families import ParamSolution
+from biquadrates.families import ParamSolution, family_eq26
 from biquadrates.poly import IPoly, PoleError, _pack, _positive, _spread, content
 
 
@@ -245,6 +251,40 @@ def solution_from_nP(n: int, sign: str = "auto") -> ParamSolution:
     if q[0] == 0 or p[0] * (4**n - 1) != q[0] * (4**n if sign == "plus" else -1):
         raise PipelineError("U at M = 0 is not the %s branch's value" % sign)
     return quartic_point_to_param_solution(p, q, s)
+
+
+def _ladder_family(n: int, sign: str) -> ParamSolution:
+    """``solution_from_nP(n, sign)`` with its x-pair in the paper's order."""
+    x1, x2, *rest = solution_from_nP(n, sign).polys()
+    return ParamSolution(x2, x1, *rest)
+
+
+def family_eq20() -> ParamSolution:
+    """The base family, 2R (minus, n = 1): z-pair of degrees 9 and 8."""
+    return _ladder_family(1, "minus")
+
+
+def family_eq21() -> ParamSolution:
+    """The doubled-point family, 4R (minus, n = 2): z-pair of degrees 49 and 48."""
+    return _ladder_family(2, "minus")
+
+
+def family_eq22() -> ParamSolution:
+    """The family of 3R (plus, n = 1): z-pair of degrees 25 and 24."""
+    return _ladder_family(1, "plus")
+
+
+FAMILIES = {"eq20": family_eq20, "eq21": family_eq21, "eq22": family_eq22,
+            "eq26": family_eq26}
+"""The published families by their command-line names."""
+
+
+@cache
+def published_family(name: str) -> ParamSolution:
+    """``FAMILIES[name]()``, built once per process and shared, as a family
+    is immutable: a curve family costs a derivation.  ``solution_from_nP``
+    itself derives on every call."""
+    return FAMILIES[name]()
 
 
 def evaluate_param(ps: ParamSolution, m0, check: bool = True) -> SolutionSix:

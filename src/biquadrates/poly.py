@@ -17,7 +17,6 @@ rational functions over Q(M) (tests/oracles.py) reduce through it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional
 
@@ -52,18 +51,6 @@ class IPoly:
     def gen(cls) -> "IPoly":
         """The polynomial equal to the variable itself."""
         return cls((0, 1))
-
-    @classmethod
-    def from_terms(cls, terms: dict) -> "IPoly":
-        """Build from a {degree: coefficient} mapping."""
-        if not terms:
-            return cls(())
-        cs = [0] * (max(terms) + 1)
-        for k, c in terms.items():
-            if k < 0:
-                raise ValueError("negative exponent")
-            cs[k] += c
-        return cls(cs)
 
     @property
     def degree(self) -> int:
@@ -161,11 +148,6 @@ class IPoly:
         for c in reversed(self.coeffs):
             acc, bj = acc * a + c * bj, bj * b
         return acc, bj // b or 1
-
-    def evaluate(self, x):
-        """The value at an int or Fraction x = a/b, ``homogenized`` reduced once."""
-        h, bd = self.homogenized(x.numerator, x.denominator)
-        return h if bd == 1 else Fraction(h, bd)
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -4,11 +4,27 @@ Each function wraps the real definition; tests monkeypatch the result into
 its module, so the pipeline and the verifiers both run the corrupted copy.
 The residual corruptions at the end wrap a grid's residual instead, and
 tests put the result into the grid with ``dataclasses.replace``.
+
+``derive.published_family`` builds each published family once per process,
+so a test that patches the derivation and then asks for one takes the
+``fresh_families`` fixture: the family is derived under the patch, and no
+family built under it outlives the test.
 """
 
 from math import gcd
 
+import pytest
+
+from biquadrates import derive
 from biquadrates.poly import IPoly, content
+
+
+@pytest.fixture
+def fresh_families():
+    """An empty published-family cache before and after the test."""
+    derive.published_family.cache_clear()
+    yield
+    derive.published_family.cache_clear()
 
 
 def v_denominator_16(to_quartic):

@@ -21,7 +21,10 @@ one reaches this route too.  It also keeps the sampled rule that once
 resolved "auto" (``sampled_sign``), as the reference for the lower-degree
 branch that resolves it now.
 
-The rest are the slow, obvious forms of the library's integer shortcuts:
+``from_terms`` builds a polynomial from its {degree: coefficient} terms, the
+way the published tables (tests/known_solutions.py) are written, and
+``evaluate`` gives its value at an int or a Fraction.  The rest are the
+slow, obvious forms of the library's integer shortcuts:
 the equation as written, four fourth powers and a product (``plain_equation``,
 for ``exact.check_solution``'s Brahmagupta split), the Pell ladder one step at
 a time (``pell3_ladder``), Horner's rule in Fraction arithmetic
@@ -43,6 +46,27 @@ from biquadrates.curve import DegenerateCurveError, _extra_triple, _P_triple, mu
 from biquadrates.exact import DegenerateSolutionError, SolutionSix, canonicalize
 from biquadrates.pell import PellSolution
 from biquadrates.poly import IPoly, PoleError, content
+
+
+# ---------------------------------------------------------------------------
+# Z[M]: building and evaluating polynomials the way tests write them
+
+def from_terms(terms: dict) -> IPoly:
+    """The polynomial with a {degree: coefficient} mapping's terms."""
+    if not terms:
+        return IPoly(())
+    cs = [0] * (max(terms) + 1)
+    for k, c in terms.items():
+        if k < 0:
+            raise ValueError("negative exponent")
+        cs[k] += c
+    return IPoly(cs)
+
+
+def evaluate(p: IPoly, x):
+    """p's value at an int or Fraction x = a/b, ``IPoly.homogenized`` reduced once."""
+    h, bd = p.homogenized(x.numerator, x.denominator)
+    return h if bd == 1 else Fraction(h, bd)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +196,10 @@ class RatFn:
         return RatFn._raw(self.num ** k, self.den ** k)
 
     def evaluate(self, x) -> Fraction:
-        dv = self.den.evaluate(x)
+        dv = evaluate(self.den, x)
         if dv == 0:
             raise PoleError("denominator vanishes at %s" % (x,))
-        return Fraction(self.num.evaluate(x), 1) / dv
+        return Fraction(evaluate(self.num, x), 1) / dv
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -492,10 +516,10 @@ def clear_fractions(xpair, ypair, zpair) -> SolutionSix:
 
 def fraction_evaluate_param(ps, m0) -> SolutionSix:
     """``derive.evaluate_param(ps, m0, check=False)`` by the Fraction route:
-    each entry's value as a reduced Fraction (``IPoly.evaluate``), cleared by
+    each entry's value as a reduced Fraction (``evaluate``), cleared by
     ``clear_fractions``."""
     m0 = Fraction(m0)
-    vals = [p.evaluate(m0) for p in ps.polys()]
+    vals = [evaluate(p, m0) for p in ps.polys()]
     return clear_fractions(vals[0:2], vals[2:4], vals[4:6])
 
 

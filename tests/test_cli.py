@@ -20,7 +20,7 @@ import biquadrates.exact as exact
 import biquadrates.pell as pell
 import biquadrates.poly as poly
 from biquadrates.cli import main
-from biquadrates.families import FAMILIES
+from biquadrates.derive import FAMILIES
 from oracles import curve_m_text
 
 
@@ -278,6 +278,23 @@ def test_pell_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["pell"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", (["family", "eq20", "--param"], ["curve", "--n", "1", "--m"],
+                                  ["pell", "--t"]))
+def test_fractions_refuse_exponents(argv, capsys):
+    # Fraction("1e9") would compute 10**9: exponent notation is a usage error
+    for text in ("1e5", "1E-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid _fraction value: %r" % text in err and "Traceback" not in err
+    for text, value in (("7", 7), ("-2/7", Fraction(-2, 7)), ("3/4", Fraction(3, 4)),
+                        ("0.5", Fraction(1, 2))):
+        assert cli._fraction(text) == value
+        assert main(argv[:-1] + [argv[-1] + "=" + text]) in (0, 1)
+    capsys.readouterr()
 
 
 @given(st.integers(1, 24), st.integers(-13, 13).filter(bool), st.integers(1, 13),

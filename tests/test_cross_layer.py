@@ -6,9 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from biquadrates.derive import evaluate_param
+from biquadrates.derive import FAMILIES, evaluate_param
 from biquadrates.exact import canonicalize
-from biquadrates.families import FAMILIES
 from biquadrates.pell import pell3_nth, pell_to_solution
 from biquadrates.search import search
 from oracles import numeric_solution_from_nP

@@ -13,8 +13,11 @@ import biquadrates.families as families
 import biquadrates.poly as poly
 from biquadrates.curve import multiple_P
 from biquadrates.derive import (
+    FAMILIES,
     PipelineError,
     evaluate_param,
+    family_eq20,
+    family_eq21,
     quartic_image,
     quartic_point_to_param_solution,
     quartic_rhs,
@@ -22,9 +25,10 @@ from biquadrates.derive import (
     to_weierstrass,
 )
 from biquadrates.exact import DegenerateSolutionError, SolutionSix, canonicalize, check_solution
-from biquadrates.families import FAMILIES, ParamSolution, family_eq20, family_eq21
+from biquadrates.families import ParamSolution
 from biquadrates.poly import IPoly, PoleError, content
-from mutations import psi_changed, z_entry_bent
+from known_solutions import PUBLISHED_FAMILIES
+from mutations import fresh_families, psi_changed, z_entry_bent
 from oracles import (
     INFINITY,
     CurvePoint,
@@ -34,6 +38,7 @@ from oracles import (
     add,
     clear_fractions,
     curve_from_parameter,
+    evaluate,
     mul_scalar,
     on_curve,
     point_P,
@@ -183,32 +188,75 @@ def test_numeric_solution_n2():
 
 
 def test_numeric_matches_family_slice():
-    for n, fam in ((1, family_eq20()), (2, family_eq21())):
+    for n, fam in ((1, PUBLISHED_FAMILIES["eq20"]), (2, PUBLISHED_FAMILIES["eq21"])):
         for m0 in (1, 2, 3, Fraction(1, 2)):
             direct = canonicalize(numeric_solution_from_nP(n, m0))
             sliced = canonicalize(evaluate_param(fam, m0))
             assert direct == sliced
 
 
-def test_symbolic_n1_reproduces_base_family():
-    fam = solution_from_nP(1)
-    ref = family_eq20()
+def _reproduces_published(fam, name):
+    # the paper prints the ladder's family with the x-pair swapped
+    ref = PUBLISHED_FAMILIES[name]
     assert (fam.x1, fam.x2) == (ref.x2, ref.x1)
     assert (fam.y1, fam.y2) == (ref.y1, ref.y2)
     assert (fam.z1, fam.z2) == (ref.z1, ref.z2)
     assert param_equivalent(fam, ref)
+    assert FAMILIES[name]() == ref
+
+
+def test_symbolic_n1_reproduces_base_family():
+    _reproduces_published(solution_from_nP(1), "eq20")
 
 
 def test_symbolic_n2_reproduces_doubled_family():
     fam = solution_from_nP(2)
     assert fam.residual().is_zero
-    assert param_equivalent(fam, family_eq21())
+    _reproduces_published(fam, "eq21")
 
 
 def test_symbolic_plus_branch_is_a_family():
     fam = solution_from_nP(1, sign="plus")
     assert fam.residual().is_zero
-    assert not param_equivalent(fam, family_eq20())
+    assert not param_equivalent(fam, PUBLISHED_FAMILIES["eq20"])
+    _reproduces_published(fam, "eq22")
+
+
+def _solution_of(pt, m):
+    """The canonical key of the solution an affine point over Q maps to."""
+    return canonicalize(solution_from_quartic_point(weierstrass_to_quartic(m**4, pt), m))
+
+
+INDEX_MS = (Fraction(2), Fraction(3, 5), Fraction(-2, 7))
+
+
+@pytest.mark.parametrize("m", INDEX_MS)
+def test_minus_k_r_gives_the_solution_of_k_plus_1_r(m):
+    # by the affine law, from the half point R = (4M, 12M), P = -2R
+    M = m**4
+    c, R = curve_from_parameter(M), CurvePoint(4 * M, 12 * M)
+    for k in range(2, 7):
+        kR = mul_scalar(c, k, R)
+        assert _solution_of(CurvePoint(kR.x, -kR.y), m) == _solution_of(mul_scalar(c, k + 1, R), m)
+
+
+@pytest.mark.parametrize("m", INDEX_MS)
+def test_branches_are_the_families_of_even_and_odd_multiples_of_r(m):
+    # the minus branch at n maps -nP = 2nR; the plus branch maps nP = -2nR,
+    # whose solution is that of (2n + 1)R
+    M = m**4
+    c, R = curve_from_parameter(M), CurvePoint(4 * M, 12 * M)
+    for n in (1, 2, 3):
+        for sign, j in (("minus", 2 * n), ("plus", 2 * n + 1)):
+            got = canonicalize(evaluate_param(solution_from_nP(n, sign), m))
+            assert got == _solution_of(mul_scalar(c, j, R), m), (n, sign)
+
+
+def test_z1_degree_is_2j_minus_1_squared():
+    for j in range(2, 14):
+        n, sign = divmod(j, 2)
+        fam = solution_from_nP(n, "plus" if sign else "minus")
+        assert fam.z1.degree == (2 * j - 1) ** 2, j
 
 
 def test_symbolic_n3_family():
@@ -425,6 +473,27 @@ def test_family_is_proved_once(monkeypatch, capsys):
     assert out == "" and err == "family: the residual is nonzero\n"
 
 
+def test_published_families_are_derived_once(monkeypatch, capsys, fresh_families):
+    # family and pell --t build a published family on first use and reuse it;
+    # curve --symbolic derives on every call
+    import biquadrates.cli as cli
+
+    derived = []
+    prove = derive.quartic_point_to_param_solution
+    monkeypatch.setattr(derive, "quartic_point_to_param_solution",
+                        lambda p, q, s: derived.append(1) or prove(p, q, s))
+    for _ in range(2):
+        for name in ("eq20", "eq21", "eq22", "eq26"):
+            assert cli.main(["family", name, "--param", "2"]) == 0
+            assert cli.main(["family", name, "--symbolic"]) == 0
+        assert cli.main(["pell", "--t", "5/17"]) == 0
+    assert len(derived) == 3
+    for _ in range(2):
+        assert cli.main(["curve", "--n", "2", "--symbolic"]) == 0
+    assert len(derived) == 5
+    capsys.readouterr()
+
+
 def test_pipeline_commutes_with_evaluation():
     for n in (1, 2):
         fam = solution_from_nP(n, sign="minus")
@@ -458,14 +527,14 @@ PAIR_ZERO = ParamSolution(IPoly((-2, 1)), IPoly((-6, 3)), IPoly((1, 3)), IPoly((
 @settings(max_examples=150, deadline=None)
 def test_evaluate_param_matches_fraction_horner(name, a, b):
     # evaluate_param clears b^d P(a/b) over b^d in integers; the oracle
-    # reduces each value to a Fraction (IPoly.evaluate, Horner's rule over Q)
+    # reduces each value to a Fraction (oracles.evaluate, Horner's rule over Q)
     # and clears those
     fam = {"pair_zero": PAIR_ZERO,
            "corrupt": ParamSolution(*family_eq20().polys()[:4], family_eq20().z1 + 1,
                                     family_eq20().z2)}.get(name) or FAMILIES[name]()
     m0 = Fraction(a, b)
-    assert [p.evaluate(m0) for p in fam.polys()] == [fraction_horner(p.coeffs, m0)
-                                                     for p in fam.polys()]
+    assert [evaluate(p, m0) for p in fam.polys()] == [fraction_horner(p.coeffs, m0)
+                                                      for p in fam.polys()]
     try:
         want = fraction_evaluate_param(fam, m0)
     except DegenerateSolutionError as exc:
@@ -554,7 +623,7 @@ def bounded_polys(draw):
 @example((8, IPoly((0, 4**8 - 1, 0, -1))))
 def test_zero_test_is_exact_within_the_bound(case):
     w, r = case
-    assert (r.evaluate(2**w) == 0 and r.evaluate(-(2**w)) == 0) == r.is_zero
+    assert (evaluate(r, 2**w) == 0 and evaluate(r, -(2**w)) == 0) == r.is_zero
 
 
 @given(st.integers(1, 40), st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=6))
@@ -564,7 +633,7 @@ def test_polynomials_vanishing_at_both_points_leave_the_bound(w, cs):
     sq = IPoly(cs)
     assume(not sq.is_zero)
     r = sq * IPoly((-(4**w), 0, 1))
-    assert r.evaluate(2**w) == r.evaluate(-(2**w)) == 0
+    assert evaluate(r, 2**w) == evaluate(r, -(2**w)) == 0
     assert max(map(abs, r.coeffs)) >= 4**w
 
 
@@ -575,8 +644,8 @@ def test_zero_test_bound_is_tight(w):
     # and at w + 1 it no longer vanishes
     r = IPoly((4**w, 0, -1))
     assert max(map(abs, r.coeffs)) == 4**w
-    assert r.evaluate(2**w) == r.evaluate(-(2**w)) == 0
-    assert r.evaluate(2 ** (w + 1)) != 0
+    assert evaluate(r, 2**w) == evaluate(r, -(2**w)) == 0
+    assert evaluate(r, 2 ** (w + 1)) != 0
 
 
 def _packed_entries_and_error(p, q, s, pairs=None):

@@ -6,15 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biquadrates.families as families
-from biquadrates.derive import solution_from_nP
-from biquadrates.families import (
-    FAMILIES,
-    ParamSolution,
-    family_eq20,
-    family_eq21,
-    family_eq26,
-)
+from biquadrates.derive import FAMILIES, family_eq20, family_eq21, solution_from_nP
+from biquadrates.families import ParamSolution, family_eq26
 from biquadrates.poly import IPoly
+from oracles import from_terms
 
 
 def _dense_residual(ps: ParamSolution) -> IPoly:
@@ -30,7 +25,7 @@ def sparse_entry(draw, hs):
     h = draw(st.sampled_from(hs))
     r = draw(st.integers(0, 5))
     cs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=1 if h == 0 else 7))
-    return IPoly.from_terms({r + h * i: c for i, c in enumerate(cs)})
+    return from_terms({r + h * i: c for i, c in enumerate(cs)})
 
 
 @st.composite
@@ -53,7 +48,7 @@ def strided_entry(draw):
     size = 1 if kind == "monomial" else 7
     cs = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=size))
     cs[-1] = cs[-1] or 1
-    return IPoly.from_terms({r + g * i: c for i, c in enumerate(cs)})
+    return from_terms({r + g * i: c for i, c in enumerate(cs)})
 
 
 @st.composite
@@ -63,14 +58,14 @@ def mixed_stride_families(draw):
     entries = [draw(strided_entry()) for _ in range(6)]
     if draw(st.booleans()):
         i, k = draw(st.integers(0, 5)), draw(st.integers(0, 12))
-        entries[i] = entries[i] + IPoly.from_terms({k: draw(st.sampled_from((-1, 1, 3)))})
+        entries[i] = entries[i] + from_terms({k: draw(st.sampled_from((-1, 1, 3)))})
     return ParamSolution(*entries)
 
 
 @given(st.one_of(sparse_families(), mixed_stride_families()))
-@example(ParamSolution(*(IPoly.from_terms({r: 1, r + 4: -2}) for r in (0, 1, 1, 0, 1, 0))))
-@example(ParamSolution(IPoly(()), IPoly.from_terms({5: 3}), IPoly.from_terms({2: 1, 6: 1}),
-                       IPoly.from_terms({7: -1}), IPoly(()), IPoly.from_terms({1: 2, 3: 1})))
+@example(ParamSolution(*(from_terms({r: 1, r + 4: -2}) for r in (0, 1, 1, 0, 1, 0))))
+@example(ParamSolution(IPoly(()), from_terms({5: 3}), from_terms({2: 1, 6: 1}),
+                       from_terms({7: -1}), IPoly(()), from_terms({1: 2, 3: 1})))
 @settings(max_examples=200, deadline=None)
 def test_residual_matches_dense_formula(ps):
     assert ps.residual() == _dense_residual(ps)
@@ -88,7 +83,7 @@ def test_published_families_and_a_corruption():
 
 
 def _family(*entries, var="m"):
-    return ParamSolution(*(IPoly.from_terms(e) for e in entries), var=var)
+    return ParamSolution(*(from_terms(e) for e in entries), var=var)
 
 
 def _shifted(*rs, h=8):
@@ -113,7 +108,7 @@ EDGE_FAMILIES = {
     "gap_z2_in_B": _shifted(0, 0, 0, 0, 0, 2),
     # eq26's entries with z1 bent by t^10, so the residual is nonzero
     "eq26_shape": ParamSolution(*family_eq26().polys()[:4],
-                                family_eq26().z1 + IPoly.from_terms({10: 1}),
+                                family_eq26().z1 + from_terms({10: 1}),
                                 family_eq26().z2, var="t"),
 }
 
@@ -133,7 +128,7 @@ def test_corrupted_curve_families_keep_a_nonzero_residual(n):
     assert ps.residual().is_zero
     for i, r in enumerate((0, 1, 1, 0, 1, 0)):
         entries = list(ps.polys())
-        entries[i] = entries[i] + IPoly.from_terms({r + 4: 1})
+        entries[i] = entries[i] + from_terms({r + 4: 1})
         assert {k % 4 for k, c in enumerate(entries[i].coeffs) if c} == {r}
         bent = ParamSolution(*entries)
         res = bent.residual()
@@ -147,7 +142,7 @@ def test_3p_families_on_both_branches(sign):
     assert ps.residual().is_zero
     assert _dense_residual(ps).is_zero
     # a wrong coefficient on the stride and one off it
-    for bend in (IPoly.from_terms({4: 1}), IPoly.from_terms({2: -1})):
+    for bend in (from_terms({4: 1}), from_terms({2: -1})):
         bent = ParamSolution(ps.x1, ps.x2 + bend, *ps.polys()[2:])
         assert bent.residual() == _dense_residual(bent) != IPoly(())
 
@@ -167,9 +162,10 @@ def test_eq21_residual_runs_every_product_compressed(monkeypatch):
     def no_dense(self, other):
         raise AssertionError("dense product taken")
 
+    eq21 = family_eq21()
     monkeypatch.setattr(families, "_mul_coeffs", spy)
     monkeypatch.setattr(IPoly, "__mul__", no_dense)
-    assert family_eq21().residual().is_zero
+    assert eq21.residual().is_zero
     quarter = [(6, 7), (7, 7), (6, 7), (7, 7), (12, 12), (13, 13), (12, 12), (13, 13)]
     # then for A and for B: z^2 on a quarter, of 49 coefficients, and the
     # outer product on half, of 99

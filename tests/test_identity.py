@@ -8,7 +8,8 @@ import pytest
 
 from biquadrates import cli, curve, derive, pell, search
 from biquadrates.exact import SolutionSix
-from biquadrates.families import FAMILIES, ParamSolution, family_eq20
+from biquadrates.derive import FAMILIES, family_eq20
+from biquadrates.families import ParamSolution
 from biquadrates.identity import (
     ALL_VERIFIERS,
     GRIDS,
@@ -30,6 +31,7 @@ from biquadrates.identity import (
 from biquadrates.poly import IPoly
 from mutations import (
     brahmagupta_square_twice,
+    fresh_families,
     mod5_class_1,
     pell_factor_255,
     pell_z2_plus_one,
@@ -268,17 +270,23 @@ def test_mutated_inverse_map_fails(monkeypatch, capsys):
     assert _selftest_fails(capsys, "birational_roundtrip")
 
 
-def test_mutated_shapes_fail(monkeypatch, capsys):
+def test_mutated_shapes_fail(monkeypatch, capsys, fresh_families):
     # z2 = 2q^2 V: the quartic model check and the pipeline both reject it
     monkeypatch.setattr(derive, "_solution_pairs", z2_doubled(derive._solution_pairs))
     assert _selftest_fails(capsys, "quartic_model")
-    # the family is proved where it is derived, before anything prints it
+    # the family is proved where it is derived, before anything prints it,
+    # and the published curve families are derived
     with pytest.raises(derive.PipelineError, match="residual"):
         derive.solution_from_nP(2, "minus")
     assert cli.main(["curve", "--n", "2", "--symbolic"]) == 1
+    capsys.readouterr()
+    for name in ("eq20", "eq21", "eq22"):
+        assert cli.main(["family", name, "--param", "2"]) == 1
+        assert capsys.readouterr() == ("", "family: the family's residual is nonzero: "
+                                           "B != z2^2\n")
 
 
-def test_mutated_z1_shape_fails(monkeypatch, capsys):
+def test_mutated_z1_shape_fails(monkeypatch, capsys, fresh_families):
     # z1 = m(p^2 + q^2) + q^2 leaves z2 and B as they were: only the
     # substitution check and the pipeline's identity A = z1^2 can see it
     monkeypatch.setattr(derive, "_solution_pairs", z1_plus_q2(derive._solution_pairs))
@@ -287,6 +295,10 @@ def test_mutated_z1_shape_fails(monkeypatch, capsys):
         for sign in ("minus", "plus"):
             with pytest.raises(derive.PipelineError, match="residual"):
                 derive.solution_from_nP(n, sign)
+    for name in ("eq20", "eq21", "eq22"):
+        assert cli.main(["family", name, "--symbolic"]) == 1
+        assert capsys.readouterr() == ("", "family: the family's residual is nonzero: "
+                                           "A != z1^2\n")
 
 
 def test_high_multiple_rechecks_the_spread_family(monkeypatch, capsys):
