@@ -11,7 +11,14 @@ integral model, by Ward's recurrences, over Z at a fixed M and over Z[M]
 symbolically, with no gcd.  ``half_point_psi`` keeps them normalised,
 psi_k divided by (AB^2)^floor(k^2/4) 2^(k^2-1) (M = A/B); every division it
 makes, the normalisation of psi_2..psi_4 and the even step's division by
-the normalised psi_2, is exact or raises PipelineError.  Nothing here
+the normalised psi_2, is exact or raises PipelineError.  Over Z[M] the
+recurrence runs once, on integers at M = 2^W (Kronecker substitution).
+W, a multiple of 8, comes from a majorant of the 1-norm of every value
+the run divides or returns (``_majorants``: a product multiplies norms, a
+difference adds them, a division by c M^j divides by |c| rounded up), so
+each such value's balanced base-2^W digits are its coefficients.  Each
+division is checked on those coefficients, over Z[M], before the integers
+divide, and the five values nP needs are unpacked once.  Nothing here
 checks nP against the curve: the map to the quartic model pulls the curve
 equation back to the quartic one, which derive proves once per point.
 ``_P_triple`` and ``_extra_triple`` are the paper's base point and extra
@@ -22,7 +29,7 @@ oracle (tests/oracles.py), not part of the library.
 
 from __future__ import annotations
 
-from biquadrates.poly import ExactDivisionError, PoleError
+from biquadrates.poly import ExactDivisionError, IPoly, PoleError, _ipoly, _unpack
 
 
 class PipelineError(RuntimeError):
@@ -77,7 +84,7 @@ def _initial_psi(x, y, a2, a4) -> dict:
                         - 10 * aa * x2 - 4 * a2 * aa * x - 2 * aa * a4)}
 
 
-def half_point_psi(A, B=1):
+def half_point_psi(A, B=1, exact=_exact):
     """The normalised division values of the half point R of the base point.
 
     Over Z (A/B a rational M in lowest terms) or Z[M] (A = ``IPoly.gen()``,
@@ -99,7 +106,9 @@ def half_point_psi(A, B=1):
     psi_2k+1, so its normalised product is multiplied by D (over Z[M], a
     shift).  The divisions, psi_2..psi_4 by their normalisers and the even
     step by at(2) = 3, are exact (the tests check k <= 30); a remainder
-    raises PipelineError.
+    raises PipelineError.  Each goes through ``exact``: at A = 2^W
+    ``multiple_P`` passes ``_packed_exact``, and ``_majorants`` runs at
+    A = ``_Norm(1)`` with a rounded-up norm quotient.
     """
     a2, a4 = B * (B - 4 * A), 32 * A * B**3
     if a4 == 0 or a2 * a2 - 4 * a4 == 0:
@@ -107,7 +116,7 @@ def half_point_psi(A, B=1):
     D = A * B * B
     psi = _initial_psi(4 * A * B, 12 * D, a2, a4)
     for k in (2, 3, 4):
-        psi[k] = _exact(psi[k], D ** (k * k // 4) * 2 ** (k * k - 1))
+        psi[k] = exact(psi[k], D ** (k * k // 4) * 2 ** (k * k - 1))
 
     def at(k):
         if k not in psi:
@@ -116,11 +125,70 @@ def half_point_psi(A, B=1):
                 s, t = at(h + 2) * at(h) ** 3, at(h - 1) * at(h + 1) ** 3
                 psi[k] = D * s - t if h & 1 == 0 else s - D * t
             else:
-                psi[k] = _exact(at(h) * (at(h + 2) * at(h - 1) ** 2
-                                         - at(h - 2) * at(h + 1) ** 2), psi[2])
+                psi[k] = exact(at(h) * (at(h + 2) * at(h - 1) ** 2
+                                        - at(h - 2) * at(h + 1) ** 2), psi[2])
         return psi[k]
 
     return at
+
+
+class _Norm(int):
+    """A majorant of the 1-norm (sum of |coefficients|) of an element of
+    Z[M]: sums and differences add, products multiply, M and -1 have norm 1."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Norm(int(self) + abs(other))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        return _Norm(int(self) * abs(other))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        return _Norm(int(self) ** k)
+
+    def __neg__(self):
+        return self
+
+
+def _majorants(n: int) -> list:
+    """1-norm majorants of what the packed ladder to nP unpacks: each
+    division's dividend and divisor in the ladder's order, then
+    at(2n-2..2n+2).  Each divisor is c M^j with |c| exact (2^(k^2-1) or
+    at(2) = 3), so a quotient's norm is the dividend's over |c|."""
+    seen = []
+
+    def quotient(a, b):
+        seen.extend((a, b))
+        return _Norm(-(-int(a) // int(b)))
+
+    at = half_point_psi(_Norm(1), 1, quotient)
+    five = [at(k) for k in range(2 * n - 2, 2 * n + 3)]
+    return seen + five
+
+
+def _width(n: int) -> int:
+    """The least multiple of 8, W, with every majorant below 2^(W-1)."""
+    return (max(_majorants(n)).bit_length() + 8) & -8
+
+
+def _unpacked(v: int, width: int) -> IPoly:
+    """The element of Z[M] with value v at 2^width, its coefficients below
+    2^(width-1) in size."""
+    return _ipoly(_unpack(v, width, abs(v).bit_length() // width + 2))
+
+
+def _packed_exact(width: int):
+    """``_exact`` at M = 2^width, checked over Z[M] on the unpacked values
+    before the integers divide: 3 divides 1 + 2^(width+1), not 1 + 2M."""
+    def exact(a, b):
+        _exact(_unpacked(a, width), _unpacked(b, width))
+        return a // b
+    return exact
 
 
 def multiple_P(n: int, A, B=1) -> tuple:
@@ -132,17 +200,26 @@ def multiple_P(n: int, A, B=1) -> tuple:
     Arithmetic of Elliptic Curves*, Ex. 3.7) gives
     x(kR) - x(R) = -psi_k-1 psi_k+1 / psi_k^2 and
     y(kR) = (psi_k+2 psi_k-1^2 - psi_k-2 psi_k+1^2) / (4 y(R) psi_k^3); in
-    the normalised values, with W = at(2n+2) below^2 - at(2n-2) above^2,
-    phi = 36(ABg^2 - below*above), omega = -36W and z = 3Bg.  Over Z[M] the
+    the normalised values, with t = at(2n+2) below^2 - at(2n-2) above^2,
+    phi = 36(ABg^2 - below*above), omega = -36t and z = 3Bg.  Over Z[M] the
     map's pole factor is then x - 4Mz^2 = -36 below*above.  Nothing here
     checks the curve equation: derive's one proof that the map's image lies
     on the quartic model is that equation (``derive.to_quartic``).
+
+    For A = ``IPoly.gen()``, B = 1, the recurrence runs on integers at
+    M = 2^W, W = ``_width(n)`` (D. Harvey, J. Symbolic Comput. 44, 2009), and
+    the values at 2n-2 .. 2n+2 are unpacked once; any other A, B runs as is.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    at = half_point_psi(A, B)
+    if isinstance(A, IPoly) and A.coeffs == (0, 1) and B == 1:
+        width = _width(n)
+        packed = half_point_psi(1 << width, 1, _packed_exact(width))
+        at = {k: _unpacked(packed(k), width) for k in range(2 * n - 2, 2 * n + 3)}.get
+    else:
+        at = half_point_psi(A, B)
     g, below, above = at(2 * n), at(2 * n - 1), at(2 * n + 1)
     if g == 0:
         raise PoleError("nP is the point at infinity")
-    w = at(2 * n + 2) * below * below - at(2 * n - 2) * above * above
-    return 36 * (A * B * g * g - below * above), -36 * w, 3 * B * g, below, above
+    t = at(2 * n + 2) * (below * below) - at(2 * n - 2) * (above * above)
+    return 36 * (A * B * (g * g) - below * above), -36 * t, 3 * B * g, below, above

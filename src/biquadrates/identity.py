@@ -258,7 +258,9 @@ def verify_curve_closure() -> bool:
     R = (4M, 12M) lies on the curve, the ladder's P is ``curve._P_triple``
     (so P = -2R), its 3R, from at(1..5) by Silverman's formulas, is
     ``curve._extra_triple``, and the extra point and the ladder's P, 2P and
-    3P lie on the curve."""
+    3P lie on the curve.  The ladder's P, 2P and 3P come from the packed
+    route at M = 2^W; at(1..5) come from the recurrence run over Z[M], so
+    the closure compares the two routes."""
     M = IPoly.gen()
     if not curve.on_curve(4 * M, 12 * M, 1, M):
         return False

@@ -18,6 +18,7 @@ rational functions over Q(M) (tests/oracles.py) reduce through it.
 from __future__ import annotations
 
 from math import gcd
+from operator import add, neg, sub
 from typing import Iterable, Optional
 
 
@@ -72,7 +73,7 @@ class IPoly:
         if isinstance(other, IPoly):
             return other
         if isinstance(other, int):
-            return IPoly((other,))
+            return _ipoly((other,))
         return None
 
     def __add__(self, other):
@@ -80,44 +81,41 @@ class IPoly:
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] += c
-        return IPoly(cs)
+        return _ipoly([*map(add, a, b), *a[len(b):], *b[len(a):]])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IPoly(tuple(-c for c in self.coeffs))
+        return _ipoly(tuple(map(neg, self.coeffs)))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        a, b = self.coeffs, o.coeffs
+        return _ipoly([*map(sub, a, b), *a[len(b):], *map(neg, b[len(a):])])
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, int):
+            # a scalar scales each coefficient; only 0 makes a zero one
+            return _ipoly(tuple(map(other.__mul__, self.coeffs)) if other else ())
+        if not isinstance(other, IPoly):
             return NotImplemented
-        p = IPoly.__new__(IPoly)  # int coefficients, the top one lc(a) lc(b) != 0
-        p.coeffs = _mul_coeffs(self.coeffs, o.coeffs)
-        return p
+        # int coefficients, the top one lc(a) lc(b) != 0
+        return _ipoly(_mul_coeffs(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = IPoly((1,))
+        result = _ipoly((1,))
         base = self
         while k:
             if k & 1:
@@ -127,12 +125,24 @@ class IPoly:
         return result
 
     def exact_div(self, other: "IPoly") -> "IPoly":
-        """Quotient self/other when the division is exact over Z; else raises."""
+        """Quotient self/other when the division is exact over Z; else raises.
+
+        A constant divisor (an int or a degree-0 IPoly) divides each
+        coefficient in one pass.
+        """
         o = self._coerce(other)
         if o is None:
             raise TypeError("cannot divide by %r" % (other,))
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
+        if len(o.coeffs) == 1:
+            c, q = o.coeffs[0], []
+            for a in self.coeffs:
+                qa, r = divmod(a, c)
+                if r:
+                    raise ExactDivisionError("nonzero remainder")
+                q.append(qa)
+            return _ipoly(q)
         if self.is_zero:
             return self
         if self.degree < o.degree:
@@ -140,7 +150,7 @@ class IPoly:
         q, r = _divide(self.coeffs, o.coeffs)
         if any(r):
             raise ExactDivisionError("nonzero remainder")
-        return IPoly(q)
+        return _ipoly(q)
 
     def homogenized(self, a: int, b: int) -> tuple:
         """(b^d P(a/b), b^d), d the degree (0 for zero), by Horner's rule over Z."""
@@ -163,6 +173,16 @@ class IPoly:
 
     def __str__(self):
         return format_poly(self)
+
+
+def _ipoly(cs) -> IPoly:
+    """``IPoly(cs)`` for a list or tuple of ints, without the type checks."""
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    p = IPoly.__new__(IPoly)
+    p.coeffs = tuple(cs[:n])
+    return p
 
 
 def format_poly(p: IPoly, var: str = "m", descending: bool = False) -> str:

@@ -16,7 +16,7 @@ from biquadrates.curve import (
     half_point_psi,
     multiple_P,
 )
-from biquadrates.poly import IPoly, PoleError
+from biquadrates.poly import IPoly, PoleError, _pack
 from mutations import psi3_doubled, psi3_plus_one, psi_changed
 from oracles import (
     INFINITY,
@@ -374,3 +374,124 @@ def test_half_point_psi_divisibility_over_q_m():
 def test_half_point_psi_divisibility_over_q(a, b):
     M = Fraction(a, b) ** 4
     _check_normalised(M.numerator, M.denominator, 30)
+
+
+# -- the packed ladder over Z[M], against the recurrence run there ------------
+
+def _ladder_over_z_m(n, A, B=1):
+    """multiple_P's tuple from half_point_psi's values over Z[M], combined
+    as multiple_P combines them."""
+    at = half_point_psi(A, B)
+    g, below, above = at(2 * n), at(2 * n - 1), at(2 * n + 1)
+    t = at(2 * n + 2) * below * below - at(2 * n - 2) * above * above
+    return 36 * (A * B * g * g - below * above), -36 * t, 3 * B * g, below, above
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_packed_ladder_equals_the_z_m_recurrence(n):
+    assert multiple_P(n, IPoly.gen()) == _ladder_over_z_m(n, IPoly.gen())
+
+
+class _RationalNorm(Fraction):
+    """A 1-norm majorant kept exact over Q: sums and differences add and
+    products multiply, as in ``curve._Norm``, with no rounding anywhere."""
+
+    def __add__(self, other):
+        return _RationalNorm(Fraction(self) + abs(other))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        return _RationalNorm(Fraction(self) * abs(other))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        return _RationalNorm(Fraction(self) ** k)
+
+    def __neg__(self):
+        return self
+
+
+def _recorded_run(n, A, divide):
+    """Every dividend and divisor of half_point_psi at A, in order, then its
+    values at 2n-2 .. 2n+2."""
+    seen = []
+
+    def exact(a, b):
+        seen.extend((a, b))
+        return divide(a, b)
+
+    at = half_point_psi(A, 1, exact)
+    five = [at(k) for k in range(2 * n - 2, 2 * n + 3)]
+    return seen + five
+
+
+def _rational_majorants(n):
+    return _recorded_run(n, _RationalNorm(1),
+                         lambda a, b: _RationalNorm(Fraction(a) / Fraction(b)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 12])
+def test_majorants_bound_every_unpacked_value(n):
+    # each value the packed ladder unpacks, taken over Z[M], has a 1-norm at
+    # most the exact rational majorant, and the library's rounded-up
+    # majorant is at least that one
+    values = _recorded_run(n, IPoly.gen(), curve._exact)
+    rational = _rational_majorants(n)
+    bounds = curve._majorants(n)
+    assert len(values) == len(rational) == len(bounds)
+    for v, exact_norm, bound in zip(values, rational, bounds):
+        assert type(bound) is curve._Norm
+        assert sum(map(abs, v.coeffs)) <= exact_norm <= bound
+    # the width is the least multiple of 8 that holds every majorant
+    width = curve._width(n)
+    assert width % 8 == 0 and 2 ** (width - 9) <= max(bounds) < 2 ** (width - 1)
+
+
+def test_majorants_round_up(monkeypatch):
+    # on the recurrence as it stands every division of the majorants is
+    # exact (each at(k), k >= 2, is a multiple of 3); psi_3 written as
+    # psi_3 + 1 - 1 is the same polynomial with majorant 6146, which 2^8
+    # does not divide, so the quotient must round up to stay a bound
+    written = psi_changed(3, lambda v: v + 1 - 1)(curve._initial_psi)
+    monkeypatch.setattr(curve, "_initial_psi", written)
+    rational = _rational_majorants(3)
+    bounds = curve._majorants(3)
+    assert (bounds[2], bounds[3]) == (rational[2], rational[3]) == (6146, 2**8)
+    assert all(r <= b for r, b in zip(rational, bounds))
+    assert multiple_P(3, IPoly.gen()) == _ladder_over_z_m(3, IPoly.gen())
+
+
+def test_other_ipoly_inputs_keep_the_generic_route(monkeypatch):
+    def no_packing(n):
+        raise AssertionError("packed route taken")
+
+    monkeypatch.setattr(curve, "_width", no_packing)
+    M = IPoly.gen()
+    for A, B in ((2 * M, 1), (M + 1, 1), (M, 2)):
+        for n in (1, 2, 3):
+            assert multiple_P(n, A, B) == _ladder_over_z_m(n, A, B)
+    with pytest.raises(DegenerateCurveError):
+        multiple_P(3, IPoly(()))
+    with pytest.raises(AssertionError, match="packed route taken"):
+        multiple_P(1, M)
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 128])
+def test_packed_division_checks_every_coefficient(width):
+    # 1 + 2M and M + 2M^2 are not 3 times an element of Z[M], yet their
+    # values at 2^width are multiples of 3 (2^width = 1 mod 3): only the
+    # check on the unpacked coefficients rejects them, the second one past
+    # digit 0
+    exact = curve._packed_exact(width)
+    for cs in ((1, 2), (0, 1, 2)):
+        v = _pack(cs, width)
+        assert v % 3 == 0
+        with pytest.raises(PipelineError, match="remainder"):
+            exact(v, 3)
+    assert exact(_pack((3, -6, 9), width), 3) == _pack((1, -2, 3), width)
+    # a normalising divisor 2^e M^j: the digits below j must vanish too
+    with pytest.raises(PipelineError, match="remainder"):
+        exact(_pack((4, 0, 4), width), _pack((0, 0, 4), width))
+    assert exact(_pack((0, 0, -4, 8), width), _pack((0, 0, 4), width)) == _pack((-1, 2), width)

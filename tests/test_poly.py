@@ -1,6 +1,7 @@
 """Tests for integer polynomials and the tests' rational functions over Q(M)."""
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd as igcd
 from math import isqrt
 
@@ -310,6 +311,69 @@ def test_unpack_rejects_too_few_digits():
         _unpack(32896, 8, 2)
     with pytest.raises(AssertionError):
         _unpack(-32897, 8, 2)
+
+
+# -- the fast paths against the generic route ---------------------------------
+# A scalar product, a difference and a division by a constant each take a
+# shortcut, and every result is built without the constructor's checks;
+# each must equal the coefficient-wise result built through IPoly().
+
+scalars = st.one_of(st.sampled_from((0, 1, -1, 2**200, -(2**200) - 7)), st.integers())
+
+
+def _canonical(p: IPoly) -> bool:
+    return (type(p.coeffs) is tuple and IPoly(p.coeffs).coeffs == p.coeffs
+            and all(type(c) is int for c in p.coeffs))
+
+
+def _difference(a: IPoly, b: IPoly) -> IPoly:
+    return IPoly([x - y for x, y in zip_longest(a.coeffs, b.coeffs, fillvalue=0)])
+
+
+@given(any_polys, scalars)
+@settings(deadline=None)
+def test_scalar_fast_paths_match_the_generic_route(p, c):
+    scaled = IPoly([c * a for a in p.coeffs])
+    for got in (p * c, c * p):
+        assert got.coeffs == scaled.coeffs and got == p * IPoly([c]) and _canonical(got)
+    for got, want in ((p - c, _difference(p, IPoly([c]))), (c - p, _difference(IPoly([c]), p)),
+                      (p + c, _difference(p, IPoly([-c])))):
+        assert got.coeffs == want.coeffs and _canonical(got)
+
+
+@given(any_polys, any_polys)
+@example(P(1, 0, 5), P(0, 1, 5))     # the top coefficient cancels
+@example(P(1, 2), P(1, 2, 3, 4))     # the subtrahend is longer
+@settings(deadline=None)
+def test_difference_matches_the_generic_route(p, q):
+    for a, b in ((p, q), (q, p)):
+        d = a - b
+        assert d.coeffs == _difference(a, b).coeffs and d == a + (-b) and _canonical(d)
+    assert (p - p).coeffs == () and (p - p).is_zero
+
+
+@given(any_polys, scalars.filter(bool), st.booleans())
+@example(P(3, 7), 3, False)      # a remainder at the top coefficient only
+@example(P(1, 6), 3, False)      # a remainder at digit 0 only
+@example(P(), -5, False)
+@settings(deadline=None)
+def test_exact_div_by_a_constant_matches_the_generic_route(p, c, multiple):
+    if multiple:
+        p = p * c
+    try:
+        # the general division loop, which a constant divisor no longer takes
+        q, _ = poly._divide(p.coeffs, (c,))
+    except ExactDivisionError:
+        q = None
+    assert (q is None) == any(a % c for a in p.coeffs)
+    for divisor in (c, IPoly([c])):
+        if q is None:
+            with pytest.raises(ExactDivisionError):
+                p.exact_div(divisor)
+        else:
+            got = p.exact_div(divisor)
+            assert got.coeffs == IPoly(q).coeffs and _canonical(got)
+            assert got * c == p
 
 
 # -- sparse operands: m^r * P(m^g) -------------------------------------------
