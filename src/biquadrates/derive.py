@@ -19,8 +19,9 @@ them, so ``to_quartic`` reduces U by dividing it out exactly, then the
 integer content.  Clearing takes integer contents only.  Each point is proved
 once, through its image, where the map pulls the curve equation back to the
 quartic one: over Z by one integer identity (``quartic_image``), and over Z[M]
-by two square identities on the family's entries, checked exactly at M = +-2^w,
-which also prove the family (``quartic_point_to_param_solution``).  Of the two
+by one square identity on the family's entries, B = z2^2, checked exactly at
+M = +-2^w (``quartic_point_to_param_solution``); the shapes make the other,
+A = z1^2, hold for every p and q, and ``selftest`` proves that.  Of the two
 branches, nP ("plus") and -nP ("minus"), "auto" names the one whose family has
 the lower degree, which is "minus" at every n (``_resolve_sign``).  With
 nP = -2nR for the half point R (``curve.multiple_P``), the family of jR is
@@ -43,7 +44,7 @@ from biquadrates.exact import (
     check_solution,
 )
 from biquadrates.families import ParamSolution, family_eq26
-from biquadrates.poly import IPoly, PoleError, _pack, _positive, _spread, content
+from biquadrates.poly import IPoly, PoleError, _ipoly, _pack, _positive, _spread, content
 
 
 def quartic_rhs(u, M, q=1):
@@ -124,22 +125,26 @@ def quartic_point_to_param_solution(p: IPoly, q: IPoly, s: IPoly) -> ParamSoluti
     and, on the quartic model, 4 divides z2^2 = (p-q)^2 p^2 - 4q^2(p+q)^2,
     hence 2 divides z2, and the z entries divide exactly by d1 d2.
 
-    Two square identities over Z[M] prove the family and the point.  With
+    One square identity over Z[M] proves the point.  With
     A = (x1 y1)^2 + (x2 y2)^2 and B = (x1 y2)^2 - (x2 y1)^2 in m and
-    M = m^4, (E1 E3)^2 + (E2 E4)^2 = E5^2 is A = z1^2 over m^2 and
-    (E1 E4)^2 - M (E2 E3)^2 = E6^2 is B = z2^2, so the quartic Brahmagupta
-    identity gives (x1^4+x2^4)(y1^4+y2^4) = A^2 + B^2 = z1^4 + z2^4.  And
-    z2^2 - B is q^4 (V^2 - quartic_rhs(U)) / (d1 d2)^2, so the second puts
-    the image on the quartic model and nP on the curve (``to_quartic``).
+    M = m^4, (E1 E4)^2 - M (E2 E3)^2 = E6^2 is B = z2^2, and z2^2 - B is
+    q^4 (V^2 - quartic_rhs(U)) / (d1 d2)^2, so it puts the image on the
+    quartic model and nP on the curve (``to_quartic``).  The shapes make
+    A = z1^2 for any p, q and s (``selftest`` proves it on these same
+    ``_solution_pairs``: ``identity.verify_substitution_13``), and the checked
+    divisions by d1, d2 and d1 d2 keep it, (E1 E3)^2 + (E2 E4)^2 = E5^2, on
+    the entries.  The quartic Brahmagupta identity then gives
+    (x1^4+x2^4)(y1^4+y2^4) = A^2 + B^2 = z1^4 + z2^4.
 
-    Each identity R = 0 is checked at M = +-2^w on ``_pack``'s integers (D. Harvey,
+    B's residual R = 0 is checked at M = +-2^w on ``_pack``'s integers (D. Harvey,
     "Faster polynomial multiplication via multipoint Kronecker substitution",
     J. Symbolic Comput. 44, 2009), exactly if all |R_i| < 4^w: R's even and odd
     parts then vanish at 4^w, and a nonzero one cannot, as 4^w would divide its
     lowest nonzero coefficient (4^w - M^2 is the edge).  A product of k entries
     has coefficients below 2^(sum of their bit lengths) L^(k-1), L the longest
-    entry's length, so |R_i| < 3 2^t L^3 for t the largest such sum over R's
-    terms, and 2w >= t + 2 + 3 bitlen(L) suffices; each entry is then below 2^w.
+    packed entry's length, so |R_i| < 3 2^t L^3 for t = 2 max(b6, b1 + b4,
+    b2 + b3), bi the bit length of Ei, and 2w >= t + 2 + 3 bitlen(L) suffices;
+    each packed entry is then below 2^w.  E5 is not packed.
 
     U is not 0, 1 or infinity at M = 0 (``solution_from_nP`` pins U(0)), so
     x1 = p - q and y2 = p have nonzero constant terms.  That makes the pair
@@ -153,19 +158,16 @@ def quartic_point_to_param_solution(p: IPoly, q: IPoly, s: IPoly) -> ParamSoluti
     d2 = gcd(content(y1), content(y2))
     entries = (_exact(x1, d1), _exact(x2, d1), _exact(y1, d2), _exact(y2, d2),
                _exact(z1, d1 * d2), _exact(z2, d1 * d2))
-    cs = [e.coeffs for e in entries]
-    b1, b2, b3, b4, b5, b6 = (max(map(int.bit_length, co), default=0) for co in cs)
-    t = 2 * max(b5, b6, b1 + b3, b2 + b4, b1 + b4, b2 + b3)
+    cs = [e.coeffs for e in entries[:4] + entries[5:]]
+    b1, b2, b3, b4, b6 = (max(map(int.bit_length, co), default=0) for co in cs)
+    t = 2 * max(b6, b1 + b4, b2 + b3)
     w = -(-(t + 2 + 3 * max(map(len, cs)).bit_length()) // 16) * 8  # 8 divides w
     plus = [_pack(co, w) for co in cs]
     minus = [_pack([-v if i & 1 else v for i, v in enumerate(co)], w) for co in cs]
-    if any((e5 - (a := e1 * e3)) * (e5 + a) != (e2 * e4) ** 2
-           for e1, e2, e3, e4, e5, _ in (plus, minus)):
-        raise PipelineError("the family's residual is nonzero: A != z1^2")
     if any(((c := e1 * e4) - e6) * (c + e6) != sign * ((e2 * e3) ** 2 << w)
-           for sign, (e1, e2, e3, e4, _, e6) in ((1, plus), (-1, minus))):
+           for sign, (e1, e2, e3, e4, e6) in ((1, plus), (-1, minus))):
         raise PipelineError("the family's residual is nonzero: B != z2^2")
-    return ParamSolution(*(IPoly(_spread(_positive(e).coeffs, r, 4))
+    return ParamSolution(*(_ipoly(_spread(_positive(e).coeffs, r, 4))
                            for e, r in zip(entries, (0, 1, 1, 0, 1, 0))))
 
 
@@ -222,7 +224,7 @@ def quartic_image(nP: tuple, M, sign: str) -> tuple:
     2n + 1 on the minus branch (the point 2nR).  At M = A/B the image is
     proved here by B s^2 = B p^2 (p-q)^2 - 4A q^2 (p+q)^2, which is
     s^2 = q^4 quartic_rhs(p/q), so nP lies on the curve; over Z[M] the
-    family's square identities prove it.
+    family's identity B = z2^2 proves it.
     """
     x, y, z, below, above = nP
     y, g = (y, below) if _resolve_sign(sign) == "plus" else (-y, above)
@@ -237,8 +239,9 @@ def quartic_image(nP: tuple, M, sign: str) -> tuple:
 def solution_from_nP(n: int, sign: str = "auto") -> ParamSolution:
     """Polynomial family from the n-th multiple of the base point over Z[M].
 
-    ``quartic_point_to_param_solution``'s square identities are the one
-    proof, after a check at M = 0 that pins the branch.  There the curve is
+    ``quartic_point_to_param_solution``'s identity B = z2^2 is the one
+    run-time proof (the shapes' A = z1^2 is ``selftest``'s), after a check
+    at M = 0 that pins the branch.  There the curve is
     Y^2 = X^2(X+1) and P reduces to the point with t = (Y-X)/(Y+X) = 1/4,
     so +-nP reduce to t = 4^-+n and U(0) = (1+w)/2, w = (1+t)/(1-t), is
     4^n/(4^n - 1) on the plus branch and -1/(4^n - 1) on the minus one.

@@ -24,10 +24,12 @@ Memory is the product set plus one list of fourth powers; the y-lists per
 pair class hold references to the y-pairs, and the sum-to-pairs lookup the
 rows use holds only the quotients of hits.
 
-Output is deduplicated by canonical key, so each family of scaled or
-rearranged solutions appears once.  Each row holds by construction, in
-exact integers: its z-pair decomposes n = z1^4 + z2^4 and n is the product
-of its two pair sums.  The command line checks each row it prints.
+Each row is unique by construction: it pairs two coprime ascending pairs,
+(x1, x2) <= (y1, y2), with an ascending z-pair, so its canonical key is the
+row itself, and each (x, y, z) is formed once.  Each row holds by
+construction, in exact integers: its z-pair decomposes n = z1^4 + z2^4 and n
+is the product of its two pair sums.  The command line checks each row it
+prints.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from operator import add, mul
 
 from biquadrates.exact import (
     SolutionSix,
-    canonicalize,
     integer_fourth_root_floor,
     is_fourth_power,
 )
@@ -112,9 +113,9 @@ def _ylists(ypairs: list) -> list:
 def search(bx: int, by: int) -> list:
     """All solutions with x2 <= bx and y2 <= by, one per canonical key.
 
-    Results are sorted by (x2, x1, y2, y1, z2) and deduplicated keeping the
-    first entry in that order.  Raises ValueError unless both bounds are
-    integers of at least 2.
+    Results are sorted by (x2, x1, y2, y1, z2); each row is its own
+    canonical key and no two rows share one.  Raises ValueError unless both
+    bounds are integers of at least 2.
     """
     if not (isinstance(bx, int) and isinstance(by, int)):
         raise ValueError("bounds must be integers")
@@ -148,12 +149,4 @@ def search(bx: int, by: int) -> list:
             for z1, z2 in hits[n]:
                 found.append(SolutionSix(x1, x2, y1, y2, z1, z2))
     found.sort(key=lambda s: (s.x2, s.x1, s.y2, s.y1, s.z2))
-    seen = set()
-    out = []
-    for sol in found:
-        key = canonicalize(sol, check=False)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(sol)
-    return out
+    return found

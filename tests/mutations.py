@@ -99,26 +99,29 @@ def z1_plus_q2(solution_pairs):
     return mutated
 
 
-def z_entry_bent(solution_pairs, k, where):
-    """The family entry E5 (k = 0) or E6 (k = 1) with one coefficient changed.
+def entry_bent(solution_pairs, i, where):
+    """The family entry E(i+1) (i = 0..5: x1, x2, y1, y2, z1, z2) with one
+    coefficient changed.
 
     "top" and "constant" add 2 to the top coefficient or the constant term;
     "edge" sets the middle coefficient to 2^b - 1 (or its negative, if it is
     that already), b the entry's largest bit length, so the zero test's width
-    stays as it was.  The entry is the z-pair's over the pair gcds d1 d2, so
-    the pair changes by d1 d2 times as much and still divides exactly."""
+    stays as it was.  The entry is its pair's over the pair's gcd d (d1 d2
+    for the z-pair), so the pair changes by d times as much and still
+    divides exactly."""
     def mutated(p, q, m, v):
-        (x1, x2), (y1, y2), zs = solution_pairs(p, q, m, v)
-        d = gcd(content(x1), content(x2)) * gcd(content(y1), content(y2))
-        es = [c // d for c in zs[k].coeffs]
+        pairs = [list(pair) for pair in solution_pairs(p, q, m, v)]
+        d1, d2 = (gcd(content(a), content(b)) for a, b in pairs[:2])
+        d = (d1, d2, d1 * d2)[i // 2]
+        es = [c // d for c in pairs[i // 2][i % 2].coeffs]
         if where == "edge":
             j, edge = len(es) // 2, (1 << max(map(int.bit_length, es))) - 1
             delta = (edge if es[j] != edge else -edge) - es[j]
         else:
             j, delta = (len(es) - 1 if where == "top" else 0), 2
         es[j] += delta
-        bent = IPoly(c * d for c in es)
-        return (x1, x2), (y1, y2), (bent, zs[1]) if k == 0 else (zs[0], bent)
+        pairs[i // 2][i % 2] = IPoly(c * d for c in es)
+        return tuple(map(tuple, pairs))
     return mutated
 
 

@@ -28,7 +28,7 @@ from biquadrates.exact import DegenerateSolutionError, SolutionSix, canonicalize
 from biquadrates.families import ParamSolution
 from biquadrates.poly import IPoly, PoleError, content
 from known_solutions import PUBLISHED_FAMILIES
-from mutations import fresh_families, psi_changed, z_entry_bent
+from mutations import entry_bent, fresh_families, psi_changed
 from oracles import (
     INFINITY,
     CurvePoint,
@@ -303,7 +303,7 @@ def _no_check(*args, **kwargs):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_symbolic_pipeline_proves_each_point_once(n, monkeypatch):
-    # the two square identities over Z[M] are the one proof: derive holds no
+    # B's square identity over Z[M] is the one proof: derive holds no
     # QuarticPoint, on_curve or RatFn, and the field route is not reached
     import biquadrates.curve as curve
     import oracles
@@ -386,7 +386,7 @@ def _moved_constant(p0):
 def test_guard_rejects_u_0_or_1_at_m_0(p0, monkeypatch):
     # x1 = p - q and y2 = p must not vanish at M = 0 (the gcd argument in
     # quartic_point_to_param_solution relies on it); the pin of U(0) says so
-    # before the square identities are formed
+    # before B's square identity is formed
     monkeypatch.setattr(derive, "to_quartic", _moved_constant(p0))
     for n in (1, 2):
         for sign in ("minus", "plus"):
@@ -450,7 +450,7 @@ def test_known_factor_reduces_u(n):
 
 
 def test_family_is_proved_once(monkeypatch, capsys):
-    # derive proves each family with its two square identities over Z[M] and
+    # derive proves each family with B's square identity over Z[M] and
     # printing runs no residual; a published family is checked by cmd_family
     import biquadrates.cli as cli
 
@@ -606,7 +606,7 @@ def test_integer_clearing_matches_fraction_clearing_off_the_curve(p, q, s, a, b)
     assert derive._clear_image(p, q, s, m) == want
 
 
-# -- the two-point zero test of the square identities ------------------------
+# -- the two-point zero test of B's square identity --------------------------
 
 @st.composite
 def bounded_polys(draw):
@@ -649,41 +649,47 @@ def test_zero_test_bound_is_tight(w):
 
 
 def _packed_entries_and_error(p, q, s, pairs=None):
-    """The entries and width the zero test packs, and the PipelineError's text
-    (None if the family is accepted)."""
+    """The five entries E1..E4 and E6 and the width the zero test packs, the
+    family (None if it is rejected) and the PipelineError's text (None if
+    it is accepted)."""
     packs = []
 
     def pack_spy(cs, width):
         packs.append((tuple(cs), width))
         return poly._pack(cs, width)
 
+    family = error = None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(derive, "_pack", pack_spy)
         if pairs is not None:
             mp.setattr(derive, "_solution_pairs", pairs)
         try:
-            derive.quartic_point_to_param_solution(p, q, s)
-            error = None
+            family = derive.quartic_point_to_param_solution(p, q, s)
         except PipelineError as exc:
             error = str(exc)
-    return [IPoly(cs) for cs, _ in packs[:6]], packs[0][1] if packs else None, error
+    return [IPoly(cs) for cs, _ in packs[:5]], packs[0][1] if packs else None, family, error
 
 
 small_entry = st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=12)
+small_bend = st.lists(st.integers(-9, 9), max_size=5)
 
 
-@given(small_entry, small_entry, small_entry, st.lists(st.integers(-9, 9), max_size=5))
+@given(small_entry, small_entry, small_entry, small_bend, small_bend)
 @settings(max_examples=60, deadline=None)
-# the minus branch at n = 1, as it is and with z1 bent
-@example([-1, -1], [3], [4, -13, 1], [])
-@example([-1, -1], [3], [4, -13, 1], [0, 0, 1])
+# the minus branch at n = 1: as it is, with z1 bent, with z1 negated, with z2 bent
+@example([-1, -1], [3], [4, -13, 1], [], [])
+@example([-1, -1], [3], [4, -13, 1], [0, 0, 1], [])
+@example([-1, -1], [3], [4, -13, 1], [-20, -4, -2], [])
+@example([-1, -1], [3], [4, -13, 1], [], [0, 0, 1])
 # one long entry of equal coefficients of 64 bits: its square's middle
 # coefficient is about L 2^128, so the L^3 term of the width is needed
-@example([1, 1], [1], [2**64 - 1] * 12, [])
-@example([1, 1], [1], [1], [2**64 - 1] * 12)
-def test_zero_test_width_bounds_every_residual(pc, qc, sc, bend):
-    # random p, q, s (and a bent z1): the width puts every coefficient of both
-    # residuals below 4^w, and the zero test rejects exactly the nonzero ones
+@example([1, 1], [1], [2**64 - 1] * 12, [], [])
+@example([1, 1], [1], [1], [], [2**64 - 1] * 12)
+def test_zero_test_width_bounds_every_residual(pc, qc, sc, bend1, bend2):
+    # random p, q, s with z1 and z2 bent: the width puts every coefficient of
+    # B's residual below 4^w, and the zero test rejects exactly the nonzero
+    # ones.  It proves B alone: a bent z1 is accepted, and only the family's
+    # residual sees it
     p, q = IPoly(pc), IPoly(qc)
     assume(not p.is_zero and not q.is_zero)
     d = gcd(content(p - q), content(2 * q)) * gcd(content(p + q), content(p))
@@ -691,37 +697,41 @@ def test_zero_test_width_bounds_every_residual(pc, qc, sc, bend):
 
     def bent(p, q, m, v):
         x, y, (z1, z2) = pairs(p, q, m, v)
-        return x, y, (z1 + d * IPoly(bend), z2)
+        return x, y, (z1 + d * IPoly(bend1), z2 + d * IPoly(bend2))
 
-    entries, w, error = _packed_entries_and_error(p, q, d * IPoly(sc), bent)
+    entries, w, family, error = _packed_entries_and_error(p, q, d * IPoly(sc), bent)
     assume(w is not None)
-    e1, e2, e3, e4, e5, e6 = entries
-    r1 = e5 * e5 - (e1 * e3) ** 2 - (e2 * e4) ** 2
-    r2 = (e1 * e4) ** 2 - e6 * e6 - IPoly.gen() * (e2 * e3) ** 2
+    e1, e2, e3, e4, e6 = entries
+    r = (e1 * e4) ** 2 - e6 * e6 - IPoly.gen() * (e2 * e3) ** 2
     assert w % 8 == 0
-    assert max(map(abs, r1.coeffs + r2.coeffs), default=0) < 4**w
-    if not r1.is_zero:
-        assert error == "the family's residual is nonzero: A != z1^2"
-    elif not r2.is_zero:
-        assert error == "the family's residual is nonzero: B != z2^2"
-    else:
-        assert error is None
+    assert max(map(abs, r.coeffs), default=0) < 4**w
+    if not r.is_zero:
+        assert (family, error) == (None, "the family's residual is nonzero: B != z2^2")
+        return
+    assert error is None
+    # A = z1^2 holds on the unbent E5, so the residual vanishes exactly when
+    # the bent E5 is +-E5
+    e5, b = (p * p + q * q).exact_div(d), IPoly(bend1)
+    assert family.residual().is_zero == (b.is_zero or b == -2 * e5)
 
 
 @pytest.mark.parametrize("where", ("top", "constant", "edge"))
 @pytest.mark.parametrize("k, name", ((0, "A != z1^2"), (1, "B != z2^2")))
 @pytest.mark.parametrize("sign", ("minus", "plus"))
 def test_mutated_entries_fail_the_zero_test(sign, k, name, where):
-    # one changed coefficient of E5 (k = 0) or E6 (k = 1) fails its identity;
-    # at the edge the width is the family's own
-    bent = z_entry_bent(derive._solution_pairs, k, where)
+    # one changed coefficient of E1 (k = 0) breaks A = z1^2 and B = z2^2,
+    # and one of E6 (k = 1) breaks B alone; B's zero test rejects both.  At
+    # the edge the width is the family's own
+    bent = entry_bent(derive._solution_pairs, (0, 5)[k], where)
     X = IPoly.gen()
     for n in range(1, 7):
         p, q, s = quartic_image(multiple_P(n, X), X, sign)
-        _, w, error = _packed_entries_and_error(p, q, s)
+        _, w, _, error = _packed_entries_and_error(p, q, s)
         assert error is None
-        _, bent_w, error = _packed_entries_and_error(p, q, s, bent)
-        assert error == "the family's residual is nonzero: " + name
+        (x1, x2), (y1, y2), (z1, _) = bent(p, q, 1, s)
+        assert ((x1 * y1) ** 2 + (x2 * y2) ** 2 != z1 * z1) == (name == "A != z1^2")
+        _, bent_w, _, error = _packed_entries_and_error(p, q, s, bent)
+        assert error == "the family's residual is nonzero: B != z2^2"
         assert bent_w == w or where != "edge"
 
 

@@ -287,18 +287,17 @@ def test_mutated_shapes_fail(monkeypatch, capsys, fresh_families):
 
 
 def test_mutated_z1_shape_fails(monkeypatch, capsys, fresh_families):
-    # z1 = m(p^2 + q^2) + q^2 leaves z2 and B as they were: only the
-    # substitution check and the pipeline's identity A = z1^2 can see it
+    # z1 = m(p^2 + q^2) + q^2 leaves z2 and B as they were, and derive
+    # proves B alone: selftest's substitution check sees it, and so does
+    # the residual of each family derived under it
     monkeypatch.setattr(derive, "_solution_pairs", z1_plus_q2(derive._solution_pairs))
     assert _selftest_fails(capsys, "substitution_13")
     for n in (1, 2, 3):
         for sign in ("minus", "plus"):
-            with pytest.raises(derive.PipelineError, match="residual"):
-                derive.solution_from_nP(n, sign)
+            assert not derive.solution_from_nP(n, sign).residual().is_zero
     for name in ("eq20", "eq21", "eq22"):
         assert cli.main(["family", name, "--symbolic"]) == 1
-        assert capsys.readouterr() == ("", "family: the family's residual is nonzero: "
-                                           "A != z1^2\n")
+        assert capsys.readouterr() == ("", "family: the residual is nonzero\n")
 
 
 def test_high_multiple_rechecks_the_spread_family(monkeypatch, capsys):

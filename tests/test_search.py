@@ -181,9 +181,14 @@ def test_search_finds_smallest_known_solution():
     assert canonicalize(SMALL_SOLUTIONS[0]) in keys
 
 
-def test_search_output_is_deduplicated_and_sorted():
-    result = search(8, 12)
+@pytest.mark.parametrize("bx, by", ((8, 12), (2, 158), (24, 24)))
+def test_search_rows_are_their_own_canonical_keys_and_sorted(bx, by):
+    # each row is formed once, so it is its own key and no key repeats; in
+    # 2 x 158 the y-pairs (59, 158) and (133, 134) share a sum, so two pair
+    # combinations share each product they form
+    result = search(bx, by)
     keys = [canonicalize(s) for s in result]
+    assert keys == [((s.x1, s.x2), (s.y1, s.y2), (s.z1, s.z2)) for s in result]
     assert len(keys) == len(set(keys))
     order = [(s.x2, s.x1, s.y2, s.y1, s.z2) for s in result]
     assert order == sorted(order)
