@@ -15,8 +15,9 @@ polynomial families in m over Z[M] and integer solutions over Z at a
 rational m, with no polynomial gcd.  ``curve.multiple_P`` gives nP as a
 triple with the odd division values around it; the map's pole factor
 2x - 8Mz^2 is -72 times their product and U's numerator shares one of
-them, so ``to_quartic`` reduces U by dividing it out exactly, then the
-integer content.  Clearing takes integer contents only.  Each point is proved
+them, so ``to_quartic`` divides it out of U's numerator exactly, takes
+-72 times the other as what is left of the pole factor, then divides by
+the integer content.  Clearing takes integer contents only.  Each point is proved
 once, through its image, where the map pulls the curve equation back to the
 quartic one: over Z by one integer identity (``quartic_image``), and over Z[M]
 by one square identity on the family's entries, B = z2^2, checked exactly at
@@ -55,7 +56,7 @@ def quartic_rhs(u, M, q=1):
             - 4 * M * qq * qq)
 
 
-def to_quartic(x, y, M, z=1, g=None):
+def to_quartic(x, y, M, z=1, g=None, r=None):
     """The map (X, Y) -> (U, V) to the quartic model at X = x/z^2, Y = y/z^3.
 
     U = (xz + y + 8Mz^3) / (z(2x - 8Mz^2)), with its pole where X = 4M.  V
@@ -68,12 +69,18 @@ def to_quartic(x, y, M, z=1, g=None):
     the curve.
 
     Over a field (no g) it returns (U, V).  Given ``multiple_P``'s triple
-    over Z or Z[M] and g, the odd value that U's numerator shares with
-    2x - 8Mz^2, it returns (p, q, s); at M = A/B, z = 3Bg makes Mz^2 an
-    integer.  g is divided out of both exactly, then their integer content
-    c, signed to make q (over Z[M], its leading coefficient) positive.  Then
-    q = zr/c with r = (2x - 8Mz^2)/g, so s = xr^2/(2c^2) + p(q-p) divides
-    only by an integer, exactly, and V = s/q^2 is reduced: the caller proves
+    over Z or Z[M], g, the odd value that U's numerator shares with
+    2x - 8Mz^2, and r = (2x - 8Mz^2)/g, it returns (p, q, s); at M = A/B,
+    z = 3Be (e the value at 2n) makes Mz^2 an integer.  r is taken as
+    given, not divided out: ``multiple_P``'s phi = 36(ABe^2 - below above)
+    and z = 3Be make 2x - 8Mz^2 = -72 below above, so ``quartic_image``
+    passes -72 times the other odd value, and that division could never
+    leave a remainder.  No proof rests on it: ``quartic_image``'s identity
+    over Z and B's zero test over Z[M] prove whatever point p, q and s name.
+    g is divided out of the numerator exactly, then the integer content c
+    of p and zr, signed to make q (over Z[M], its leading coefficient)
+    positive.  Then q = zr/c, so s = xr^2/(2c^2) + p(q-p) divides only by an
+    integer, exactly, and V = s/q^2 is reduced: the caller proves
     s^2 = N with N = q^4 quartic_rhs(p/q) = p^4 + q * (terms in p and q), and
     a prime of Z[M] (an integer prime or an irreducible primitive
     polynomial) dividing s and q divides N and q, so p^4, so p; p and q are
@@ -90,8 +97,7 @@ def to_quartic(x, y, M, z=1, g=None):
         u = num / (z * pole)
         w = 2 * zz
         return u, (x + w * u * (1 - u)) / w
-    p, r = _exact(num, g), _exact(pole, g)
-    q = z * r
+    p, q = _exact(num, g), z * r
     c = gcd(content(p), content(q))
     if (q if isinstance(q, int) else q.lc) < 0:
         c = -c
@@ -227,8 +233,8 @@ def quartic_image(nP: tuple, M, sign: str) -> tuple:
     family's identity B = z2^2 proves it.
     """
     x, y, z, below, above = nP
-    y, g = (y, below) if _resolve_sign(sign) == "plus" else (-y, above)
-    p, q, s = to_quartic(x, y, M, z, g)
+    y, g, h = (y, below, above) if _resolve_sign(sign) == "plus" else (-y, above, below)
+    p, q, s = to_quartic(x, y, M, z, g, -72 * h)
     if not isinstance(M, IPoly):
         A, B = M.numerator, M.denominator
         if B * s * s != B * (p * (p - q)) ** 2 - 4 * A * (q * (p + q)) ** 2:

@@ -20,27 +20,22 @@ Everything here is exact: plain ``int`` plus ``fractions.Fraction``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import NamedTuple, Optional
 
 
 class DegenerateSolutionError(ValueError):
     """A coordinate pair that must be nonzero is (0, 0)."""
 
 
-class SolutionSix(NamedTuple):
+class SolutionSix(namedtuple("SolutionSix", "x1 x2 y1 y2 z1 z2")):
     """Integer six-tuple for (x1^4+x2^4)(y1^4+y2^4) = z1^4+z2^4."""
 
-    x1: int
-    x2: int
-    y1: int
-    y2: int
-    z1: int
-    z2: int
+    __slots__ = ()
 
 
-class CanonicalKey(NamedTuple):
+class CanonicalKey(namedtuple("CanonicalKey", "xpair ypair zpair")):
     """Canonical form of a solution under scaling, signs, swaps and x/y exchange.
 
     ``xpair`` and ``ypair`` are sorted primitive nonnegative pairs with
@@ -48,9 +43,7 @@ class CanonicalKey(NamedTuple):
     k1*k2 (so it may be fractional), sorted ascending.
     """
 
-    xpair: tuple[int, int]
-    ypair: tuple[int, int]
-    zpair: tuple[Fraction, Fraction]
+    __slots__ = ()
 
 
 def check_solution(s: SolutionSix) -> bool:
@@ -125,7 +118,7 @@ def integer_fourth_root_floor(n: int) -> int:
 _RES80 = frozenset((r**4) % 80 for r in range(80))
 
 
-def is_fourth_power(n: int) -> Optional[int]:
+def is_fourth_power(n: int) -> int | None:
     """The integer r >= 0 with r**4 == n, or None."""
     if n < 0:
         return None

@@ -15,7 +15,7 @@ written out here as ``family_eq26``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from biquadrates.poly import IPoly, _mul_coeffs, _spread
@@ -42,20 +42,14 @@ def _mul(a: IPoly, b: IPoly) -> IPoly:
     return p
 
 
-@dataclass(frozen=True)
-class ParamSolution:
+class ParamSolution(namedtuple("ParamSolution", "x1 x2 y1 y2 z1 z2 var",
+                               defaults=("m",))):
     """Six polynomials in one shared variable solving the equation identically.
 
     ``var`` is that variable's printed name (``t`` for the Pell family).
     """
 
-    x1: IPoly
-    x2: IPoly
-    y1: IPoly
-    y2: IPoly
-    z1: IPoly
-    z2: IPoly
-    var: str = "m"
+    __slots__ = ()
 
     def polys(self) -> tuple:
         return (self.x1, self.x2, self.y1, self.y2, self.z1, self.z2)

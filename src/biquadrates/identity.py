@@ -62,23 +62,19 @@ the order ``selftest`` prints them; ``selftest --quick`` skips
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from typing import Callable
 
 from biquadrates import curve, derive, pell, search
 from biquadrates.poly import IPoly
 
 
-@dataclass(frozen=True)
-class GridIdentity:
+class GridIdentity(namedtuple("GridIdentity", "variables degree_bounds residual offsets",
+                              defaults=((),))):
     """A claimed identity, residual == 0, checked on an integer product grid."""
 
-    variables: tuple
-    degree_bounds: tuple
-    residual: Callable
-    offsets: tuple = ()
+    __slots__ = ()
 
     def nodes(self) -> list:
         offs = self.offsets or (0,) * len(self.variables)

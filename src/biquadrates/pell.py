@@ -13,16 +13,15 @@ u = (t^2+3)/(t^2-3), v = 2t/(t^2-3) gives the family eq26 in ``families``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from biquadrates.exact import SolutionSix
 
 
-class PellSolution(NamedTuple):
+class PellSolution(namedtuple("PellSolution", "u v")):
     """Integer pair (u, v) with u^2 - 3v^2 = 1."""
 
-    u: int
-    v: int
+    __slots__ = ()
 
 
 def pell3_nth(k: int) -> PellSolution:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from math import gcd
 from operator import add, neg, sub
-from typing import Iterable, Optional
 
 
 class ExactDivisionError(ArithmeticError):
@@ -39,7 +38,7 @@ class IPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[int] = ()):
+    def __init__(self, coeffs=()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
@@ -69,7 +68,7 @@ class IPoly:
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def _coerce(self, other) -> Optional["IPoly"]:
+    def _coerce(self, other) -> IPoly | None:
         if isinstance(other, IPoly):
             return other
         if isinstance(other, int):

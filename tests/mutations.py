@@ -3,7 +3,7 @@
 Each function wraps the real definition; tests monkeypatch the result into
 its module, so the pipeline and the verifiers both run the corrupted copy.
 The residual corruptions at the end wrap a grid's residual instead, and
-tests put the result into the grid with ``dataclasses.replace``.
+tests put the result into the grid with the grid's ``_replace``.
 
 ``derive.published_family`` builds each published family once per process,
 so a test that patches the derivation and then asks for one takes the

@@ -408,9 +408,13 @@ def old_record(sol, source, parameter=None, as_json=False) -> str:
     (exact.SolutionSix(-6, 12, 175, 210, -1680, 2730), None),
     # gcd 3 on the x-pair only: the key's y-pair is the tuple's own
     (exact.scale_solution(pell.pell_to_solution(pell.pell3_nth(40)), 3, -1), 40),
-    (derive.evaluate_param(FAMILIES["eq21"](), Fraction(-6, 7)), Fraction(-6, 7)),
+    # a family value, named here and derived in the test: a fault in the
+    # derivation then fails this case, not the collection of the module
+    pytest.param("eq21", Fraction(-6, 7), id="sol4-parameter4"),
 ])
 def test_record_text_is_the_old_rule_text(sol, parameter, as_json):
+    if isinstance(sol, str):
+        sol = derive.evaluate_param(FAMILIES[sol](), parameter)
     assert cli._record(sol, "pell", parameter, as_json) == old_record(
         sol, "pell", parameter, as_json)
 

@@ -440,13 +440,39 @@ def test_known_factor_reduces_u(n):
     M = IPoly.gen()
     x, y, z, below, above = multiple_P(n, M)
     zz = z * z
-    for y, g in ((y, below), (-y, above)):
-        p, q, s = derive.to_quartic(x, y, M, z, g)
+    for y, g, h in ((y, below, above), (-y, above, below)):
+        p, q, s = derive.to_quartic(x, y, M, z, g, -72 * h)
         assert q.lc > 0
         # U = (xz + y + 8Mz^3) / (z(2x - 8Mz^2)) and V = x/(2z^2) + U(1 - U)
         assert p * z * (2 * x - 8 * M * zz) == q * (x * z + y + 8 * M * z * zz)
         assert 2 * zz * s == x * q * q + 2 * zz * p * (q - p)
         assert _coprime(p, q) and _coprime(s, q)
+
+
+@pytest.mark.parametrize("M", [IPoly.gen(), Fraction(2, 3) ** 4, Fraction(-5, 7) ** 4],
+                         ids=["Z[M]", "(2/3)^4", "(-5/7)^4"])
+def test_pole_cofactor_is_the_old_division(M, monkeypatch):
+    # quartic_image hands to_quartic the pole factor's cofactor r, -72 times
+    # the odd value not shared with U's numerator, in place of dividing
+    # 2x - 8Mz^2 by the shared one g: r is that quotient on both branches
+    original, seen = derive.to_quartic, []
+
+    def recording(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(derive, "to_quartic", recording)
+    A, B = (M, 1) if isinstance(M, IPoly) else (M.numerator, M.denominator)
+    for n in range(1, 9):
+        for sign in ("minus", "plus"):
+            quartic_image(multiple_P(n, A, B), M, sign)
+            x, _, _, z, g, r = seen.pop()
+            pole = 2 * x - 8 * M * z * z
+            if not isinstance(M, IPoly):
+                assert pole.denominator == 1
+                pole = pole.numerator
+            assert r == derive._exact(pole, g)
+    assert seen == []
 
 
 def test_family_is_proved_once(monkeypatch, capsys):

@@ -1,6 +1,5 @@
 """Tests for the identity verifiers, including mutation falsifiers."""
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -121,7 +120,7 @@ def test_int_nodes_match_fraction_nodes(case, monkeypatch):
         module, attr, wrap = mutation
         monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
     elif mutation is not None:
-        g = replace(g, residual=mutation(g.residual))
+        g = g._replace(residual=mutation(g.residual))
     fast = _components(g, int)
     assert not any(isinstance(c, float) for c in fast)
     assert fast == _components(g, Fraction)
@@ -177,7 +176,7 @@ def test_pell_reduction_point_values():
 
 def _mutated(grid, mutation):
     g = grid()
-    return replace(g, residual=mutation(g.residual))
+    return g._replace(residual=mutation(g.residual))
 
 
 def test_mutated_brahmagupta_fails():
@@ -327,8 +326,8 @@ def test_each_roundtrip_half_rejects_mutations(chart, monkeypatch):
 def test_mutated_pell_reduction_fails(monkeypatch, capsys):
     g = pell_reduction_grid()
     # factored side with 256 -> 255
-    bad = replace(g, residual=lambda u, v: g.residual(u, v)
-                  - v**8 * (u**2 + 3 * v**2 + 1) * (u**2 - 3 * v**2 - 1))
+    bad = g._replace(residual=lambda u, v: g.residual(u, v)
+                     - v**8 * (u**2 + 3 * v**2 + 1) * (u**2 - 3 * v**2 - 1))
     assert not grid_verify(bad)
     monkeypatch.setattr(pell, "pell_shapes", pell_z2_plus_one(pell.pell_shapes))
     assert pell.pell_to_solution(pell.pell3_nth(1)) != (1, 2, 5, 6, 8, 13)

@@ -1,7 +1,14 @@
-"""Rules on the library's source text."""
+"""Rules on the library's source text, and the record types it defines
+without ``dataclasses`` or ``typing``."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from biquadrates import derive, exact, families, identity, pell
+from biquadrates.poly import IPoly
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "biquadrates"
 
@@ -48,3 +55,42 @@ def test_curve_takes_nothing_from_fractions():
                 for alias in node.names}
     assert not {m for m in modules if m and m.split(".")[0] == "fractions"}
     assert "Fraction" not in _bound_names(tree)
+
+
+def test_no_dataclasses_or_typing_imported():
+    # each CLI process imports the package, and dataclasses and typing cost
+    # its start-up their imports and their class generation
+    found = ["%s:%d %s" % (path.name, node.lineno, name)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for name in ([a.name for a in node.names] if isinstance(node, ast.Import)
+                          else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                          else [])
+             if name.split(".")[0] in ("dataclasses", "typing")]
+    assert found == []
+
+
+def test_record_types_are_immutable_hashable_tuples():
+    X = IPoly.gen()
+    polys = [X + k for k in range(6)]
+    cases = [
+        (exact.SolutionSix, (1, 2, 5, 6, 8, 13), 14),
+        (exact.CanonicalKey, ((1, 2), (5, 6), (Fraction(4), Fraction(13, 2))),
+         (Fraction(4), Fraction(13))),
+        (pell.PellSolution, (7, 4), 5),
+        (families.ParamSolution, (*polys, "t"), "m"),
+        (identity.GridIdentity, (("a",), (2,), abs, (1,)), (0,)),
+    ]
+    for cls, values, other in cases:
+        rec = cls(*values)
+        twin = cls(*(IPoly(v.coeffs) if isinstance(v, IPoly) else v for v in values))
+        assert rec == twin and hash(rec) == hash(twin)
+        assert rec != cls(*values[:-1], other)
+        assert tuple(getattr(rec, f) for f in rec._fields) == values
+        for name in (rec._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, values[0])
+    assert families.ParamSolution(*polys).var == "m"
+    assert identity.GridIdentity(("a",), (2,), abs).offsets == ()
+    for name in derive.FAMILIES:
+        assert derive.published_family(name) is derive.published_family(name)
