@@ -17,12 +17,13 @@ triple with the odd division values around it; the map's pole factor
 2x - 8Mz^2 is -72 times their product and U's numerator shares one of
 them, so ``to_quartic`` divides it out of U's numerator exactly, takes
 -72 times the other as what is left of the pole factor, then divides by
-the integer content.  Clearing takes integer contents only.  Each point is proved
+the integer content.  Clearing takes integer contents only; at a rational m
+it clears ``_solution_pairs`` itself (``_clear_image``).  Each point is proved
 once, through its image, where the map pulls the curve equation back to the
-quartic one: over Z by one integer identity (``quartic_image``), and over Z[M]
-by one square identity on the family's entries, B = z2^2, checked exactly at
-M = +-2^w (``quartic_point_to_param_solution``); the shapes make the other,
-A = z1^2, hold for every p and q, and ``selftest`` proves that.  Of the two
+quartic one: over Z by ``quartic_rhs`` at the image (``quartic_image``), and
+over Z[M] by one square identity on the family's entries, B = z2^2, checked
+exactly at M = +-2^w (``quartic_point_to_param_solution``); the shapes make
+the other, A = z1^2, hold for every p and q, and ``selftest`` proves that.  Of the two
 branches, nP ("plus") and -nP ("minus"), "auto" names the one whose family has
 the lower degree, which is "minus" at every n (``_resolve_sign``).  With
 nP = -2nR for the half point R (``curve.multiple_P``), the family of jR is
@@ -48,12 +49,11 @@ from biquadrates.families import ParamSolution, family_eq26
 from biquadrates.poly import IPoly, PoleError, _ipoly, _pack, _positive, _spread, content
 
 
-def quartic_rhs(u, M, q=1):
-    """Right side of the quartic model in M = m^4, V^2 = quartic_rhs(U, M);
-    given q, the homogeneous value q^4 quartic_rhs(u/q, M), with no division."""
-    qq = q * q
-    return ((((u - 2 * q) * u + (1 - 4 * M) * qq) * u - 8 * M * qq * q) * u
-            - 4 * M * qq * qq)
+def quartic_rhs(u, M, q=1, b=1):
+    """Right side of the quartic model in M = m^4, V^2 = quartic_rhs(U, M),
+    which is (U(U-1))^2 - 4M(U+1)^2; given q and b, the homogeneous value
+    b q^4 quartic_rhs(u/q, M/b), with no division."""
+    return b * (u * (u - q)) ** 2 - 4 * M * (q * (u + q)) ** 2
 
 
 def to_quartic(x, y, M, z=1, g=None, r=None):
@@ -119,12 +119,16 @@ def _solution_pairs(p, q, m, s) -> tuple:
     return ((p - q, 2 * m * q), (m * (p + q), p), (m * (p * p + q * q), s))
 
 
+_M_POWERS = (0, 1, 1, 0, 1, 0)
+"""The power r of m in each entry, x1 to z2, of ``_solution_pairs``."""
+
+
 def quartic_point_to_param_solution(p: IPoly, q: IPoly, s: IPoly) -> ParamSolution:
     """Turn U = p/q, V = s/q^2 over Z[M] into a proved polynomial family in m.
 
     p, q and s come as ``to_quartic`` gives them; the entries E1..E6 are the
     module docstring's pairs at m = 1, and the family's entries are m^r E(m^4)
-    for r = (0, 1, 1, 0, 1, 0).  gcd(p - q, 2q) and gcd(p + q, p) have
+    for r in ``_M_POWERS``.  gcd(p - q, 2q) and gcd(p + q, p) have
     polynomial part gcd(p, q) = 1, so each pair is freed of its integer content
     gcd alone, d1 and d2.  The contents of p and q are coprime, so d2 = 1 and
     d1 divides 2; if d1 = 2, p = q (mod 2), so 2 divides z1 = (p-q)^2 + 2pq
@@ -174,7 +178,7 @@ def quartic_point_to_param_solution(p: IPoly, q: IPoly, s: IPoly) -> ParamSoluti
            for sign, (e1, e2, e3, e4, e6) in ((1, plus), (-1, minus))):
         raise PipelineError("the family's residual is nonzero: B != z2^2")
     return ParamSolution(*(_ipoly(_spread(_positive(e).coeffs, r, 4))
-                           for e, r in zip(entries, (0, 1, 1, 0, 1, 0))))
+                           for e, r in zip(entries, _M_POWERS)))
 
 
 def _clear_to_solution(hs, bs) -> SolutionSix:
@@ -192,15 +196,13 @@ def _clear_to_solution(hs, bs) -> SolutionSix:
 
 
 def _clear_image(p: int, q: int, s: int, m) -> SolutionSix:
-    """``_clear_to_solution`` of the pairs at U = p/q, V = s/q^2, m = a/b in
-    integers, k1 = b/gcd(2q, b), k2 = b/gcd(p+q, b): a prime power dividing
-    2q and p+q divides p^2+q^2, so the z-pair needs no factor of its own.
-    q > 0 and a != 0 (m = 0 is a singular curve) leave no pair (0, 0)."""
-    a, b = m.numerator, m.denominator
-    w = p * p + q * q
-    k1, k2 = b // gcd(2 * q, b), b // gcd(p + q, b)
-    return SolutionSix((p - q) * k1, 2 * a * q * k1 // b, a * (p + q) * k2 // b,
-                       p * k2, a * w * k1 * k2 // b, s * k1 * k2)
+    """The pairs at U = p/q, V = s/q^2 and m = a/b, cleared to integers:
+    ``_clear_to_solution`` of ``_solution_pairs`` at m = a, each entry over
+    b^r for r in ``_M_POWERS``.  q > 0 and a != 0 (m = 0 is a singular
+    curve) leave no pair (0, 0)."""
+    b = m.denominator
+    hs = [h for pair in _solution_pairs(p, q, m.numerator, s) for h in pair]
+    return _clear_to_solution(hs, [b**r for r in _M_POWERS])
 
 
 def _resolve_sign(sign: str) -> str:
@@ -228,8 +230,8 @@ def quartic_image(nP: tuple, M, sign: str) -> tuple:
     nP is ``multiple_P``'s tuple over Z[M] or at a rational M = A/B; U's
     numerator shares its odd value at 2n - 1 on the plus branch and at
     2n + 1 on the minus branch (the point 2nR).  At M = A/B the image is
-    proved here by B s^2 = B p^2 (p-q)^2 - 4A q^2 (p+q)^2, which is
-    s^2 = q^4 quartic_rhs(p/q), so nP lies on the curve; over Z[M] the
+    proved here by B s^2 = ``quartic_rhs(p, A, q, B)``, which is
+    s^2 = q^4 quartic_rhs(p/q, M), so nP lies on the curve; over Z[M] the
     family's identity B = z2^2 proves it.
     """
     x, y, z, below, above = nP
@@ -237,7 +239,7 @@ def quartic_image(nP: tuple, M, sign: str) -> tuple:
     p, q, s = to_quartic(x, y, M, z, g, -72 * h)
     if not isinstance(M, IPoly):
         A, B = M.numerator, M.denominator
-        if B * s * s != B * (p * (p - q)) ** 2 - 4 * A * (q * (p + q)) ** 2:
+        if B * s * s != quartic_rhs(p, A, q, B):
             raise PipelineError("the image of nP is not on the quartic model")
     return p, q, s
 

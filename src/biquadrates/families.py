@@ -10,7 +10,7 @@ families 2R, 4R and 3R for the half point R of the base point P = -2R:
 ``derive.solution_from_nP`` builds them, on the minus branch at n = 1 and
 n = 2 and on the plus branch at n = 1, and ``derive.FAMILIES`` names all
 four.  eq26, from the rational parametrization of u^2 - 3v^2 = 1, is
-written out here as ``family_eq26``.
+``pell.pell_shapes`` homogenised at (t^2+3, 2t, t^2-3) (``family_eq26``).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
+from biquadrates import pell
 from biquadrates.poly import IPoly, _mul_coeffs, _spread
 
 
@@ -82,14 +83,7 @@ class ParamSolution(namedtuple("ParamSolution", "x1 x2 y1 y2 z1 z2 var",
 
 
 def family_eq26() -> ParamSolution:
-    """Pell-derived family in t, from u = (t^2+3)/(t^2-3), v = 2t/(t^2-3)."""
+    """Pell-derived family in t: the Pell shapes at u = (t^2+3)/(t^2-3),
+    v = 2t/(t^2-3), homogenised by w = t^2 - 3."""
     t = IPoly.gen()
-    return ParamSolution(
-        x1=t**2 - 3,
-        x2=4 * t,
-        y1=(t**2 - 3) * (t**2 + 9) * (t**2 + 1),
-        y2=4 * t * (t**2 + 2 * t + 3) * (t**2 - 2 * t + 3),
-        z1=16 * t**2 * (t**2 - 3) * (t**2 + 3),
-        z2=t**8 + 4 * t**6 + 86 * t**4 + 36 * t**2 + 81,
-        var="t",
-    )
+    return ParamSolution(*pell.pell_shapes(t * t + 3, 2 * t, t * t - 3), var="t")

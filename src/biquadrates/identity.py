@@ -20,12 +20,14 @@ expansion, for the correct formulas and for the corruptions in
 tests/mutations.py.
 
 Every grid evaluates the library's own formulas, looked up through their
-modules: ``substitution_13`` and ``quartic_model`` take the solution
-shapes from ``derive._solution_pairs`` and the homogeneous quartic rhs
-q^4 quartic_rhs(p/q), which divides by nothing, from ``derive.quartic_rhs``;
-together with the quartic Brahmagupta split they show that a point (p/q, v)
-of the quartic model gives a solution.  The Pell shapes come from
-``pell.pell_shapes`` and the residue check runs search's own filters.
+modules, the ones the commands run: ``substitution_13`` and
+``quartic_model`` take the solution shapes from ``derive._solution_pairs``
+and the homogeneous quartic rhs q^4 quartic_rhs(p/q), which divides by
+nothing, from ``derive.quartic_rhs``; together with the quartic Brahmagupta
+split they show that a point (p/q, v) of the quartic model gives a
+solution.  ``curve --m`` proves its image by that rhs and clears those
+shapes.  The Pell shapes come from ``pell.pell_shapes``, which also build
+eq26 (``pell --t``), and the residue check runs search's own filters.
 
 The birational maps ``derive.to_quartic`` and ``derive.to_weierstrass``
 between the Weierstrass model and the quartic model

@@ -7,8 +7,10 @@ Every solution of the Pell equation with v >= 1 plugs into fixed shapes
 and satisfies the product equation, because the difference of the two sides
 factors through (u^2-3v^2-1).  The ladder of integer solutions is generated
 from (2, 1) by (u, v) -> (2u+3v, u+2v), multiplication by 2 + sqrt(3), so
-its k-th rung is (2 + sqrt(3))^k.  The rational one-parameter slice
-u = (t^2+3)/(t^2-3), v = 2t/(t^2-3) gives the family eq26 in ``families``.
+its k-th rung is (2 + sqrt(3))^k.  ``pell_shapes`` also takes a
+homogenising w, the shapes at (u/w, v/w) rescaled to polynomials: at the
+rational one-parameter slice u = (t^2+3)/(t^2-3), v = 2t/(t^2-3), that is
+(u, v, w) = (t^2+3, 2t, t^2-3), they are the family eq26 in ``families``.
 """
 
 from __future__ import annotations
@@ -36,15 +38,18 @@ def pell3_nth(k: int) -> PellSolution:
     return PellSolution(u, v)
 
 
-def pell_shapes(u, v) -> tuple:
-    """The six shapes (x1, x2, y1, y2, z1, z2) of the Pell route at (u, v)."""
+def pell_shapes(u, v, w=1) -> tuple:
+    """The six shapes (x1, x2, y1, y2, z1, z2) of the Pell route at (u, v),
+    homogenised by w: at (u/w, v/w) they are these over (w, w, w^3, w^3,
+    w^4, w^4), a rescaling by the scaling action."""
+    vv, ww = v * v, w * w
     return (
-        1,
+        w,
         2 * v,
-        4 * v * v + 1,
-        2 * v * (2 * v * v + 1),
-        4 * u * v * v,
-        8 * v**4 + 4 * v * v + 1,
+        w * (4 * vv + ww),
+        2 * v * (2 * vv + ww),
+        4 * u * vv * w,
+        8 * vv * vv + 4 * vv * ww + ww * ww,
     )
 
 

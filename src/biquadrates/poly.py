@@ -190,28 +190,23 @@ def format_poly(p: IPoly, var: str = "m", descending: bool = False) -> str:
     ``var`` is the one place a variable is named; ``descending`` reverses
     the ascending term order.
     """
-    if p.is_zero:
-        return "0"
-    terms = []
-    ks = range(len(p.coeffs))
-    for k in (reversed(ks) if descending else ks):
-        c = p.coeffs[k]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
-            head = "" if mag == 1 else "%d*" % mag
-            body = "%s%s" % (head, var) if k == 1 else "%s%s^%d" % (head, var, k)
-        terms.append((c < 0, body))
+    cs = p.coeffs
     out = []
-    for i, (neg, body) in enumerate(terms):
-        if i == 0:
-            out.append("-" + body if neg else body)
-        else:
-            out.append(("- " if neg else "+ ") + body)
-    return " ".join(out)
+    for k in (range(len(cs) - 1, -1, -1) if descending else range(len(cs))):
+        c = cs[k]
+        if c:
+            mag = abs(c)
+            if k == 0:
+                body = str(mag)
+            else:
+                body = var if k == 1 else "%s^%d" % (var, k)
+                if mag != 1:
+                    body = "%d*%s" % (mag, body)
+            if out:
+                out.append(("- " if c < 0 else "+ ") + body)
+            else:
+                out.append("-" + body if c < 0 else body)
+    return " ".join(out) or "0"
 
 
 # ---------------------------------------------------------------------------

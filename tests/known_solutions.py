@@ -5,8 +5,9 @@ and is already in canonical orientation: both pairs primitive and ascending,
 x-pair lexicographically at most the y-pair.
 
 ``PUBLISHED_FAMILIES`` holds the paper's curve families eq20, eq21 and eq22
-as it prints them, coefficient by coefficient: the data that the library's
-ladder-built ``derive.FAMILIES`` entries are checked against.
+and its Pell family eq26 as it prints them, coefficient by coefficient: the
+data that the library's ``derive.FAMILIES`` entries, built from the ladder
+and from the Pell shapes, are checked against.
 """
 
 from biquadrates.exact import SolutionSix
@@ -30,6 +31,7 @@ SMALL_SOLUTIONS = [
 ]
 
 m = IPoly.gen()
+t = IPoly.gen()
 
 PUBLISHED_FAMILIES = {
     # the base family: x-pair (6m, (m^2-2m+2)(m^2+2m+2)), z-pair of degrees 9 and 8
@@ -62,5 +64,15 @@ PUBLISHED_FAMILIES = {
         y2=f({12: 1, 8: -9, 4: 33, 0: 16}),
         z1=f({25: 1, 21: -18, 17: 156, 13: -796, 9: 2394, 5: 120, 1: 400}),
         z2=f({24: 1, 20: -39, 16: 357, 12: -808, 8: 132, 4: -2244, 0: 64}),
+    ),
+    # the Pell family in t, from u = (t^2+3)/(t^2-3), v = 2t/(t^2-3)
+    "eq26": ParamSolution(
+        x1=t**2 - 3,
+        x2=4 * t,
+        y1=(t**2 - 3) * (t**2 + 9) * (t**2 + 1),
+        y2=4 * t * (t**2 + 2 * t + 3) * (t**2 - 2 * t + 3),
+        z1=16 * t**2 * (t**2 - 3) * (t**2 + 3),
+        z2=t**8 + 4 * t**6 + 86 * t**4 + 36 * t**2 + 81,
+        var="t",
     ),
 }

@@ -126,9 +126,9 @@ def entry_bent(solution_pairs, i, where):
 
 
 def pell_z2_plus_one(pell_shapes):
-    """The Pell shape z2 = 8v^4+4v^2+1 read as 8v^4+4v^2+2."""
-    def mutated(u, v):
-        *rest, z2 = pell_shapes(u, v)
+    """The Pell shape z2 = 8v^4+4v^2+1 read as 8v^4+4v^2+2 (at w = 1)."""
+    def mutated(u, v, w=1):
+        *rest, z2 = pell_shapes(u, v, w)
         return (*rest, z2 + 1)
     return mutated
 
@@ -165,6 +165,14 @@ def substitution_3m2p2q2(residual):
     """(x2 y2)^2 = 4 m^2 p^2 q^2 read as 3 m^2 p^2 q^2."""
     def mutated(p, q, m):
         return residual(p, q, m) + m**2 * p**2 * q**2
+    return mutated
+
+
+def quartic_rhs_plus_q4(quartic_rhs):
+    """The quartic rhs with q^4 added: its constant term -4M read as 1 - 4M
+    (at b = 1)."""
+    def mutated(u, M, q=1, b=1):
+        return quartic_rhs(u, M, q, b) + q**4
     return mutated
 
 

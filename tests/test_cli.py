@@ -21,6 +21,7 @@ import biquadrates.pell as pell
 import biquadrates.poly as poly
 from biquadrates.cli import main
 from biquadrates.derive import FAMILIES
+from mutations import fresh_families
 from oracles import curve_m_text
 
 
@@ -498,14 +499,16 @@ def _z2_plus_one(fn):
                                   ["pell", "--k", "4"],
                                   ["search", "--bx", "6", "--by", "6", "--csv"]],
                          ids=" ".join)
-def test_a_corrupted_tuple_is_refused(capsys, monkeypatch, argv):
+def test_a_corrupted_tuple_is_refused(capsys, monkeypatch, argv, fresh_families):
     # z2 + 1 after clearing (or in the Pell shapes, or in a search row):
-    # the one check at emission refuses it with one stderr line
+    # the one check at emission refuses it with one stderr line; eq26 is
+    # built from the Pell shapes, so pell --t derives it under the patch
     monkeypatch.setattr(cli, "_clear_image", _z2_plus_one(cli._clear_image))
     monkeypatch.setattr(derive, "_clear_to_solution",
                         _z2_plus_one(derive._clear_to_solution))
     shapes, search = pell.pell_shapes, cli.search
-    monkeypatch.setattr(pell, "pell_shapes", lambda u, v: (*shapes(u, v)[:5], shapes(u, v)[5] + 1))
+    monkeypatch.setattr(pell, "pell_shapes",
+                        lambda u, v, w=1: (*shapes(u, v, w)[:5], shapes(u, v, w)[5] + 1))
     monkeypatch.setattr(cli, "search", lambda bx, by: [s._replace(z2=s.z2 + 1)
                                                        for s in search(bx, by)])
     code, out, err = run(capsys, *argv)

@@ -37,6 +37,7 @@ from mutations import (
     psi_changed,
     quartic_brahmagupta_plus_abcd,
     quartic_rhs_7mu,
+    quartic_rhs_plus_q4,
     skip_odd_x1,
     substitution_3m2p2q2,
     v_denominator_16,
@@ -297,6 +298,36 @@ def test_mutated_z1_shape_fails(monkeypatch, capsys, fresh_families):
     for name in ("eq20", "eq21", "eq22"):
         assert cli.main(["family", name, "--symbolic"]) == 1
         assert capsys.readouterr() == ("", "family: the residual is nonzero\n")
+
+
+# the CLI runs the one definition of each formula that selftest checks: a
+# corrupted shape or quartic rhs reaches curve --m, family eq26 and pell --t
+
+def test_curve_m_clears_through_the_checked_shapes(monkeypatch, capsys, fresh_families):
+    # z2 = 2q^2 V passes the image's proof, which takes no shape, and then
+    # reaches the tuple curve --m would print
+    monkeypatch.setattr(derive, "_solution_pairs", z2_doubled(derive._solution_pairs))
+    assert cli.main(["curve", "--n", "2", "--m", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert "source: curve_nP" not in out
+    assert err == "curve: refusing to emit a tuple that fails the equation\n"
+
+
+def test_eq26_is_built_from_the_checked_pell_shapes(monkeypatch, capsys, fresh_families):
+    monkeypatch.setattr(pell, "pell_shapes", pell_z2_plus_one(pell.pell_shapes))
+    assert cli.main(["family", "eq26", "--symbolic"]) == 1
+    assert capsys.readouterr() == ("", "family: the residual is nonzero\n")
+    assert cli.main(["pell", "--t", "5/17"]) == 1
+    assert capsys.readouterr() == ("", "pell: refusing to emit a tuple that fails "
+                                       "the equation\n")
+
+
+def test_curve_m_is_proved_by_the_checked_quartic_rhs(monkeypatch, capsys, fresh_families):
+    monkeypatch.setattr(derive, "quartic_rhs", quartic_rhs_plus_q4(derive.quartic_rhs))
+    assert cli.main(["curve", "--n", "2", "--m", "3"]) == 1
+    assert capsys.readouterr() == ("", "curve: the image of nP is not on the "
+                                       "quartic model\n")
+    assert _selftest_fails(capsys, "quartic_model")
 
 
 def test_high_multiple_rechecks_the_spread_family(monkeypatch, capsys):

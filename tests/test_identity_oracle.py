@@ -62,6 +62,17 @@ def test_grid_residual_is_zero(name):
 # other.
 UNFOLD = {"quartic_chart"}
 
+# quartic_rhs is (p(p-q))^2 - 4m^4(q(p+q))^2, the very squares (x1 y2)^2 and
+# (x2 y1)^2 that the quartic model's residual takes away, so sympy cancels
+# every term as it builds the sum; that residual is built unevaluated and
+# its terms are the leaves of the nested sum.
+UNEVALUATED = {"quartic_model"}
+
+
+def _addends(expr) -> list:
+    """The summands of expr, with any sum nested in it flattened."""
+    return [t for a in expr.args for t in _addends(a)] if expr.is_Add else [expr]
+
 
 def _term(K, t, unfold):
     """A term as (numerator, denominator) in K's polynomial ring."""
@@ -79,8 +90,10 @@ def test_grid_terms_fit_bounds(name):
     g = GRIDS[name]()
     K, *gens = field(",".join(g.variables), QQ)
     reached = [0] * len(g.variables)
-    for expr in _components(g.residual(*sympy.symbols(g.variables))):
-        terms = [_term(K, t, name in UNFOLD) for t in sympy.Add.make_args(expr)]
+    with sympy.evaluate(name not in UNEVALUATED):
+        residual = g.residual(*sympy.symbols(g.variables))
+    for expr in _components(residual):
+        terms = [_term(K, t, name in UNFOLD) for t in _addends(expr)]
         den = reduce(lambda a, b: a.lcm(b), (d for _, d in terms))
         for n, d in terms:
             degrees = _degrees(n * den.exquo(d))
@@ -144,3 +157,14 @@ def test_quartic_check_is_the_pulled_back_curve_equation(jacobian):
     pulled_back = v**2 - derive.quartic_rhs(u, M)
     c = curve_from_parameter(M)
     assert sympy.cancel(pulled_back - (Y**2 - c.rhs(X)) / (4 * (4 * M - X))) == 0
+
+
+def test_pell_shapes_are_homogeneous():
+    # pell_shapes(u, v, w) is homogeneous of degrees (1, 1, 3, 3, 4, 4), so
+    # at w != 0 it is the shapes at (u/w, v/w), which pell_reduction's (u, v)
+    # grid checks at w = 1, rescaled by the scaling action (w, w^3, w^4)
+    u, v, w = sympy.symbols("u v w")
+    for shape, d in zip(pell.pell_shapes(u, v, w), (1, 1, 3, 3, 4, 4)):
+        poly = sympy.Poly(shape, u, v, w)
+        assert poly.is_homogeneous and poly.total_degree() == d
+    assert pell.pell_shapes(u, v, 1) == pell.pell_shapes(u, v)

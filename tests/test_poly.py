@@ -177,7 +177,19 @@ def test_format_poly():
     assert format_poly(p) == "4 + 6*m^2 - m^3"
     assert format_poly(p, descending=True) == "-m^3 + 6*m^2 + 4"
     assert format_poly(P()) == "0"
+    assert format_poly(P(), descending=True) == "0"
     assert format_poly(P(0, -1)) == "-m"
+    assert format_poly(P(-1)) == "-1"
+    assert format_poly(P(-1), "t", descending=True) == "-1"
+    # +-1 at degrees 0 and 1: no "1*", and the constant keeps its 1
+    assert format_poly(P(1, -1)) == "1 - m"
+    assert format_poly(P(-1, 1), "t") == "-1 + t"
+    assert format_poly(P(-1, 1), descending=True) == "m - 1"
+    # a negative leading term with coefficient 1
+    q = from_terms({0: 1, 1: 1, 4: -1})
+    assert format_poly(q) == "1 + m - m^4"
+    assert format_poly(q, "t", descending=True) == "-t^4 + t + 1"
+    assert format_poly(from_terms({1: -2, 5: 3}), descending=True) == "3*m^5 - 2*m"
 
 
 # -- hypothesis: ring and gcd laws ------------------------------------------
