@@ -19,22 +19,23 @@ Every emitted solution is turned into text by ``_record`` and then checked
 once, by ``_proved``, so a tuple past the digit limit is refused unproved;
 ``selftest`` runs ``identity.ALL_VERIFIERS`` in order.
 
-``main`` builds its parser on its first call and reuses it: parsing leaves
-a parser as it was, and building one costs about a millisecond, most of a
-short job.  ``build_parser()`` returns a new parser on every call, and
-nothing is built at import.  The parser binds the ``cmd_*`` handlers when
-it is built, so patching a ``cmd_*`` name after the first ``main`` call
-does not reach ``main``.
+``parse_args`` reads a command line from the table ``COMMANDS`` by
+argparse's rules for these commands, in one pass, and the parser holds no
+state between calls.  The table binds the ``cmd_*`` handlers at import, so
+patching a ``cmd_*`` name does not reach ``main``.  ``build_parser()``
+returns the table, since there is nothing to build; it remains because
+perfbench's setup times importing this module and calling it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 from biquadrates.curve import DegenerateCurveError, multiple_P
 from biquadrates.derive import (
@@ -253,72 +254,191 @@ def cmd_selftest(ns) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="biquadrates",
-        description="Products of sums of two fourth powers that are again "
-                    "sums of two fourth powers: search, verify, derive.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="check six integers against the equation")
-    p.add_argument("values", nargs=6, type=int, metavar="N")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("search", help="enumerate solutions within bounds")
-    p.add_argument("--bx", type=int, required=True, help="largest x2")
-    p.add_argument("--by", type=int, required=True, help="largest y2")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--csv", action="store_true")
-    fmt.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("family", help="evaluate or print a published family")
-    p.add_argument("name", choices=tuple(sorted(FAMILIES)))
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--param", type=_fraction, metavar="a/b")
-    mode.add_argument("--symbolic", action="store_true")
-    p.add_argument("--descending", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_family)
-
-    p = sub.add_parser("curve", help="derive a solution from a curve multiple")
-    p.add_argument("--n", type=_positive_int, required=True,
-                   help="which multiple of the base point")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--m", type=_fraction, metavar="a/b")
-    mode.add_argument("--symbolic", action="store_true")
-    p.add_argument("--sign", choices=("auto", "plus", "minus"), default="auto",
-                   help="branch: nP (plus, the family of jR for the odd "
-                        "j=2n+1) or -nP (minus, the even j=2n); auto is the "
-                        "lower-degree branch, minus")
-    p.add_argument("--descending", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("pell", help="solutions from the Pell ladder or slice")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--k", type=_positive_int, help="ladder index")
-    mode.add_argument("--t", type=_fraction, metavar="a/b",
-                      help="rational slice parameter")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_pell)
-
-    p = sub.add_parser("selftest", help="run the symbolic verifier suite")
-    p.add_argument("--quick", action="store_true",
-                   help="skip the high-multiple degree check")
-    p.set_defaults(func=cmd_selftest)
-
-    return parser
+# Each command: its handler and help; its positional (dest, count, converter,
+# metavar or choices) or None; its options in argparse's order, as name:
+# (converter or None for a flag, metavar or choices, default, help); and its
+# groups (required, names) of options that exclude each other, where a
+# required group of one is a required option.
+_FLAG = (None, None, False, "")
+COMMANDS = {
+    "verify": (cmd_verify, "check six integers against the equation",
+               ("values", 6, int, "N"), {}, ()),
+    "search": (cmd_search, "enumerate solutions within bounds", None,
+               {"--bx": (int, "BX", None, "largest x2"),
+                "--by": (int, "BY", None, "largest y2"), "--csv": _FLAG, "--json": _FLAG},
+               ((True, ("--bx",)), (True, ("--by",)), (False, ("--csv", "--json")))),
+    "family": (cmd_family, "evaluate or print a published family",
+               ("name", 1, str, tuple(sorted(FAMILIES))),
+               {"--param": (_fraction, "a/b", None, ""), "--symbolic": _FLAG,
+                "--descending": _FLAG, "--json": _FLAG},
+               ((True, ("--param", "--symbolic")),)),
+    "curve": (cmd_curve, "derive a solution from a curve multiple", None,
+              {"--n": (_positive_int, "N", None, "which multiple of the base point"),
+               "--m": (_fraction, "a/b", None, ""), "--symbolic": _FLAG,
+               "--sign": (str, ("auto", "plus", "minus"), "auto",
+                          "nP (plus, odd j=2n+1) or -nP (minus, even j=2n); auto: minus"),
+               "--descending": _FLAG, "--json": _FLAG},
+              ((True, ("--n",)), (True, ("--m", "--symbolic")))),
+    "pell": (cmd_pell, "solutions from the Pell ladder or slice", None,
+             {"--k": (_positive_int, "K", None, "ladder index"),
+              "--t": (_fraction, "a/b", None, "rational slice parameter"),
+              "--json": _FLAG},
+             ((True, ("--k", "--t")),)),
+    "selftest": (cmd_selftest, "run the symbolic verifier suite", None,
+                 {"--quick": (None, None, False, "skip the high-multiple degree check")},
+                 ()),
+}
+# biquadrates itself: its positional is the command, which reads the rest
+_TOP = (None, "Products of sums of two fourth powers that are again sums of two "
+        "fourth powers: search, verify, derive.",
+        ("command", 1, str, tuple(COMMANDS)), {}, ())
+_HELP = ("-h", "--help")
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")   # argparse reads these as values
 
 
-_parser = None   # main's parser, built by its first call
+def build_parser():
+    """The table that ``parse_args`` reads: there is nothing to build."""
+    return COMMANDS
+
+
+def _metavar(meta):
+    return meta if isinstance(meta, str) else "{%s}" % ",".join(meta)
+
+
+def _usage(command, full=False):
+    """The usage line of ``biquadrates [command]`` and, if full, its help."""
+    _, about, pos, opts, groups = COMMANDS.get(command, _TOP)
+    spell = {n: n + " " + _metavar(s[1]) if s[0] else n for n, s in opts.items()}
+    words = ["usage: biquadrates"] + [command] * bool(command) + ["[-h]"]
+    for name in opts:
+        need, group = next((g for g in groups if name in g[1]), (False, (name,)))
+        if name == group[0]:
+            text = " | ".join(map(spell.get, group))
+            words.append(("(%s)" if group[1:] else "%s") % text if need else "[%s]" % text)
+    usage = " ".join(words + ([_metavar(pos[3])] * pos[1] if pos else [])) + "\n"
+    if not full:
+        return usage
+    rows = [(c, COMMANDS[c][1]) for c in COMMANDS] if command is None else [
+        (spell[n], s[3]) for n, s in opts.items()]
+    rows.append(("-h, --help", "show this help message and exit"))
+    return usage + "\n%s\n\n%s\n" % (about, "\n".join(
+        ("  %-24s  %s" % row).rstrip() for row in rows))
+
+
+def _error(command, message):
+    """Write a usage error as argparse does, and exit 2."""
+    prog = "biquadrates " + command if command else "biquadrates"
+    sys.stderr.write("%s%s: error: %s\n" % (_usage(command), prog, message))
+    raise SystemExit(2)
+
+
+def _option(tok, names, command):
+    """argparse's reading of a token: None for a value, else (the option or
+    None if none matches, the text after its "=" or after -h, or None)."""
+    if tok[:1] != "-" or tok == "-":
+        return None
+    head, eq, arg = tok.partition("=")
+    if tok in names or eq and head in names:
+        return head, arg if eq else None
+    hits = ([(n, arg if eq else None) for n in names if n.startswith(head)]
+            if tok[1] == "-" else [("-h", tok[2:])] if tok[:2] == "-h" else [])
+    if hits[1:]:
+        _error(command, "ambiguous option: %s could match %s"
+               % (tok, ", ".join(n for n, _ in hits)))
+    return hits[0] if hits else None if _NUMBER.match(tok) or " " in tok else (None, None)
+
+
+def _value(command, label, convert, choices, text):
+    """text converted, then checked against the choices, as argparse does."""
+    try:
+        value = convert(text)
+    except (TypeError, ValueError):
+        _error(command, "argument %s: invalid %s value: %r"
+               % (label, convert.__name__, text))
+    if not isinstance(choices, str) and value not in choices:
+        _error(command, "argument %s: invalid choice: %r (choose from %s)"
+               % (label, value, ", ".join(map(repr, choices))))
+    return value
+
+
+def _parse(command, rest, extras):
+    """The namespace of ``command`` from ``rest``, read in one pass as argparse
+    reads it; the tokens that no argument takes go to extras."""
+    func, _, pos, opts, groups = COMMANDS.get(command, _TOP)
+    ns = SimpleNamespace(command=command, func=func,
+                         **{name[2:]: spec[2] for name, spec in opts.items()})
+    names = _HELP + tuple(opts)
+    end = rest.index("--") if "--" in rest else len(rest)
+    found = [_option(tok, names, command) for tok in rest[:end]]
+    # argparse's pattern: O an option, A a value, - the "--" that ends the options
+    kinds = ("".join("A" if f is None else "O" for f in found)
+             + "-" * (end < len(rest)) + "A" * (len(rest) - end - 1) + "O")
+    label = pos and (pos[3] if isinstance(pos[3], str) else pos[0])   # argparse's name
+    seen, i = set(), 0
+    while i < len(rest):
+        if kinds[i] != "O":   # values: the positional's, if they match it whole
+            match = pos and pos[0] not in seen and re.match(
+                "-*" + "-*".join("A" * pos[1]) + "-*", kinds[i:])
+            if match and command is None:   # the command, which reads the rest
+                return _parse(_value(None, label, *pos[2:], rest[i]), rest[i + 1:], extras)
+            j = i + match.end() if match else i
+            if match:   # the values but the "--"
+                values = [_value(command, label, *pos[2:], tok)
+                          for k, tok in enumerate(rest[i:j], i) if k != end]
+                setattr(ns, pos[0], values if pos[1] > 1 else values[0])
+                seen.add(pos[0])
+            i = kinds.index("O", j)
+            extras += rest[j:i]
+            continue
+        (name, arg), i = found[i], i + 1
+        if name is None:
+            extras.append(rest[i - 1])
+            continue
+        if name in _HELP or opts[name][0] is None:   # a flag
+            if name == "-h" and arg:   # -hh... is -h -h ...
+                arg = arg.lstrip("h") or None
+            if arg is not None:
+                _error(command, "argument %s: ignored explicit argument %r"
+                       % ("-h/--help" if name in _HELP else name, arg))
+            if name in _HELP:
+                sys.stdout.write(_usage(command, True))
+                raise SystemExit(0)
+            value = True
+        else:
+            if arg is None:   # the next token, if it is a value
+                if kinds[i] != "A":
+                    _error(command, "argument %s: expected one argument" % name)
+                arg, i = rest[i], i + 1
+            value = _value(command, name, *opts[name][:2], arg)
+        clash = [n for _, g in groups if name in g for n in g if n in seen and n != name]
+        if clash:
+            _error(command, "argument %s: not allowed with argument %s" % (name, clash[0]))
+        seen.add(name)
+        setattr(ns, name[2:], value)
+    missing = [label] * bool(pos and pos[0] not in seen) + [
+        g[0] for need, g in groups if need and not g[1:] and g[0] not in seen]
+    if missing:
+        _error(command, "the following arguments are required: %s" % ", ".join(missing))
+    for need, group in groups:
+        if need and not seen.intersection(group):
+            _error(command, "one of the arguments %s is required" % " ".join(group))
+    return ns
+
+
+def parse_args(argv=None):
+    """The namespace of a command line, read by argparse's rules for this CLI:
+    a usage error exits 2 and -h/--help exits 0, each writing what argparse would."""
+    args, extras = sys.argv[1:] if argv is None else list(argv), []
+    # a first token that names a command is the command: skip biquadrates' own pass
+    ns = (_parse(args[0], args[1:], extras) if args[:1] and args[0] in COMMANDS
+          else _parse(None, args, extras))
+    if extras:
+        _error(None, "unrecognized arguments: %s" % " ".join(extras))
+    return ns
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    ns = _parser.parse_args(argv)
+    ns = parse_args(argv)
     try:
         return ns.func(ns)
     except (PipelineError, PoleError, DegenerateSolutionError,

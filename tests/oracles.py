@@ -33,14 +33,18 @@ a time (``pell3_ladder``), Horner's rule in Fraction arithmetic
 ``curve --m`` printed when it built every value as a reduced Fraction
 (``curve_m_text``).  ``param_equivalent`` compares two families by their
 canonical keys at the ``SAMPLES`` parameters.
+
+``argparse_parser`` builds the CLI's commands with argparse: the reference
+that the table parser (``cli.parse_args``) is compared against.
 """
 
+import argparse
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Union
 
-from biquadrates import derive, poly
+from biquadrates import cli, derive, poly
 from biquadrates.cli import _record
 from biquadrates.curve import DegenerateCurveError, _extra_triple, _P_triple, multiple_P
 from biquadrates.exact import DegenerateSolutionError, SolutionSix, canonicalize
@@ -557,3 +561,65 @@ def curve_m_text(n: int, m: Fraction, sign: str, as_json: bool = False) -> str:
         if "integer string conversion" not in str(exc):
             raise
         return out
+
+
+# ---------------------------------------------------------------------------
+# The command line, as argparse reads it
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The CLI's parser as argparse built it, handlers bound as ``func``."""
+    parser = argparse.ArgumentParser(
+        prog="biquadrates",
+        description="Products of sums of two fourth powers that are again "
+                    "sums of two fourth powers: search, verify, derive.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("verify", help="check six integers against the equation")
+    p.add_argument("values", nargs=6, type=int, metavar="N")
+    p.set_defaults(func=cli.cmd_verify)
+
+    p = sub.add_parser("search", help="enumerate solutions within bounds")
+    p.add_argument("--bx", type=int, required=True, help="largest x2")
+    p.add_argument("--by", type=int, required=True, help="largest y2")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--csv", action="store_true")
+    fmt.add_argument("--json", action="store_true")
+    p.set_defaults(func=cli.cmd_search)
+
+    p = sub.add_parser("family", help="evaluate or print a published family")
+    p.add_argument("name", choices=tuple(sorted(derive.FAMILIES)))
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--param", type=cli._fraction, metavar="a/b")
+    mode.add_argument("--symbolic", action="store_true")
+    p.add_argument("--descending", action="store_true")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cli.cmd_family)
+
+    p = sub.add_parser("curve", help="derive a solution from a curve multiple")
+    p.add_argument("--n", type=cli._positive_int, required=True,
+                   help="which multiple of the base point")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--m", type=cli._fraction, metavar="a/b")
+    mode.add_argument("--symbolic", action="store_true")
+    p.add_argument("--sign", choices=("auto", "plus", "minus"), default="auto",
+                   help="branch: nP (plus, the family of jR for the odd "
+                        "j=2n+1) or -nP (minus, the even j=2n); auto is the "
+                        "lower-degree branch, minus")
+    p.add_argument("--descending", action="store_true")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cli.cmd_curve)
+
+    p = sub.add_parser("pell", help="solutions from the Pell ladder or slice")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--k", type=cli._positive_int, help="ladder index")
+    mode.add_argument("--t", type=cli._fraction, metavar="a/b",
+                      help="rational slice parameter")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cli.cmd_pell)
+
+    p = sub.add_parser("selftest", help="run the symbolic verifier suite")
+    p.add_argument("--quick", action="store_true",
+                   help="skip the high-multiple degree check")
+    p.set_defaults(func=cli.cmd_selftest)
+
+    return parser

@@ -592,21 +592,19 @@ def _outcome(capsys, argv):
     return (code,) + tuple(capsys.readouterr())
 
 
-def test_main_builds_its_parser_once(capsys, monkeypatch):
-    # one parser serves every main call in a process, through a usage error,
-    # with the output of a fresh parser for each argv
-    build = cli.build_parser
-    fresh = []
-    for argv in REUSE_ARGV:
-        monkeypatch.setattr(cli, "_parser", None)
-        fresh.append(_outcome(capsys, argv))
+def test_main_keeps_no_state_between_calls(capsys):
+    # one process runs every argv, through a usage error, with the output of
+    # a fresh process for each, and leaves cli's globals as they were
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    fresh = [subprocess.run([sys.executable, "-m", "biquadrates.cli"] + argv,
+                            capture_output=True, text=True, env=env, timeout=300)
+             for argv in REUSE_ARGV]
+    fresh = [(proc.returncode, proc.stdout, proc.stderr) for proc in fresh]
     assert [o[0] for o in fresh] == [0, 2, 0, 0, 0]
-    built = []
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
-    monkeypatch.setattr(cli, "_parser", None)
+    names, table = dict(vars(cli)), repr(cli.COMMANDS)
     assert [_outcome(capsys, argv) for argv in REUSE_ARGV] == fresh
-    assert len(built) == 1
-    assert build() is not build()
+    assert vars(cli).keys() == names.keys() and all(vars(cli)[k] is v for k, v in names.items())
+    assert repr(cli.COMMANDS) == table and cli.build_parser() is cli.COMMANDS
 
 
 def test_no_command():
