@@ -25,11 +25,20 @@ state between calls.  The table binds the ``cmd_*`` handlers at import, so
 patching a ``cmd_*`` name does not reach ``main``.  ``build_parser()``
 returns the table, since there is nothing to build; it remains because
 perfbench's setup times importing this module and calling it.
+
+A one-shot process compiles only the modules its command runs.  This module
+binds ``exact`` and ``search`` alone (perfbench's tests read ``cli.search``);
+each handler imports the rest as ``import biquadrates.derive as derive`` and
+calls through the module, so a name patched in its module reaches every
+command.  ``verify`` and ``search`` load nothing more, ``pell --k`` loads
+``pell``, ``curve``, ``family`` and ``pell --t`` load ``derive`` (with
+``curve``, ``poly``, ``families`` and ``pell``), ``selftest`` loads
+``identity``, and ``--json`` loads ``json``.  ``main``'s domain errors live
+in ``exact``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import sys
@@ -37,26 +46,15 @@ from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
 
-from biquadrates.curve import DegenerateCurveError, multiple_P
-from biquadrates.derive import (
-    FAMILIES,
-    PipelineError,
-    _clear_image,
-    _resolve_sign,
-    evaluate_param,
-    published_family,
-    quartic_image,
-    solution_from_nP,
-)
 from biquadrates.exact import (
+    DegenerateCurveError,
     DegenerateSolutionError,
+    PipelineError,
+    PoleError,
     SolutionSix,
     canonicalize,
     check_solution,
 )
-from biquadrates.identity import ALL_VERIFIERS
-from biquadrates.pell import pell3_nth, pell_to_solution
-from biquadrates.poly import PoleError, format_poly
 from biquadrates.search import search
 
 
@@ -105,6 +103,7 @@ def _record(sol: SolutionSix, source: str, parameter=None, as_json=False) -> str
         key_texts = [v.denominator == 1 and known.get(v.numerator) or str(v)
                      for pair in key for v in pair]
     if as_json:
+        import json
         return json.dumps({
             "solution": texts,
             "canonical": dict(zip(key._fields,
@@ -169,30 +168,33 @@ def cmd_search(ns) -> int:
 
 def _print_family(ps, descending: bool) -> int:
     """Print a family that the caller has proved, ending in ``residual: 0``."""
+    import biquadrates.poly as poly
     names = ("x1", "x2", "y1", "y2", "z1", "z2")
-    for name, poly in zip(names, ps.polys()):
-        print("%s = %s" % (name, format_poly(poly, ps.var, descending)))
+    for name, p in zip(names, ps.polys()):
+        print("%s = %s" % (name, poly.format_poly(p, ps.var, descending)))
     print("degrees: %s" % " ".join(str(d) for d in ps.degrees()))
     print("residual: 0")
     return 0
 
 
-def _emit_family_value(ps, value: Fraction, source: str, as_json: bool) -> int:
-    sol = evaluate_param(ps, value, check=False)
+def _emit_family_value(name: str, value: Fraction, as_json: bool) -> int:
+    import biquadrates.derive as derive
+    sol = derive.evaluate_param(derive.published_family(name), value, check=False)
     if 0 in sol:
         raise DegenerateSolutionError(
             "degenerate at parameter %s (zero coordinate)" % value)
-    print(_record(sol, source, value, as_json))
+    print(_record(sol, "family_" + name, value, as_json))
     return 0
 
 
 def cmd_family(ns) -> int:
-    ps = published_family(ns.name)
-    if ns.symbolic:
-        if not ps.residual().is_zero:
-            raise PipelineError("the residual is nonzero")
-        return _print_family(ps, ns.descending)
-    return _emit_family_value(ps, ns.param, "family_" + ns.name, ns.json)
+    if not ns.symbolic:
+        return _emit_family_value(ns.name, ns.param, ns.json)
+    import biquadrates.derive as derive
+    ps = derive.published_family(ns.name)
+    if not ps.residual().is_zero:
+        raise PipelineError("the residual is nonzero")
+    return _print_family(ps, ns.descending)
 
 
 def _ratio_text(num: int, z: int, k: int) -> str:
@@ -208,41 +210,45 @@ def _ratio_text(num: int, z: int, k: int) -> str:
 
 
 def cmd_curve(ns) -> int:
-    sign = _resolve_sign(ns.sign)
+    import biquadrates.curve as curve
+    import biquadrates.derive as derive
+    sign = derive._resolve_sign(ns.sign)
     if ns.symbolic:
-        fam = solution_from_nP(ns.n, sign)
+        fam = derive.solution_from_nP(ns.n, sign)
         print("sign: %s" % sign)
         return _print_family(fam, ns.descending)
     M = ns.m**4
-    x, y, z, *_ = nP = multiple_P(ns.n, M.numerator, M.denominator)
+    x, y, z, *_ = nP = curve.multiple_P(ns.n, M.numerator, M.denominator)
     with _int_text():
         # a point past the digit limit fails here, before the map runs
         wx, wy = _ratio_text(x, z, 2), _ratio_text(y, z, 3)
     # -nP's y is nP's with the sign flipped (0 prints unsigned)
     cy = wy if sign == "plus" or wy == "0" else wy[1:] if wy[0] == "-" else "-" + wy
     # the map's identity proves the point before any of it is printed
-    p, q, s = quartic_image(nP, M, sign)
+    p, q, s = derive.quartic_image(nP, M, sign)
     print("nP: (%s, %s)\nsign: %s\ncurve point: (%s, %s)" % (wx, wy, sign, wx, cy))
     with _int_text():
         # to_quartic gives q > 0 with p/q and s/q^2 in lowest terms
         tp, tq = str(p), str(q)
         u, v = (tp, str(s)) if q == 1 else (tp + "/" + tq, "%s/%s" % (s, q * q))
         print("quartic point: (%s, %s)\nU = p/q: p = %s, q = %s" % (u, v, tp, tq))
-    print(_record(_clear_image(p, q, s, ns.m), "curve_nP", ns.m, ns.json))
+    print(_record(derive._clear_image(p, q, s, ns.m), "curve_nP", ns.m, ns.json))
     return 0
 
 
 def cmd_pell(ns) -> int:
     if ns.k is not None:
-        sol = pell_to_solution(pell3_nth(ns.k))
+        import biquadrates.pell as pell
+        sol = pell.pell_to_solution(pell.pell3_nth(ns.k))
         print(_record(sol, "pell", ns.k, ns.json))
         return 0
-    return _emit_family_value(published_family("eq26"), ns.t, "family_eq26", ns.json)
+    return _emit_family_value("eq26", ns.t, ns.json)
 
 
 def cmd_selftest(ns) -> int:
+    import biquadrates.identity as identity
     failed = []
-    for name, fn in ALL_VERIFIERS.items():
+    for name, fn in identity.ALL_VERIFIERS.items():
         if ns.quick and name == "curve_high_multiple":
             continue
         ok = bool(fn())
@@ -268,7 +274,7 @@ COMMANDS = {
                 "--by": (int, "BY", None, "largest y2"), "--csv": _FLAG, "--json": _FLAG},
                ((True, ("--bx",)), (True, ("--by",)), (False, ("--csv", "--json")))),
     "family": (cmd_family, "evaluate or print a published family",
-               ("name", 1, str, tuple(sorted(FAMILIES))),
+               ("name", 1, str, ("eq20", "eq21", "eq22", "eq26")),
                {"--param": (_fraction, "a/b", None, ""), "--symbolic": _FLAG,
                 "--descending": _FLAG, "--json": _FLAG},
                ((True, ("--param", "--symbolic")),)),

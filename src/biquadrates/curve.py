@@ -29,15 +29,8 @@ oracle (tests/oracles.py), not part of the library.
 
 from __future__ import annotations
 
-from biquadrates.poly import ExactDivisionError, IPoly, PoleError, _ipoly, _unpack
-
-
-class PipelineError(RuntimeError):
-    """An internal consistency check failed while deriving a solution."""
-
-
-class DegenerateCurveError(ValueError):
-    """The cubic has a repeated root (for the family here, m = 0)."""
+from biquadrates.exact import DegenerateCurveError, PipelineError, PoleError
+from biquadrates.poly import ExactDivisionError, IPoly, _ipoly, _unpack
 
 
 def on_curve(phi, omega, z, M) -> bool:

@@ -15,7 +15,9 @@ canonical keys agree.
 side into two squares: at half the width of z^4 when one square is a z^2,
 as on every family's tuples (four routes), by the full residual otherwise.
 
-Everything here is exact: plain ``int`` plus ``fractions.Fraction``.
+Everything here is exact: plain ``int`` plus ``fractions.Fraction``.  The
+derivation's error classes live here too, so that the CLI can catch them
+without loading the derivation.
 """
 
 from __future__ import annotations
@@ -27,6 +29,18 @@ from math import gcd, isqrt
 
 class DegenerateSolutionError(ValueError):
     """A coordinate pair that must be nonzero is (0, 0)."""
+
+
+class PipelineError(RuntimeError):
+    """An internal consistency check failed while deriving a solution."""
+
+
+class DegenerateCurveError(ValueError):
+    """The cubic has a repeated root (for the family here, m = 0)."""
+
+
+class PoleError(ZeroDivisionError):
+    """A pole: the map to the quartic model at X = 4M, or nP at infinity."""
 
 
 class SolutionSix(namedtuple("SolutionSix", "x1 x2 y1 y2 z1 z2")):

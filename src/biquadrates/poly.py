@@ -20,13 +20,11 @@ from __future__ import annotations
 from math import gcd
 from operator import add, neg, sub
 
+from biquadrates.exact import PoleError
+
 
 class ExactDivisionError(ArithmeticError):
     """Polynomial division that was required to be exact left a remainder."""
-
-
-class PoleError(ZeroDivisionError):
-    """A pole: the map to the quartic model at X = 4M, or nP at infinity."""
 
 
 class IPoly:

@@ -1,5 +1,6 @@
 """Tests for the command-line surface: formats, exit codes, worked examples."""
 
+import ast
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import biquadrates.cli as cli
 import biquadrates.derive as derive
 import biquadrates.exact as exact
+import biquadrates.identity as identity
 import biquadrates.pell as pell
 import biquadrates.poly as poly
 from biquadrates.cli import main
@@ -503,7 +505,7 @@ def test_a_corrupted_tuple_is_refused(capsys, monkeypatch, argv, fresh_families)
     # z2 + 1 after clearing (or in the Pell shapes, or in a search row):
     # the one check at emission refuses it with one stderr line; eq26 is
     # built from the Pell shapes, so pell --t derives it under the patch
-    monkeypatch.setattr(cli, "_clear_image", _z2_plus_one(cli._clear_image))
+    monkeypatch.setattr(derive, "_clear_image", _z2_plus_one(derive._clear_image))
     monkeypatch.setattr(derive, "_clear_to_solution",
                         _z2_plus_one(derive._clear_to_solution))
     shapes, search = pell.pell_shapes, cli.search
@@ -605,6 +607,47 @@ def test_main_keeps_no_state_between_calls(capsys):
     assert [_outcome(capsys, argv) for argv in REUSE_ARGV] == fresh
     assert vars(cli).keys() == names.keys() and all(vars(cli)[k] is v for k, v in names.items())
     assert repr(cli.COMMANDS) == table and cli.build_parser() is cli.COMMANDS
+
+
+# one fresh process per command kind: the biquadrates modules it loads, and
+# whether it loads json
+LOADS_ARGV = [["verify", "1", "2", "5", "6", "8", "13"], ["search", "--bx", "6", "--by", "6"],
+              ["search", "--bx", "6", "--by", "6", "--json"], ["pell", "--k", "7"],
+              ["pell", "--k", "7", "--json"], ["curve", "--n", "3", "--m", "2/5"],
+              ["curve", "--n", "2", "--symbolic"], ["family", "eq21", "--param", "6/7"],
+              ["family", "eq26", "--symbolic"], ["selftest", "--quick"]]
+BASE = {"biquadrates", "biquadrates.cli", "biquadrates.exact", "biquadrates.search"}
+
+
+def test_each_command_loads_only_its_modules():
+    script = ("import sys\njson_before = 'json' in sys.modules\n"
+              "from biquadrates.cli import main\ncode = main(sys.argv[1:])\n"
+              "print(repr((code, json_before, 'json' in sys.modules, sorted(\n"
+              "    n for n in sys.modules if n.split('.')[0] == 'biquadrates'))))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for argv in LOADS_ARGV:
+        proc = subprocess.run([sys.executable, "-c", script] + argv, capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        code, json_before, json_after, names = ast.literal_eval(proc.stdout.splitlines()[-1])
+        loaded = set(names)
+        assert code == 0, argv
+        if argv[0] in ("verify", "search"):
+            assert loaded == BASE, argv
+        elif argv[:2] == ["pell", "--k"]:
+            assert loaded == BASE | {"biquadrates.pell"}, argv
+        elif argv[0] in ("curve", "family"):
+            assert "biquadrates.identity" not in loaded, argv
+        else:
+            assert "biquadrates.identity" in loaded, argv
+        if not json_before:   # a site .pth file may load json first
+            assert json_after == ("--json" in argv), argv
+    # the error classes main catches live in exact; the old paths give them
+    import biquadrates.curve as curve
+    assert curve.PipelineError is derive.PipelineError is exact.PipelineError
+    assert curve.DegenerateCurveError is exact.DegenerateCurveError
+    assert poly.PoleError is curve.PoleError is derive.PoleError is exact.PoleError
+    assert cli.COMMANDS["family"][2][3] == tuple(sorted(derive.FAMILIES))
 
 
 def test_no_command():
@@ -714,7 +757,7 @@ def test_internal_value_error_is_not_a_domain_failure(capsys, monkeypatch):
     def broken():
         raise ValueError("internal bug")
 
-    monkeypatch.setitem(cli.ALL_VERIFIERS, "brahmagupta", broken)
+    monkeypatch.setitem(identity.ALL_VERIFIERS, "brahmagupta", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["selftest", "--quick"])
     assert "selftest:" not in capsys.readouterr().err
