@@ -5,26 +5,25 @@ one kind of point is a Jacobian triple (phi : omega : z), standing for
 (phi/z^2, omega/z^3), over Z at a fixed M or over Z[M] symbolically, where
 nothing divides.  ``on_curve`` is the curve equation on a triple.
 
-The derivation takes nP from ``multiple_P``: P = -2R for the half point
-R = (4M, 12M), and nP = -2nR comes from the division values of R on an
-integral model, by Ward's recurrences, over Z at a fixed M and over Z[M]
-symbolically, with no gcd.  ``half_point_psi`` keeps them normalised,
-psi_k divided by (AB^2)^floor(k^2/4) 2^(k^2-1) (M = A/B); every division it
-makes, the normalisation of psi_2..psi_4 and the even step's division by
-the normalised psi_2, is exact or raises PipelineError.  Over Z[M] the
-recurrence runs once, on integers at M = 2^W (Kronecker substitution).
-W, a multiple of 8, comes from a majorant of the 1-norm of every value
-the run divides or returns (``_majorants``: a product multiplies norms, a
-difference adds them, a division by c M^j divides by |c| rounded up), so
-each such value's balanced base-2^W digits are its coefficients.  Each
-division is checked on those coefficients, over Z[M], before the integers
-divide, and the five values nP needs are unpacked once.  Nothing here
-checks nP against the curve: the map to the quartic model pulls the curve
-equation back to the quartic one, which derive proves once per point.
-``_P_triple`` and ``_extra_triple`` are the paper's base point and extra
-point as triples, which ``identity``'s closure check compares with the
-ladder.  The affine chord-tangent law over Q and Q(M) is the tests' slow
-oracle (tests/oracles.py), not part of the library.
+The derivation takes nP from ``multiple_P``: P = -2R for the half point R =
+(4M, 12M), and nP = -2nR comes from the division values of R on an integral
+model, by Ward's recurrences (``half_point_psi``), with no gcd.  Each
+division they make is exact over Z[M] and goes through ``_exact``, which
+raises PipelineError on a remainder.  Over Z[M] the recurrence runs once,
+on integers at M = 2^W (Kronecker substitution): evaluation at 2^W is a
+ring map, so a quotient exact over Z[M] is exact on the integers and is its
+value there.  Only the five values nP needs are unpacked, and W, a multiple
+of 8, holds their coefficients as balanced base-2^W digits: ``_width`` runs
+the recurrence on 1-norm majorants (``_Norm``).  A wrong unpacked value,
+from a division exact on the integers alone or from too narrow a width, is
+seen by derive's map to the quartic model (its divisions over Z[M], its pin
+of U at M = 0 and its proof of the image) and by ``identity``'s closure
+check.  Nothing here checks nP against the curve: the map to the quartic
+model pulls the curve equation back to the quartic one, which derive proves
+once per point.  ``_P_triple`` and ``_extra_triple`` are the paper's base
+point and extra point as triples, which ``identity``'s closure check
+compares with the ladder.  The affine chord-tangent law over Q and Q(M) is
+the tests' slow oracle (tests/oracles.py), not part of the library.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ def _extra_triple(M) -> tuple:
 def _exact(a, b):
     """a/b in Z or Z[M], which must leave no remainder."""
     try:
-        q, r = divmod(a, b) if isinstance(a, int) else (a.exact_div(b), 0)
+        q, r = (a.exact_div(b), 0) if isinstance(a, IPoly) else divmod(a, b)
     except ExactDivisionError:
         r = 1
     if r:
@@ -77,11 +76,12 @@ def _initial_psi(x, y, a2, a4) -> dict:
                         - 10 * aa * x2 - 4 * a2 * aa * x - 2 * aa * a4)}
 
 
-def half_point_psi(A, B=1, exact=_exact):
+def half_point_psi(A, B=1):
     """The normalised division values of the half point R of the base point.
 
-    Over Z (A/B a rational M in lowest terms) or Z[M] (A = ``IPoly.gen()``,
-    B = 1).  X = B^2 x, Y = B^3 y give the integral model
+    Over Z (A/B a rational M in lowest terms), Z[M] (A = ``IPoly.gen()``,
+    B = 1), Z[M] at 2^W (A = 2^W) or 1-norm majorants (A = ``_Norm(1)``).
+    X = B^2 x, Y = B^3 y give the integral model
     Y^2 = X^3 + a2 X^2 + a4 X, a2 = B(B-4A), a4 = 32AB^3, with the point
     R' = (4AB, 12AB^2), the image of R = (4M, 12M); P = -2R.  Returns at(k),
     memoised, with at(k) = psi_k(R') / (D^floor(k^2/4) 2^(k^2-1)), D = AB^2.
@@ -98,10 +98,8 @@ def half_point_psi(A, B=1, exact=_exact):
     psi_k-1 psi_k+1^3 (k odd) holds one factor D more than the normaliser of
     psi_2k+1, so its normalised product is multiplied by D (over Z[M], a
     shift).  The divisions, psi_2..psi_4 by their normalisers and the even
-    step by at(2) = 3, are exact (the tests check k <= 30); a remainder
-    raises PipelineError.  Each goes through ``exact``: at A = 2^W
-    ``multiple_P`` passes ``_packed_exact``, and ``_majorants`` runs at
-    A = ``_Norm(1)`` with a rounded-up norm quotient.
+    step by at(2) = 3, are exact over Z[M] (the tests check k <= 30); a
+    remainder raises PipelineError.
     """
     a2, a4 = B * (B - 4 * A), 32 * A * B**3
     if a4 == 0 or a2 * a2 - 4 * a4 == 0:
@@ -109,7 +107,7 @@ def half_point_psi(A, B=1, exact=_exact):
     D = A * B * B
     psi = _initial_psi(4 * A * B, 12 * D, a2, a4)
     for k in (2, 3, 4):
-        psi[k] = exact(psi[k], D ** (k * k // 4) * 2 ** (k * k - 1))
+        psi[k] = _exact(psi[k], D ** (k * k // 4) * 2 ** (k * k - 1))
 
     def at(k):
         if k not in psi:
@@ -118,8 +116,8 @@ def half_point_psi(A, B=1, exact=_exact):
                 s, t = at(h + 2) * at(h) ** 3, at(h - 1) * at(h + 1) ** 3
                 psi[k] = D * s - t if h & 1 == 0 else s - D * t
             else:
-                psi[k] = exact(at(h) * (at(h + 2) * at(h - 1) ** 2
-                                        - at(h - 2) * at(h + 1) ** 2), psi[2])
+                psi[k] = _exact(at(h) * (at(h + 2) * at(h - 1) ** 2
+                                         - at(h - 2) * at(h + 1) ** 2), psi[2])
         return psi[k]
 
     return at
@@ -127,7 +125,8 @@ def half_point_psi(A, B=1, exact=_exact):
 
 class _Norm(int):
     """A majorant of the 1-norm (sum of |coefficients|) of an element of
-    Z[M]: sums and differences add, products multiply, M and -1 have norm 1."""
+    Z[M]: sums and differences add, products multiply, M and -1 have norm 1,
+    and an exact division by c M^j divides by |c| rounded up."""
 
     __slots__ = ()
 
@@ -147,41 +146,20 @@ class _Norm(int):
     def __neg__(self):
         return self
 
-
-def _majorants(n: int) -> list:
-    """1-norm majorants of what the packed ladder to nP unpacks: each
-    division's dividend and divisor in the ladder's order, then
-    at(2n-2..2n+2).  Each divisor is c M^j with |c| exact (2^(k^2-1) or
-    at(2) = 3), so a quotient's norm is the dividend's over |c|."""
-    seen = []
-
-    def quotient(a, b):
-        seen.extend((a, b))
-        return _Norm(-(-int(a) // int(b)))
-
-    at = half_point_psi(_Norm(1), 1, quotient)
-    five = [at(k) for k in range(2 * n - 2, 2 * n + 3)]
-    return seen + five
+    def __divmod__(self, other):
+        return _Norm(-(-int(self) // abs(other))), 0
 
 
 def _width(n: int) -> int:
-    """The least multiple of 8, W, with every majorant below 2^(W-1)."""
-    return (max(_majorants(n)).bit_length() + 8) & -8
+    """The least multiple of 8, W, with at(2n-2..2n+2)'s majorants below 2^(W-1)."""
+    at = half_point_psi(_Norm(1))
+    return (max(map(at, range(2 * n - 2, 2 * n + 3))).bit_length() + 8) & -8
 
 
 def _unpacked(v: int, width: int) -> IPoly:
     """The element of Z[M] with value v at 2^width, its coefficients below
     2^(width-1) in size."""
     return _ipoly(_unpack(v, width, abs(v).bit_length() // width + 2))
-
-
-def _packed_exact(width: int):
-    """``_exact`` at M = 2^width, checked over Z[M] on the unpacked values
-    before the integers divide: 3 divides 1 + 2^(width+1), not 1 + 2M."""
-    def exact(a, b):
-        _exact(_unpacked(a, width), _unpacked(b, width))
-        return a // b
-    return exact
 
 
 def multiple_P(n: int, A, B=1) -> tuple:
@@ -207,7 +185,7 @@ def multiple_P(n: int, A, B=1) -> tuple:
         raise ValueError("n must be a positive integer")
     if isinstance(A, IPoly) and A.coeffs == (0, 1) and B == 1:
         width = _width(n)
-        packed = half_point_psi(1 << width, 1, _packed_exact(width))
+        packed = half_point_psi(1 << width)
         at = {k: _unpacked(packed(k), width) for k in range(2 * n - 2, 2 * n + 3)}.get
     else:
         at = half_point_psi(A, B)

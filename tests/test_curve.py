@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 import biquadrates.curve as curve
 import biquadrates.derive as derive
+import biquadrates.identity as identity
 from biquadrates.curve import (
     DegenerateCurveError,
     PipelineError,
     half_point_psi,
     multiple_P,
 )
-from biquadrates.poly import IPoly, PoleError, _pack
+from biquadrates.poly import IPoly, PoleError
 from mutations import psi3_doubled, psi3_plus_one, psi_changed
 from oracles import (
     INFINITY,
@@ -393,8 +394,9 @@ def test_packed_ladder_equals_the_z_m_recurrence(n):
 
 
 class _RationalNorm(Fraction):
-    """A 1-norm majorant kept exact over Q: sums and differences add and
-    products multiply, as in ``curve._Norm``, with no rounding anywhere."""
+    """A 1-norm majorant kept exact over Q: sums and differences add,
+    products multiply and exact divisions divide, as in ``curve._Norm``,
+    with no rounding anywhere."""
 
     def __add__(self, other):
         return _RationalNorm(Fraction(self) + abs(other))
@@ -412,24 +414,14 @@ class _RationalNorm(Fraction):
     def __neg__(self):
         return self
 
-
-def _recorded_run(n, A, divide):
-    """Every dividend and divisor of half_point_psi at A, in order, then its
-    values at 2n-2 .. 2n+2."""
-    seen = []
-
-    def exact(a, b):
-        seen.extend((a, b))
-        return divide(a, b)
-
-    at = half_point_psi(A, 1, exact)
-    five = [at(k) for k in range(2 * n - 2, 2 * n + 3)]
-    return seen + five
+    def __divmod__(self, other):
+        return _RationalNorm(Fraction(self) / abs(other)), 0
 
 
-def _rational_majorants(n):
-    return _recorded_run(n, _RationalNorm(1),
-                         lambda a, b: _RationalNorm(Fraction(a) / Fraction(b)))
+def _five(n, A):
+    """half_point_psi's values at 2n-2 .. 2n+2 at A, which the packed
+    ladder to nP unpacks."""
+    return [half_point_psi(A)(k) for k in range(2 * n - 2, 2 * n + 3)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 12])
@@ -437,10 +429,9 @@ def test_majorants_bound_every_unpacked_value(n):
     # each value the packed ladder unpacks, taken over Z[M], has a 1-norm at
     # most the exact rational majorant, and the library's rounded-up
     # majorant is at least that one
-    values = _recorded_run(n, IPoly.gen(), curve._exact)
-    rational = _rational_majorants(n)
-    bounds = curve._majorants(n)
-    assert len(values) == len(rational) == len(bounds)
+    values = _five(n, IPoly.gen())
+    rational = _five(n, _RationalNorm(1))
+    bounds = _five(n, curve._Norm(1))
     for v, exact_norm, bound in zip(values, rational, bounds):
         assert type(bound) is curve._Norm
         assert sum(map(abs, v.coeffs)) <= exact_norm <= bound
@@ -454,12 +445,12 @@ def test_majorants_round_up(monkeypatch):
     # exact (each at(k), k >= 2, is a multiple of 3); psi_3 written as
     # psi_3 + 1 - 1 is the same polynomial with majorant 6146, which 2^8
     # does not divide, so the quotient must round up to stay a bound
+    assert divmod(curve._Norm(6146), 2**8) == (25, 0)
     written = psi_changed(3, lambda v: v + 1 - 1)(curve._initial_psi)
     monkeypatch.setattr(curve, "_initial_psi", written)
-    rational = _rational_majorants(3)
-    bounds = curve._majorants(3)
-    assert (bounds[2], bounds[3]) == (rational[2], rational[3]) == (6146, 2**8)
-    assert all(r <= b for r, b in zip(rational, bounds))
+    rational, bound = half_point_psi(_RationalNorm(1)), half_point_psi(curve._Norm(1))
+    assert rational(3) == Fraction(6146, 2**8) and bound(3) == 25
+    assert all(rational(k) <= bound(k) for k in range(4, 9))
     assert multiple_P(3, IPoly.gen()) == _ladder_over_z_m(3, IPoly.gen())
 
 
@@ -478,20 +469,14 @@ def test_other_ipoly_inputs_keep_the_generic_route(monkeypatch):
         multiple_P(1, M)
 
 
-@pytest.mark.parametrize("width", [8, 16, 32, 128])
-def test_packed_division_checks_every_coefficient(width):
-    # 1 + 2M and M + 2M^2 are not 3 times an element of Z[M], yet their
-    # values at 2^width are multiples of 3 (2^width = 1 mod 3): only the
-    # check on the unpacked coefficients rejects them, the second one past
-    # digit 0
-    exact = curve._packed_exact(width)
-    for cs in ((1, 2), (0, 1, 2)):
-        v = _pack(cs, width)
-        assert v % 3 == 0
-        with pytest.raises(PipelineError, match="remainder"):
-            exact(v, 3)
-    assert exact(_pack((3, -6, 9), width), 3) == _pack((1, -2, 3), width)
-    # a normalising divisor 2^e M^j: the digits below j must vanish too
-    with pytest.raises(PipelineError, match="remainder"):
-        exact(_pack((4, 0, 4), width), _pack((0, 0, 4), width))
-    assert exact(_pack((0, 0, -4, 8), width), _pack((0, 0, 4), width)) == _pack((-1, 2), width)
+def test_a_ladder_unpacked_too_narrow_is_refused(monkeypatch):
+    # at a width that does not hold the five values the packed run still
+    # divides exactly (evaluation at 2^8 is a ring map), but the values
+    # unpack wrong: derive's map to the quartic model and selftest's
+    # closure check refuse them
+    monkeypatch.setattr(curve, "_width", lambda n: 8)
+    for n in (2, 3, 4):
+        for sign in ("plus", "minus"):
+            with pytest.raises(PipelineError):
+                derive.solution_from_nP(n, sign)
+    assert identity.verify_curve_closure() is False

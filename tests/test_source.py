@@ -2,6 +2,7 @@
 without ``dataclasses`` or ``typing``."""
 
 import ast
+import importlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,6 +56,23 @@ def test_curve_takes_nothing_from_fractions():
                 for alias in node.names}
     assert not {m for m in modules if m and m.split(".")[0] == "fractions"}
     assert "Fraction" not in _bound_names(tree)
+
+
+def test_no_function_is_a_default_argument():
+    # a function passed as a default argument is a hook that gives its
+    # callee a second arithmetic for callers to choose; each default is
+    # evaluated in its module, and a lambda is a function by its syntax
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "biquadrates" + ("" if path.stem == "__init__" else "." + path.stem)
+        scope = dict(vars(importlib.import_module(name)))
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for default in node.args.defaults + [d for d in node.args.kw_defaults if d]:
+                    if isinstance(default, ast.Lambda) or callable(
+                            eval(compile(ast.Expression(default), str(path), "eval"), scope)):
+                        found.append("%s:%d" % (path.name, default.lineno))
+    assert found == []
 
 
 def test_no_dataclasses_or_typing_imported():
