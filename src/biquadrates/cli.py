@@ -27,14 +27,14 @@ returns the table, since there is nothing to build; it remains because
 perfbench's setup times importing this module and calling it.
 
 A one-shot process compiles only the modules its command runs.  This module
-binds ``exact`` and ``search`` alone (perfbench's tests read ``cli.search``);
-each handler imports the rest as ``import biquadrates.derive as derive`` and
-calls through the module, so a name patched in its module reaches every
-command.  ``verify`` and ``search`` load nothing more, ``pell --k`` loads
-``pell``, ``curve``, ``family`` and ``pell --t`` load ``derive`` (with
-``curve``, ``poly``, ``families`` and ``pell``), ``selftest`` loads
-``identity``, and ``--json`` loads ``json``.  ``main``'s domain errors live
-in ``exact``.
+binds ``exact`` alone; each handler imports the rest as
+``import biquadrates.derive as derive`` and calls through the module, so a
+name patched in its module reaches every command.  ``verify`` loads nothing
+more, ``search`` loads ``search``, ``pell --k`` loads ``pell``, ``curve``,
+``family`` and ``pell --t`` load ``derive`` (with ``curve``, ``poly``,
+``families`` and ``pell``), ``selftest`` loads ``identity`` (which runs
+search's filters, so ``search`` too), and ``--json`` loads ``json``.
+``main``'s domain errors live in ``exact``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,18 @@ from biquadrates.exact import (
     canonicalize,
     check_solution,
 )
-from biquadrates.search import search
+
+
+def __getattr__(name):
+    """``cli.search`` is ``biquadrates.search.search``, imported on first read.
+
+    perfbench/test_bench.py reads ``cli.search``; ROADMAP item 1's benchmark
+    change drops that read and deletes this hook.
+    """
+    if name != "search":
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    import biquadrates.search as search
+    return search.search
 
 
 class NotASolutionError(ValueError):
@@ -151,8 +162,9 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_search(ns) -> int:
+    import biquadrates.search as search
     try:
-        results = search(ns.bx, ns.by)
+        results = search.search(ns.bx, ns.by)
     except ValueError as exc:
         print("search: %s" % exc, file=sys.stderr)
         return 2

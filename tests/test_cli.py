@@ -21,6 +21,7 @@ import biquadrates.exact as exact
 import biquadrates.identity as identity
 import biquadrates.pell as pell
 import biquadrates.poly as poly
+import biquadrates.search as search
 from biquadrates.cli import main
 from biquadrates.derive import FAMILIES
 from mutations import fresh_families
@@ -508,11 +509,11 @@ def test_a_corrupted_tuple_is_refused(capsys, monkeypatch, argv, fresh_families)
     monkeypatch.setattr(derive, "_clear_image", _z2_plus_one(derive._clear_image))
     monkeypatch.setattr(derive, "_clear_to_solution",
                         _z2_plus_one(derive._clear_to_solution))
-    shapes, search = pell.pell_shapes, cli.search
+    shapes, sweep = pell.pell_shapes, search.search
     monkeypatch.setattr(pell, "pell_shapes",
                         lambda u, v, w=1: (*shapes(u, v, w)[:5], shapes(u, v, w)[5] + 1))
-    monkeypatch.setattr(cli, "search", lambda bx, by: [s._replace(z2=s.z2 + 1)
-                                                       for s in search(bx, by)])
+    monkeypatch.setattr(search, "search", lambda bx, by: [s._replace(z2=s.z2 + 1)
+                                                          for s in sweep(bx, by)])
     code, out, err = run(capsys, *argv)
     assert code == 1 and _emitted(out) == []
     assert err == "%s: refusing to emit a tuple that fails the equation\n" % argv[0]
@@ -583,7 +584,8 @@ REUSE_ARGV = [["verify", "1", "2", "5", "6", "8", "13"],
               ["family", "eq99", "--param", "1"],   # a usage error: exit 2
               ["family", "eq20", "--param", "1/2"],
               ["curve", "--n", "2", "--m", "3/5"],
-              ["selftest", "--quick"]]
+              ["selftest", "--quick"],
+              ["search", "--bx", "6", "--by", "6"]]
 
 
 def _outcome(capsys, argv):
@@ -602,7 +604,7 @@ def test_main_keeps_no_state_between_calls(capsys):
                             capture_output=True, text=True, env=env, timeout=300)
              for argv in REUSE_ARGV]
     fresh = [(proc.returncode, proc.stdout, proc.stderr) for proc in fresh]
-    assert [o[0] for o in fresh] == [0, 2, 0, 0, 0]
+    assert [o[0] for o in fresh] == [0, 2, 0, 0, 0, 0]
     names, table = dict(vars(cli)), repr(cli.COMMANDS)
     assert [_outcome(capsys, argv) for argv in REUSE_ARGV] == fresh
     assert vars(cli).keys() == names.keys() and all(vars(cli)[k] is v for k, v in names.items())
@@ -615,8 +617,9 @@ LOADS_ARGV = [["verify", "1", "2", "5", "6", "8", "13"], ["search", "--bx", "6",
               ["search", "--bx", "6", "--by", "6", "--json"], ["pell", "--k", "7"],
               ["pell", "--k", "7", "--json"], ["curve", "--n", "3", "--m", "2/5"],
               ["curve", "--n", "2", "--symbolic"], ["family", "eq21", "--param", "6/7"],
-              ["family", "eq26", "--symbolic"], ["selftest", "--quick"]]
-BASE = {"biquadrates", "biquadrates.cli", "biquadrates.exact", "biquadrates.search"}
+              ["family", "eq26", "--symbolic"], ["pell", "--t", "5/27"],
+              ["selftest", "--quick"]]
+BASE = {"biquadrates", "biquadrates.cli", "biquadrates.exact"}
 
 
 def test_each_command_loads_only_its_modules():
@@ -632,11 +635,15 @@ def test_each_command_loads_only_its_modules():
         code, json_before, json_after, names = ast.literal_eval(proc.stdout.splitlines()[-1])
         loaded = set(names)
         assert code == 0, argv
-        if argv[0] in ("verify", "search"):
+        # selftest's mod16 verifier runs search's own filters
+        assert ("biquadrates.search" in loaded) == (argv[0] in ("search", "selftest")), argv
+        if argv[0] == "verify":
             assert loaded == BASE, argv
+        elif argv[0] == "search":
+            assert loaded == BASE | {"biquadrates.search"}, argv
         elif argv[:2] == ["pell", "--k"]:
             assert loaded == BASE | {"biquadrates.pell"}, argv
-        elif argv[0] in ("curve", "family"):
+        elif argv[0] in ("curve", "family", "pell"):
             assert "biquadrates.identity" not in loaded, argv
         else:
             assert "biquadrates.identity" in loaded, argv
@@ -648,6 +655,23 @@ def test_each_command_loads_only_its_modules():
     assert curve.DegenerateCurveError is exact.DegenerateCurveError
     assert poly.PoleError is curve.PoleError is derive.PoleError is exact.PoleError
     assert cli.COMMANDS["family"][2][3] == tuple(sorted(derive.FAMILIES))
+
+
+def test_cli_search_is_read_without_loading_search_at_import():
+    # perfbench reads cli.search; importing cli alone leaves search unloaded
+    script = ("import sys\nimport biquadrates.cli as cli\n"
+              "loaded = 'biquadrates.search' in sys.modules\n"
+              "read = cli.search\nfrom biquadrates.cli import search\n"
+              "owner = sys.modules['biquadrates.search']\n"
+              "print(repr((loaded, read is search is owner.search)))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == (False, True)
+    assert "search" not in vars(cli)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
 
 
 def test_no_command():
