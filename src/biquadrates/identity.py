@@ -184,7 +184,9 @@ def verify_mod16_obstruction() -> bool:
     solution needs.
 
     n^4 mod 16 is 1 for odd n and 0 for even n, and n^4 mod 5 is 0 or 1, so
-    a sum of two fourth powers is 0, 1 or 2 mod 16 and mod 5.  A product of
+    a sum of two fourth powers is 0, 1 or 2 mod 16 and mod 5.  The mod 16
+    check is also what the sweep's keys rest on: the key (z1^4 + z2^4) >> 4
+    that search looks up is (z1^4 >> 4) + (z2^4 >> 4).  A product of
     two pair sums mod 16 depends only on the parities and mod 5 only on the
     residues mod 5, so search's own class selection is run on one pair
     (a, b), a <= b, per pattern of residues mod 10, and every combination it

@@ -125,13 +125,17 @@ class IPoly:
         """Quotient self/other when the division is exact over Z; else raises.
 
         A constant divisor (an int or a degree-0 IPoly) divides each
-        coefficient in one pass.
+        coefficient in one pass; 1 and -1 give self and -self.
         """
         o = self._coerce(other)
         if o is None:
             raise TypeError("cannot divide by %r" % (other,))
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
+        if o.coeffs == (1,):
+            return self
+        if o.coeffs == (-1,):
+            return -self
         if len(o.coeffs) == 1:
             c, q = o.coeffs[0], []
             for a in self.coeffs:

@@ -25,7 +25,9 @@ branch that resolves it now.
 way the published tables (tests/known_solutions.py) are written, and
 ``evaluate`` gives its value at an int or a Fraction.  The rest are the
 slow, obvious forms of the library's integer shortcuts:
-the equation as written, four fourth powers and a product (``plain_equation``,
+the sums of two fourth powers among a set of targets, by search's key sweep
+and an exact membership test (``fourth_power_sums``), the equation as
+written, four fourth powers and a product (``plain_equation``,
 for ``exact.check_solution``'s Brahmagupta split), the Pell ladder one step at
 a time (``pell3_ladder``), Horner's rule in Fraction arithmetic
 (``fraction_horner``), a family's value cleared from reduced Fractions
@@ -44,7 +46,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Union
 
-from biquadrates import cli, derive, poly
+from biquadrates import cli, derive, poly, search
 from biquadrates.cli import _record
 from biquadrates.curve import DegenerateCurveError, _extra_triple, _P_triple, multiple_P
 from biquadrates.exact import DegenerateSolutionError, SolutionSix, canonicalize
@@ -467,6 +469,19 @@ def sampled_sign(n: int) -> str:
         if len(keys) == 2:
             return "minus" if keys["minus"] <= keys["plus"] else "plus"
     raise derive.PipelineError("no branch of nP gives a usable solution")
+
+
+def fourth_power_sums(targets, coprime_to: int = 1) -> set:
+    """The members of targets that are z1^4 + z2^4 for some 0 <= z1 <= z2.
+
+    targets is a set or range of positive integers.  search's key sweep
+    (looked up through the module, so a test that patches it reaches this
+    too) gives the z-sums whose key n >> 4 is a target's, skipping the
+    z-pairs whose gcd shares a prime with coprime_to, and the exact test
+    keeps the targets among them.
+    """
+    return {n for n in search._key_sums({t >> 4 for t in targets}, coprime_to)
+            if n in targets}
 
 
 def plain_equation(s) -> bool:

@@ -28,7 +28,7 @@ from biquadrates.identity import (
 )
 from biquadrates.pell import pell3_nth, pell_to_solution
 from biquadrates.poly import IPoly, PoleError
-from biquadrates.search import decompose_fourth, fourth_power_sums, search
+from biquadrates.search import decompose_fourth, search
 from known_solutions import PUBLISHED_FAMILIES, SMALL_SOLUTIONS
 from mutations import (
     brahmagupta_square_twice,
@@ -40,7 +40,7 @@ from mutations import (
     substitution_3m2p2q2,
     v_denominator_16,
 )
-from oracles import param_equivalent
+from oracles import fourth_power_sums, param_equivalent
 
 
 def _report(num: int, label: str, ok: bool):

@@ -72,6 +72,9 @@ def test_exact_div_examples():
         P(2, 2).exact_div(P(4))
     with pytest.raises(ZeroDivisionError):
         M.exact_div(P())
+    for unit in (1, -1, P(1), P(-1)):
+        for a in (P(), P(-7), 3 * M**5 - M + 2):
+            assert a.exact_div(unit) == a * unit
 
 
 def test_true_division_leaves_no_way_out_of_z_m():

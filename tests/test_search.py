@@ -10,13 +10,9 @@ from hypothesis import strategies as st
 from biquadrates import search as search_module
 from biquadrates.cli import main as cli_main
 from biquadrates.exact import SolutionSix, canonicalize, check_solution
-from biquadrates.search import (
-    SWEEP_COPRIME_TO,
-    decompose_fourth,
-    fourth_power_sums,
-    search,
-)
+from biquadrates.search import SWEEP_COPRIME_TO, _key_sums, decompose_fourth, search
 from known_solutions import SMALL_SOLUTIONS
+from oracles import fourth_power_sums
 
 
 def test_decompose_examples():
@@ -106,25 +102,56 @@ def test_fourth_power_sums_is_decompose_on_random_targets(targets):
             n for n in kept if decompose_fourth(n)}
 
 
+near_keys = st.builds(lambda z1, z2, d: (z1**4 + z2**4 + d) >> 4, st.integers(0, 99),
+                      st.integers(1, 99), st.integers(-1, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(near_keys, st.integers(0, 10**7)), max_size=30))
+def test_key_sums_is_brute_force_on_random_keys(keys):
+    keys = set(keys)
+    zmax = isqrt(isqrt(16 * max(keys, default=0) + 15))
+    pairs = [(z1, z2, z1**4 + z2**4) for z1 in range(zmax + 1)
+             for z2 in range(z1, zmax + 1) if (z1**4 + z2**4) >> 4 in keys]
+    for coprime_to in (1, 2, 3, 30):
+        assert _key_sums(keys, coprime_to) == {
+            n for z1, z2, n in pairs if gcd(gcd(z1, z2), coprime_to) == 1}
+
+
 def test_pruned_sweep_equals_plain_sweep(monkeypatch):
-    """The sweep's 2/3/5 skip loses no hit on the product set search builds."""
+    """The sweep's 2/3/5 skip loses no candidate on the keys search builds."""
     calls = []
 
-    def recording(targets, coprime_to=1):
-        hits = fourth_power_sums(targets, coprime_to)
-        calls.append((targets, coprime_to, hits))
-        return hits
+    def recording(keys, coprime_to=1):
+        sums = _key_sums(keys, coprime_to)
+        calls.append((keys, coprime_to, sums))
+        return sums
 
-    monkeypatch.setattr(search_module, "fourth_power_sums", recording)
+    monkeypatch.setattr(search_module, "_key_sums", recording)
     for bx in range(2, 25):
         for by in range(2, 25):
             search(bx, by)
-            (targets, coprime_to, hits), = calls
+            (keys, coprime_to, sums), = calls
             calls.clear()
             assert coprime_to == SWEEP_COPRIME_TO
-            assert hits == fourth_power_sums(targets)
+            assert sums == _key_sums(keys, 1)
     # the largest window's sweep runs z1 past 60, so z1 = 0 mod 30 occurs
-    assert isqrt(isqrt(max(targets) // 2)) > 60
+    assert isqrt(isqrt(16 * max(keys) // 2)) > 60
+
+
+@pytest.mark.parametrize("bx, by", ((6, 6), (8, 12), (2, 40), (12, 12)))
+def test_candidates_that_are_no_products_give_no_rows(monkeypatch, bx, by):
+    # every z-sum up to the sweep's limit is a candidate; all but a few are
+    # no pair product, and none of those may give a row
+    rows = search(bx, by)
+
+    def padded(keys, coprime_to=1):
+        zmax = isqrt(isqrt(16 * max(keys) + 15))
+        return _key_sums(keys, coprime_to) | {
+            z1**4 + z2**4 for z2 in range(1, zmax + 1) for z1 in range(z2 + 1)}
+
+    monkeypatch.setattr(search_module, "_key_sums", padded)
+    assert search(bx, by) == rows
 
 
 def test_config_validation():
