@@ -20,11 +20,18 @@ once, by ``_proved``, so a tuple past the digit limit is refused unproved;
 ``selftest`` runs ``identity.ALL_VERIFIERS`` in order.
 
 ``parse_args`` reads a command line from the table ``COMMANDS`` by
-argparse's rules for these commands, in one pass, and the parser holds no
-state between calls.  The table binds the ``cmd_*`` handlers at import, so
-patching a ``cmd_*`` name does not reach ``main``.  ``build_parser()``
-returns the table, since there is nothing to build; it remains because
-perfbench's setup times importing this module and calling it.
+argparse's rules for these commands and holds no state between calls.
+``_plain`` reads a plain line: the command, whole option names given once,
+each value option followed by its value, the positional's values in one
+run, a value starting with "-" only as a negative integer, and every value
+valid.  Every other line (a prefix, an ``=`` value, ``--``, ``-h``, a
+repeated or clashing option, a missing or bad value) goes to the table
+reader in ``usage``, loaded on demand, which writes argparse's help and
+error text; the two share nothing but the table.  The table binds the
+``cmd_*`` handlers at import, so patching a ``cmd_*`` name does not reach
+``main``.  ``build_parser()`` returns the table, since there is nothing to
+build; it remains because perfbench's setup times importing this module and
+calling it.
 
 A one-shot process compiles only the modules its command runs.  This module
 binds ``exact`` alone; each handler imports the rest as
@@ -34,15 +41,16 @@ more, ``search`` loads ``search``, ``pell --k`` loads ``pell``, ``curve``,
 ``family`` and ``pell --t`` load ``derive`` (with ``curve``, ``poly``,
 ``families`` and ``pell``), ``selftest`` loads ``identity`` (which runs
 search's filters, so ``search`` too), and ``--json`` loads ``json``.
+Only a line that is not plain loads ``usage`` (and ``re``), and only a
+rational value, a derivation or a key with a fractional z-pair loads
+``fractions``.
 ``main``'s domain errors live in ``exact``.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import sys
-from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
 
@@ -141,6 +149,7 @@ def _fraction(text: str) -> Fraction:
     # Fraction("1e3000000000") would compute 10**3000000000
     if "e" in text or "E" in text:
         raise ValueError("no exponent notation")
+    from fractions import Fraction   # here: only a rational value loads fractions
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -311,7 +320,6 @@ _TOP = (None, "Products of sums of two fourth powers that are again sums of two 
         "fourth powers: search, verify, derive.",
         ("command", 1, str, tuple(COMMANDS)), {}, ())
 _HELP = ("-h", "--help")
-_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")   # argparse reads these as values
 
 
 def build_parser():
@@ -319,139 +327,70 @@ def build_parser():
     return COMMANDS
 
 
-def _metavar(meta):
-    return meta if isinstance(meta, str) else "{%s}" % ",".join(meta)
-
-
-def _usage(command, full=False):
-    """The usage line of ``biquadrates [command]`` and, if full, its help."""
-    _, about, pos, opts, groups = COMMANDS.get(command, _TOP)
-    spell = {n: n + " " + _metavar(s[1]) if s[0] else n for n, s in opts.items()}
-    words = ["usage: biquadrates"] + [command] * bool(command) + ["[-h]"]
-    for name in opts:
-        need, group = next((g for g in groups if name in g[1]), (False, (name,)))
-        if name == group[0]:
-            text = " | ".join(map(spell.get, group))
-            words.append(("(%s)" if group[1:] else "%s") % text if need else "[%s]" % text)
-    usage = " ".join(words + ([_metavar(pos[3])] * pos[1] if pos else [])) + "\n"
-    if not full:
-        return usage
-    rows = [(c, COMMANDS[c][1]) for c in COMMANDS] if command is None else [
-        (spell[n], s[3]) for n, s in opts.items()]
-    rows.append(("-h, --help", "show this help message and exit"))
-    return usage + "\n%s\n\n%s\n" % (about, "\n".join(
-        ("  %-24s  %s" % row).rstrip() for row in rows))
-
-
-def _error(command, message):
-    """Write a usage error as argparse does, and exit 2."""
-    prog = "biquadrates " + command if command else "biquadrates"
-    sys.stderr.write("%s%s: error: %s\n" % (_usage(command), prog, message))
-    raise SystemExit(2)
-
-
-def _option(tok, names, command):
-    """argparse's reading of a token: None for a value, else (the option or
-    None if none matches, the text after its "=" or after -h, or None)."""
-    if tok[:1] != "-" or tok == "-":
+def _plain_value(convert, choices, text):
+    """text converted, if it is a plain value and among the choices, else None."""
+    if text is None or text[:1] == "-" and not text[1:].isdecimal():
         return None
-    head, eq, arg = tok.partition("=")
-    if tok in names or eq and head in names:
-        return head, arg if eq else None
-    hits = ([(n, arg if eq else None) for n in names if n.startswith(head)]
-            if tok[1] == "-" else [("-h", tok[2:])] if tok[:2] == "-h" else [])
-    if hits[1:]:
-        _error(command, "ambiguous option: %s could match %s"
-               % (tok, ", ".join(n for n, _ in hits)))
-    return hits[0] if hits else None if _NUMBER.match(tok) or " " in tok else (None, None)
-
-
-def _value(command, label, convert, choices, text):
-    """text converted, then checked against the choices, as argparse does."""
     try:
         value = convert(text)
     except (TypeError, ValueError):
-        _error(command, "argument %s: invalid %s value: %r"
-               % (label, convert.__name__, text))
-    if not isinstance(choices, str) and value not in choices:
-        _error(command, "argument %s: invalid choice: %r (choose from %s)"
-               % (label, value, ", ".join(map(repr, choices))))
-    return value
+        return None
+    return value if isinstance(choices, str) or value in choices else None
 
 
-def _parse(command, rest, extras):
-    """The namespace of ``command`` from ``rest``, read in one pass as argparse
-    reads it; the tokens that no argument takes go to extras."""
-    func, _, pos, opts, groups = COMMANDS.get(command, _TOP)
-    ns = SimpleNamespace(command=command, func=func,
+def _plain(args):
+    """The namespace of a plain command line, or None to hand the line over.
+
+    Plain is the command first, then whole option names, each at most once
+    and each value option followed by its value, and the positional's values
+    in one run; a value may start with "-" only as a negative integer.  Every
+    value must convert and be among its choices, no two options of a group
+    may be given, and every required argument must be.
+    """
+    if not args or args[0] not in COMMANDS:
+        return None
+    func, _, pos, opts, groups = COMMANDS[args[0]]
+    ns = SimpleNamespace(command=args[0], func=func,
                          **{name[2:]: spec[2] for name, spec in opts.items()})
-    names = _HELP + tuple(opts)
-    end = rest.index("--") if "--" in rest else len(rest)
-    found = [_option(tok, names, command) for tok in rest[:end]]
-    # argparse's pattern: O an option, A a value, - the "--" that ends the options
-    kinds = ("".join("A" if f is None else "O" for f in found)
-             + "-" * (end < len(rest)) + "A" * (len(rest) - end - 1) + "O")
-    label = pos and (pos[3] if isinstance(pos[3], str) else pos[0])   # argparse's name
-    seen, i = set(), 0
-    while i < len(rest):
-        if kinds[i] != "O":   # values: the positional's, if they match it whole
-            match = pos and pos[0] not in seen and re.match(
-                "-*" + "-*".join("A" * pos[1]) + "-*", kinds[i:])
-            if match and command is None:   # the command, which reads the rest
-                return _parse(_value(None, label, *pos[2:], rest[i]), rest[i + 1:], extras)
-            j = i + match.end() if match else i
-            if match:   # the values but the "--"
-                values = [_value(command, label, *pos[2:], tok)
-                          for k, tok in enumerate(rest[i:j], i) if k != end]
-                setattr(ns, pos[0], values if pos[1] > 1 else values[0])
-                seen.add(pos[0])
-            i = kinds.index("O", j)
-            extras += rest[j:i]
-            continue
-        (name, arg), i = found[i], i + 1
-        if name is None:
-            extras.append(rest[i - 1])
-            continue
-        if name in _HELP or opts[name][0] is None:   # a flag
-            if name == "-h" and arg:   # -hh... is -h -h ...
-                arg = arg.lstrip("h") or None
-            if arg is not None:
-                _error(command, "argument %s: ignored explicit argument %r"
-                       % ("-h/--help" if name in _HELP else name, arg))
-            if name in _HELP:
-                sys.stdout.write(_usage(command, True))
-                raise SystemExit(0)
-            value = True
+    count = pos[1] if pos else 0
+    seen, values, rest = set(), [], iter(args[1:])
+    for tok in rest:
+        if tok in opts and tok not in seen:
+            if 0 < len(values) < count:   # an option inside the positional's run
+                return None
+            convert, choices = opts[tok][:2]
+            value = (True if convert is None
+                     else _plain_value(convert, choices, next(rest, None)))
+            if value is None:
+                return None
+            seen.add(tok)
+            setattr(ns, tok[2:], value)
+        elif len(values) < count:
+            values.append(_plain_value(*pos[2:], tok))
+            if values[-1] is None:
+                return None
         else:
-            if arg is None:   # the next token, if it is a value
-                if kinds[i] != "A":
-                    _error(command, "argument %s: expected one argument" % name)
-                arg, i = rest[i], i + 1
-            value = _value(command, name, *opts[name][:2], arg)
-        clash = [n for _, g in groups if name in g for n in g if n in seen and n != name]
-        if clash:
-            _error(command, "argument %s: not allowed with argument %s" % (name, clash[0]))
-        seen.add(name)
-        setattr(ns, name[2:], value)
-    missing = [label] * bool(pos and pos[0] not in seen) + [
-        g[0] for need, g in groups if need and not g[1:] and g[0] not in seen]
-    if missing:
-        _error(command, "the following arguments are required: %s" % ", ".join(missing))
+            return None
+    if len(values) < count:
+        return None
+    if pos:
+        setattr(ns, pos[0], values if count > 1 else values[0])
     for need, group in groups:
-        if need and not seen.intersection(group):
-            _error(command, "one of the arguments %s is required" % " ".join(group))
+        given = seen.intersection(group)
+        if len(given) > 1 or need and not given:
+            return None
     return ns
 
 
 def parse_args(argv=None):
     """The namespace of a command line, read by argparse's rules for this CLI:
-    a usage error exits 2 and -h/--help exits 0, each writing what argparse would."""
-    args, extras = sys.argv[1:] if argv is None else list(argv), []
-    # a first token that names a command is the command: skip biquadrates' own pass
-    ns = (_parse(args[0], args[1:], extras) if args[:1] and args[0] in COMMANDS
-          else _parse(None, args, extras))
-    if extras:
-        _error(None, "unrecognized arguments: %s" % " ".join(extras))
+    a usage error exits 2 and -h/--help exits 0, each writing what argparse would.
+    A plain line is read here; the table reader in ``usage`` reads the rest."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    ns = _plain(args)
+    if ns is None:
+        import biquadrates.usage as usage
+        ns = usage.parse_args(args, COMMANDS, _TOP, _HELP)
     return ns
 
 

@@ -23,7 +23,6 @@ without loading the derivation.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, isqrt
 
 
@@ -54,7 +53,8 @@ class CanonicalKey(namedtuple("CanonicalKey", "xpair ypair zpair")):
 
     ``xpair`` and ``ypair`` are sorted primitive nonnegative pairs with
     ``xpair <= ypair`` lexicographically; ``zpair`` is the z-pair divided by
-    k1*k2 (so it may be fractional), sorted ascending.
+    k1*k2, sorted ascending: ints where k1*k2 divides it (a primitive
+    solution's), else ``Fraction``s.
     """
 
     __slots__ = ()
@@ -115,7 +115,12 @@ def canonicalize(s: SolutionSix, check: bool = True) -> CanonicalKey:
     if yp < xp:
         xp, yp = yp, xp
     k12 = k1 * k2
-    zp = tuple(sorted((Fraction(abs(s.z1), k12), Fraction(abs(s.z2), k12))))
+    z = sorted((abs(s.z1), abs(s.z2)))
+    if z[0] % k12 or z[1] % k12:
+        from fractions import Fraction   # here, so a key in integers loads no fractions
+        zp = tuple(Fraction(v, k12) for v in z)
+    else:
+        zp = tuple(v // k12 for v in z)
     return CanonicalKey(xp, yp, zp)
 
 

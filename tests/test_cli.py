@@ -618,23 +618,31 @@ LOADS_ARGV = [["verify", "1", "2", "5", "6", "8", "13"], ["search", "--bx", "6",
               ["pell", "--k", "7", "--json"], ["curve", "--n", "3", "--m", "2/5"],
               ["curve", "--n", "2", "--symbolic"], ["family", "eq21", "--param", "6/7"],
               ["family", "eq26", "--symbolic"], ["pell", "--t", "5/27"],
-              ["selftest", "--quick"]]
+              ["selftest", "--quick"], ["curve", "--sym", "--n", "2"]]
 BASE = {"biquadrates", "biquadrates.cli", "biquadrates.exact"}
+STDLIB = ("re", "fractions", "decimal")
 
 
 def test_each_command_loads_only_its_modules():
-    script = ("import sys\njson_before = 'json' in sys.modules\n"
-              "from biquadrates.cli import main\ncode = main(sys.argv[1:])\n"
-              "print(repr((code, json_before, 'json' in sys.modules, sorted(\n"
-              "    n for n in sys.modules if n.split('.')[0] == 'biquadrates'))))\n")
+    # -S: no site hook loads a stdlib module before the command does
+    script = ("import sys\nfrom biquadrates.cli import main\ncode = main(sys.argv[1:])\n"
+              "print(repr((code, 'json' in sys.modules, sorted(\n"
+              "    n for n in sys.modules if n.split('.')[0] == 'biquadrates'),\n"
+              "    [n for n in %r if n in sys.modules])))\n" % (STDLIB,))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     for argv in LOADS_ARGV:
-        proc = subprocess.run([sys.executable, "-c", script] + argv, capture_output=True,
+        proc = subprocess.run([sys.executable, "-S", "-c", script] + argv, capture_output=True,
                               text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        code, json_before, json_after, names = ast.literal_eval(proc.stdout.splitlines()[-1])
+        code, json_loaded, names, stdlib = ast.literal_eval(proc.stdout.splitlines()[-1])
         loaded = set(names)
         assert code == 0, argv
+        # every line but the last is plain: only that one loads the table reader
+        assert ("biquadrates.usage" in loaded) == (argv is LOADS_ARGV[-1]), argv
+        # no rational value, derivation or fractional key: no fractions, and so no re
+        lean = argv[0] in ("verify", "search") or argv[:2] == ["pell", "--k"]
+        if lean and "--json" not in argv:
+            assert stdlib == [], argv
         # selftest's mod16 verifier runs search's own filters
         assert ("biquadrates.search" in loaded) == (argv[0] in ("search", "selftest")), argv
         if argv[0] == "verify":
@@ -647,8 +655,7 @@ def test_each_command_loads_only_its_modules():
             assert "biquadrates.identity" not in loaded, argv
         else:
             assert "biquadrates.identity" in loaded, argv
-        if not json_before:   # a site .pth file may load json first
-            assert json_after == ("--json" in argv), argv
+        assert json_loaded == ("--json" in argv), argv
     # the error classes main catches live in exact; the old paths give them
     import biquadrates.curve as curve
     assert curve.PipelineError is derive.PipelineError is exact.PipelineError

@@ -1,13 +1,18 @@
-"""The table parser (``cli.parse_args``) against argparse (``oracles.argparse_parser``).
+"""``cli.parse_args`` against argparse (``oracles.argparse_parser``), and its
+plain reader (``cli._plain``) against its table reader (``usage``).
 
 Command lines are drawn from each command's options, their unique and
 ambiguous prefixes, both value forms, negative numbers, ``--``, ``-h`` and
-tokens no command takes.  Both parsers must exit with the same code and the
-same error line; on acceptance they must give the same value to every
-destination.
+tokens no command takes.  ``parse_args`` and argparse must exit with the same
+code and the same error line; on acceptance they must give the same value to
+every destination.  Wherever the plain reader returns a namespace, the table
+reader must return an equal one; the plain reader must read README's usage
+lines and the ``ACCEPTED`` lines, and hand over the forms it leaves to the
+table reader.
 """
 
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -16,7 +21,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biquadrates import cli
+from biquadrates import cli, usage
 from oracles import argparse_parser
 
 ORACLE = argparse_parser()
@@ -142,3 +147,89 @@ def test_commands_load_no_argparse():
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _table(argv):
+    return usage.parse_args(argv, cli.COMMANDS, cli._TOP, cli._HELP)
+
+
+# texts for a value of a converter, beside its valid ones: negative numbers
+# and values that fail a converter or a choice
+ODD_VALUES = ("-3", "-0", "0", "-1/2", "-.5", "1/0", "1e5", "x", "", "-5\n", "5\n", " 5",
+              "-", "eq20", "plus", "--bx")
+
+
+def _value_texts(convert, meta):
+    if not isinstance(meta, str):
+        valid = st.sampled_from(meta)
+    elif convert is cli._fraction:
+        valid = st.builds("{}/{}".format, st.integers(-30, 30), st.integers(1, 9))
+    else:
+        valid = st.integers(-30, 30).map(str)
+    return st.one_of(valid, st.sampled_from(ODD_VALUES))
+
+
+@st.composite
+def plain_lines(draw):
+    """A command and some of its options, by whole name in any order, repeats
+    included, each value option with a value; the positional with its count
+    of values, or one too few or too many."""
+    command = draw(st.sampled_from(tuple(cli.COMMANDS)))
+    _, _, pos, opts, _ = cli.COMMANDS[command]
+    names = draw(st.lists(st.sampled_from(tuple(opts)), max_size=len(opts) + 1) if opts
+                 else st.just([]))
+    parts = [[n] + ([] if opts[n][0] is None else [draw(_value_texts(*opts[n][:2]))])
+             for n in names]
+    if pos:
+        count = draw(st.sampled_from((pos[1], pos[1], pos[1] - 1, pos[1] + 1)))
+        parts.append([draw(_value_texts(*pos[2:])) for _ in range(count)])
+    return [command] + [t for part in draw(st.permutations(parts)) for t in part]
+
+
+@given(st.one_of(argvs(), plain_lines()))
+@settings(max_examples=400, deadline=None)
+@example(["curve", "--n", "2", "--n", "3", "--symbolic"])
+@example(["curve", "--n", "1", "--m", "-2"])
+@example(["curve", "--n", "1", "--m", "-2/7"])
+@example(["curve", "--n", "1", "--m=-2/7"])
+@example(["family", "--param", "1/2", "eq20"])
+@example(["verify", "-1", "2", "5", "6", "8", "13"])
+@example(["verify", "-5\n", "2", "5", "6", "8", "13"])
+@example(["search", "--bx", "4", "--by", "9", "--csv", "--json"])
+@example(["pell", "--k", "1", "--t", "2"])
+@example(["curve", "--n", "0", "--symbolic"])
+def test_plain_reader_reads_what_the_table_reader_reads(argv):
+    ns = cli._plain(argv)
+    if ns is not None:
+        code, table, err = _outcome(_table, argv)
+        assert code == 0 and err == ""
+        assert vars(ns) == table and ns.func is table["func"]
+
+
+# README's usage block, each line after its "biquadrates"
+README_LINES = [
+    "verify 1 2 5 6 8 13", "search --bx 14 --by 30 --csv", "family eq20 --param 2",
+    "family eq21 --symbolic", "curve --n 1 --m 1", "curve --n 2 --symbolic",
+    "curve --n 2 --m 3 --sign plus", "pell --k 2", "pell --t 3", "selftest"]
+# lines the plain reader hands to the table reader
+HANDED_OVER = [
+    ["curve", "--n", "2", "--n", "3", "--symbolic"], ["curve", "--n", "1", "--m", "-2/7"],
+    ["curve", "--n", "1", "--m=-2/7"], ["curve", "--sym", "--n", "2"],
+    ["verify", "-5\n", "2", "5", "6", "8", "13"],
+    ["verify", "1", "--", "2", "5", "6", "8", "13"],
+    ["search", "--bx", "4", "--by", "9", "--csv", "--json"], ["pell", "--k", "1", "--t", "2"],
+    ["curve", "--n", "0", "--symbolic"], ["curve", "--n", "1", "--m", "-0.5"],
+    ["selftest", "-h"], ["search", "--bx"], ["family", "eq20"], ["--json", "selftest"], []]
+
+
+def test_plain_reader_reads_plain_lines_and_hands_over_the_rest():
+    lines = [line.split() for line in README_LINES] + [
+        [command] + [t for part in order for t in part]
+        for command, lines in ACCEPTED.items() for parts in lines
+        for order in itertools.permutations(parts)]
+    for argv in lines:
+        ns = cli._plain(argv)
+        assert ns is not None, argv
+        assert _outcome(_table, argv) == (0, vars(ns), ""), argv
+    for argv in HANDED_OVER:
+        assert cli._plain(argv) is None, argv
