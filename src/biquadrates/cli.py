@@ -25,13 +25,13 @@ argparse's rules for these commands and holds no state between calls.
 each value option followed by its value, the positional's values in one
 run, a value starting with "-" only as a negative integer, and every value
 valid.  Every other line (a prefix, an ``=`` value, ``--``, ``-h``, a
-repeated or clashing option, a missing or bad value) goes to the table
-reader in ``usage``, loaded on demand, which writes argparse's help and
-error text; the two share nothing but the table.  The table binds the
-``cmd_*`` handlers at import, so patching a ``cmd_*`` name does not reach
-``main``.  ``build_parser()`` returns the table, since there is nothing to
-build; it remains because perfbench's setup times importing this module and
-calling it.
+repeated or clashing option, a missing or bad value) goes to argparse
+itself: ``usage``, loaded on demand, builds its parser from the table, so
+the help and error text are argparse's; the two readers share nothing but
+the table.  The table binds the ``cmd_*`` handlers at import, so patching a
+``cmd_*`` name does not reach ``main``.  ``build_parser()`` returns the
+table, since there is nothing to build; it remains because perfbench's setup
+times importing this module and calling it.
 
 A one-shot process compiles only the modules its command runs.  This module
 binds ``exact`` alone; each handler imports the rest as
@@ -41,7 +41,7 @@ more, ``search`` loads ``search``, ``pell --k`` loads ``pell``, ``curve``,
 ``family`` and ``pell --t`` load ``derive`` (with ``curve``, ``poly``,
 ``families`` and ``pell``), ``selftest`` loads ``identity`` (which runs
 search's filters, so ``search`` too), and ``--json`` loads ``json``.
-Only a line that is not plain loads ``usage`` (and ``re``), and only a
+Only a line that is not plain loads ``usage`` (and ``argparse``), and only a
 rational value, a derivation or a key with a fractional z-pair loads
 ``fractions``.
 ``main``'s domain errors live in ``exact``.
@@ -315,11 +315,9 @@ COMMANDS = {
                  {"--quick": (None, None, False, "skip the high-multiple degree check")},
                  ()),
 }
-# biquadrates itself: its positional is the command, which reads the rest
-_TOP = (None, "Products of sums of two fourth powers that are again sums of two "
-        "fourth powers: search, verify, derive.",
-        ("command", 1, str, tuple(COMMANDS)), {}, ())
-_HELP = ("-h", "--help")
+# what biquadrates -h says of the program itself
+_ABOUT = ("Products of sums of two fourth powers that are again sums of two "
+          "fourth powers: search, verify, derive.")
 
 
 def build_parser():
@@ -384,13 +382,13 @@ def _plain(args):
 
 def parse_args(argv=None):
     """The namespace of a command line, read by argparse's rules for this CLI:
-    a usage error exits 2 and -h/--help exits 0, each writing what argparse would.
-    A plain line is read here; the table reader in ``usage`` reads the rest."""
+    a usage error exits 2 and -h/--help exits 0, each writing what argparse writes.
+    A plain line is read here; argparse, built in ``usage``, reads the rest."""
     args = sys.argv[1:] if argv is None else list(argv)
     ns = _plain(args)
     if ns is None:
-        import biquadrates.usage as usage
-        ns = usage.parse_args(args, COMMANDS, _TOP, _HELP)
+        import biquadrates.usage as usage   # here only: a plain line loads no argparse
+        ns = usage.parse_args(args, COMMANDS, _ABOUT)
     return ns
 
 

@@ -700,6 +700,11 @@ BAD_ARGV = [
     ["pell", "--k", "3000"],
     ["verify", "1", "2", "3"],
     ["verify", "1", "2", "3", "4", "5", "6"],
+    # argparse reads --opt=-- as no value at all: the reader refuses it
+    ["curve", "--n", "1", "--m=--"],
+    ["pell", "--k=--"],
+    ["family", "eq20", "--param=--"],
+    ["search", "--bx=--", "--by", "3"],
 ]
 
 

@@ -1,5 +1,6 @@
 """``cli.parse_args`` against argparse (``oracles.argparse_parser``), and its
-plain reader (``cli._plain``) against its table reader (``usage``).
+plain reader (``cli._plain``) against its table reader: argparse built from
+``cli.COMMANDS`` (``usage``).
 
 Command lines are drawn from each command's options, their unique and
 ambiguous prefixes, both value forms, negative numbers, ``--``, ``-h`` and
@@ -11,6 +12,7 @@ lines and the ``ACCEPTED`` lines, and hand over the forms it leaves to the
 table reader.
 """
 
+import ast
 import io
 import itertools
 import os
@@ -100,6 +102,7 @@ def _outcome(parse, argv):
 @example(["search", "--bx"])
 @example(["curve", "--n", "1", "--m=--"])
 @example(["pell", "--k=--"])
+@example(["search", "--by", "9", "--bx=--", "--bx", "4"])
 @example(["selftest", "-hh"])
 @example(["-h"])
 @example([])
@@ -109,7 +112,7 @@ def test_table_parser_reads_what_argparse_reads(argv):
     code, value, err = theirs
     if any(t.startswith("--") and t.endswith("=--") for t in argv):
         # argparse gives --opt=-- the empty list, on which the handlers end in
-        # a traceback; the table parser refuses it as an invalid value, so
+        # a traceback; the table reader refuses it as a missing value, so
         # only a refusal may differ in its message
         assert ours[0] == 2 if isinstance(value, dict) else ours[0] == code
         return
@@ -135,22 +138,25 @@ def test_help_lists_every_option():
 
 
 def test_commands_load_no_argparse():
-    # a one-shot process pays for every module it imports: the table parser
-    # needs neither argparse nor the gettext that argparse loads
+    # a one-shot process pays for every module it imports: a plain line is
+    # read without argparse and the gettext it loads; a line handed over,
+    # here an ambiguous prefix, loads argparse
     script = ("import sys\nfrom biquadrates.cli import main\n"
               "assert main(['verify', '1', '2', '5', '6', '8', '13']) == 0\n"
+              "assert main(['curve', '--n', '2', '--symbolic']) == 0\n"
+              "plain = sorted({'argparse', 'gettext'} & set(sys.modules))\n"
               "try:\n    main(['curve', '--s'])\nexcept SystemExit as exc:\n"
               "    assert exc.code == 2\n"
-              "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n")
+              "print(repr((plain, 'argparse' in sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=300)
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == ([], True)
 
 
 def _table(argv):
-    return usage.parse_args(argv, cli.COMMANDS, cli._TOP, cli._HELP)
+    return usage.parse_args(argv, cli.COMMANDS, cli._ABOUT)
 
 
 # texts for a value of a converter, beside its valid ones: negative numbers

@@ -88,6 +88,41 @@ def test_no_dataclasses_or_typing_imported():
     assert found == []
 
 
+def _imports(tree):
+    """(the module an import names, the function it sits in or None) of every
+    import in a module of the package; ``from a import b`` names a and a.b."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((a.name, func) for a in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                module = ".".join(["biquadrates"] * bool(child.level)
+                                  + [child.module] * bool(child.module))
+                found.append((module, func))
+                found.extend(("%s.%s" % (module, a.name), func) for a in child.names)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_usage_imports_argparse_and_only_parse_args_imports_usage():
+    # a plain command line is read in cli without argparse: argparse arrives
+    # with biquadrates.usage, which cli imports only where parse_args hands a
+    # line over
+    argparse, usage = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for name, func in _imports(ast.parse(path.read_text(), str(path))):
+            if name.split(".")[0] == "argparse":
+                argparse.append(path.stem)
+            if name == "biquadrates.usage":
+                usage.append((path.stem, func))
+    assert set(argparse) == {"usage"}
+    assert set(usage) == {("cli", "parse_args")}
+
+
 def test_record_types_are_immutable_hashable_tuples():
     X = IPoly.gen()
     polys = [X + k for k in range(6)]
