@@ -138,14 +138,14 @@ def _record(sol: SolutionSix, source: str, parameter=None, as_json=False) -> str
     return "\n".join(lines)
 
 
-def _positive_int(text: str) -> int:
+def positive(text: str) -> int:
     value = int(text)
     if value < 1:
         raise ValueError("must be >= 1")
     return value
 
 
-def _fraction(text: str) -> Fraction:
+def fraction(text: str) -> Fraction:
     # Fraction("1e3000000000") would compute 10**3000000000
     if "e" in text or "E" in text:
         raise ValueError("no exponent notation")
@@ -296,19 +296,19 @@ COMMANDS = {
                ((True, ("--bx",)), (True, ("--by",)), (False, ("--csv", "--json")))),
     "family": (cmd_family, "evaluate or print a published family",
                ("name", 1, str, ("eq20", "eq21", "eq22", "eq26")),
-               {"--param": (_fraction, "a/b", None, ""), "--symbolic": _FLAG,
+               {"--param": (fraction, "a/b", None, ""), "--symbolic": _FLAG,
                 "--descending": _FLAG, "--json": _FLAG},
                ((True, ("--param", "--symbolic")),)),
     "curve": (cmd_curve, "derive a solution from a curve multiple", None,
-              {"--n": (_positive_int, "N", None, "which multiple of the base point"),
-               "--m": (_fraction, "a/b", None, ""), "--symbolic": _FLAG,
+              {"--n": (positive, "N", None, "which multiple of the base point"),
+               "--m": (fraction, "a/b", None, ""), "--symbolic": _FLAG,
                "--sign": (str, ("auto", "plus", "minus"), "auto",
                           "nP (plus, odd j=2n+1) or -nP (minus, even j=2n); auto: minus"),
                "--descending": _FLAG, "--json": _FLAG},
               ((True, ("--n",)), (True, ("--m", "--symbolic")))),
     "pell": (cmd_pell, "solutions from the Pell ladder or slice", None,
-             {"--k": (_positive_int, "K", None, "ladder index"),
-              "--t": (_fraction, "a/b", None, "rational slice parameter"),
+             {"--k": (positive, "K", None, "ladder index"),
+              "--t": (fraction, "a/b", None, "rational slice parameter"),
               "--json": _FLAG},
              ((True, ("--k", "--t")),)),
     "selftest": (cmd_selftest, "run the symbolic verifier suite", None,

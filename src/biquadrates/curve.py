@@ -10,12 +10,10 @@ The derivation takes nP from ``multiple_P``: P = -2R for the half point R =
 model, by Ward's recurrences (``half_point_psi``), with no gcd.  Each
 division they make is exact over Z[M] and goes through ``_exact``, which
 raises PipelineError on a remainder.  Over Z[M] the recurrence runs once,
-on integers at M = 2^W (Kronecker substitution): evaluation at 2^W is a
-ring map, so a quotient exact over Z[M] is exact on the integers and is its
-value there.  Only the five values nP needs are unpacked, and W, a multiple
-of 8, holds their coefficients as balanced base-2^W digits: ``_width`` runs
-the recurrence on 1-norm majorants (``_Norm``).  A wrong unpacked value,
-from a division exact on the integers alone or from too narrow a width, is
+packed at M = 2^W (``poly``), where a quotient exact over Z[M] is exact and
+is its value; the five values nP needs are unpacked at the W that ``_width``
+takes from 1-norm majorants (``_Norm``).  A wrong unpacked value, from a
+division exact on the integers alone or from too narrow a width, is
 seen by derive's map to the quartic model (its divisions over Z[M], its pin
 of U at M = 0 and its proof of the image) and by ``identity``'s closure
 check.  Nothing here checks nP against the curve: the map to the quartic
@@ -29,7 +27,7 @@ the tests' slow oracle (tests/oracles.py), not part of the library.
 from __future__ import annotations
 
 from biquadrates.exact import DegenerateCurveError, PipelineError, PoleError
-from biquadrates.poly import ExactDivisionError, IPoly, _ipoly, _unpack
+from biquadrates.poly import ExactDivisionError, IPoly, _ipoly, _unpack, _width_above
 
 
 def on_curve(phi, omega, z, M) -> bool:
@@ -151,15 +149,9 @@ class _Norm(int):
 
 
 def _width(n: int) -> int:
-    """The least multiple of 8, W, with at(2n-2..2n+2)'s majorants below 2^(W-1)."""
+    """``_width_above`` the bit length of at(2n-2..2n+2)'s largest majorant."""
     at = half_point_psi(_Norm(1))
-    return (max(map(at, range(2 * n - 2, 2 * n + 3))).bit_length() + 8) & -8
-
-
-def _unpacked(v: int, width: int) -> IPoly:
-    """The element of Z[M] with value v at 2^width, its coefficients below
-    2^(width-1) in size."""
-    return _ipoly(_unpack(v, width, abs(v).bit_length() // width + 2))
+    return _width_above(max(map(at, range(2 * n - 2, 2 * n + 3))).bit_length())
 
 
 def multiple_P(n: int, A, B=1) -> tuple:
@@ -177,16 +169,15 @@ def multiple_P(n: int, A, B=1) -> tuple:
     checks the curve equation: derive's one proof that the map's image lies
     on the quartic model is that equation (``derive.to_quartic``).
 
-    For A = ``IPoly.gen()``, B = 1, the recurrence runs on integers at
-    M = 2^W, W = ``_width(n)`` (D. Harvey, J. Symbolic Comput. 44, 2009), and
-    the values at 2n-2 .. 2n+2 are unpacked once; any other A, B runs as is.
+    For A = ``IPoly.gen()``, B = 1, the recurrence runs packed at M = 2^W,
+    W = ``_width(n)`` (``poly``); any other A, B runs as is.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     if isinstance(A, IPoly) and A.coeffs == (0, 1) and B == 1:
         width = _width(n)
         packed = half_point_psi(1 << width)
-        at = {k: _unpacked(packed(k), width) for k in range(2 * n - 2, 2 * n + 3)}.get
+        at = {k: _ipoly(_unpack(packed(k), width)) for k in range(2 * n - 2, 2 * n + 3)}.get
     else:
         at = half_point_psi(A, B)
     g, below, above = at(2 * n), at(2 * n - 1), at(2 * n + 1)

@@ -46,7 +46,8 @@ from biquadrates.exact import (
     check_solution,
 )
 from biquadrates.families import ParamSolution, family_eq26
-from biquadrates.poly import IPoly, PoleError, _ipoly, _pack, _positive, _spread, content
+from biquadrates.poly import (IPoly, PoleError, _ipoly, _pack_pm, _positive, _spread,
+                              _width_above, content)
 
 
 def quartic_rhs(u, M, q=1, b=1):
@@ -146,15 +147,14 @@ def quartic_point_to_param_solution(p: IPoly, q: IPoly, s: IPoly) -> ParamSoluti
     the entries.  The quartic Brahmagupta identity then gives
     (x1^4+x2^4)(y1^4+y2^4) = A^2 + B^2 = z1^4 + z2^4.
 
-    B's residual R = 0 is checked at M = +-2^w on ``_pack``'s integers (D. Harvey,
-    "Faster polynomial multiplication via multipoint Kronecker substitution",
-    J. Symbolic Comput. 44, 2009), exactly if all |R_i| < 4^w: R's even and odd
-    parts then vanish at 4^w, and a nonzero one cannot, as 4^w would divide its
-    lowest nonzero coefficient (4^w - M^2 is the edge).  A product of k entries
-    has coefficients below 2^(sum of their bit lengths) L^(k-1), L the longest
-    packed entry's length, so |R_i| < 3 2^t L^3 for t = 2 max(b6, b1 + b4,
-    b2 + b3), bi the bit length of Ei, and 2w >= t + 2 + 3 bitlen(L) suffices;
-    each packed entry is then below 2^w.  E5 is not packed.
+    B's residual R = 0 is checked at M = +-2^w (``poly._pack_pm``), exactly
+    if all |R_i| < 4^w: R's even and odd parts then vanish at 4^w, and a
+    nonzero one cannot, as 4^w would divide its lowest nonzero coefficient
+    (4^w - M^2 is the edge).  A product of k entries has coefficients below
+    2^(sum of their bit lengths) L^(k-1), L the longest packed entry's
+    length, so |R_i| < 3 2^t L^3 for t = 2 max(b6, b1 + b4, b2 + b3), bi the
+    bit length of Ei: w = ``_width_above((t + 1 + 3 bitlen(L)) // 2)`` makes
+    2w >= t + 2 + 3 bitlen(L).  E5 is not packed.
 
     U is not 0, 1 or infinity at M = 0 (``solution_from_nP`` pins U(0)), so
     x1 = p - q and y2 = p have nonzero constant terms.  That makes the pair
@@ -171,9 +171,8 @@ def quartic_point_to_param_solution(p: IPoly, q: IPoly, s: IPoly) -> ParamSoluti
     cs = [e.coeffs for e in entries[:4] + entries[5:]]
     b1, b2, b3, b4, b6 = (max(map(int.bit_length, co), default=0) for co in cs)
     t = 2 * max(b6, b1 + b4, b2 + b3)
-    w = -(-(t + 2 + 3 * max(map(len, cs)).bit_length()) // 16) * 8  # 8 divides w
-    plus = [_pack(co, w) for co in cs]
-    minus = [_pack([-v if i & 1 else v for i, v in enumerate(co)], w) for co in cs]
+    w = _width_above((t + 1 + 3 * max(map(len, cs)).bit_length()) // 2)
+    plus, minus = zip(*(_pack_pm(co, w) for co in cs))
     if any(((c := e1 * e4) - e6) * (c + e6) != sign * ((e2 * e3) ** 2 << w)
            for sign, (e1, e2, e3, e4, e6) in ((1, plus), (-1, minus))):
         raise PipelineError("the family's residual is nonzero: B != z2^2")

@@ -2,11 +2,18 @@
 
 ``IPoly`` is its tuple of coefficients, ascending over plain ``int``; it names
 no variable (``format_poly`` takes the name when printing).  All arithmetic is
-exact.  Multiplication switches to Kronecker substitution (pack the
-coefficients into one big integer, multiply, unpack balanced digits) once the
-operand lengths' product passes 400, its measured crossover.  Z[M] is closed:
-``IPoly`` has no ``/``, so code that would leave it raises TypeError, and a
-quotient that must be exact goes through ``exact_div``.
+exact.  Z[M] is closed: ``IPoly`` has no ``/``, so code that would leave it
+raises TypeError, and a quotient that must be exact goes through ``exact_div``.
+
+Products switch to Kronecker substitution once the operand lengths' product
+passes 400, its measured crossover, and this module alone knows its packed
+format.  At a width W, a multiple of 8 (``_width_above``), ``_pack`` maps
+coefficients c_i to sum(c_i 2^(iW)), the value at 2^W, and ``_pack_pm`` gives
+the values at +-2^W: ring maps, on which sums, products and exact quotients
+run.  While every |c_i| < 2^(W-1), the c_i are the balanced base-2^W digits
+that ``_unpack`` recovers.  Each caller bounds its coefficients and passes the
+bound's bit length: ``_kronecker_mul``, ``curve``'s ladder and ``derive``'s
+zero test (D. Harvey, J. Symbolic Comput. 44, 2009).
 
 ``poly_gcd`` is the primitive polynomial remainder sequence (W. S. Brown,
 "On Euclid's algorithm and the computation of polynomial greatest common
@@ -237,12 +244,13 @@ def _spread(cs: tuple, r: int, g: int) -> tuple:
     return tuple(out)
 
 
-def _pack(cs, width: int) -> int:
-    """sum(cs[i] << (i*width)) -- also the value of the polynomial at 2**width.
+def _width_above(bits: int) -> int:
+    """The least multiple of 8, W, above bits: bits-bit coefficients are below 2^(W-1)."""
+    return (bits + 8) & -8
 
-    width is a multiple of 8 and every |cs[i]| < 2**width: the positive
-    parts and the negated negative parts are joined as little-endian bytes.
-    """
+
+def _pack(cs, width: int) -> int:
+    """sum(cs[i] << (i*width)) for |cs[i]| < 2**width, from little-endian bytes."""
     nb = width >> 3
     zero = bytes(nb)
     pos = b"".join([c.to_bytes(nb, "little") if c > 0 else zero for c in cs])
@@ -250,10 +258,18 @@ def _pack(cs, width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _unpack(v: int, width: int, n: int) -> list:
-    """Recover n balanced base-2**width digits of v; the inverse of _pack."""
+def _pack_pm(cs, width: int) -> tuple:
+    """The values at +-2**width: even and odd parts packed at 2*width, added, subtracted."""
+    even, odd = _pack(cs[::2], 2 * width), _pack(cs[1::2], 2 * width) << width
+    return even + odd, even - odd
+
+
+def _unpack(v: int, width: int, n: int | None = None) -> list:
+    """n balanced base-2**width digits of v, in [-2**(width-1), 2**(width-1)).
+    Without n, bitlen(v) // width + 1: all of them if each is below 2**(width-1)."""
     nb = width >> 3
     half = 1 << (width - 1)
+    n = abs(v).bit_length() // width + 1 if n is None else n
     # every digit shifted into [0, 2**width)
     u = v + int.from_bytes(half.to_bytes(nb, "little") * n, "little")
     if u < 0 or u >> (n * width):
@@ -263,14 +279,11 @@ def _unpack(v: int, width: int, n: int) -> list:
 
 
 def _kronecker_mul(a: tuple, b: tuple) -> tuple:
+    """a * b by one packed product; a and b each have a nonzero entry.  Its coefficients
+    are at most max|a_i| max|b_j| min(len(a), len(b)) = bound; W is above bitlen(bound) + 1."""
     amax = max(map(abs, a))
     bmax = amax if a is b else max(map(abs, b))
-    if not (amax and bmax):
-        # an all-zero operand: the width below would not hold the other one
-        return (0,) * (len(a) + len(b) - 1)
-    bound = amax * bmax * min(len(a), len(b))
-    # a whole number of bytes with room for the sign
-    width = (bound.bit_length() + 9) & -8
+    width = _width_above((amax * bmax * min(len(a), len(b))).bit_length() + 1)
     pa = _pack(a, width)
     prod = pa * pa if a is b else pa * _pack(b, width)
     return tuple(_unpack(prod, width, len(a) + len(b) - 1))
@@ -304,14 +317,7 @@ def _divide(a, b) -> tuple:
 
 def content(p) -> int:
     """gcd of the coefficients (nonnegative); 0 for the zero polynomial; |p| for an int."""
-    if isinstance(p, int):
-        return abs(p)
-    g = 0
-    for c in p.coeffs:
-        g = gcd(g, c)
-        if g == 1:
-            break
-    return g
+    return abs(p) if isinstance(p, int) else gcd(*p.coeffs)
 
 
 def primitive_part(p: IPoly) -> IPoly:

@@ -13,11 +13,11 @@ import argparse
 
 
 class _Store(argparse.Action):
-    """argparse's store, which refuses ``--opt=--``: argparse reads it as no value."""
+    """argparse's store; it refuses ``--opt=--`` (no value to argparse) after the whole line."""
 
     def __call__(self, parser, ns, value, option):
         if value == []:
-            parser.error("argument %s: expected one argument" % option)
+            ns.refused = parser, option
         setattr(ns, self.dest, value)
 
 
@@ -42,4 +42,7 @@ def parse_args(args, commands, description):
             owner.get(name, p).add_argument(name, help=text, **spec,
                                             required=(True, (name,)) in groups)
         p.set_defaults(func=func)
-    return parser.parse_args(args)
+    ns = parser.parse_args(args)
+    if hasattr(ns, "refused"):
+        ns.refused[0].error("argument %s: expected one argument" % ns.refused[1])
+    return ns

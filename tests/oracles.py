@@ -604,17 +604,17 @@ def argparse_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="evaluate or print a published family")
     p.add_argument("name", choices=tuple(sorted(derive.FAMILIES)))
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--param", type=cli._fraction, metavar="a/b")
+    mode.add_argument("--param", type=cli.fraction, metavar="a/b")
     mode.add_argument("--symbolic", action="store_true")
     p.add_argument("--descending", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cli.cmd_family)
 
     p = sub.add_parser("curve", help="derive a solution from a curve multiple")
-    p.add_argument("--n", type=cli._positive_int, required=True,
+    p.add_argument("--n", type=cli.positive, required=True,
                    help="which multiple of the base point")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--m", type=cli._fraction, metavar="a/b")
+    mode.add_argument("--m", type=cli.fraction, metavar="a/b")
     mode.add_argument("--symbolic", action="store_true")
     p.add_argument("--sign", choices=("auto", "plus", "minus"), default="auto",
                    help="branch: nP (plus, the family of jR for the odd "
@@ -626,8 +626,8 @@ def argparse_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pell", help="solutions from the Pell ladder or slice")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--k", type=cli._positive_int, help="ladder index")
-    mode.add_argument("--t", type=cli._fraction, metavar="a/b",
+    mode.add_argument("--k", type=cli.positive, help="ladder index")
+    mode.add_argument("--t", type=cli.fraction, metavar="a/b",
                       help="rational slice parameter")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cli.cmd_pell)

@@ -163,6 +163,10 @@ CURVE_SYMBOLIC_DIGESTS = {
     (10, False): "b58fbd43a0401f95615c4589b0b6149833890e51206c2fabc0da6a2c2a9a113e",
     # recorded while nP still came from the group law over Q(M)
     (12, False): "f6e85370b65fdb96236738810f71d74a2a7e94e81d1743771668b7ba438c85d0",
+    # recorded with three width roundings, one per packing site, before the
+    # packed format moved into poly alone
+    (14, False): "9efdffa547853cab4290d666c5becf4d88a7022fbe19556c5971ca471d08cb44",
+    (16, False): "f9e8bb682c64f2e78793125caf2800b0d78d5638d0cce3e30ec9bee6f642e4a3",
 }
 
 # SHA-256 of `curve --n k --symbolic --sign plus|minus` stdout, recorded while
@@ -220,6 +224,16 @@ def test_curve_symbolic_pinned_digest_n12(capsys):
     code, out, err = run(capsys, "curve", "--n", "12", "--symbolic")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == CURVE_SYMBOLIC_DIGESTS[12, False]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", (14, 16))
+def test_curve_symbolic_pinned_digest_large_n(n, capsys):
+    # the packed widths grow with n: the ladder's and the zero test's are
+    # widest here
+    code, out, err = run(capsys, "curve", "--n", str(n), "--symbolic")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CURVE_SYMBOLIC_DIGESTS[n, False]
 
 
 def test_curve_symbolic(capsys):
@@ -293,10 +307,10 @@ def test_fractions_refuse_exponents(argv, capsys):
             main(argv + [text])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid _fraction value: %r" % text in err and "Traceback" not in err
+        assert "invalid fraction value: %r" % text in err and "Traceback" not in err
     for text, value in (("7", 7), ("-2/7", Fraction(-2, 7)), ("3/4", Fraction(3, 4)),
                         ("0.5", Fraction(1, 2))):
-        assert cli._fraction(text) == value
+        assert cli.fraction(text) == value
         assert main(argv[:-1] + [argv[-1] + "=" + text]) in (0, 1)
     capsys.readouterr()
 

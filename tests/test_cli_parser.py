@@ -103,6 +103,7 @@ def _outcome(parse, argv):
 @example(["curve", "--n", "1", "--m=--"])
 @example(["pell", "--k=--"])
 @example(["search", "--by", "9", "--bx=--", "--bx", "4"])
+@example(["search", "--bx", "4", "--by", "9", "--bx=--", "-h", "--csv"])
 @example(["selftest", "-hh"])
 @example(["-h"])
 @example([])
@@ -168,7 +169,7 @@ ODD_VALUES = ("-3", "-0", "0", "-1/2", "-.5", "1/0", "1e5", "x", "", "-5\n", "5\
 def _value_texts(convert, meta):
     if not isinstance(meta, str):
         valid = st.sampled_from(meta)
-    elif convert is cli._fraction:
+    elif convert is cli.fraction:
         valid = st.builds("{}/{}".format, st.integers(-30, 30), st.integers(1, 9))
     else:
         valid = st.integers(-30, 30).map(str)

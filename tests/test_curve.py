@@ -438,6 +438,7 @@ def test_majorants_bound_every_unpacked_value(n):
     # the width is the least multiple of 8 that holds every majorant
     width = curve._width(n)
     assert width % 8 == 0 and 2 ** (width - 9) <= max(bounds) < 2 ** (width - 1)
+    assert width == (max(bounds).bit_length() + 8) & -8
 
 
 def test_majorants_round_up(monkeypatch):

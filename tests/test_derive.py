@@ -682,11 +682,11 @@ def _packed_entries_and_error(p, q, s, pairs=None):
 
     def pack_spy(cs, width):
         packs.append((tuple(cs), width))
-        return poly._pack(cs, width)
+        return poly._pack_pm(cs, width)
 
     family = error = None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(derive, "_pack", pack_spy)
+        mp.setattr(derive, "_pack_pm", pack_spy)
         if pairs is not None:
             mp.setattr(derive, "_solution_pairs", pairs)
         try:
@@ -729,7 +729,10 @@ def test_zero_test_width_bounds_every_residual(pc, qc, sc, bend1, bend2):
     assume(w is not None)
     e1, e2, e3, e4, e6 = entries
     r = (e1 * e4) ** 2 - e6 * e6 - IPoly.gen() * (e2 * e3) ** 2
-    assert w % 8 == 0
+    # w rounds k = t + 2 + 3 bitlen(L), from the entries, up to a multiple of 16, halved
+    b1, b2, b3, b4, b6 = (max(map(int.bit_length, e.coeffs), default=0) for e in entries)
+    t, lb = 2 * max(b6, b1 + b4, b2 + b3), max(len(e.coeffs) for e in entries).bit_length()
+    assert w == -(-(t + 2 + 3 * lb) // 16) * 8
     assert max(map(abs, r.coeffs), default=0) < 4**w
     if not r.is_zero:
         assert (family, error) == (None, "the family's residual is nonzero: B != z2^2")

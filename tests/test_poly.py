@@ -23,8 +23,10 @@ from biquadrates.poly import (
     _kronecker_mul,
     _mul_coeffs,
     _pack,
+    _pack_pm,
     _positive,
     _unpack,
+    _width_above,
 )
 
 from oracles import RatFn, evaluate, fraction_horner, from_terms
@@ -249,13 +251,25 @@ def _schoolbook(a: tuple, b: tuple) -> list:
     return out
 
 
-@given(big_coeffs, big_coeffs)
-@example([0], [0] * 399 + [-1, 256])    # an all-zero operand against a wider one
-@example([0, 0], [0])
+@given(big_coeffs.filter(any), big_coeffs.filter(any))
+@example([1], [0] * 399 + [-1, 256])    # a unit operand against a wider one
 @settings(max_examples=40)
 def test_kronecker_matches_schoolbook(a, b):
+    # no caller passes an all-zero operand: IPoly strips trailing zeros and
+    # families._mul's slices end at the top coefficient.  Both operands pack
+    # at the bound's bit length plus 9, rounded down to whole bytes
     ta, tb = tuple(a), tuple(b)
-    assert list(_kronecker_mul(ta, tb)) == _schoolbook(ta, tb)
+    widths = []
+
+    def pack_spy(cs, width):
+        widths.append(width)
+        return _pack(cs, width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_pack", pack_spy)
+        assert list(_kronecker_mul(ta, tb)) == _schoolbook(ta, tb)
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    assert widths == [(bound.bit_length() + 9) & -8] * 2
 
 
 def _lengths_around_the_limit() -> list:
@@ -303,12 +317,14 @@ def test_products_are_built_canonical(a, b):
 
 
 @st.composite
-def balanced_digits(draw):
-    # the codec packs whole bytes, so widths are multiples of 8
+def balanced_digits(draw, inner=False):
+    # the codec packs whole bytes, so widths are multiples of 8; inner digits
+    # are below 2^(W-1) in size, as every caller's width makes them, up to
+    # the edge 2^(W-1) - 1, and the top one is nonzero
     width = 8 * draw(st.integers(min_value=1, max_value=9))
     half = 1 << (width - 1)
-    cs = draw(st.lists(st.integers(min_value=-half, max_value=half - 1),
-                       min_size=1, max_size=40))
+    cs = draw(st.lists(st.integers(min_value=-half + inner, max_value=half - 1),
+                       min_size=1, max_size=40).filter(lambda cs: cs[-1] or not inner))
     return cs, width
 
 
@@ -316,6 +332,35 @@ def balanced_digits(draw):
 def test_unpack_inverts_pack(case):
     cs, width = case
     assert _unpack(_pack(cs, width), width, len(cs)) == cs
+
+
+@given(balanced_digits(inner=True))
+@example(([-127, 127, -127], 8))
+@example(([2**71 - 1, -(2**71 - 1), 0, 2**71 - 1], 72))
+def test_packed_values_at_both_signs(case):
+    # the pair is Horner's rule at +-2^W, and _unpack without a digit count
+    # gives back every coefficient, the odd ones negated at -2^W
+    cs, width = case
+    plus, minus = _pack_pm(cs, width)
+    assert plus == _pack(cs, width) == fraction_horner(cs, 2**width)
+    assert minus == fraction_horner(cs, -(2**width))
+    assert _unpack(plus, width) == cs
+    assert _unpack(minus, width) == [-c if i & 1 else c for i, c in enumerate(cs)]
+
+
+@given(st.integers(1, 2**400), st.integers(0, 2**14), st.integers(1, 2**12))
+@example(1, 0, 1)
+def test_width_rule_gives_each_sites_width(bound, t, length):
+    # the least multiple of 8 above the bits, fed each site's bits, equals the
+    # rounding each site once wrote out itself, so no packed width moved: the
+    # product kernel's bound, the ladder's largest majorant, and the zero
+    # test's t and longest entry length L
+    b, lb = bound.bit_length(), length.bit_length()
+    assert _width_above(b + 1) == (b + 9) & -8
+    assert _width_above(b) == (b + 8) & -8
+    assert _width_above((t + 1 + 3 * lb) // 2) == -(-(t + 2 + 3 * lb) // 16) * 8
+    assert _width_above(b) % 8 == 0
+    assert b < _width_above(b) <= b + 8
 
 
 def test_unpack_rejects_too_few_digits():

@@ -123,6 +123,52 @@ def test_only_usage_imports_argparse_and_only_parse_args_imports_usage():
     assert set(usage) == {("cli", "parse_args")}
 
 
+# poly's packed format for Kronecker substitution, which curve's ladder and
+# derive's zero test reach only through these
+PACKED_FORMAT = {"_width_above", "_pack", "_pack_pm", "_unpack"}
+
+
+def _rounds_to_whole_bytes(node) -> bool:
+    """x & -8, or a product by 8 of a floor quotient (x // 8 * 8, -(-x // k) * 8)."""
+    def eight(n, sign):
+        return (isinstance(n, ast.Constant) and n.value == 8 * sign
+                or isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub)
+                and eight(n.operand, -sign))
+
+    sides = (node.left, node.right)
+    if isinstance(node.op, ast.BitAnd):
+        return any(eight(n, -1) for n in sides)
+    return isinstance(node.op, ast.Mult) and any(
+        eight(n, 1) and any(isinstance(d, ast.BinOp) and isinstance(d.op, ast.FloorDiv)
+                            for d in ast.walk(other))
+        for n, other in (sides, sides[::-1]))
+
+
+def test_only_poly_knows_the_packed_format():
+    # whole-byte widths, the bytes of a packed integer and its balanced
+    # digits live in poly: no other module converts an int to or from bytes
+    # or rounds a width to whole bytes, and curve and derive import the
+    # format's functions rather than packing themselves
+    found, used = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used[path.stem] = {name.rsplit(".", 1)[1] for name, _ in _imports(tree)
+                           if name.startswith("biquadrates.poly.")}
+        if path.stem == "poly":
+            continue
+        found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "from_bytes")
+                  or isinstance(node, ast.BinOp) and _rounds_to_whole_bytes(node)]
+    assert found == []
+    assert used["curve"] & PACKED_FORMAT == {"_unpack", "_width_above"}
+    assert used["derive"] & PACKED_FORMAT == {"_pack_pm", "_width_above"}
+    assert all(not (names & PACKED_FORMAT) for stem, names in used.items()
+               if stem not in ("curve", "derive"))
+    # the rule sees each rounding the three sites once wrote out
+    for text in ("(b + 9) & -8", "(b + 8) & -8", "-(-k // 16) * 8", "k // 8 * 8"):
+        assert _rounds_to_whole_bytes(ast.parse(text, mode="eval").body)
+
+
 def test_record_types_are_immutable_hashable_tuples():
     X = IPoly.gen()
     polys = [X + k for k in range(6)]
