@@ -14,7 +14,8 @@ The commands only call the library and print; ``curve --m`` maps nP over Z
 as ``--symbolic`` does over Z[M] (``derive.quartic_image``), and ``--sign``
 resolves through ``derive._resolve_sign``, where ``auto`` is ``minus``;
 ``family`` and ``pell --t`` take their family from
-``derive.published_family``, which builds each once per process.
+``derive.published_family``, the one builder of the table
+``derive.FAMILIES``, which proves each by its full residual once per process.
 Every emitted solution is turned into text by ``_record`` and then checked
 once, by ``_proved``, so a tuple past the digit limit is refused unproved;
 ``selftest`` runs ``identity.ALL_VERIFIERS`` in order.
@@ -212,10 +213,7 @@ def cmd_family(ns) -> int:
     if not ns.symbolic:
         return _emit_family_value(ns.name, ns.param, ns.json)
     import biquadrates.derive as derive
-    ps = derive.published_family(ns.name)
-    if not ps.residual().is_zero:
-        raise PipelineError("the residual is nonzero")
-    return _print_family(ps, ns.descending)
+    return _print_family(derive.published_family(ns.name), ns.descending)
 
 
 def _ratio_text(num: int, z: int, k: int) -> str:
@@ -287,29 +285,32 @@ def cmd_selftest(ns) -> int:
 # groups (required, names) of options that exclude each other, where a
 # required group of one is a required option.
 _FLAG = (None, None, False, "")
+_JSON = (None, None, False, "print each solution as a JSON record")
+_JSON_OR_SYMBOLIC = (None, None, False, "print the solution as a JSON record "
+                                        "(--symbolic prints none)")
 COMMANDS = {
     "verify": (cmd_verify, "check six integers against the equation",
                ("values", 6, int, "N"), {}, ()),
     "search": (cmd_search, "enumerate solutions within bounds", None,
                {"--bx": (int, "BX", None, "largest x2"),
-                "--by": (int, "BY", None, "largest y2"), "--csv": _FLAG, "--json": _FLAG},
+                "--by": (int, "BY", None, "largest y2"), "--csv": _FLAG, "--json": _JSON},
                ((True, ("--bx",)), (True, ("--by",)), (False, ("--csv", "--json")))),
     "family": (cmd_family, "evaluate or print a published family",
                ("name", 1, str, ("eq20", "eq21", "eq22", "eq26")),
                {"--param": (fraction, "a/b", None, ""), "--symbolic": _FLAG,
-                "--descending": _FLAG, "--json": _FLAG},
+                "--descending": _FLAG, "--json": _JSON_OR_SYMBOLIC},
                ((True, ("--param", "--symbolic")),)),
     "curve": (cmd_curve, "derive a solution from a curve multiple", None,
               {"--n": (positive, "N", None, "which multiple of the base point"),
                "--m": (fraction, "a/b", None, ""), "--symbolic": _FLAG,
                "--sign": (str, ("auto", "plus", "minus"), "auto",
                           "nP (plus, odd j=2n+1) or -nP (minus, even j=2n); auto: minus"),
-               "--descending": _FLAG, "--json": _FLAG},
+               "--descending": _FLAG, "--json": _JSON_OR_SYMBOLIC},
               ((True, ("--n",)), (True, ("--m", "--symbolic")))),
     "pell": (cmd_pell, "solutions from the Pell ladder or slice", None,
              {"--k": (positive, "K", None, "ladder index"),
               "--t": (fraction, "a/b", None, "rational slice parameter"),
-              "--json": _FLAG},
+              "--json": _JSON},
              ((True, ("--k", "--t")),)),
     "selftest": (cmd_selftest, "run the symbolic verifier suite", None,
                  {"--quick": (None, None, False, "skip the high-multiple degree check")},

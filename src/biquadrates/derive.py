@@ -30,7 +30,9 @@ nP = -2nR for the half point R (``curve.multiple_P``), the family of jR is
 the minus branch at n for the even j = 2n, as -nP = 2nR, and the plus branch
 at n for the odd j = 2n + 1, as -kR and (k+1)R give one solution; its z1 has
 degree (2j - 1)^2 in m.  The published families eq20, eq21 and eq22 are
-j = 2, 4 and 3 with the x-pair swapped (``FAMILIES``).
+j = 2, 4 and 3 with the x-pair swapped; ``FAMILIES`` tabulates how each
+published family is built, and ``published_family``, the one builder,
+proves each by its full residual once per process.
 """
 
 from __future__ import annotations
@@ -39,13 +41,14 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
+from biquadrates import pell
 from biquadrates.curve import PipelineError, _exact, multiple_P
 from biquadrates.exact import (
     DegenerateSolutionError,
     SolutionSix,
     check_solution,
 )
-from biquadrates.families import ParamSolution, family_eq26
+from biquadrates.families import ParamSolution
 from biquadrates.poly import (IPoly, PoleError, _ipoly, _pack_pm, _positive, _spread,
                               _width_above, content)
 
@@ -263,38 +266,28 @@ def solution_from_nP(n: int, sign: str = "auto") -> ParamSolution:
     return quartic_point_to_param_solution(p, q, s)
 
 
-def _ladder_family(n: int, sign: str) -> ParamSolution:
-    """``solution_from_nP(n, sign)`` with its x-pair in the paper's order."""
-    x1, x2, *rest = solution_from_nP(n, sign).polys()
-    return ParamSolution(x2, x1, *rest)
-
-
-def family_eq20() -> ParamSolution:
-    """The base family, 2R (minus, n = 1): z-pair of degrees 9 and 8."""
-    return _ladder_family(1, "minus")
-
-
-def family_eq21() -> ParamSolution:
-    """The doubled-point family, 4R (minus, n = 2): z-pair of degrees 49 and 48."""
-    return _ladder_family(2, "minus")
-
-
-def family_eq22() -> ParamSolution:
-    """The family of 3R (plus, n = 1): z-pair of degrees 25 and 24."""
-    return _ladder_family(1, "plus")
-
-
-FAMILIES = {"eq20": family_eq20, "eq21": family_eq21, "eq22": family_eq22,
-            "eq26": family_eq26}
-"""The published families by their command-line names."""
+FAMILIES = {"eq20": (1, "minus"), "eq21": (2, "minus"), "eq22": (1, "plus"),
+            "eq26": ((3, 0, 1), (0, 2), (-3, 0, 1))}
+"""How each published family is built, by its command-line name.  A curve
+family is the (n, sign) of ``solution_from_nP``, x-pair swapped; eq26 is the
+coefficient tuples of (u, v, w) = (t^2+3, 2t, t^2-3), at which
+``pell.pell_shapes`` gives the Pell family in t."""
 
 
 @cache
 def published_family(name: str) -> ParamSolution:
-    """``FAMILIES[name]()``, built once per process and shared, as a family
-    is immutable: a curve family costs a derivation.  ``solution_from_nP``
-    itself derives on every call."""
-    return FAMILIES[name]()
+    """The family ``FAMILIES[name]`` describes, proved by its full residual
+    (``solution_from_nP`` proves B = z2^2 alone) and cached: each is built
+    and proved once per process and shared, as a family is immutable."""
+    how = FAMILIES[name]
+    if isinstance(how[0], int):
+        x1, x2, *rest = solution_from_nP(*how).polys()
+        ps = ParamSolution(x2, x1, *rest)
+    else:
+        ps = ParamSolution(*pell.pell_shapes(*map(IPoly, how)), var="t")
+    if not ps.residual().is_zero:
+        raise PipelineError("the residual is nonzero")
+    return ps
 
 
 def evaluate_param(ps: ParamSolution, m0, check: bool = True) -> SolutionSix:

@@ -5,12 +5,12 @@ satisfying (x1^4+x2^4)(y1^4+y2^4) = z1^4+z2^4 identically; substituting
 any rational parameter value gives a rational solution, which clears to
 integers under the scaling action.
 
-Of the four published families, eq20, eq21 and eq22 are the curve
-families 2R, 4R and 3R for the half point R of the base point P = -2R:
-``derive.solution_from_nP`` builds them, on the minus branch at n = 1 and
-n = 2 and on the plus branch at n = 1, and ``derive.FAMILIES`` names all
-four.  eq26, from the rational parametrization of u^2 - 3v^2 = 1, is
-``pell.pell_shapes`` homogenised at (t^2+3, 2t, t^2-3) (``family_eq26``).
+The four published families are rows of the table ``derive.FAMILIES``:
+eq20, eq21 and eq22 are the curve families 2R, 4R and 3R for the half point
+R of the base point P = -2R, and eq26, from the rational parametrization of
+u^2 - 3v^2 = 1, is ``pell.pell_shapes`` homogenised at (t^2+3, 2t, t^2-3).
+``derive.published_family`` builds each, proves it by ``residual`` and
+caches it, so each is proved once per process.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from biquadrates import pell
 from biquadrates.poly import IPoly, _mul_coeffs, _spread
 
 
@@ -81,9 +80,3 @@ class ParamSolution(namedtuple("ParamSolution", "x1 x2 y1 y2 z1 z2 var",
     def degrees(self) -> tuple:
         return tuple(p.degree for p in self.polys())
 
-
-def family_eq26() -> ParamSolution:
-    """Pell-derived family in t: the Pell shapes at u = (t^2+3)/(t^2-3),
-    v = 2t/(t^2-3), homogenised by w = t^2 - 3."""
-    t = IPoly.gen()
-    return ParamSolution(*pell.pell_shapes(t * t + 3, 2 * t, t * t - 3), var="t")

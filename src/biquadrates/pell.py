@@ -10,7 +10,8 @@ from (2, 1) by (u, v) -> (2u+3v, u+2v), multiplication by 2 + sqrt(3), so
 its k-th rung is (2 + sqrt(3))^k.  ``pell_shapes`` also takes a
 homogenising w, the shapes at (u/w, v/w) rescaled to polynomials: at the
 rational one-parameter slice u = (t^2+3)/(t^2-3), v = 2t/(t^2-3), that is
-(u, v, w) = (t^2+3, 2t, t^2-3), they are the family eq26 in ``families``.
+(u, v, w) = (t^2+3, 2t, t^2-3), they are the family eq26 in
+``derive.FAMILIES``.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ x-pair lexicographically at most the y-pair.
 
 ``PUBLISHED_FAMILIES`` holds the paper's curve families eq20, eq21 and eq22
 and its Pell family eq26 as it prints them, coefficient by coefficient: the
-data that the library's ``derive.FAMILIES`` entries, built from the ladder
-and from the Pell shapes, are checked against.
+data that the library's families are checked against.  The library builds
+each from its row of the table ``derive.FAMILIES``, the ladder's (n, sign)
+or the Pell shapes' point, in its one builder ``derive.published_family``,
+which proves each by its full residual once per process.
 """
 
 from biquadrates.exact import SolutionSix

@@ -5,10 +5,11 @@ its module, so the pipeline and the verifiers both run the corrupted copy.
 The residual corruptions at the end wrap a grid's residual instead, and
 tests put the result into the grid with the grid's ``_replace``.
 
-``derive.published_family`` builds each published family once per process,
-so a test that patches the derivation and then asks for one takes the
-``fresh_families`` fixture: the family is derived under the patch, and no
-family built under it outlives the test.
+``derive.published_family`` builds and proves each published family once
+per process, so a test that patches the derivation, the Pell shapes or the
+residual and then asks for one takes the ``fresh_families`` fixture: the
+family is built under the patch, and no family built under it outlives the
+test.
 """
 
 from math import gcd

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from biquadrates.derive import FAMILIES, evaluate_param
+from biquadrates.derive import FAMILIES, evaluate_param, published_family
 from biquadrates.exact import canonicalize
 from biquadrates.pell import pell3_nth, pell_to_solution
 from biquadrates.search import search
@@ -14,7 +14,7 @@ from oracles import numeric_solution_from_nP
 
 
 def _family(name, t):
-    return evaluate_param(FAMILIES[name](), Fraction(t))
+    return evaluate_param(published_family(name), Fraction(t))
 
 
 def _search_keys(bx, by):

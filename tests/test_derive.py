@@ -16,8 +16,7 @@ from biquadrates.derive import (
     FAMILIES,
     PipelineError,
     evaluate_param,
-    family_eq20,
-    family_eq21,
+    published_family,
     quartic_image,
     quartic_point_to_param_solution,
     quartic_rhs,
@@ -28,7 +27,7 @@ from biquadrates.exact import DegenerateSolutionError, SolutionSix, canonicalize
 from biquadrates.families import ParamSolution
 from biquadrates.poly import IPoly, PoleError, content
 from known_solutions import PUBLISHED_FAMILIES
-from mutations import entry_bent, fresh_families, psi_changed
+from mutations import entry_bent, fresh_families, psi_changed, z1_plus_q2
 from oracles import (
     INFINITY,
     CurvePoint,
@@ -202,7 +201,7 @@ def _reproduces_published(fam, name):
     assert (fam.y1, fam.y2) == (ref.y1, ref.y2)
     assert (fam.z1, fam.z2) == (ref.z1, ref.z2)
     assert param_equivalent(fam, ref)
-    assert FAMILIES[name]() == ref
+    assert published_family(name) == ref
 
 
 def test_symbolic_n1_reproduces_base_family():
@@ -475,9 +474,10 @@ def test_pole_cofactor_is_the_old_division(M, monkeypatch):
     assert seen == []
 
 
-def test_family_is_proved_once(monkeypatch, capsys):
+def test_family_is_proved_once(monkeypatch, capsys, fresh_families):
     # derive proves each family with B's square identity over Z[M] and
-    # printing runs no residual; a published family is checked by cmd_family
+    # printing runs no residual; a published family is proved by its
+    # residual when published_family builds it
     import biquadrates.cli as cli
 
     assert cli.main(["curve", "--n", "3", "--symbolic"]) == 0
@@ -520,6 +520,30 @@ def test_published_families_are_derived_once(monkeypatch, capsys, fresh_families
     capsys.readouterr()
 
 
+def test_each_published_family_is_proved_once(monkeypatch, capsys, fresh_families):
+    # published_family proves a family by its residual before caching it:
+    # printing or evaluating the cached family proves nothing again, and
+    # curve --symbolic runs no residual
+    import biquadrates.cli as cli
+
+    proved = []
+    residual = families.ParamSolution.residual
+    monkeypatch.setattr(families.ParamSolution, "residual",
+                        lambda self: proved.append(self.var) or residual(self))
+    for argv in (["family", "eq21", "--symbolic"], ["family", "eq21", "--symbolic"],
+                 ["family", "eq21", "--param", "6/7"], ["pell", "--t", "5/17"]):
+        assert cli.main(argv) == 0
+    assert proved == ["m", "t"]
+    assert cli.main(["curve", "--n", "2", "--symbolic"]) == 0
+    assert proved == ["m", "t"]
+    capsys.readouterr()
+    # z1 = m(p^2 + q^2) + q^2 leaves B = z2^2, which derive proves, and the
+    # residual refuses the family before it is evaluated
+    monkeypatch.setattr(derive, "_solution_pairs", z1_plus_q2(derive._solution_pairs))
+    assert cli.main(["family", "eq20", "--param", "2"]) == 1
+    assert capsys.readouterr() == ("", "family: the residual is nonzero\n")
+
+
 def test_pipeline_commutes_with_evaluation():
     for n in (1, 2):
         fam = solution_from_nP(n, sign="minus")
@@ -530,7 +554,7 @@ def test_pipeline_commutes_with_evaluation():
 
 
 def test_evaluate_param_known_value():
-    key = canonicalize(evaluate_param(family_eq20(), 2))
+    key = canonicalize(evaluate_param(published_family("eq20"), 2))
     assert key.xpair == (3, 5)
     assert key.ypair == (17, 28)
     assert key.zpair == (Fraction(13), Fraction(149))
@@ -555,9 +579,10 @@ def test_evaluate_param_matches_fraction_horner(name, a, b):
     # evaluate_param clears b^d P(a/b) over b^d in integers; the oracle
     # reduces each value to a Fraction (oracles.evaluate, Horner's rule over Q)
     # and clears those
+    eq20 = published_family("eq20")
     fam = {"pair_zero": PAIR_ZERO,
-           "corrupt": ParamSolution(*family_eq20().polys()[:4], family_eq20().z1 + 1,
-                                    family_eq20().z2)}.get(name) or FAMILIES[name]()
+           "corrupt": ParamSolution(*eq20.polys()[:4], eq20.z1 + 1, eq20.z2)}.get(name)
+    fam = fam or published_family(name)
     m0 = Fraction(a, b)
     assert [evaluate(p, m0) for p in fam.polys()] == [fraction_horner(p.coeffs, m0)
                                                       for p in fam.polys()]
@@ -765,8 +790,8 @@ def test_mutated_entries_fail_the_zero_test(sign, k, name, where):
 
 
 def test_param_equivalent_distinguishes():
-    assert param_equivalent(family_eq20(), family_eq20())
-    assert not param_equivalent(family_eq20(), family_eq21())
+    assert param_equivalent(published_family("eq20"), published_family.__wrapped__("eq20"))
+    assert not param_equivalent(published_family("eq20"), published_family("eq21"))
 
 
 def test_degenerate_and_corrupt_families():
@@ -775,7 +800,7 @@ def test_degenerate_and_corrupt_families():
     broken = ParamSolution(z, z, one, one, one, z)
     with pytest.raises(DegenerateSolutionError):
         evaluate_param(broken, 1)
-    ref = family_eq20()
+    ref = published_family("eq20")
     corrupt = ParamSolution(ref.x1, ref.x2, ref.y1, ref.y2, ref.z1 + 1, ref.z2)
     with pytest.raises(PipelineError):
         evaluate_param(corrupt, 1)

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import biquadrates.families as families
-from biquadrates.derive import FAMILIES, family_eq20, family_eq21, solution_from_nP
-from biquadrates.families import ParamSolution, family_eq26
+from biquadrates.derive import FAMILIES, published_family, solution_from_nP
+from biquadrates.families import ParamSolution
 from biquadrates.poly import IPoly
 from oracles import from_terms
 
@@ -75,8 +75,8 @@ def test_residual_matches_dense_formula(ps):
 
 
 def test_published_families_and_a_corruption():
-    for make in FAMILIES.values():
-        ps = make()
+    for name in FAMILIES:
+        ps = published_family(name)
         assert ps.residual().is_zero
         bent = ParamSolution(ps.x1, ps.x2, ps.y1, ps.y2 + 1, ps.z1, ps.z2, ps.var)
         assert bent.residual() == _dense_residual(bent) != IPoly(())
@@ -93,7 +93,7 @@ def _shifted(*rs, h=8):
 
 EDGE_FAMILIES = {
     "all_zero": _family({}, {}, {}, {}, {}, {}),
-    "one_zero_entry": ParamSolution(IPoly(()), *family_eq20().polys()[1:]),
+    "one_zero_entry": ParamSolution(IPoly(()), *published_family("eq20").polys()[1:]),
     "monomials": _family({3: 2}, {1: -1}, {5: -1}, {0: 3}, {2: 1}, {7: 4}),
     # odd r with h = 4 or 8
     "odd_r_h4": _family({1: 1, 5: -2}, {3: 2, 7: 1}, {1: 3}, {5: -1, 9: 1},
@@ -107,9 +107,9 @@ EDGE_FAMILIES = {
     "gap_x_in_B": _shifted(1, 0, 0, 1, 1, 2),
     "gap_z2_in_B": _shifted(0, 0, 0, 0, 0, 2),
     # eq26's entries with z1 bent by t^10, so the residual is nonzero
-    "eq26_shape": ParamSolution(*family_eq26().polys()[:4],
-                                family_eq26().z1 + from_terms({10: 1}),
-                                family_eq26().z2, var="t"),
+    "eq26_shape": ParamSolution(*published_family("eq26").polys()[:4],
+                                published_family("eq26").z1 + from_terms({10: 1}),
+                                published_family("eq26").z2, var="t"),
 }
 
 
@@ -162,7 +162,7 @@ def test_eq21_residual_runs_every_product_compressed(monkeypatch):
     def no_dense(self, other):
         raise AssertionError("dense product taken")
 
-    eq21 = family_eq21()
+    eq21 = published_family("eq21")
     monkeypatch.setattr(families, "_mul_coeffs", spy)
     monkeypatch.setattr(IPoly, "__mul__", no_dense)
     assert eq21.residual().is_zero

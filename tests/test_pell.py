@@ -6,9 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biquadrates.derive import evaluate_param
+from biquadrates.derive import evaluate_param, published_family
 from biquadrates.exact import SolutionSix, canonicalize, check_solution
-from biquadrates.families import family_eq26
 from biquadrates.pell import PellSolution, pell3_nth, pell_shapes, pell_to_solution
 from oracles import clear_fractions, pell3_ladder
 
@@ -58,13 +57,13 @@ def test_ladder_solutions_check_out():
 
 
 def test_param_family_is_valid():
-    fam = family_eq26()
+    fam = published_family("eq26")
     assert fam.residual().is_zero
     assert fam.var == "t"
 
 
 def test_param_family_matches_rational_slice():
-    fam = family_eq26()
+    fam = published_family("eq26")
     for t in (2, 3, 5):
         t = Fraction(t)
         u, v = (t * t + 3) / (t * t - 3), 2 * t / (t * t - 3)
@@ -75,7 +74,7 @@ def test_param_family_matches_rational_slice():
 
 
 def test_param_family_sample_values():
-    fam = family_eq26()
+    fam = published_family("eq26")
     key = canonicalize(evaluate_param(fam, 3))
     assert key.xpair == (1, 2) and key.ypair == (5, 6)
     assert key.zpair == (Fraction(8), Fraction(13))

@@ -193,3 +193,32 @@ def test_record_types_are_immutable_hashable_tuples():
     assert identity.GridIdentity(("a",), (2,), abs).offsets == ()
     for name in derive.FAMILIES:
         assert derive.published_family(name) is derive.published_family(name)
+
+
+def test_code_lines_counts_only_lines_with_code(tmp_path, capsys):
+    import code_lines
+
+    source = '''"""A module docstring
+over two lines."""
+
+# a comment
+X = (1 +    # a comment after code
+     2)
+TEXT = """a string that is
+no docstring"""
+
+
+def f():
+    """A function docstring."""
+    return [X,
+            TEXT]
+'''
+    # X's two lines, TEXT's two, def f and the return's two lines
+    assert code_lines.code_lines(source) == 7
+    (tmp_path / "m.py").write_text(source)
+    (tmp_path / "n.py").write_text("Y = 1\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in out[1:]] == [
+        ["14", "7", str(tmp_path / "m.py")], ["1", "1", str(tmp_path / "n.py")],
+        ["15", "8", "total"]]
